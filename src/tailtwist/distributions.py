@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .normal_tail import log_upper_tail, upper_tail_quantile_from_log
 
@@ -84,6 +85,9 @@ class DistributionSpec:
     lognormal_sigma_db: float | None = None
 
     def __post_init__(self):
+        params = (self.weibull_shape, self.weibull_scale, self.lognormal_mu_db, self.lognormal_sigma_db)
+        if not all(v is None or math.isfinite(v) for v in params):
+            raise ValueError("distribution parameters must be finite")
         if self.family is Family.WEIBULL:
             if self.weibull_shape is None or self.weibull_scale is None:
                 raise ValueError("weibull components need weibull_shape and weibull_scale")
@@ -171,6 +175,20 @@ class DistributionSpec:
             out = np.exp(self.mu_ln + self.sigma_ln * np.asarray(z))
         return _maybe_scalar(out)
 
+    def inverse_survival(self, u):
+        """The x with survival(x) = u, for 0 < u < 1: the untwisted sampling kernel.
+
+        Log-normal inverts the normal quantile of u directly, as exp(mu_ln -
+        sigma_ln * ndtri(u)).  Weibull returns exactly inverse_cumulative_hazard(-log u).
+        """
+        arr = _as_array(u)
+        # min and max make no temporaries, unlike a mask; NaN fails both
+        if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
+            raise ValueError("inverse_survival requires 0 < u < 1")
+        if self.family is Family.WEIBULL:
+            return self.inverse_cumulative_hazard(-np.log(arr))
+        return _maybe_scalar(np.exp(self.mu_ln - self.sigma_ln * ndtri(arr)))
+
     def hazard_rate(self, x):
         """Hazard rate lambda(x) = f(x) / (1 - F(x)), x > 0.
 
@@ -228,10 +246,9 @@ class DistributionSpec:
     # -- sampling ---------------------------------------------------------
 
     def sample(self, stream, size: int | None = None):
-        """Exact draw(s) by inversion: X = Lambda^-1(-log U)."""
+        """Exact draw(s) by inversion: X = survival^-1(U)."""
         n = 1 if size is None else int(size)
-        u = stream.uniforms(n)
-        x = self.inverse_cumulative_hazard(-np.log(u))
+        x = self.inverse_survival(stream.uniforms(n))
         return float(x[0]) if size is None else x
 
     def sample_twisted(self, theta: float, stream, size: int | None = None):

@@ -56,8 +56,8 @@ class Scenario:
                 "mixed families in one scenario are not supported; all "
                 "components must be Weibull or all log-normal"
             )
-        if not self.threshold_linear >= 0.0:
-            raise ValueError("threshold must be >= 0 in linear units")
+        if not (0.0 <= self.threshold_linear < math.inf and math.isfinite(self.threshold_db or 0.0)):
+            raise ValueError("threshold must be finite, and >= 0 in linear units")
 
     @classmethod
     def from_db(

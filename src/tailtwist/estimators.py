@@ -20,12 +20,12 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .distributions import DistributionSpec
-from .dominance import Scenario, TwistPlan
+from .dominance import Scenario, TwistPlan, _close
 from .streams import UnitSampleStream
 
 CHUNK_SIZE = 1 << 16
@@ -100,12 +100,14 @@ def _simulate_chunk(
     total = np.zeros(count)
     log_weight = np.zeros(count)
     for i, spec in enumerate(components):
-        y = -np.log(stream.uniforms(count))
+        u = stream.uniforms(count)
         if i in twisted:
-            y /= 1.0 - theta
             # the twisted draw's cumulative hazard is y by construction
+            y = -np.log(u) / (1.0 - theta)
             log_weight -= theta * y
-        total += spec.inverse_cumulative_hazard(y)
+            total += spec.inverse_cumulative_hazard(y)
+        else:
+            total += spec.inverse_survival(u)
     if twisted:
         log_weight -= len(twisted) * math.log1p(-theta)
         t = np.where(total > gamma, np.exp(log_weight), 0.0)
@@ -195,22 +197,6 @@ def estimate_conventional(
     )
 
 
-def _params_match(a: DistributionSpec, b: DistributionSpec) -> bool:
-    if a.family is not b.family:
-        return False
-    pairs = (
-        (a.weibull_shape, b.weibull_shape),
-        (a.weibull_scale, b.weibull_scale),
-        (a.lognormal_mu_db, b.lognormal_mu_db),
-        (a.lognormal_sigma_db, b.lognormal_sigma_db),
-    )
-    return all(
-        (x is None and y is None)
-        or (x is not None and y is not None and math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-15))
-        for x, y in pairs
-    )
-
-
 def estimate_improved(
     scenario: Scenario, plan: TwistPlan, runs: int, seed: int, workers: int = 1
 ) -> EstimateReport:
@@ -224,11 +210,12 @@ def estimate_improved(
         raise ValueError("the twist plan has no twisting parameter set")
     if any(i < 0 or i >= scenario.n for i in plan.dominant_indices):
         raise ValueError("twist plan indexes components outside the scenario")
-    lead = scenario.components[plan.dominant_indices[0]]
-    if not all(
-        _params_match(lead, scenario.components[i]) for i in plan.dominant_indices
-    ):
-        raise ValueError("dominant components must be identically distributed")
+    lead = astuple(scenario.components[plan.dominant_indices[0]])
+    for i in plan.dominant_indices:
+        # one family per scenario: a field is None in both specs or in neither
+        pairs = zip(lead[1:], astuple(scenario.components[i])[1:])
+        if not all(a is None or _close(a, b) for a, b in pairs):
+            raise ValueError("dominant components must be identically distributed")
     twisted = frozenset(plan.dominant_indices)
     return _run_estimate(
         scenario, twisted, plan.theta, Method.IMPROVED_IS, runs, seed, workers

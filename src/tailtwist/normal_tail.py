@@ -10,9 +10,7 @@ representable.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri, ndtri_exp
-
-_LOG2 = float(np.log(2.0))
+from scipy.special import log_ndtr, ndtri_exp
 
 __all__ = ["log_upper_tail", "upper_tail_quantile_from_log"]
 
@@ -30,16 +28,14 @@ def log_upper_tail(z):
 def upper_tail_quantile_from_log(y):
     """Return z such that -log Q(z) = y, for y >= 0.
 
-    This inverts the Gaussian cumulative hazard without ever forming
-    exp(-y): small y (Q near 1) goes through expm1 on the lower tail,
-    large y through the log-space quantile.  y beyond 1e6 is fine.
+    This inverts the Gaussian cumulative hazard as z = -ndtri_exp(-y),
+    one special-function call per element that never forms exp(-y).
+    scipy's ndtri_exp switches internally between an expm1 form near
+    y = 0 (Q near 1) and a log-space asymptotic form for large y, so
+    the whole range is accurate; y beyond 1e6 is fine.
     """
     arr = np.asarray(y, dtype=float)
     if np.any(arr < 0.0) or np.any(np.isnan(arr)):
         raise ValueError("log-domain tail mass must be >= 0")
-    near_one = arr < _LOG2
-    # np.where evaluates both branches; feed each a safe dummy argument.
-    lower = ndtri(-np.expm1(-np.where(near_one, arr, _LOG2)))
-    upper = -ndtri_exp(-np.where(near_one, _LOG2, arr))
-    out = np.where(near_one, lower, upper)
+    out = -ndtri_exp(-arr)
     return float(out) if out.ndim == 0 else out

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -13,6 +14,7 @@ from tailtwist.distributions import (
     db_to_linear,
     linear_to_db,
 )
+from tailtwist.normal_tail import upper_tail_quantile_from_log
 from tailtwist.streams import UnitSampleStream
 
 WEIBULL_HEAVY = DistributionSpec.weibull(0.4, 1.0)
@@ -49,6 +51,20 @@ def test_weibull_requires_positive_parameters():
 def test_lognormal_requires_positive_sigma():
     with pytest.raises(ValueError, match="lognormal_sigma_db must be > 0"):
         DistributionSpec.lognormal(0.0, 0.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: DistributionSpec.lognormal(math.nan, 4.0),
+    lambda: DistributionSpec.lognormal(math.inf, 4.0),
+    lambda: DistributionSpec.lognormal(0.0, math.inf),
+    lambda: DistributionSpec.lognormal(0.0, math.nan),
+    lambda: DistributionSpec.weibull(0.5, math.inf),
+    lambda: DistributionSpec.weibull(math.inf, 1.0),
+    lambda: DistributionSpec.weibull(math.nan, 1.0),
+])
+def test_non_finite_parameters_rejected(make):
+    with pytest.raises(ValueError, match="must be finite"):
+        make()
 
 
 def test_mismatched_family_fields_rejected():
@@ -208,6 +224,64 @@ def test_inverse_handles_huge_hazard_without_underflow():
 def test_inverse_rejects_negative():
     with pytest.raises(ValueError):
         WEIBULL_HEAVY.inverse_cumulative_hazard(-0.5)
+
+
+def _quantile_from_log_40_digits(y: float) -> float:
+    """The z with -log Q(z) = y, solved in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        def hazard(z):
+            # -log Q(z), written so neither branch cancels catastrophically
+            if z < 0:
+                return -mpmath.log1p(-mpmath.ncdf(z))
+            return -mpmath.log(mpmath.ncdf(-z))
+
+        log_y = mpmath.log(mpmath.mpf(y))
+        start = mpmath.mpf(upper_tail_quantile_from_log(y))
+        return float(mpmath.findroot(lambda z: mpmath.log(hazard(z)) - log_y, start))
+
+
+@pytest.mark.parametrize("y", [
+    1e-300, 1e-200, 1e-100, 1e-30, 1e-16, 1e-8, 1e-3, 0.1, 0.5, 0.69, 0.7,
+    1.0, 2.0, 5.0, 10.0, 50.0, 300.0, 745.0, 1e3, 1e4, 1e5, 1e6,
+])
+def test_quantile_from_log_matches_arbitrary_precision(y):
+    assert upper_tail_quantile_from_log(y) == pytest.approx(_quantile_from_log_40_digits(y), rel=1e-12)
+
+
+# -- inverse survival ---------------------------------------------------------
+
+
+def _kernel_uniforms():
+    extremes = [np.nextafter(0.0, 1.0), 2.0**-53, 1e-300, 0.5, 1.0 - 2.0**-30, 1.0 - 2.0**-53]
+    return np.concatenate([UnitSampleStream(5, 0).uniforms(1 << 16), extremes])
+
+
+@pytest.mark.parametrize("spec", [LOGNORMAL_6DB, DistributionSpec.lognormal(-2.0, 3.0), DistributionSpec.lognormal(10.0, 20.0)])
+def test_lognormal_inverse_survival_matches_inverse_hazard(spec):
+    u = _kernel_uniforms()
+    expected = spec.inverse_cumulative_hazard(-np.log(u))
+    assert np.allclose(spec.inverse_survival(u), expected, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("spec", [WEIBULL_HEAVY, DistributionSpec.weibull(0.8, 3.0)])
+def test_weibull_inverse_survival_is_the_inverse_hazard_of_neg_log_u(spec):
+    u = _kernel_uniforms()
+    assert np.array_equal(spec.inverse_survival(u), spec.inverse_cumulative_hazard(-np.log(u)))
+
+
+@pytest.mark.parametrize("spec", [WEIBULL_HEAVY, LOGNORMAL_6DB])
+@pytest.mark.parametrize("u", [0.0, 1.0, math.nan])
+def test_inverse_survival_rejects_u_outside_open_unit_interval(spec, u):
+    with pytest.raises(ValueError, match="0 < u < 1"):
+        spec.inverse_survival(u)
+    with pytest.raises(ValueError, match="0 < u < 1"):
+        spec.inverse_survival(np.array([0.5, u]))
+
+
+def test_inverse_survival_round_trips_survival():
+    x = np.geomspace(1e-3, 1e6, 50)
+    for spec in (WEIBULL_HEAVY, LOGNORMAL_6DB):
+        assert np.allclose(spec.inverse_survival(spec.survival(x)), x, rtol=1e-8)
 
 
 # -- log density --------------------------------------------------------------

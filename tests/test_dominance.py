@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,18 @@ def test_scenario_rejects_mixed_families():
     specs = [DistributionSpec.weibull(0.4, 1.0), DistributionSpec.lognormal(0.0, 6.0)]
     with pytest.raises(ValueError, match="mixed families"):
         Scenario.from_db(specs, 20.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda spec: Scenario.from_db([spec], math.inf),
+    lambda spec: Scenario.from_db([spec], -math.inf),
+    lambda spec: Scenario.from_db([spec], math.nan),
+    lambda spec: Scenario.from_linear([spec], math.inf),
+    lambda spec: Scenario.from_linear([spec], math.nan),
+])
+def test_scenario_rejects_non_finite_threshold(make):
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        make(DistributionSpec.weibull(0.4, 1.0))
 
 
 def test_scenario_rejects_empty():

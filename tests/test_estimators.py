@@ -214,6 +214,20 @@ def test_improved_validates_plan():
     )
     with pytest.raises(ValueError):
         estimate_improved(scenario, mixed, runs=100, seed=0)  # not identical
+    lognormal = Scenario.from_db(
+        [DistributionSpec.lognormal(0.0, 6.0), DistributionSpec.lognormal(1.0, 6.0)], 25.0
+    )
+    with pytest.raises(ValueError, match="identically distributed"):
+        estimate_improved(lognormal, mixed, runs=100, seed=0)  # mu differs
+
+
+def test_improved_groups_dominant_components_equal_up_to_round_off():
+    # parameters written as human decimals differ only in the last bits
+    specs = [DistributionSpec.weibull(0.4, 1.0), DistributionSpec.weibull(0.4 * (1.0 + 1e-13), 1.0 + 1e-15)]
+    scenario = Scenario.from_db(specs, 20.0)
+    plan = select_dominant(scenario).with_theta(0.5, ThetaSource.MANUAL)
+    assert plan.dominant_indices == (0, 1)
+    assert estimate_improved(scenario, plan, runs=100, seed=0).runs == 100
 
 
 def test_conventional_validates_theta():
