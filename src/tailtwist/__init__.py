@@ -41,7 +41,6 @@ from .experiments import (
     DiagnosticsReport,
     EfficiencyRow,
     ExperimentConfig,
-    ExperimentKind,
     SweepRow,
     efficiency_rows_to_csv,
     parse_config,
@@ -75,7 +74,6 @@ __all__ = [
     "EfficiencyRow",
     "EstimateReport",
     "ExperimentConfig",
-    "ExperimentKind",
     "Family",
     "LightTailWarning",
     "Method",

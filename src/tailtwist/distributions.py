@@ -14,6 +14,7 @@ directly once F is within 1e-12 of 1.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -62,6 +63,31 @@ def _as_array(x) -> np.ndarray:
 
 def _maybe_scalar(arr: np.ndarray):
     return float(arr) if arr.ndim == 0 else arr
+
+
+def _log_normal_hazard(z):
+    """log(phi(z) / Q(z)), through logs so that neither underflows."""
+    return -0.5 * z * z - _LOG_SQRT_2PI - log_upper_tail(z)
+
+
+def _solve_rising(fn, lo, hi, tol):
+    """Where value rises through 0 in [lo, hi], for fn(z) = (value, slope).
+
+    Newton steps that bisect instead of leaving the shrinking bracket, so
+    round-off in the slope never loses the root; they stop once the step is
+    at rounding level or |value| <= tol, since near a peak, where the slope
+    vanishes, the steps slow down."""
+    z = lo
+    for _ in range(100):
+        value, slope = fn(z)
+        lo, hi = np.where(value < 0.0, z, lo), np.where(value < 0.0, hi, z)
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero slope at a peak
+            step = z - value / slope
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        if np.all((np.abs(step - z) <= 1e-15 * (1.0 + np.abs(z))) | (np.abs(value) <= tol)):
+            return step
+        z = step
+    return z
 
 
 @dataclass(frozen=True)
@@ -205,6 +231,58 @@ class DistributionSpec:
             z = (np.log(arr) - self.mu_ln) / self.sigma_ln
             log_pdf = -np.log(arr * self.sigma_ln) - _LOG_SQRT_2PI - 0.5 * z * z
             out = np.exp(log_pdf - log_upper_tail(z))
+        return _maybe_scalar(out)
+
+    def hazard_peak(self) -> float:
+        """The x where the hazard rate peaks: it rises on [0, peak] and not after.
+
+        Weibull: 0 for shape <= 1, inf above.  Log-normal (unimodal, Sweet
+        1990): with z the standard score of ln x and h = phi/Q the normal
+        hazard, d log lambda / dz = h(z) - z - sigma_ln vanishes at the peak.
+        """
+        if self.family is Family.WEIBULL:
+            return 0.0 if self.weibull_shape <= 1.0 else math.inf
+        return math.exp(self.mu_ln + self.sigma_ln * self._peak_z)
+
+    @functools.cached_property
+    def _peak_z(self) -> float:
+        # z - h(z) rises (0 < h' = h(h - z) < 1) and passes -sigma between
+        # -sigma - 1 (as h > 0) and 1/sigma (as h(z) < z + 1/z for z > 0)
+        s = self.sigma_ln
+
+        def fn(z):
+            h = np.exp(_log_normal_hazard(z))
+            return z - h + s, 1.0 - h * (h - z)
+
+        return float(_solve_rising(fn, -s - 1.0, 1.0 / s, 1e-15 * (1.0 + s)))
+
+    def inverse_hazard_rate(self, level):
+        """The x in [0, hazard_peak()] with hazard_rate(x) = level > 0: 0 if
+        the hazard never rises, NaN if level is above a log-normal's peak."""
+        arr = _as_array(level)
+        if not np.all(arr > 0.0):
+            raise ValueError("inverse_hazard_rate requires level > 0")
+        if self.family is Family.WEIBULL:
+            k, b = self.weibull_shape, self.weibull_scale
+            out = b * (arr * b / k) ** (1.0 / (k - 1.0)) if k > 1.0 else np.zeros_like(arr)
+            return _maybe_scalar(out)
+        s, z_peak = self.sigma_ln, self._peak_z
+        # log hazard_rate + log sigma_ln + mu_ln = log h(z) - sigma_ln * z, rising up to z_peak
+        target = np.log(arr) + math.log(s) + self.mu_ln
+        rising = target <= _log_normal_hazard(z_peak) - s * z_peak
+        target = target[rising]
+
+        def fn(z):
+            log_h = _log_normal_hazard(z)
+            return log_h - s * z - target, np.exp(log_h) - z - s
+
+        # Q >= 1/2 for z <= 0, so there log h(z) - s*z is at most the quadratic
+        # log 2 - log sqrt(2 pi) - z^2/2 - s*z, which crosses the target left of
+        # the answer
+        lo = -s - np.sqrt(np.maximum(s * s + 2.0 * (math.log(2.0) - _LOG_SQRT_2PI - target), 0.0))
+        out = np.full_like(arr, np.nan)
+        z = _solve_rising(fn, np.minimum(lo, z_peak), z_peak, 1e-15 * (1.0 + np.abs(target)))
+        out[rising] = np.exp(self.mu_ln + s * z)
         return _maybe_scalar(out)
 
     def log_density(self, x):

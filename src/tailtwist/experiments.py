@@ -30,7 +30,6 @@ estimate's seed derives from the base seed and the row's position.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,7 +55,6 @@ from .twist_optimizer import solve_p, solve_p_prime, theta_conventional, theta_s
 
 __all__ = [
     "ConfigError",
-    "ExperimentKind",
     "ExperimentConfig",
     "parse_config",
     "SweepRow",
@@ -72,6 +70,7 @@ __all__ = [
     "efficiency_rows_to_csv",
     "SWEEP_HEADER",
     "EFFICIENCY_HEADER",
+    "DIAGNOSTICS_HEADER",
 ]
 
 DEFAULT_RUNS = 1_000_000
@@ -81,6 +80,10 @@ SWEEP_HEADER = (
     "variance,relative_error,ci95_low,ci95_high,runs,seed"
 )
 EFFICIENCY_HEADER = "gamma_db,xi1,xi2,alpha_ref"
+DIAGNOSTICS_HEADER = (
+    "gamma_db,s,theta_improved,theta_conventional,a,a_prime,"
+    "optimality_ratio_improved,optimality_ratio_conventional"
+)
 
 
 class ConfigError(ValueError):
@@ -92,17 +95,9 @@ class ConfigError(ValueError):
         super().__init__(prefix + message)
 
 
-class ExperimentKind(enum.Enum):
-    SINGLE_ESTIMATE = "single"
-    THETA_SWEEP = "theta_sweep"
-    THRESHOLD_SWEEP = "threshold_sweep"
-    EFFICIENCY_SWEEP = "efficiency_sweep"
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     scenario: Scenario
-    kind: ExperimentKind
     theta_grid: tuple[float, ...]
     gamma_grid_db: tuple[float, ...]
     methods: tuple[Method, ...]
@@ -253,10 +248,9 @@ def _build_component(block_line: int, block: dict[str, tuple[int, str]]) -> Dist
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config document into an ExperimentConfig.
 
-    The experiment kind is inferred from which grid is present:
-    ``theta_grid`` makes a theta sweep, ``gamma_grid_db`` a threshold
-    sweep (also usable for efficiency sweeps), neither a single
-    estimate.
+    At most one grid may be present: ``theta_grid`` serves a theta
+    sweep, ``gamma_grid_db`` a threshold, efficiency or diagnostics
+    sweep; without ``gamma_grid_db`` the config needs ``gamma_db``.
     """
     top, blocks = _scan_lines(text)
 
@@ -279,16 +273,9 @@ def parse_config(text: str) -> ExperimentConfig:
             top["theta_grid"][0], "theta_grid and gamma_grid_db are mutually exclusive"
         )
 
-    if theta_grid:
-        kind = ExperimentKind.THETA_SWEEP
-    elif gamma_grid_db:
-        kind = ExperimentKind.THRESHOLD_SWEEP
-    else:
-        kind = ExperimentKind.SINGLE_ESTIMATE
-
     if "gamma_db" in top and gamma_grid_db:
         raise ConfigError(top["gamma_db"][0], "gamma_db and gamma_grid_db are mutually exclusive")
-    if kind is not ExperimentKind.THRESHOLD_SWEEP and "gamma_db" not in top:
+    if not gamma_grid_db and "gamma_db" not in top:
         raise ConfigError(None, "config needs gamma_db (or gamma_grid_db for a threshold sweep)")
 
     if "gamma_db" in top:
@@ -321,7 +308,6 @@ def parse_config(text: str) -> ExperimentConfig:
 
     return ExperimentConfig(
         scenario=scenario,
-        kind=kind,
         theta_grid=theta_grid,
         gamma_grid_db=gamma_grid_db,
         methods=methods,
@@ -487,22 +473,19 @@ class DiagnosticsReport:
                 f"  component {rep.component}: {rep.verdict.value} "
                 f"(gap {rep.gap[0]!r} -> {rep.gap[-1]!r})"
             )
-        lines.append(
-            "gamma_db,s,theta_improved,theta_conventional,a,a_prime,"
-            "optimality_ratio_improved,optimality_ratio_conventional"
-        )
+        lines.append(DIAGNOSTICS_HEADER)
         for row in self.rows:
             lines.append(
                 ",".join(
                     [
-                        repr(float(row.gamma_db)),
+                        _fmt(row.gamma_db),
                         str(row.s),
-                        repr(float(row.theta_improved)),
-                        repr(float(row.theta_conventional)),
-                        repr(float(row.a_value)),
-                        repr(float(row.a_prime)),
-                        repr(float(row.ratio_improved)),
-                        repr(float(row.ratio_conventional)),
+                        _fmt(row.theta_improved),
+                        _fmt(row.theta_conventional),
+                        _fmt(row.a_value),
+                        _fmt(row.a_prime),
+                        _fmt(row.ratio_improved),
+                        _fmt(row.ratio_conventional),
                     ]
                 )
             )

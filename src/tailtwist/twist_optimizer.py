@@ -3,7 +3,7 @@
 The estimator's worst-case second moment is controlled by the smallest
 attainable sum of (weighted) cumulative hazards over allocations of the
 threshold across components.  This module solves those small separable
-problems exactly enough for the minmax parameter:
+problems:
 
   * the dominant-group problem: minimize sum of Lambda_1(x_i) over the
     s twisted components subject to sum x_i >= threshold;
@@ -16,16 +16,24 @@ problems exactly enough for the minmax parameter:
 The feasible set is closed (x_i >= 0): each hazard is continuous with
 Lambda(0) = 0, so the infimum over x_i > 0 is attained on the closure
 and boundary attainment is reported instead of excluded.
+
+The solver enumerates optimality conditions.  Each hazard rate rises on
+[0, peak] and never after (Weibull: peak 0 for shape <= 1, else inf;
+log-normal: unimodal, Sweet 1990).  At a minimum the positive coordinates
+share one weighted hazard rate nu, and at most one is past its peak, or
+e_i - e_j would curve down (flat hazards pool at no cost).  So a minimum
+lies on one of n curves in nu: c takes the rest of the threshold, each
+other rising hazard sits on its rising branch at level nu, the rest at 0.
+With no rising hazard (each Weibull shape <= 1, each Lambda concave) only
+the corners remain: the answer is min_j w_j * Lambda_j(gamma).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dominance import Scenario, TwistPlan
 
@@ -39,9 +47,9 @@ __all__ = [
     "weighted_hazard_sum",
 ]
 
-_MULTISTARTS = 8
-_OBJECTIVE_TOL = 1e-10
-_SNAP_REL = 1e-12
+_GRID = 256  # log-nu grid points that bracket each curve's minima
+_ZOOM = 64  # points per refinement pass inside one bracket
+_NU_RTOL = 1e-10  # final bracket width; the objective's error is ~ its square
 
 
 @dataclass(frozen=True)
@@ -60,71 +68,62 @@ def weighted_hazard_sum(specs, weights, x) -> float:
     )
 
 
-def _descent_starts(n: int, gamma: float) -> np.ndarray:
-    # fixed seed: the solver must be a pure function of its inputs
-    rng = np.random.default_rng(20240607)
-    starts = rng.dirichlet(np.ones(n), size=_MULTISTARTS) * gamma
-    return starts
+def _curve_minima(specs, weights, gamma, c, others, nus, solved):
+    """Allocations at each local minimum of curve c seen on the levels nus.
 
-
-def _snap(x: np.ndarray, gamma: float) -> np.ndarray:
-    """Zero out negligible coordinates, keeping the sum exactly gamma."""
-    snapped = np.where(x < _SNAP_REL * gamma, 0.0, x)
-    deficit = gamma - snapped.sum()
-    snapped[int(np.argmax(snapped))] += deficit
-    return snapped
+    The objective's slope in nu has the sign of nu - w_c * lambda_c(x_c);
+    each sign change is refined by recursing on a finer grid inside it.
+    solved caches each (spec, weight)'s rising-branch inverse on nus.
+    """
+    x = np.zeros((len(specs), len(nus)))
+    for i in others:
+        if (specs[i], weights[i]) not in solved:
+            solved[specs[i], weights[i]] = specs[i].inverse_hazard_rate(nus / weights[i])
+        x[i] = solved[specs[i], weights[i]]
+    x[c] = gamma - x.sum(axis=0)
+    gap = np.full(len(nus), np.nan)  # NaN off the curve
+    on = x[c] > 0.0
+    gap[on] = nus[on] - weights[c] * specs[c].hazard_rate(x[c, on])
+    found = []
+    for k in np.flatnonzero((gap[:-1] <= 0.0) & (gap[1:] > 0.0)):
+        lo, hi = nus[k], nus[k + 1]
+        finer = [] if hi - lo <= _NU_RTOL * hi else _curve_minima(
+            specs, weights, gamma, c, others, np.linspace(lo, hi, _ZOOM), {}
+        )
+        found += finer or [x[:, k], x[:, k + 1]]
+    return found
 
 
 def _minimize_allocation(specs, weights, gamma: float) -> OptimizationResult:
     """Minimize sum w_i * Lambda_i(x_i) over {x >= 0, sum x = gamma}.
 
     Every hazard is nondecreasing, so restricting the constraint
-    sum x >= gamma to its active face loses nothing.  Closed-form
-    candidates (corners, even split) are combined with multi-start
-    descent for interior stationary points.
+    sum x >= gamma to its active face loses nothing.  The candidates are
+    the corners and the local minima of the curves described above.
     """
     if not gamma > 0.0:
         raise ValueError("threshold must be positive for the twist optimization")
     n = len(specs)
-    weights = [float(w) for w in weights]
+    candidates = list(np.eye(n) * gamma)
+    rising = [i for i in range(n) if specs[i].hazard_peak() > 0.0]
+    # components with equal spec and weight share one curve
+    curves = {(specs[c], weights[c]): c for c in range(n) if any(i != c for i in rising)}
+    if curves:
+        # off the corners a stationary point has a coordinate in [gamma/n, gamma],
+        # where each unimodal hazard is at least its value at one end; a rising
+        # coordinate is at most its peak and gamma.  Underflowed levels are moot.
+        ends = np.array([gamma / n, gamma])
+        nu_lo = min(w * spec.hazard_rate(ends).min() for spec, w in zip(specs, weights))
+        nu_hi = max(
+            weights[i] * specs[i].hazard_rate(min(specs[i].hazard_peak(), gamma)) for i in rising
+        )
+        nus = np.geomspace(max(nu_lo, 1e-300), max(nu_hi, nu_lo, 1e-300), _GRID)
+        solved = {}
+        for c in curves.values():
+            others = [i for i in rising if i != c]
+            candidates += _curve_minima(specs, weights, gamma, c, others, nus, solved)
 
-    def objective(x: np.ndarray) -> float:
-        return weighted_hazard_sum(specs, weights, np.maximum(x, 0.0))
-
-    candidates: list[np.ndarray] = []
-    for j in range(n):
-        corner = np.zeros(n)
-        corner[j] = gamma
-        candidates.append(corner)
-    candidates.append(np.full(n, gamma / n))
-
-    if n > 1:
-        lo = 1e-9 * gamma
-
-        def grad(x: np.ndarray) -> np.ndarray:
-            clipped = np.maximum(x, lo)
-            return np.array(
-                [w * spec.hazard_rate(float(v)) for spec, w, v in zip(specs, weights, clipped)]
-            )
-
-        constraint = {"type": "eq", "fun": lambda x: x.sum() - gamma}
-        bounds = [(lo, gamma)] * n
-        for start in _descent_starts(n, gamma):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                res = minimize(
-                    objective,
-                    np.maximum(start, lo),
-                    jac=grad,
-                    method="SLSQP",
-                    bounds=bounds,
-                    constraints=[constraint],
-                    options={"ftol": _OBJECTIVE_TOL, "maxiter": 200},
-                )
-            if np.all(np.isfinite(res.x)):
-                candidates.append(_snap(np.clip(res.x, 0.0, gamma), gamma))
-
-    values = [objective(c) for c in candidates]
+    values = [weighted_hazard_sum(specs, weights, x) for x in candidates]
     best = int(np.argmin(values))
     x_best = candidates[best]
     return OptimizationResult(

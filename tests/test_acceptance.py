@@ -21,7 +21,6 @@ from tailtwist.estimators import (
 )
 from tailtwist.experiments import (
     ExperimentConfig,
-    ExperimentKind,
     efficiency_rows_to_csv,
     run_efficiency_sweep,
     run_theta_sweep,
@@ -90,7 +89,6 @@ def lognormal_sweep():
     """Full theta grid at one million replications per point."""
     config = ExperimentConfig(
         scenario=lognormal4_scenario(),
-        kind=ExperimentKind.THETA_SWEEP,
         theta_grid=THETA_GRID,
         gamma_grid_db=(),
         methods=(Method.CONVENTIONAL_IS, Method.IMPROVED_IS),
@@ -330,7 +328,6 @@ def test_criterion_09_optimality_ratio_trend(weibull_reports):
 def test_criterion_10_sweeps_are_byte_identical_across_workers():
     theta_config = ExperimentConfig(
         scenario=lognormal4_scenario(),
-        kind=ExperimentKind.THETA_SWEEP,
         theta_grid=(0.5, 0.8),
         gamma_grid_db=(),
         methods=(Method.CONVENTIONAL_IS, Method.IMPROVED_IS),
@@ -344,7 +341,6 @@ def test_criterion_10_sweeps_are_byte_identical_across_workers():
 
     eff_config = ExperimentConfig(
         scenario=weibull_scenario(2, 20.0),
-        kind=ExperimentKind.EFFICIENCY_SWEEP,
         theta_grid=(),
         gamma_grid_db=(20.0, 24.0),
         methods=(Method.CONVENTIONAL_IS, Method.IMPROVED_IS),

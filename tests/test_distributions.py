@@ -248,6 +248,64 @@ def test_quantile_from_log_matches_arbitrary_precision(y):
     assert upper_tail_quantile_from_log(y) == pytest.approx(_quantile_from_log_40_digits(y), rel=1e-12)
 
 
+# -- rising branch of the hazard rate ---------------------------------------
+
+
+def test_weibull_hazard_peak_is_zero_or_infinite():
+    assert WEIBULL_HEAVY.hazard_peak() == 0.0
+    assert exponential_spec().hazard_peak() == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LightTailWarning)
+        assert DistributionSpec.weibull(1.5, 2.0).hazard_peak() == math.inf
+
+
+@pytest.mark.parametrize("sigma_db", [0.5, 1.0, 4.0, 6.0, 20.0])
+def test_lognormal_hazard_peak_solves_the_mills_ratio_condition(sigma_db):
+    spec = DistributionSpec.lognormal(1.5, sigma_db)
+    peak = spec.hazard_peak()
+    z = (math.log(peak) - spec.mu_ln) / spec.sigma_ln
+    with mpmath.workdps(40):
+        mills = mpmath.npdf(z) / mpmath.ncdf(-z)
+        assert float(mills - z) == pytest.approx(spec.sigma_ln, rel=1e-12)
+    top = spec.hazard_rate(peak)
+    assert top >= spec.hazard_rate(peak * 0.999) and top >= spec.hazard_rate(peak * 1.001)
+
+
+@pytest.mark.parametrize("spec", [
+    LOGNORMAL_6DB,
+    DistributionSpec.lognormal(-2.0, 1.0),
+    DistributionSpec.lognormal(3.0, 20.0),
+])
+def test_lognormal_inverse_hazard_rate_round_trips_on_the_rising_branch(spec):
+    peak = spec.hazard_peak()
+    levels = spec.hazard_rate(peak) * np.geomspace(1e-12, 0.999, 50)
+    x = spec.inverse_hazard_rate(levels)
+    assert np.all((x > 0.0) & (x <= peak))
+    assert np.all(np.diff(x) > 0.0)
+    np.testing.assert_allclose(spec.hazard_rate(x), levels, rtol=1e-12)
+
+
+def test_weibull_inverse_hazard_rate_round_trips_when_the_hazard_rises():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LightTailWarning)
+        spec = DistributionSpec.weibull(2.5, 3.0)
+    levels = np.geomspace(1e-6, 1e3, 20)
+    np.testing.assert_allclose(spec.hazard_rate(spec.inverse_hazard_rate(levels)), levels, rtol=1e-13)
+
+
+def test_inverse_hazard_rate_off_the_rising_branch():
+    peak_level = LOGNORMAL_6DB.hazard_rate(LOGNORMAL_6DB.hazard_peak())
+    assert math.isnan(LOGNORMAL_6DB.inverse_hazard_rate(1.01 * peak_level))
+    both = LOGNORMAL_6DB.inverse_hazard_rate(np.array([1.01, 0.5]) * peak_level)
+    assert np.isnan(both).tolist() == [True, False]
+    # a hazard that never rises has the branch {0}
+    assert WEIBULL_HEAVY.inverse_hazard_rate(0.3) == 0.0
+    assert exponential_spec().inverse_hazard_rate(1.0) == 0.0
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            LOGNORMAL_6DB.inverse_hazard_rate(bad)
+
+
 # -- inverse survival ---------------------------------------------------------
 
 

@@ -9,7 +9,6 @@ from tailtwist.experiments import (
     EFFICIENCY_HEADER,
     SWEEP_HEADER,
     ConfigError,
-    ExperimentKind,
     efficiency_rows_to_csv,
     parse_config,
     run_diagnostics,
@@ -76,7 +75,7 @@ WEIBULL2_THRESHOLDS = textwrap.dedent(
 
 def test_parse_theta_sweep_config():
     config = parse_config(LOGNORMAL4_THETA)
-    assert config.kind is ExperimentKind.THETA_SWEEP
+    assert config.gamma_grid_db == ()
     assert config.scenario.n == 4
     assert config.scenario.threshold_db == 25.0
     assert len(config.theta_grid) == 16
@@ -90,7 +89,7 @@ def test_parse_theta_sweep_config():
 
 def test_parse_threshold_sweep_config():
     config = parse_config(WEIBULL2_THRESHOLDS)
-    assert config.kind is ExperimentKind.THRESHOLD_SWEEP
+    assert config.theta_grid == ()
     assert config.gamma_grid_db == (20.0, 22.0, 24.0)
 
 
@@ -212,7 +211,7 @@ def test_threshold_sweep_can_include_naive():
 def test_single_estimate_rows():
     config = parse_config(LOGNORMAL4_THETA.replace("theta_grid = 0.2:0.05:0.95\n", ""))
     config = config.override(runs=2000, methods=(Method.NAIVE_MC, Method.CONVENTIONAL_IS, Method.IMPROVED_IS))
-    assert config.kind is ExperimentKind.SINGLE_ESTIMATE
+    assert config.theta_grid == () and config.gamma_grid_db == ()
     rows = run_single_estimate(config)
     assert [r.method for r in rows] == [
         Method.NAIVE_MC,

@@ -1,11 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tailtwist.distributions import DistributionSpec
+import tailtwist
+from tailtwist.distributions import DistributionSpec, LightTailWarning
 from tailtwist.dominance import Scenario, select_dominant
 from tailtwist.twist_optimizer import (
+    _minimize_allocation,
     bound_h,
     solve_p,
     solve_p_prime,
@@ -137,6 +144,11 @@ def test_weighted_value_approaches_twice_the_dominant_hazard():
 # -- grid-oracle equivalence ------------------------------------------------------
 
 
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", LightTailWarning)
+    # hazards that rise everywhere, and one rising next to one falling
+    RISING_HAZARD_CASES = [weibull_scenario([1.5, 2.0]), weibull_scenario([0.5, 2.0])]
+
 GRID_CASES = [
     weibull_scenario([0.4, 0.8]),
     weibull_scenario([0.4, 0.8, 0.8, 0.8]),
@@ -144,6 +156,7 @@ GRID_CASES = [
     lognormal_scenario([4.0, 4.0, 6.0, 6.0]),
     lognormal_scenario([6.0, 4.0], gamma_db=10.0),
     weibull_scenario([0.4, 0.8], gamma_db=32.0),
+    *RISING_HAZARD_CASES,
 ]
 
 
@@ -198,6 +211,75 @@ def test_result_invariants(scenario):
         assert all(x >= 0.0 for x in result.argmin_x)
         recomputed = weighted_hazard_sum(specs, weights, result.argmin_x)
         assert result.objective_value == pytest.approx(recomputed, rel=1e-9)
+
+
+# Objective values (solve_p, solve_p_prime, all components) found by the
+# multistart SLSQP solver that the enumeration replaced, on the first six
+# grid cases and on the benchmark's three solver-probe scenarios.
+PINNED = [
+    (GRID_CASES[0], (6.309573444801933, 12.619146889603867, 6.309573444801933)),
+    (GRID_CASES[1], (6.309573444801933, 12.619146889603867, 6.309573444801933)),
+    (GRID_CASES[2], (10.0, 20.0, 10.0)),
+    (GRID_CASES[3], (11.077605600352534, 22.154069582747084, 11.07714386659688)),
+    (GRID_CASES[4], (3.040931495152975, 5.07933091985091, 3.0318005827206416)),
+    (GRID_CASES[5], (19.054607179632477, 38.10921435926495, 19.054607179632477)),
+    (
+        weibull_scenario([0.4, 0.8], gamma_db=26.0),
+        (10.964781961431852, 21.929563922863704, 10.964781961431852),
+    ),
+    (
+        weibull_scenario([0.4, 0.8, 0.8, 0.8], gamma_db=26.0),
+        (10.964781961431852, 21.929563922863704, 10.964781961431852),
+    ),
+    (
+        lognormal_scenario([4.0, 4.0, 6.0, 6.0], gamma_db=25.0),
+        (11.077605600352534, 22.154069582747084, 11.07714386659688),
+    ),
+]
+
+
+@pytest.mark.parametrize("scenario, pinned", PINNED)
+def test_objective_matches_the_pinned_optimum(scenario, pinned):
+    plan = select_dominant(scenario)
+    # the allocation minimum behind theta_conventional: every weight 1
+    everything = _minimize_allocation(
+        list(scenario.components), [1.0] * scenario.n, scenario.threshold_linear
+    ).objective_value
+    values = (
+        solve_p(scenario, plan).objective_value,
+        solve_p_prime(scenario, plan).objective_value,
+        everything,
+    )
+    for value, reference in zip(values, pinned):
+        assert value <= reference * (1.0 + 1e-12)
+        assert value == pytest.approx(reference, rel=1e-9)
+    assert theta_conventional(scenario) == theta_star(scenario.n, everything)
+
+
+@pytest.mark.parametrize("shapes, scales", [
+    ([0.4, 0.8], [3.0, 0.5]),
+    ([0.8, 0.4], [0.2, 4.0]),
+    ([0.5, 0.5, 0.9], [0.2, 1.0, 5.0]),
+    ([0.3, 0.7, 0.7, 0.95], [2.0, 0.1, 10.0, 1.0]),
+])
+def test_concave_weibull_takes_the_best_corner_exactly(shapes, scales):
+    for gamma_db in (0.0, 15.0, 32.0):
+        scenario = weibull_scenario(shapes, gamma_db, scales)
+        plan = select_dominant(scenario)
+        gamma = scenario.threshold_linear
+        weights = [2.0 if i in plan.dominant_indices else 1.0 for i in range(scenario.n)]
+        hazards = [spec.cumulative_hazard(gamma) for spec in scenario.components]
+        best = min(w * h for w, h in zip(weights, hazards))
+        assert solve_p_prime(scenario, plan).objective_value == best
+        assert theta_conventional(scenario) == theta_star(scenario.n, min(hazards))
+
+
+def test_import_does_not_load_scipy_optimize():
+    src = str(Path(tailtwist.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, tailtwist, tailtwist.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_corner_optimality_for_concave_weibull():
