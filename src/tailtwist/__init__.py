@@ -32,8 +32,7 @@ from .estimators import (
     estimate_conventional,
     estimate_improved,
     estimate_naive,
-    likelihood_ratio_conventional,
-    likelihood_ratio_improved,
+    log_likelihood_ratio,
     optimality_ratio,
 )
 from .experiments import (
@@ -92,9 +91,8 @@ __all__ = [
     "estimate_conventional",
     "estimate_improved",
     "estimate_naive",
-    "likelihood_ratio_conventional",
-    "likelihood_ratio_improved",
     "linear_to_db",
+    "log_likelihood_ratio",
     "optimality_ratio",
     "parse_config",
     "run_diagnostics",

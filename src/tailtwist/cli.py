@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .experiments import (
     ConfigError,
+    DiagnosticsReport,
     efficiency_rows_to_csv,
     parse_config,
     parse_methods,
@@ -29,7 +30,14 @@ from .experiments import (
     sweep_rows_to_csv,
 )
 
-_COMMANDS = ("estimate", "theta-sweep", "threshold-sweep", "efficiency", "diagnose")
+# subcommand -> (runner, renderer of the runner's result)
+_COMMANDS = {
+    "estimate": (run_single_estimate, sweep_rows_to_csv),
+    "theta-sweep": (run_theta_sweep, sweep_rows_to_csv),
+    "threshold-sweep": (run_threshold_sweep, sweep_rows_to_csv),
+    "efficiency": (run_efficiency_sweep, efficiency_rows_to_csv),
+    "diagnose": (run_diagnostics, DiagnosticsReport.to_text),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,22 +70,8 @@ def main(argv=None) -> int:
         config = parse_config(text)
         methods = parse_methods(args.method) if args.method else None
         config = config.override(runs=args.runs, seed=args.seed, methods=methods)
-
-        if args.command == "theta-sweep" and not config.theta_grid:
-            raise ConfigError(None, "theta-sweep needs a theta_grid in the config")
-        if args.command in ("threshold-sweep", "efficiency", "diagnose") and not config.gamma_grid_db:
-            raise ConfigError(None, f"{args.command} needs a gamma_grid_db in the config")
-
-        if args.command == "estimate":
-            output = sweep_rows_to_csv(run_single_estimate(config, args.workers))
-        elif args.command == "theta-sweep":
-            output = sweep_rows_to_csv(run_theta_sweep(config, args.workers))
-        elif args.command == "threshold-sweep":
-            output = sweep_rows_to_csv(run_threshold_sweep(config, args.workers))
-        elif args.command == "efficiency":
-            output = efficiency_rows_to_csv(run_efficiency_sweep(config, args.workers))
-        else:
-            output = run_diagnostics(config, args.workers).to_text()
+        runner, render = _COMMANDS[args.command]
+        output = render(runner(config, args.workers))
     except ConfigError as exc:
         print(f"tailtwist: config error: {exc}", file=sys.stderr)
         return 2

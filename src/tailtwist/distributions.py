@@ -299,10 +299,6 @@ class DistributionSpec:
             out = -np.log(arr * self.sigma_ln) - _LOG_SQRT_2PI - 0.5 * z * z
         return _maybe_scalar(out)
 
-    def log_survival(self, x):
-        """log(1 - F(x)) = -cumulative_hazard(x)."""
-        return -self.cumulative_hazard(x)
-
     def survival(self, x):
         """1 - F(x), underflowing gracefully to 0 in the far tail."""
         arr = np.asarray(self.cumulative_hazard(x))

@@ -38,8 +38,7 @@ __all__ = [
     "estimate_naive",
     "estimate_conventional",
     "estimate_improved",
-    "likelihood_ratio_improved",
-    "likelihood_ratio_conventional",
+    "log_likelihood_ratio",
     "efficiency",
     "optimality_ratio",
 ]
@@ -87,6 +86,22 @@ class EfficiencyReport:
     baseline_alpha: float
 
 
+def log_likelihood_ratio(theta: float, hazards):
+    """Log importance weight of a draw whose twisted components were each
+    hazard-twisted by theta.
+
+    ``hazards`` holds one entry per twisted component: its cumulative
+    hazard under the original law, a scalar or an array over replications.
+    The weight is (1-theta)^(-s) * exp(-theta * sum of the hazards); the
+    entries are consumed once, in order, so a generator may supply them.
+    """
+    log_weight, s = 0.0, 0
+    for s, y in enumerate(hazards, start=1):
+        log_weight -= theta * y
+    log_weight -= s * math.log1p(-theta)
+    return log_weight
+
+
 def _simulate_chunk(
     components: tuple[DistributionSpec, ...],
     twisted: frozenset[int],
@@ -98,21 +113,22 @@ def _simulate_chunk(
 ) -> tuple[float, float, float]:
     stream = UnitSampleStream(seed, chunk_index)
     total = np.zeros(count)
-    log_weight = np.zeros(count)
-    for i, spec in enumerate(components):
-        u = stream.uniforms(count)
-        if i in twisted:
-            # the twisted draw's cumulative hazard is y by construction
-            y = -np.log(u) / (1.0 - theta)
-            log_weight -= theta * y
-            total += spec.inverse_cumulative_hazard(y)
-        else:
-            total += spec.inverse_survival(u)
-    if twisted:
-        log_weight -= len(twisted) * math.log1p(-theta)
-        t = np.where(total > gamma, np.exp(log_weight), 0.0)
-    else:
-        t = (total > gamma).astype(float)
+
+    # components consume the stream in index order; each twisted draw's
+    # cumulative hazard is y by construction and goes to the weight
+    def twisted_hazards():
+        nonlocal total
+        for i, spec in enumerate(components):
+            u = stream.uniforms(count)
+            if i in twisted:
+                y = -np.log(u) / (1.0 - theta)
+                total += spec.inverse_cumulative_hazard(y)
+                yield y
+            else:
+                total += spec.inverse_survival(u)
+
+    log_weight = log_likelihood_ratio(theta, twisted_hazards())
+    t = np.where(total > gamma, np.exp(log_weight), 0.0)
     t2 = t * t
     return float(t.sum()), float(t2.sum()), float((t2 * t2).sum())
 
@@ -128,6 +144,8 @@ def _run_estimate(
 ) -> EstimateReport:
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     n_chunks = (runs + CHUNK_SIZE - 1) // CHUNK_SIZE
     counts = [
         min(CHUNK_SIZE, runs - j * CHUNK_SIZE) for j in range(n_chunks)
@@ -220,42 +238,6 @@ def estimate_improved(
     return _run_estimate(
         scenario, twisted, plan.theta, Method.IMPROVED_IS, runs, seed, workers
     )
-
-
-def likelihood_ratio_improved(
-    plan: TwistPlan, dominant_values, dominant_spec: DistributionSpec
-) -> float:
-    """Importance weight restoring unbiasedness after the dominant twist.
-
-    (1-theta)^(-s) * exp(-theta * sum of Lambda_1(x_i)) over the s
-    twisted values; evaluated in log space and exponentiated once.
-    """
-    if plan.theta is None:
-        raise ValueError("the twist plan has no twisting parameter set")
-    values = np.asarray(dominant_values, dtype=float)
-    if values.size != plan.s:
-        raise ValueError("expected one value per twisted component")
-    if np.any(values <= 0.0):
-        raise ValueError("twisted values must be positive")
-    hazard_total = float(np.sum(dominant_spec.cumulative_hazard(values)))
-    return math.exp(-plan.s * math.log1p(-plan.theta) - plan.theta * hazard_total)
-
-
-def likelihood_ratio_conventional(
-    scenario: Scenario, theta: float, values
-) -> float:
-    """Importance weight when every component is twisted by theta."""
-    if not 0.0 <= theta < 1.0:
-        raise ValueError("twisting parameter must lie in [0, 1)")
-    arr = np.asarray(values, dtype=float)
-    if arr.size != scenario.n:
-        raise ValueError("expected one value per component")
-    if np.any(arr <= 0.0):
-        raise ValueError("component values must be positive")
-    hazard_total = math.fsum(
-        spec.cumulative_hazard(float(v)) for spec, v in zip(scenario.components, arr)
-    )
-    return math.exp(-scenario.n * math.log1p(-theta) - theta * hazard_total)
 
 
 def efficiency(is_report: EstimateReport, alpha_ref: float) -> EfficiencyReport:

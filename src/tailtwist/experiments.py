@@ -24,12 +24,14 @@ Component keys: ``family`` plus ``k``/``beta`` (Weibull) or
 ``mu_db``/``sigma_db`` (log-normal).
 
 All sweep output is deterministic for a fixed (config, seed): floats are
-rendered with the shortest round-trip decimal representation and each
-estimate's seed derives from the base seed and the row's position.
+rendered with the shortest round-trip decimal representation, and every
+runner issues its estimates through one loop in which row i draws from
+seed ``seed + i``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -156,9 +158,12 @@ def parse_methods(value: str) -> tuple[Method, ...]:
 
 def _parse_float(lineno: int, key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(lineno, f"key '{key}' expects a number, got '{value}'")
+    if not math.isfinite(number):
+        raise ConfigError(lineno, f"key '{key}' expects a finite number, got '{value}'")
+    return number
 
 
 def _parse_int(lineno: int, key: str, value: str) -> int:
@@ -335,28 +340,47 @@ class EfficiencyRow:
     alpha_ref: float
 
 
-def _minmax_thetas(scenario: Scenario):
-    plan = select_dominant(scenario)
-    budget = solve_p(scenario, plan).objective_value
-    improved = plan.with_theta(
-        theta_star(plan.s, budget), ThetaSource.MINMAX_IMPROVED
-    )
-    conventional = theta_conventional(scenario)
-    return improved, conventional
+def _grid(values: tuple[float, ...], command: str, key: str) -> tuple[float, ...]:
+    if not values:
+        raise ConfigError(None, f"{command} needs a {key} in the config")
+    return values
 
 
-def _run_method(scenario, method, plan, theta_conv, runs, seed, workers):
-    if method is Method.NAIVE_MC:
-        return 0.0, estimate_naive(scenario, runs, seed, workers)
-    if method is Method.CONVENTIONAL_IS:
-        return theta_conv, estimate_conventional(scenario, theta_conv, runs, seed, workers)
-    return plan.theta, estimate_improved(scenario, plan, runs, seed, workers)
+def _sweep(config: ExperimentConfig, gammas, thetas, workers: int) -> list[SweepRow]:
+    """Every estimate of every runner, in (gamma, theta, method) order.
 
-
-def _require_gamma_db(scenario: Scenario) -> float:
-    if scenario.threshold_db is None:
-        raise ValueError("this experiment needs a dB threshold")
-    return scenario.threshold_db
+    Row i draws from seed ``config.seed + i``.  A theta of None stands for
+    each IS method's minmax parameter at that threshold.
+    """
+    base_plan = select_dominant(config.scenario)
+    rows = []
+    for gamma_db in gammas:
+        if gamma_db is None:
+            raise ValueError("this experiment needs a dB threshold")
+        scenario = config.scenario.with_threshold_db(gamma_db)
+        for theta in thetas:
+            if theta is None:
+                budget = solve_p(scenario, base_plan).objective_value
+                plan = base_plan.with_theta(
+                    theta_star(base_plan.s, budget), ThetaSource.MINMAX_IMPROVED
+                )
+                theta_conv = theta_conventional(scenario)
+            else:
+                plan = base_plan.with_theta(theta, ThetaSource.MANUAL)
+                theta_conv = theta
+            for method in config.methods:
+                seed = config.seed + len(rows)
+                if method is Method.NAIVE_MC:
+                    row_theta = 0.0
+                    report = estimate_naive(scenario, config.runs, seed, workers)
+                elif method is Method.CONVENTIONAL_IS:
+                    row_theta = theta_conv
+                    report = estimate_conventional(scenario, theta_conv, config.runs, seed, workers)
+                else:
+                    row_theta = plan.theta
+                    report = estimate_improved(scenario, plan, config.runs, seed, workers)
+                rows.append(SweepRow(gamma_db, method, row_theta, report))
+    return rows
 
 
 def run_single_estimate(config: ExperimentConfig, workers: int = 1) -> list[SweepRow]:
@@ -364,59 +388,29 @@ def run_single_estimate(config: ExperimentConfig, workers: int = 1) -> list[Swee
 
     IS methods use their minmax twisting parameters.
     """
-    scenario = config.scenario
-    gamma_db = _require_gamma_db(scenario)
-    plan, theta_conv = _minmax_thetas(scenario)
-    rows = []
-    for index, method in enumerate(config.methods):
-        theta, report = _run_method(
-            scenario, method, plan, theta_conv, config.runs, config.seed + index, workers
-        )
-        rows.append(SweepRow(gamma_db, method, theta, report))
-    return rows
+    return _sweep(config, (config.scenario.threshold_db,), (None,), workers)
 
 
 def run_theta_sweep(config: ExperimentConfig, workers: int = 1) -> list[SweepRow]:
     """Estimate the second moment across the theta grid per IS method."""
-    if not config.theta_grid:
-        raise ValueError("theta sweep needs a theta_grid")
+    thetas = _grid(config.theta_grid, "theta-sweep", "theta_grid")
     if any(m is Method.NAIVE_MC for m in config.methods):
         raise ValueError("naive MC has no twisting parameter; drop it from theta sweeps")
-    scenario = config.scenario
-    gamma_db = _require_gamma_db(scenario)
-    base_plan = select_dominant(scenario)
-    rows = []
-    index = 0
-    for theta in config.theta_grid:
-        for method in config.methods:
-            seed = config.seed + index
-            index += 1
-            if method is Method.CONVENTIONAL_IS:
-                report = estimate_conventional(scenario, theta, config.runs, seed, workers)
-            else:
-                plan = base_plan.with_theta(theta, ThetaSource.MANUAL)
-                report = estimate_improved(scenario, plan, config.runs, seed, workers)
-            rows.append(SweepRow(gamma_db, method, theta, report))
-    return rows
+    return _sweep(config, (config.scenario.threshold_db,), thetas, workers)
 
 
 def run_threshold_sweep(config: ExperimentConfig, workers: int = 1) -> list[SweepRow]:
     """Estimate across the threshold grid, methods at their minmax theta."""
-    if not config.gamma_grid_db:
-        raise ValueError("threshold sweep needs a gamma_grid_db")
-    rows = []
-    index = 0
-    for gamma_db in config.gamma_grid_db:
-        scenario = config.scenario.with_threshold_db(gamma_db)
-        plan, theta_conv = _minmax_thetas(scenario)
-        for method in config.methods:
-            seed = config.seed + index
-            index += 1
-            theta, report = _run_method(
-                scenario, method, plan, theta_conv, config.runs, seed, workers
-            )
-            rows.append(SweepRow(gamma_db, method, theta, report))
-    return rows
+    gammas = _grid(config.gamma_grid_db, "threshold-sweep", "gamma_grid_db")
+    return _sweep(config, gammas, (None,), workers)
+
+
+def _is_pairs(config: ExperimentConfig, workers: int):
+    """(improved, conventional) rows per threshold of a minmax threshold
+    sweep: at threshold g they draw from seeds seed + 2g and seed + 2g + 1."""
+    methods = (Method.IMPROVED_IS, Method.CONVENTIONAL_IS)
+    rows = run_threshold_sweep(config.override(methods=methods), workers)
+    return zip(rows[::2], rows[1::2])
 
 
 def run_efficiency_sweep(config: ExperimentConfig, workers: int = 1) -> list[EfficiencyRow]:
@@ -425,22 +419,13 @@ def run_efficiency_sweep(config: ExperimentConfig, workers: int = 1) -> list[Eff
     The tail probability reference is the improved estimate at each
     threshold (naive MC cannot resolve it out there).
     """
-    if not config.gamma_grid_db:
-        raise ValueError("efficiency sweep needs a gamma_grid_db")
+    _grid(config.gamma_grid_db, "efficiency", "gamma_grid_db")
     rows = []
-    index = 0
-    for gamma_db in config.gamma_grid_db:
-        scenario = config.scenario.with_threshold_db(gamma_db)
-        plan, theta_conv = _minmax_thetas(scenario)
-        improved = estimate_improved(scenario, plan, config.runs, config.seed + index, workers)
-        conventional = estimate_conventional(
-            scenario, theta_conv, config.runs, config.seed + index + 1, workers
-        )
-        index += 2
-        alpha_ref = improved.alpha_hat
-        xi1 = efficiency(improved, alpha_ref).xi
-        xi2 = efficiency(conventional, alpha_ref).xi
-        rows.append(EfficiencyRow(gamma_db, xi1, xi2, alpha_ref))
+    for improved, conventional in _is_pairs(config, workers):
+        alpha_ref = improved.report.alpha_hat
+        xi1 = efficiency(improved.report, alpha_ref).xi
+        xi2 = efficiency(conventional.report, alpha_ref).xi
+        rows.append(EfficiencyRow(improved.gamma_db, xi1, xi2, alpha_ref))
     return rows
 
 
@@ -501,43 +486,28 @@ def run_diagnostics(config: ExperimentConfig, workers: int = 1) -> DiagnosticsRe
     carry the optimizer outputs and the measured optimality ratios of
     both IS methods.
     """
-    if not config.gamma_grid_db:
-        raise ValueError("diagnostics need a gamma_grid_db")
-    first = config.scenario.with_threshold_db(config.gamma_grid_db[0])
+    grid = _grid(config.gamma_grid_db, "diagnose", "gamma_grid_db")
+    first = config.scenario.with_threshold_db(grid[0])
     plan = select_dominant(first)
     lo = first.threshold_linear
-    hi = config.scenario.with_threshold_db(config.gamma_grid_db[-1]).threshold_linear
+    hi = config.scenario.with_threshold_db(grid[-1]).threshold_linear
     probe = np.geomspace(lo, hi * 1e6, 25)
     dominance = check_tail_dominance(first, plan, probe)
 
     rows = []
-    index = 0
-    for gamma_db in config.gamma_grid_db:
-        scenario = config.scenario.with_threshold_db(gamma_db)
-        budget = solve_p(scenario, plan).objective_value
-        a_prime = solve_p_prime(scenario, plan).objective_value
-        improved_plan = plan.with_theta(
-            theta_star(plan.s, budget), ThetaSource.MINMAX_IMPROVED
-        )
-        theta_conv = theta_conventional(scenario)
-        improved = estimate_improved(
-            scenario, improved_plan, config.runs, config.seed + index, workers
-        )
-        conventional = estimate_conventional(
-            scenario, theta_conv, config.runs, config.seed + index + 1, workers
-        )
-        index += 2
-        alpha_ref = improved.alpha_hat
+    for improved, conventional in _is_pairs(config, workers):
+        scenario = config.scenario.with_threshold_db(improved.gamma_db)
+        alpha_ref = improved.report.alpha_hat
         rows.append(
             DiagnosticRow(
-                gamma_db=gamma_db,
+                gamma_db=improved.gamma_db,
                 s=plan.s,
-                theta_improved=improved_plan.theta,
-                theta_conventional=theta_conv,
-                a_value=budget,
-                a_prime=a_prime,
-                ratio_improved=optimality_ratio(improved.second_moment, alpha_ref),
-                ratio_conventional=optimality_ratio(conventional.second_moment, alpha_ref),
+                theta_improved=improved.theta,
+                theta_conventional=conventional.theta,
+                a_value=solve_p(scenario, plan).objective_value,
+                a_prime=solve_p_prime(scenario, plan).objective_value,
+                ratio_improved=optimality_ratio(improved.report.second_moment, alpha_ref),
+                ratio_conventional=optimality_ratio(conventional.report.second_moment, alpha_ref),
             )
         )
     return DiagnosticsReport(dominance=dominance, rows=tuple(rows))

@@ -16,12 +16,11 @@ __all__ = ["UnitSampleStream"]
 
 
 class UnitSampleStream:
-    """Seedable uniform(0,1) source, splittable into indexed substreams.
+    """Seedable uniform(0,1) source for substream ``substream_index`` of
+    ``seed``.
 
     Streams are single-owner: do not share one instance across concurrent
-    contexts; give each worker its own substream instead.  Substreams are
-    flat per seed, so ``stream.substream(j)`` is the same source no matter
-    which stream of that seed it was derived from.
+    contexts; construct one per worker, e.g. ``UnitSampleStream(seed, j)``.
     """
 
     def __init__(self, seed: int, substream_index: int = 0):
@@ -31,10 +30,6 @@ class UnitSampleStream:
             [self.seed & _MASK64, self.substream_index & _MASK64], dtype=np.uint64
         )
         self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def substream(self, index: int) -> "UnitSampleStream":
-        """Independent stream for the given index, fresh at its origin."""
-        return UnitSampleStream(self.seed, index)
 
     def uniforms(self, n: int) -> np.ndarray:
         """Draw n uniforms on the open interval (0, 1).

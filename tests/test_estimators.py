@@ -13,8 +13,7 @@ from tailtwist.estimators import (
     estimate_conventional,
     estimate_improved,
     estimate_naive,
-    likelihood_ratio_conventional,
-    likelihood_ratio_improved,
+    log_likelihood_ratio,
     optimality_ratio,
 )
 from tailtwist.streams import UnitSampleStream
@@ -68,32 +67,25 @@ def test_report_fields_are_consistent():
 
 
 def test_likelihood_ratio_is_one_without_twisting():
-    plan = select_dominant(weibull_scenario()).with_theta(0.0, ThetaSource.MANUAL)
     spec = DistributionSpec.weibull(0.4, 1.0)
-    assert likelihood_ratio_improved(plan, [3.0], spec) == 1.0
+    assert math.exp(log_likelihood_ratio(0.0, [spec.cumulative_hazard(3.0)])) == 1.0
 
 
 def test_likelihood_ratio_frozen_value():
     # (1-theta)^-1 * exp(-theta * 100^0.4) at the minmax theta
-    plan = select_dominant(weibull_scenario()).with_theta(
-        0.8415106807538887, ThetaSource.MANUAL
-    )
     spec = DistributionSpec.weibull(0.4, 1.0)
-    value = likelihood_ratio_improved(plan, [100.0], spec)
-    assert value == pytest.approx(0.031194753030558537, rel=1e-12)
+    log_l = log_likelihood_ratio(0.8415106807538887, [spec.cumulative_hazard(100.0)])
+    assert math.exp(log_l) == pytest.approx(0.031194753030558537, rel=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.3, 0.8415106807538887])
 def test_change_of_measure_identity_improved(theta):
     # L(x) * twisted density(x) must reproduce the original density
     spec = DistributionSpec.lognormal(0.0, 6.0)
-    plan = select_dominant(
-        Scenario.from_db([spec, spec], 25.0)
-    ).with_theta(theta, ThetaSource.MANUAL)
     rng = np.random.default_rng(8)
     for _ in range(25):
         x = rng.uniform(0.05, 500.0, size=2)
-        log_l = math.log(likelihood_ratio_improved(plan, x, spec))
+        log_l = log_likelihood_ratio(theta, spec.cumulative_hazard(x))
         log_f = sum(spec.log_density(v) for v in x)
         log_g = sum(
             math.log1p(-theta) + math.log(spec.hazard_rate(v))
@@ -109,7 +101,8 @@ def test_change_of_measure_identity_conventional():
     rng = np.random.default_rng(9)
     for _ in range(25):
         x = rng.uniform(0.05, 500.0, size=scenario.n)
-        log_l = math.log(likelihood_ratio_conventional(scenario, theta, x))
+        hazards = [s.cumulative_hazard(v) for s, v in zip(scenario.components, x)]
+        log_l = log_likelihood_ratio(theta, hazards)
         log_f = sum(s.log_density(v) for s, v in zip(scenario.components, x))
         log_g = sum(
             math.log1p(-theta) + math.log(s.hazard_rate(v))
@@ -119,16 +112,15 @@ def test_change_of_measure_identity_conventional():
         assert log_l == pytest.approx(log_f - log_g, rel=1e-10, abs=1e-10)
 
 
-def test_likelihood_ratio_validation():
-    plan = select_dominant(weibull_scenario())
-    spec = DistributionSpec.weibull(0.4, 1.0)
-    with pytest.raises(ValueError):
-        likelihood_ratio_improved(plan, [1.0], spec)  # theta unset
-    plan = plan.with_theta(0.5, ThetaSource.MANUAL)
-    with pytest.raises(ValueError):
-        likelihood_ratio_improved(plan, [1.0, 2.0], spec)  # wrong arity
-    with pytest.raises(ValueError):
-        likelihood_ratio_improved(plan, [-1.0], spec)
+def test_log_likelihood_ratio_over_replications_matches_per_draw():
+    # the chunk kernel passes one array per twisted component; each
+    # replication's weight must equal the scalar evaluation of that draw
+    theta = 0.7
+    hazards = [np.array([0.5, 3.0, 40.0]), np.array([2.0, 0.1, 7.5])]
+    vectorised = log_likelihood_ratio(theta, hazards)
+    for j in range(3):
+        assert vectorised[j] == log_likelihood_ratio(theta, [h[j] for h in hazards])
+    assert log_likelihood_ratio(theta, []) == 0.0
 
 
 # -- IS estimators -----------------------------------------------------------------
@@ -299,3 +291,19 @@ def test_estimator_consumes_stream_components_in_order():
     x1 = scenario.components[1].inverse_cumulative_hazard(-np.log(stream.uniforms(1000)))
     expected = float(np.mean(x0 + x1 > scenario.threshold_linear))
     assert report.alpha_hat == expected
+
+
+def test_twisted_chunk_weights_come_from_the_log_weight_kernel():
+    # improved IS rebuilt from the stream: twisted component 0 draws
+    # y = -log(u)/(1-theta), component 1 is untwisted
+    scenario = weibull_scenario(gamma_db=20.0)
+    plan = minmax_plan(scenario)
+    assert plan.dominant_indices == (0,)
+    report = estimate_improved(scenario, plan, runs=1000, seed=56)
+    stream = UnitSampleStream(56, 0)
+    y = -np.log(stream.uniforms(1000)) / (1.0 - plan.theta)
+    x0 = scenario.components[0].inverse_cumulative_hazard(y)
+    x1 = scenario.components[1].inverse_survival(stream.uniforms(1000))
+    weights = np.exp(log_likelihood_ratio(plan.theta, [y]))
+    t = np.where(x0 + x1 > scenario.threshold_linear, weights, 0.0)
+    assert report.alpha_hat == float(t.sum()) / 1000

@@ -4,7 +4,7 @@ import pytest
 
 from tailtwist.cli import main
 from tailtwist.dominance import DominanceVerdict, select_dominant
-from tailtwist.estimators import Method
+from tailtwist.estimators import CHUNK_SIZE, Method, efficiency, optimality_ratio
 from tailtwist.experiments import (
     EFFICIENCY_HEADER,
     SWEEP_HEADER,
@@ -151,6 +151,22 @@ def test_duplicate_key_rejected():
         parse_config("gamma_db = 20\ngamma_db = 21\n[component]\nfamily = weibull\nk = 0.4\nbeta = 1\n")
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("threshold-sweep", "gamma_grid_db = nan:1:22"),
+        ("threshold-sweep", "gamma_grid_db = 20:1:inf"),
+        ("estimate", "gamma_db = nan"),
+    ],
+)
+def test_non_finite_numbers_are_config_errors_on_their_line(tmp_path, capsys, command, line):
+    text = f"# non-finite value on line 2\n{line}\n[component]\nfamily = weibull\nk = 0.4\nbeta = 1\n"
+    with pytest.raises(ConfigError, match="^line 2: .*finite"):
+        parse_config(text)
+    assert main([command, "--config", write_config(tmp_path, text)]) == 2
+    assert "config error: line 2: " in capsys.readouterr().err
+
+
 def test_runs_must_be_positive():
     text = WEIBULL2_THRESHOLDS.replace("runs = 5000", "runs = 0")
     with pytest.raises(ConfigError, match="runs"):
@@ -218,6 +234,35 @@ def test_single_estimate_rows():
         Method.CONVENTIONAL_IS,
         Method.IMPROVED_IS,
     ]
+
+
+def test_runners_share_one_row_plan():
+    # every runner issues its estimates in (gamma, theta, method) order, row
+    # i at seed + i; efficiency and diagnostics post-process the
+    # (improved, conventional) rows of a threshold sweep
+    methods = (Method.NAIVE_MC, Method.CONVENTIONAL_IS, Method.IMPROVED_IS)
+    single = parse_config(WEIBULL2_THRESHOLDS.replace("gamma_grid_db = 20:2:24", "gamma_db = 22"))
+    point = parse_config(WEIBULL2_THRESHOLDS.replace("20:2:24", "22:1:22"))
+    assert sweep_rows_to_csv(run_single_estimate(single.override(runs=5000, methods=methods))) == (
+        sweep_rows_to_csv(run_threshold_sweep(point.override(runs=5000, methods=methods)))
+    )
+
+    config = parse_config(WEIBULL2_THRESHOLDS).override(runs=5000)
+    sweep = run_threshold_sweep(config.override(methods=(Method.IMPROVED_IS, Method.CONVENTIONAL_IS)))
+    eff_rows = run_efficiency_sweep(config)
+    diag_rows = run_diagnostics(config).rows
+    assert len(sweep) == 2 * len(eff_rows) == 2 * len(diag_rows) == 6
+    for g, (eff, diag) in enumerate(zip(eff_rows, diag_rows)):
+        improved, conventional = sweep[2 * g], sweep[2 * g + 1]
+        assert (improved.report.seed, conventional.report.seed) == (5 + 2 * g, 6 + 2 * g)
+        alpha_ref = improved.report.alpha_hat
+        assert eff.alpha_ref == alpha_ref
+        assert eff.xi1 == efficiency(improved.report, alpha_ref).xi
+        assert eff.xi2 == efficiency(conventional.report, alpha_ref).xi
+        assert diag.theta_improved == improved.theta
+        assert diag.theta_conventional == conventional.theta
+        assert diag.ratio_improved == optimality_ratio(improved.report.second_moment, alpha_ref)
+        assert diag.ratio_conventional == optimality_ratio(conventional.report.second_moment, alpha_ref)
 
 
 def test_efficiency_rows():
@@ -345,6 +390,33 @@ def test_cli_numeric_error_exit_code(tmp_path, capsys):
     text = WEIBULL2_THRESHOLDS.replace("runs = 5000", "runs = 1")
     cfg = write_config(tmp_path, text)
     assert main(["efficiency", "--config", cfg]) == 3
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_below_one_rejected(tmp_path, capsys, workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_theta_sweep(small_theta_config(), workers=workers)
+    cfg = write_config(tmp_path, LOGNORMAL4_THETA)
+    assert main(["theta-sweep", "--config", cfg, "--runs", "100", "--workers", str(workers)]) == 3
+    assert "workers must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", ["estimate", "theta-sweep", "threshold-sweep", "efficiency", "diagnose"]
+)
+def test_cli_output_identical_across_workers(tmp_path, capsys, command):
+    if command == "theta-sweep":
+        text = LOGNORMAL4_THETA.replace("0.2:0.05:0.95", "0.5:0.2:0.7")
+    else:
+        text = WEIBULL2_THRESHOLDS
+    cfg = write_config(tmp_path, text)
+    outputs = []
+    for workers in ("1", "2"):
+        # two chunks, so workers=2 really runs the pool
+        args = [command, "--config", cfg, "--runs", str(CHUNK_SIZE + 1), "--workers", workers]
+        assert main(args) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_diagnose(tmp_path, capsys):

@@ -10,20 +10,6 @@ def test_same_seed_and_index_reproduce():
     assert np.array_equal(a, b)
 
 
-def test_substream_method_matches_direct_construction():
-    root = UnitSampleStream(123)
-    a = root.substream(5).uniforms(100)
-    b = UnitSampleStream(123, 5).uniforms(100)
-    assert np.array_equal(a, b)
-
-
-def test_substreams_are_flat_per_seed():
-    # deriving from any stream of the same seed lands on the same source
-    a = UnitSampleStream(9, 3).substream(5).uniforms(64)
-    b = UnitSampleStream(9, 0).substream(5).uniforms(64)
-    assert np.array_equal(a, b)
-
-
 def test_distinct_indices_differ():
     a = UnitSampleStream(1, 0).uniforms(256)
     b = UnitSampleStream(1, 1).uniforms(256)
