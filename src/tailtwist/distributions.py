@@ -185,8 +185,9 @@ class DistributionSpec:
             out = np.where(pos, -log_upper_tail(z), 0.0)
         return _maybe_scalar(out)
 
-    def inverse_cumulative_hazard(self, y):
-        """The x with cumulative_hazard(x) = y, for y >= 0.
+    def inverse_cumulative_hazard(self, y, out=None):
+        """The x with cumulative_hazard(x) = y, for y >= 0, written into
+        ``out`` if given (which may be y itself).
 
         Computed from y directly in log space; y beyond the exp(-y)
         underflow point (about 745) is handled exactly.
@@ -194,15 +195,20 @@ class DistributionSpec:
         arr = _as_array(y)
         if np.any(arr < 0.0):
             raise ValueError("inverse_cumulative_hazard requires y >= 0")
+        x = np.empty_like(arr) if out is None else out
         if self.family is Family.WEIBULL:
-            out = self.weibull_scale * arr ** (1.0 / self.weibull_shape)
+            np.power(arr, 1.0 / self.weibull_shape, out=x)
+            x *= self.weibull_scale
         else:
-            z = upper_tail_quantile_from_log(arr)
-            out = np.exp(self.mu_ln + self.sigma_ln * np.asarray(z))
-        return _maybe_scalar(out)
+            upper_tail_quantile_from_log(arr, out=x)
+            x *= self.sigma_ln
+            x += self.mu_ln
+            np.exp(x, out=x)
+        return _maybe_scalar(x)
 
-    def inverse_survival(self, u):
-        """The x with survival(x) = u, for 0 < u < 1: the untwisted sampling kernel.
+    def inverse_survival(self, u, out=None):
+        """The x with survival(x) = u, for 0 < u < 1: the untwisted sampling
+        kernel, written into ``out`` if given (which may be u itself).
 
         Log-normal inverts the normal quantile of u directly, as exp(mu_ln -
         sigma_ln * ndtri(u)).  Weibull returns exactly inverse_cumulative_hazard(-log u).
@@ -211,9 +217,14 @@ class DistributionSpec:
         # min and max make no temporaries, unlike a mask; NaN fails both
         if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
             raise ValueError("inverse_survival requires 0 < u < 1")
+        x = np.empty_like(arr) if out is None else out
         if self.family is Family.WEIBULL:
-            return self.inverse_cumulative_hazard(-np.log(arr))
-        return _maybe_scalar(np.exp(self.mu_ln - self.sigma_ln * ndtri(arr)))
+            np.negative(np.log(arr, out=x), out=x)
+            return self.inverse_cumulative_hazard(x, out=x)
+        ndtri(arr, out=x)
+        x *= self.sigma_ln
+        np.exp(np.subtract(self.mu_ln, x, out=x), out=x)
+        return _maybe_scalar(x)
 
     def hazard_rate(self, x):
         """Hazard rate lambda(x) = f(x) / (1 - F(x)), x > 0.

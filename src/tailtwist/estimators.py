@@ -12,7 +12,8 @@ from substream j of the base seed and components consuming the stream
 in index order.  Chunk partial sums are combined with exact summation
 (math.fsum), so a report is a bit-reproducible function of
 (scenario, method, theta, runs, seed) no matter how many workers ran
-the chunks.
+the chunks.  Each chunk works in place in one block of four arrays
+(uniforms, draws, running sum, log weight).
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class EfficiencyReport:
     baseline_alpha: float
 
 
-def log_likelihood_ratio(theta: float, hazards):
+def log_likelihood_ratio(theta: float, hazards, out=None):
     """Log importance weight of a draw whose twisted components were each
     hazard-twisted by theta.
 
@@ -94,8 +95,9 @@ def log_likelihood_ratio(theta: float, hazards):
     hazard under the original law, a scalar or an array over replications.
     The weight is (1-theta)^(-s) * exp(-theta * sum of the hazards); the
     entries are consumed once, in order, so a generator may supply them.
+    A zeroed array ``out`` receives the log weights in place.
     """
-    log_weight, s = 0.0, 0
+    log_weight, s = 0.0 if out is None else out, 0
     for s, y in enumerate(hazards, start=1):
         log_weight -= theta * y
     log_weight -= s * math.log1p(-theta)
@@ -112,25 +114,30 @@ def _simulate_chunk(
     count: int,
 ) -> tuple[float, float, float]:
     stream = UnitSampleStream(seed, chunk_index)
-    total = np.zeros(count)
+    # every step below writes into one of these four arrays; the weight
+    # kernel's theta * y is the only other large temporary
+    u, x, total, log_weight = np.zeros((4, count))
 
     # components consume the stream in index order; each twisted draw's
     # cumulative hazard is y by construction and goes to the weight
     def twisted_hazards():
         nonlocal total
         for i, spec in enumerate(components):
-            u = stream.uniforms(count)
+            stream.uniforms(count, out=u)
             if i in twisted:
-                y = -np.log(u) / (1.0 - theta)
-                total += spec.inverse_cumulative_hazard(y)
+                y = np.negative(np.log(u, out=u), out=u)
+                y /= 1.0 - theta
+                total += spec.inverse_cumulative_hazard(y, out=x)
                 yield y
             else:
-                total += spec.inverse_survival(u)
+                total += spec.inverse_survival(u, out=x)
 
-    log_weight = log_likelihood_ratio(theta, twisted_hazards())
-    t = np.where(total > gamma, np.exp(log_weight), 0.0)
-    t2 = t * t
-    return float(t.sum()), float(t2.sum()), float((t2 * t2).sum())
+    log_likelihood_ratio(theta, twisted_hazards(), out=log_weight)
+    t = np.exp(log_weight, out=log_weight)
+    np.copyto(t, 0.0, where=total <= gamma)  # totals are never NaN
+    t2 = np.multiply(t, t, out=x)
+    t4 = np.multiply(t2, t2, out=u)
+    return float(t.sum()), float(t2.sum()), float(t4.sum())
 
 
 def _run_estimate(

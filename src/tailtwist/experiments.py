@@ -76,6 +76,7 @@ __all__ = [
 ]
 
 DEFAULT_RUNS = 1_000_000
+MAX_GRID_POINTS = 10_000
 
 SWEEP_HEADER = (
     "gamma_db,method,theta,alpha_hat,second_moment,std_error,"
@@ -182,7 +183,11 @@ def _parse_grid(lineno: int, key: str, value: str) -> tuple[float, ...]:
         raise ConfigError(lineno, f"key '{key}' needs a positive step")
     if stop < start:
         raise ConfigError(lineno, f"key '{key}' needs stop >= start")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    # count the points before building any: a tiny step must not exhaust memory
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_GRID_POINTS:
+        raise ConfigError(lineno, f"key '{key}' grid has more than {MAX_GRID_POINTS} points")
+    count = int(np.floor(span)) + 1
     values = tuple(round(start + i * step, 12) for i in range(count))
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError(lineno, f"key '{key}' grid is not strictly increasing")
@@ -360,11 +365,13 @@ def _sweep(config: ExperimentConfig, gammas, thetas, workers: int) -> list[Sweep
         scenario = config.scenario.with_threshold_db(gamma_db)
         for theta in thetas:
             if theta is None:
-                budget = solve_p(scenario, base_plan).objective_value
-                plan = base_plan.with_theta(
-                    theta_star(base_plan.s, budget), ThetaSource.MINMAX_IMPROVED
-                )
-                theta_conv = theta_conventional(scenario)
+                if Method.IMPROVED_IS in config.methods:
+                    budget = solve_p(scenario, base_plan).objective_value
+                    plan = base_plan.with_theta(
+                        theta_star(base_plan.s, budget), ThetaSource.MINMAX_IMPROVED
+                    )
+                if Method.CONVENTIONAL_IS in config.methods:
+                    theta_conv = theta_conventional(scenario)
             else:
                 plan = base_plan.with_theta(theta, ThetaSource.MANUAL)
                 theta_conv = theta

@@ -25,8 +25,9 @@ def log_upper_tail(z):
     return float(out) if out.ndim == 0 else out
 
 
-def upper_tail_quantile_from_log(y):
-    """Return z such that -log Q(z) = y, for y >= 0.
+def upper_tail_quantile_from_log(y, out=None):
+    """Return z such that -log Q(z) = y, for y >= 0, written into ``out``
+    if given (which may be y itself).
 
     This inverts the Gaussian cumulative hazard as z = -ndtri_exp(-y),
     one special-function call per element that never forms exp(-y).
@@ -37,5 +38,6 @@ def upper_tail_quantile_from_log(y):
     arr = np.asarray(y, dtype=float)
     if np.any(arr < 0.0) or np.any(np.isnan(arr)):
         raise ValueError("log-domain tail mass must be >= 0")
-    out = -ndtri_exp(-arr)
-    return float(out) if out.ndim == 0 else out
+    z = np.negative(arr, out=np.empty_like(arr) if out is None else out)
+    np.negative(ndtri_exp(z, out=z), out=z)
+    return float(z) if z.ndim == 0 else z

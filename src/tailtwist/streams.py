@@ -31,16 +31,14 @@ class UnitSampleStream:
         )
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """Draw n uniforms on the open interval (0, 1).
+    def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Draw n uniforms on the open interval (0, 1), into ``out`` if given.
 
         Exact endpoint values are remapped to the nearest representable
         interior value so -log(u) is always finite.
         """
-        u = self._gen.random(int(n))
-        np.copyto(u, np.nextafter(0.0, 1.0), where=u == 0.0)
-        np.copyto(u, np.nextafter(1.0, 0.0), where=u == 1.0)
-        return u
+        u = self._gen.random(int(n), out=out)
+        return np.clip(u, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=u)
 
     def __repr__(self) -> str:
         return (

@@ -336,6 +336,36 @@ def test_inverse_survival_rejects_u_outside_open_unit_interval(spec, u):
         spec.inverse_survival(np.array([0.5, u]))
 
 
+@pytest.mark.parametrize("spec", [WEIBULL_HEAVY, LOGNORMAL_6DB])
+@pytest.mark.parametrize("method, values", [
+    ("inverse_cumulative_hazard", np.geomspace(1e-12, 1e5, 400)),
+    ("inverse_survival", np.linspace(1e-9, 1.0 - 1e-9, 400)),
+])
+def test_inverse_kernels_write_into_out(spec, method, values):
+    fn = getattr(spec, method)
+    arr = values.copy()
+    out = np.empty_like(arr)
+    assert fn(arr, out=out) is out
+    assert np.array_equal(out, fn(values))
+    assert np.array_equal(arr, values)
+    assert fn(arr, out=arr) is arr  # in place over the input
+    assert np.array_equal(arr, out)
+    assert isinstance(fn(values[7]), float)
+    assert fn(values[7]) == out[7]
+
+
+@pytest.mark.parametrize("spec", [WEIBULL_HEAVY, LOGNORMAL_6DB])
+@pytest.mark.parametrize("method, bad", [
+    ("inverse_cumulative_hazard", -1e-12),
+    ("inverse_survival", 0.0),
+    ("inverse_survival", 1.0),
+    ("inverse_survival", math.nan),
+])
+def test_inverse_kernels_with_out_still_reject_bad_input(spec, method, bad):
+    with pytest.raises(ValueError):
+        getattr(spec, method)(np.array([0.5, bad, 0.25]), out=np.empty(3))
+
+
 def test_inverse_survival_round_trips_survival():
     x = np.geomspace(1e-3, 1e6, 50)
     for spec in (WEIBULL_HEAVY, LOGNORMAL_6DB):

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from tailtwist.distributions import DistributionSpec
+from scipy.special import ndtri, ndtri_exp
+
+from tailtwist.distributions import DistributionSpec, Family
 from tailtwist.dominance import Scenario, ThetaSource, select_dominant
 from tailtwist.estimators import (
+    CHUNK_SIZE,
     EstimateReport,
     Method,
     efficiency,
@@ -15,6 +18,7 @@ from tailtwist.estimators import (
     estimate_naive,
     log_likelihood_ratio,
     optimality_ratio,
+    _simulate_chunk,
 )
 from tailtwist.streams import UnitSampleStream
 from tailtwist.twist_optimizer import solve_p, theta_star
@@ -307,3 +311,77 @@ def test_twisted_chunk_weights_come_from_the_log_weight_kernel():
     weights = np.exp(log_likelihood_ratio(plan.theta, [y]))
     t = np.where(x0 + x1 > scenario.threshold_linear, weights, 0.0)
     assert report.alpha_hat == float(t.sum()) / 1000
+
+
+# -- the in-place chunk kernel against the allocating one -------------------------
+
+
+def _reference_uniforms(gen, n):
+    u = gen.random(n)
+    np.copyto(u, np.nextafter(0.0, 1.0), where=u == 0.0)
+    np.copyto(u, np.nextafter(1.0, 0.0), where=u == 1.0)
+    return u
+
+
+def _reference_inverse_cumulative_hazard(spec, y):
+    if spec.family is Family.WEIBULL:
+        return spec.weibull_scale * y ** (1.0 / spec.weibull_shape)
+    return np.exp(spec.mu_ln + spec.sigma_ln * -ndtri_exp(-y))
+
+
+def _reference_inverse_survival(spec, u):
+    if spec.family is Family.WEIBULL:
+        return _reference_inverse_cumulative_hazard(spec, -np.log(u))
+    return np.exp(spec.mu_ln - spec.sigma_ln * ndtri(u))
+
+
+def _reference_chunk(components, twisted, theta, gamma, seed, chunk_index, count):
+    """The chunk kernel as it was before it worked in place: one fresh
+    array per temporary, the same float operations in the same order."""
+    key = np.array([seed, chunk_index], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    total = np.zeros(count)
+
+    def twisted_hazards():
+        nonlocal total
+        for i, spec in enumerate(components):
+            u = _reference_uniforms(gen, count)
+            if i in twisted:
+                y = -np.log(u) / (1.0 - theta)
+                total += _reference_inverse_cumulative_hazard(spec, y)
+                yield y
+            else:
+                total += _reference_inverse_survival(spec, u)
+
+    log_weight = log_likelihood_ratio(theta, twisted_hazards())
+    t = np.where(total > gamma, np.exp(log_weight), 0.0)
+    t2 = t * t
+    return float(t.sum()), float(t2.sum()), float((t2 * t2).sum())
+
+
+KERNEL_SCENARIOS = {
+    "weibull4": Scenario.from_db(
+        [DistributionSpec.weibull(0.4, 1.0)] + [DistributionSpec.weibull(0.8, 1.0)] * 3, 26.0
+    ),
+    "lognormal4": Scenario.from_db(
+        [DistributionSpec.lognormal(0.0, 4.0)] * 2 + [DistributionSpec.lognormal(0.0, 6.0)] * 2, 25.0
+    ),
+}
+
+
+@pytest.mark.parametrize("count", [CHUNK_SIZE, 4465])
+@pytest.mark.parametrize("theta", [0.3, 0.9])
+@pytest.mark.parametrize("twist", ["naive", "all", "dominant"])
+@pytest.mark.parametrize("name", sorted(KERNEL_SCENARIOS))
+def test_in_place_chunk_matches_the_allocating_reference_exactly(name, twist, theta, count):
+    scenario = KERNEL_SCENARIOS[name]
+    twisted = {
+        "naive": frozenset(),
+        "all": frozenset(range(scenario.n)),
+        "dominant": frozenset(select_dominant(scenario).dominant_indices),
+    }[twist]
+    assert 0 < len(twisted) < scenario.n or twist != "dominant"
+    if not twisted:
+        theta = 0.0
+    args = (scenario.components, twisted, theta, scenario.threshold_linear, 71, 3, count)
+    assert _simulate_chunk(*args) == _reference_chunk(*args)

@@ -1,12 +1,15 @@
 import textwrap
+from pathlib import Path
 
 import pytest
 
+from tailtwist import experiments
 from tailtwist.cli import main
 from tailtwist.dominance import DominanceVerdict, select_dominant
 from tailtwist.estimators import CHUNK_SIZE, Method, efficiency, optimality_ratio
 from tailtwist.experiments import (
     EFFICIENCY_HEADER,
+    MAX_GRID_POINTS,
     SWEEP_HEADER,
     ConfigError,
     efficiency_rows_to_csv,
@@ -167,6 +170,36 @@ def test_non_finite_numbers_are_config_errors_on_their_line(tmp_path, capsys, co
     assert "config error: line 2: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["0:5e-324:1", "0:1e-300:1", "0:1e-5:1"])
+def test_oversized_grids_are_config_errors_on_their_line(tmp_path, capsys, monkeypatch, grid):
+    def bounded_range(*args):
+        # the point count must be checked before any grid is built
+        if range(*args)[MAX_GRID_POINTS:]:
+            raise AssertionError(f"built a grid of range{args}")
+        return range(*args)
+
+    monkeypatch.setattr(experiments, "range", bounded_range, raising=False)
+    text = f"# too many points on line 2\ngamma_grid_db = {grid}\n[component]\nfamily = weibull\nk = 0.4\nbeta = 1\n"
+    with pytest.raises(ConfigError, match=f"^line 2: .*more than {MAX_GRID_POINTS} points"):
+        parse_config(text)
+    assert main(["threshold-sweep", "--config", write_config(tmp_path, text)]) == 2
+    assert "config error: line 2: " in capsys.readouterr().err
+
+
+def test_grid_at_the_point_limit_parses():
+    text = "theta_grid = 0:1e-4:0.9999\ngamma_db = 20\n[component]\nfamily = weibull\nk = 0.4\nbeta = 1\n"
+    assert len(parse_config(text).theta_grid) == MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize(
+    "name, points",
+    [("lognormal4_theta_sweep.cfg", 16), ("weibull2_thresholds.cfg", 13), ("weibull4_thresholds.cfg", 13)],
+)
+def test_shipped_configs_parse(name, points):
+    config = parse_config((Path(__file__).parents[1] / "configs" / name).read_text())
+    assert len(config.theta_grid or config.gamma_grid_db) == points
+
+
 def test_runs_must_be_positive():
     text = WEIBULL2_THRESHOLDS.replace("runs = 5000", "runs = 0")
     with pytest.raises(ConfigError, match="runs"):
@@ -234,6 +267,31 @@ def test_single_estimate_rows():
         Method.CONVENTIONAL_IS,
         Method.IMPROVED_IS,
     ]
+
+
+@pytest.mark.parametrize(
+    "methods, expected",
+    [
+        ("naive", {"solve_p": 0, "theta_conventional": 0}),
+        ("improved", {"solve_p": 1, "theta_conventional": 0}),
+        ("conventional", {"solve_p": 0, "theta_conventional": 1}),
+        ("naive,conventional,improved", {"solve_p": 1, "theta_conventional": 1}),
+    ],
+)
+def test_sweep_solves_only_the_parameters_its_methods_use(monkeypatch, methods, expected):
+    calls = {name: 0 for name in expected}
+    for name in expected:
+        solver = getattr(experiments, name)
+
+        def counted(*args, name=name, solver=solver):
+            calls[name] += 1
+            return solver(*args)
+
+        monkeypatch.setattr(experiments, name, counted)
+    config = parse_config(LOGNORMAL4_THETA).override(runs=1000, methods=experiments.parse_methods(methods))
+    rows = run_single_estimate(config)
+    assert [row.method.value for row in rows] == methods.split(",")
+    assert calls == expected
 
 
 def test_runners_share_one_row_plan():

@@ -55,3 +55,22 @@ def test_scalar_in_scalar_out():
     assert isinstance(log_upper_tail(1.0), float)
     assert isinstance(upper_tail_quantile_from_log(1.0), float)
     assert isinstance(log_upper_tail(np.ones(3)), np.ndarray)
+
+
+def test_quantile_writes_into_out():
+    y = np.geomspace(1e-12, 1e5, 400)
+    before = y.copy()
+    out = np.empty_like(y)
+    assert upper_tail_quantile_from_log(y, out=out) is out
+    assert np.array_equal(out, upper_tail_quantile_from_log(y))
+    assert np.array_equal(y, before)
+    expected = out.copy()
+    assert upper_tail_quantile_from_log(y, out=y) is y
+    assert np.array_equal(y, expected)
+
+
+@pytest.mark.parametrize("bad", [-1e-12, np.nan])
+def test_quantile_with_out_still_rejects_bad_input(bad):
+    y = np.array([1.0, bad, 2.0])
+    with pytest.raises(ValueError):
+        upper_tail_quantile_from_log(y, out=np.empty(3))

@@ -49,3 +49,26 @@ def test_sequential_draws_continue_the_stream():
     second = s.uniforms(10)
     combined = UnitSampleStream(5, 1).uniforms(20)
     assert np.array_equal(np.concatenate([first, second]), combined)
+
+
+def test_uniforms_fill_out_in_place():
+    out = np.full(1000, np.nan)
+    assert UnitSampleStream(42, 7).uniforms(1000, out=out) is out
+    assert np.array_equal(out, UnitSampleStream(42, 7).uniforms(1000))
+    assert np.all((out > 0.0) & (out < 1.0))
+
+
+def test_endpoint_draws_map_to_the_nearest_interior_values():
+    class Endpoints:
+        def random(self, n, out=None):
+            out = np.empty(n) if out is None else out
+            out[:] = [0.0, 0.5, 1.0]
+            return out
+
+    stream = UnitSampleStream(1, 0)
+    stream._gen = Endpoints()
+    expected = [np.nextafter(0.0, 1.0), 0.5, np.nextafter(1.0, 0.0)]
+    assert stream.uniforms(3).tolist() == expected
+    out = np.empty(3)
+    assert stream.uniforms(3, out=out) is out
+    assert out.tolist() == expected
