@@ -7,105 +7,22 @@ twisting parameter.  Naive Monte Carlo and the all-components-twisted
 estimator are included as baselines.
 """
 
-from .distributions import (
-    DistributionSpec,
-    Family,
-    LightTailWarning,
-    db_to_linear,
-    linear_to_db,
-)
-from .dominance import (
-    DominanceVerdict,
-    Scenario,
-    TailDominanceReport,
-    ThetaSource,
-    TwistPlan,
-    check_tail_dominance,
-    select_dominant,
-)
-from .estimators import (
-    CHUNK_SIZE,
-    EfficiencyReport,
-    EstimateReport,
-    Method,
-    efficiency,
-    estimate_conventional,
-    estimate_improved,
-    estimate_naive,
-    log_likelihood_ratio,
-    optimality_ratio,
-)
-from .experiments import (
-    ConfigError,
-    DiagnosticsReport,
-    EfficiencyRow,
-    ExperimentConfig,
-    SweepRow,
-    efficiency_rows_to_csv,
-    parse_config,
-    run_diagnostics,
-    run_efficiency_sweep,
-    run_single_estimate,
-    run_theta_sweep,
-    run_threshold_sweep,
-    sweep_rows_to_csv,
-)
-from .streams import UnitSampleStream
-from .twist_optimizer import (
-    OptimizationResult,
-    bound_h,
-    solve_p,
-    solve_p_prime,
-    theta_conventional,
-    theta_star,
-    weighted_hazard_sum,
-)
+from . import distributions, dominance, estimators, experiments, streams, twist_optimizer
+from .distributions import *
+from .dominance import *
+from .estimators import *
+from .experiments import *
+from .streams import *
+from .twist_optimizer import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CHUNK_SIZE",
-    "ConfigError",
-    "DiagnosticsReport",
-    "DistributionSpec",
-    "DominanceVerdict",
-    "EfficiencyReport",
-    "EfficiencyRow",
-    "EstimateReport",
-    "ExperimentConfig",
-    "Family",
-    "LightTailWarning",
-    "Method",
-    "OptimizationResult",
-    "Scenario",
-    "SweepRow",
-    "TailDominanceReport",
-    "ThetaSource",
-    "TwistPlan",
-    "UnitSampleStream",
-    "bound_h",
-    "check_tail_dominance",
-    "db_to_linear",
-    "efficiency",
-    "efficiency_rows_to_csv",
-    "estimate_conventional",
-    "estimate_improved",
-    "estimate_naive",
-    "linear_to_db",
-    "log_likelihood_ratio",
-    "optimality_ratio",
-    "parse_config",
-    "run_diagnostics",
-    "run_efficiency_sweep",
-    "run_single_estimate",
-    "run_theta_sweep",
-    "run_threshold_sweep",
-    "select_dominant",
-    "solve_p",
-    "solve_p_prime",
-    "sweep_rows_to_csv",
-    "theta_conventional",
-    "theta_star",
-    "weighted_hazard_sum",
+    *distributions.__all__,
+    *dominance.__all__,
+    *estimators.__all__,
+    *experiments.__all__,
+    *streams.__all__,
+    *twist_optimizer.__all__,
     "__version__",
 ]

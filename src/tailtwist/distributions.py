@@ -155,13 +155,6 @@ class DistributionSpec:
         )
 
     @property
-    def subexponential(self) -> bool:
-        """Whether the subexponential tail guarantee holds for this spec."""
-        if self.family is Family.WEIBULL:
-            return self.weibull_shape < 1.0
-        return True
-
-    @property
     def mu_ln(self) -> float:
         return self.lognormal_mu_db * _LN10 / 10.0
 
@@ -174,7 +167,7 @@ class DistributionSpec:
     def cumulative_hazard(self, x):
         """Hazard function Lambda(x) = -log(1 - F(x)), x >= 0."""
         arr = _as_array(x)
-        if np.any(arr < 0.0):
+        if not np.all(arr >= 0.0):  # NaN fails too
             raise ValueError("cumulative_hazard requires x >= 0")
         if self.family is Family.WEIBULL:
             out = (arr / self.weibull_scale) ** self.weibull_shape
@@ -193,14 +186,14 @@ class DistributionSpec:
         underflow point (about 745) is handled exactly.
         """
         arr = _as_array(y)
-        if np.any(arr < 0.0):
-            raise ValueError("inverse_cumulative_hazard requires y >= 0")
         x = np.empty_like(arr) if out is None else out
         if self.family is Family.WEIBULL:
+            if arr.size and not arr.min() >= 0.0:  # NaN fails too
+                raise ValueError("inverse_cumulative_hazard requires y >= 0")
             np.power(arr, 1.0 / self.weibull_shape, out=x)
             x *= self.weibull_scale
         else:
-            upper_tail_quantile_from_log(arr, out=x)
+            upper_tail_quantile_from_log(arr, out=x)  # which checks y
             x *= self.sigma_ln
             x += self.mu_ln
             np.exp(x, out=x)
@@ -233,7 +226,7 @@ class DistributionSpec:
         never hits 0/0.
         """
         arr = _as_array(x)
-        if np.any(arr <= 0.0):
+        if not np.all(arr > 0.0):
             raise ValueError("hazard_rate requires x > 0")
         if self.family is Family.WEIBULL:
             k, b = self.weibull_shape, self.weibull_scale
@@ -299,7 +292,7 @@ class DistributionSpec:
     def log_density(self, x):
         """log f(x) = log lambda(x) - Lambda(x), x > 0."""
         arr = _as_array(x)
-        if np.any(arr <= 0.0):
+        if not np.all(arr > 0.0):
             raise ValueError("log_density requires x > 0")
         if self.family is Family.WEIBULL:
             k, b = self.weibull_shape, self.weibull_scale
@@ -314,12 +307,6 @@ class DistributionSpec:
         """1 - F(x), underflowing gracefully to 0 in the far tail."""
         arr = np.asarray(self.cumulative_hazard(x))
         out = np.exp(-arr)
-        return _maybe_scalar(out)
-
-    def cdf(self, x):
-        """F(x), computed as -expm1(-Lambda(x))."""
-        arr = np.asarray(self.cumulative_hazard(x))
-        out = -np.expm1(-arr)
         return _maybe_scalar(out)
 
     def mean(self) -> float:

@@ -13,6 +13,8 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .distributions import DistributionSpec, Family, db_to_linear
 
 __all__ = [
@@ -120,6 +122,11 @@ class TwistPlan:
     def with_theta(self, theta: float, source: ThetaSource) -> "TwistPlan":
         return replace(self, theta=float(theta), theta_source=source)
 
+    def check_fits(self, scenario: Scenario) -> None:
+        """Raise ValueError unless every dominant index names a component."""
+        if any(i < 0 or i >= scenario.n for i in self.dominant_indices):
+            raise ValueError("twist plan indexes components outside the scenario")
+
 
 def select_dominant(scenario: Scenario) -> TwistPlan:
     """Indices of the heaviest-tailed i.i.d. sub-group of the scenario.
@@ -148,17 +155,16 @@ def select_dominant(scenario: Scenario) -> TwistPlan:
 class DominanceVerdict(enum.Enum):
     SATISFIED = "satisfied"
     VIOLATED = "violated"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
 class TailDominanceReport:
     """Tail-dominance diagnostic for one non-dominant component.
 
-    ``gap`` holds d(g) = 2*Lambda_1(g) - Lambda_i(g) on the probe grid;
-    the estimator is provably efficient in the limit when d diverges to
-    minus infinity (the component's tail is negligible against the
-    squared dominant tail).
+    ``gap`` holds d(g) = 2*Lambda_1(g) - Lambda_i(g) on the given threshold
+    grid.  ``verdict`` says whether d tends to minus infinity, the condition
+    under which the estimator is provably efficient in the limit (the
+    component's tail is negligible against the squared dominant tail).
     """
 
     component: int
@@ -166,41 +172,56 @@ class TailDominanceReport:
     verdict: DominanceVerdict
 
 
+def _gap_falls(dominant: DistributionSpec, spec: DistributionSpec) -> bool:
+    """Whether 2*Lambda_dominant(g) - Lambda_spec(g) tends to minus infinity.
+
+    Weibull: the gap is 2*(g/b_d)^k_d - (g/b_i)^k_i, so the larger shape
+    wins; with equal shapes k it is g^k * (2*b_d^-k - b_i^-k), which falls
+    iff (b_d/b_i)^k > 2 and is 0 at 2.  Log-normal: -log Q(z) = z^2/2 +
+    log z + O(1), so in t = ln g the gap's t^2 coefficient is
+    1/s_d^2 - 1/(2*s_i^2), negative iff 2*s_i^2 < s_d^2.  When it vanishes
+    the linear term 2*(m_i - m_d)*t/s_d^2 carries the sign, and with equal
+    mu the rest, log(z_d^2/z_i) + O(1), rises to plus infinity.
+    """
+    if dominant.family is Family.WEIBULL:
+        k = dominant.weibull_shape
+        if not _close(spec.weibull_shape, k):
+            return spec.weibull_shape > k
+        ratio = (dominant.weibull_scale / spec.weibull_scale) ** k
+        return ratio > 2.0 and not _close(ratio, 2.0)
+    # the dB parameters are the log-space ones times ln(10)/10: same signs
+    var_d, twice_var_i = dominant.lognormal_sigma_db**2, 2.0 * spec.lognormal_sigma_db**2
+    if not _close(twice_var_i, var_d):
+        return twice_var_i < var_d
+    mu_d, mu_i = dominant.lognormal_mu_db, spec.lognormal_mu_db
+    return mu_i < mu_d and not _close(mu_i, mu_d)
+
+
 def check_tail_dominance(
     scenario: Scenario, plan: TwistPlan, gamma_grid
 ) -> tuple[TailDominanceReport, ...]:
-    """Probe 2*Lambda_1 - Lambda_i on a threshold grid per light component.
+    """Classify the limit of 2*Lambda_1 - Lambda_i per light component.
 
-    SATISFIED when the gap decreases across the grid and drops by more
-    than 10 overall; VIOLATED when it increases throughout; otherwise
-    INCONCLUSIVE.  Purely diagnostic: estimation is never blocked on the
-    verdict.
+    The verdict follows exactly from the parameters (see ``_gap_falls``);
+    the threshold grid only says where the reported gap is evaluated.
+    Purely diagnostic: estimation is never blocked on the verdict.
     """
-    grid = [float(g) for g in gamma_grid]
-    if len(grid) == 0:
+    grid = np.array([float(g) for g in gamma_grid])
+    if grid.size == 0:
         raise ValueError("tail-dominance check needs a nonempty threshold grid")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if not np.all((grid > 0.0) & (grid < math.inf)):
+        raise ValueError("threshold grid values must be positive and finite")
+    if np.any(grid[1:] <= grid[:-1]):
         raise ValueError("threshold grid must be strictly increasing")
-    if any(g <= 0.0 for g in grid):
-        raise ValueError("threshold grid values must be positive")
+    plan.check_fits(scenario)
 
     dominant_spec = scenario.components[plan.dominant_indices[0]]
-    dominant = set(plan.dominant_indices)
     reports = []
     for i, spec in enumerate(scenario.components):
-        if i in dominant:
+        if i in plan.dominant_indices:
             continue
-        gap = tuple(
-            2.0 * dominant_spec.cumulative_hazard(g) - spec.cumulative_hazard(g)
-            for g in grid
-        )
-        decreasing = all(b < a for a, b in zip(gap, gap[1:]))
-        increasing = all(b > a for a, b in zip(gap, gap[1:]))
-        if decreasing and gap[-1] < gap[0] - 10.0:
-            verdict = DominanceVerdict.SATISFIED
-        elif increasing and len(gap) > 1:
-            verdict = DominanceVerdict.VIOLATED
-        else:
-            verdict = DominanceVerdict.INCONCLUSIVE
-        reports.append(TailDominanceReport(component=i, gap=gap, verdict=verdict))
+        gap = 2.0 * dominant_spec.cumulative_hazard(grid) - spec.cumulative_hazard(grid)
+        falls = _gap_falls(dominant_spec, spec)
+        verdict = DominanceVerdict.SATISFIED if falls else DominanceVerdict.VIOLATED
+        reports.append(TailDominanceReport(component=i, gap=tuple(gap.tolist()), verdict=verdict))
     return tuple(reports)

@@ -84,7 +84,6 @@ class EfficiencyReport:
     """
 
     xi: float
-    baseline_alpha: float
 
 
 def log_likelihood_ratio(theta: float, hazards, out=None):
@@ -233,8 +232,7 @@ def estimate_improved(
     """
     if plan.theta is None:
         raise ValueError("the twist plan has no twisting parameter set")
-    if any(i < 0 or i >= scenario.n for i in plan.dominant_indices):
-        raise ValueError("twist plan indexes components outside the scenario")
+    plan.check_fits(scenario)
     lead = astuple(scenario.components[plan.dominant_indices[0]])
     for i in plan.dominant_indices:
         # one family per scenario: a field is None in both specs or in neither
@@ -253,10 +251,7 @@ def efficiency(is_report: EstimateReport, alpha_ref: float) -> EfficiencyReport:
         raise ValueError("reference tail probability must lie in (0, 1)")
     if not is_report.variance > 0.0:
         raise ValueError("degenerate estimate: sample variance is zero")
-    return EfficiencyReport(
-        xi=alpha_ref * (1.0 - alpha_ref) / is_report.variance,
-        baseline_alpha=alpha_ref,
-    )
+    return EfficiencyReport(xi=alpha_ref * (1.0 - alpha_ref) / is_report.variance)
 
 
 def optimality_ratio(second_moment: float, alpha: float) -> float:

@@ -36,7 +36,8 @@ def upper_tail_quantile_from_log(y, out=None):
     the whole range is accurate; y beyond 1e6 is fine.
     """
     arr = np.asarray(y, dtype=float)
-    if np.any(arr < 0.0) or np.any(np.isnan(arr)):
+    # one reduction and no temporary mask; NaN fails the comparison
+    if arr.size and not arr.min() >= 0.0:
         raise ValueError("log-domain tail mass must be >= 0")
     z = np.negative(arr, out=np.empty_like(arr) if out is None else out)
     np.negative(ndtri_exp(z, out=z), out=z)

@@ -133,11 +133,6 @@ def _minimize_allocation(specs, weights, gamma: float) -> OptimizationResult:
     )
 
 
-def _check_plan(scenario: Scenario, plan: TwistPlan) -> None:
-    if any(i < 0 or i >= scenario.n for i in plan.dominant_indices):
-        raise ValueError("twist plan indexes components outside the scenario")
-
-
 def solve_p(scenario: Scenario, plan: TwistPlan) -> OptimizationResult:
     """Cheapest allocation of the threshold across the s twisted components.
 
@@ -145,7 +140,7 @@ def solve_p(scenario: Scenario, plan: TwistPlan) -> OptimizationResult:
     sum x >= threshold; the value is the exponent budget A(threshold)
     that the minmax parameter is built from.
     """
-    _check_plan(scenario, plan)
+    plan.check_fits(scenario)
     dominant_spec = scenario.components[plan.dominant_indices[0]]
     specs = [dominant_spec] * plan.s
     return _minimize_allocation(specs, [1.0] * plan.s, scenario.threshold_linear)
@@ -157,7 +152,7 @@ def solve_p_prime(scenario: Scenario, plan: TwistPlan) -> OptimizationResult:
     Its value A'(threshold) bounds the log second moment of the improved
     estimator and drives the asymptotic-optimality diagnostic.
     """
-    _check_plan(scenario, plan)
+    plan.check_fits(scenario)
     dominant = set(plan.dominant_indices)
     weights = [2.0 if i in dominant else 1.0 for i in range(scenario.n)]
     return _minimize_allocation(

@@ -189,12 +189,106 @@ def test_dominant_components_excluded_from_report():
     assert [r.component for r in reports] == [0, 1]
 
 
-def test_tail_dominance_grid_validation():
+@pytest.mark.parametrize("grid", [
+    [],
+    [10.0, 5.0],
+    [-1.0, 5.0],
+    [100.0, math.nan, 1e4],
+    [100.0, math.inf],
+])
+def test_tail_dominance_grid_validation(grid):
     scenario = weibull_scenario([0.4, 0.8])
     plan = select_dominant(scenario)
     with pytest.raises(ValueError):
-        check_tail_dominance(scenario, plan, [])
-    with pytest.raises(ValueError):
-        check_tail_dominance(scenario, plan, [10.0, 5.0])
-    with pytest.raises(ValueError):
-        check_tail_dominance(scenario, plan, [-1.0, 5.0])
+        check_tail_dominance(scenario, plan, grid)
+
+
+@pytest.mark.parametrize("indices", [(2,), (-1,)])
+def test_tail_dominance_rejects_plan_outside_scenario(indices):
+    scenario = weibull_scenario([0.4, 0.8])
+    with pytest.raises(ValueError, match="outside the scenario"):
+        check_tail_dominance(scenario, TwistPlan(indices, 1), [1e2])
+
+
+def test_dominance_verdict_has_no_third_outcome():
+    assert {v.value for v in DominanceVerdict} == {"satisfied", "violated"}
+
+
+W, L = DistributionSpec.weibull, DistributionSpec.lognormal
+
+
+# (dominant, light): whether 2*Lambda_dominant - Lambda_light tends to -infinity
+@pytest.mark.parametrize("dominant, light, verdict", [
+    # near the boundary, where a probe of the gap read "inconclusive"
+    (W(0.4, 1.0), W(0.45, 1.0), DominanceVerdict.SATISFIED),
+    (L(0.0, 6.0), L(0.0, 4.2), DominanceVerdict.SATISFIED),  # 4.2 < 6/sqrt(2)
+    (L(0.0, 6.0), L(0.0, 4.3), DominanceVerdict.VIOLATED),
+    # equal shapes: the gap is g^k * (2*b_d^-k - b_i^-k)
+    (W(0.5, 4.0), W(0.5, 1.0), DominanceVerdict.VIOLATED),  # ratio exactly 2: gap 0
+    (W(0.5, 4.5), W(0.5, 1.0), DominanceVerdict.SATISFIED),
+    # 2*sigma_i^2 = sigma_d^2: the mu difference carries the sign, equal mu rises
+    (L(0.0, 2.0), L(-1.0, math.sqrt(2.0)), DominanceVerdict.SATISFIED),
+    (L(0.0, 2.0), L(0.0, math.sqrt(2.0)), DominanceVerdict.VIOLATED),
+    (L(0.0, 2.0), L(1.0, math.sqrt(2.0)), DominanceVerdict.VIOLATED),
+    # a plan naming the lighter component as dominant
+    (W(0.8, 1.0), W(0.4, 1.0), DominanceVerdict.VIOLATED),
+    (L(0.0, 4.0), L(0.0, 6.0), DominanceVerdict.VIOLATED),
+])
+def test_tail_dominance_exact_verdict(dominant, light, verdict):
+    scenario = Scenario.from_db([dominant, light], 20.0)
+    (report,) = check_tail_dominance(scenario, TwistPlan((0,), 1), [1e2, 1e4])
+    assert report.component == 1
+    assert report.verdict is verdict
+
+
+def _deep_tail_falls(dominant, light, x_near, x_far) -> bool:
+    gap = [2.0 * dominant.cumulative_hazard(x) - light.cumulative_hazard(x) for x in (x_near, x_far)]
+    assert all(math.isfinite(g) for g in gap)
+    return gap[1] < gap[0]
+
+
+def _random_weibull_pair(rng):
+    k_d, k_i = rng.uniform(0.2, 1.5, size=2)
+    b_d, b_i = rng.uniform(0.5, 2.0, size=2)
+    if rng.random() < 0.3:
+        k_i = k_d  # equal shapes: the scale ratio decides
+        if abs((b_d / b_i) ** k_d - 2.0) < 0.1:
+            return None
+    elif abs(k_i - k_d) < 0.05:
+        return None
+    return W(k_d, b_d), W(k_i, b_i)
+
+
+def _random_lognormal_pair(rng):
+    s_d, s_i = rng.uniform(1.0, 10.0, size=2)
+    m_d, m_i = rng.uniform(-10.0, 10.0, size=2)
+    if rng.random() < 0.3:
+        s_i = s_d / math.sqrt(2.0)  # the t^2 terms cancel: mu decides
+        if rng.random() < 0.3:
+            m_i = m_d
+        elif abs(m_i - m_d) < 1.0:
+            return None
+    elif abs(2.0 * s_i**2 - s_d**2) < 0.1 * s_d**2:
+        return None
+    return L(m_d, s_d), L(m_i, s_i)
+
+
+@pytest.mark.filterwarnings("ignore::tailtwist.distributions.LightTailWarning")
+@pytest.mark.parametrize("draw, x_near, x_far", [
+    # shapes above 1 overflow to inf by 1e300
+    (_random_weibull_pair, 1e100, 1e150),
+    (_random_lognormal_pair, 1e250, 1e300),
+])
+def test_tail_dominance_verdict_agrees_with_deep_tail_trend(draw, x_near, x_far):
+    rng = np.random.default_rng(20140)
+    checked = 0
+    while checked < 300:
+        pair = draw(rng)
+        if pair is None:
+            continue
+        dominant, light = pair
+        scenario = Scenario.from_db([dominant, light], 20.0)
+        (report,) = check_tail_dominance(scenario, TwistPlan((0,), 1), [1e2])
+        falls = _deep_tail_falls(dominant, light, x_near, x_far)
+        assert (report.verdict is DominanceVerdict.SATISFIED) == falls, (dominant, light)
+        checked += 1

@@ -345,6 +345,12 @@ def test_diagnostics_verdicts_and_trend():
     for row in report.rows:
         assert row.a_prime >= row.a_value
         assert 0.0 <= row.theta_improved < 1.0
+    # the gap is reported at the configured thresholds, 20, 22 and 24 dB
+    dominant, light = config.scenario.components
+    expected = [2.0 * dominant.cumulative_hazard(g) - light.cumulative_hazard(g) for g in (100.0, 10**2.4)]
+    gap = report.dominance[0].gap
+    assert len(gap) == 3
+    assert [gap[0], gap[-1]] == pytest.approx(expected, rel=1e-12)
     text = report.to_text()
     assert "component 1: satisfied" in text
 
