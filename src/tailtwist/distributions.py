@@ -190,8 +190,7 @@ class DistributionSpec:
         if self.family is Family.WEIBULL:
             if arr.size and not arr.min() >= 0.0:  # NaN fails too
                 raise ValueError("inverse_cumulative_hazard requires y >= 0")
-            np.power(arr, 1.0 / self.weibull_shape, out=x)
-            x *= self.weibull_scale
+            self._weibull_from_hazard(arr, x)
         else:
             upper_tail_quantile_from_log(arr, out=x)  # which checks y
             x *= self.sigma_ln
@@ -213,11 +212,17 @@ class DistributionSpec:
         x = np.empty_like(arr) if out is None else out
         if self.family is Family.WEIBULL:
             np.negative(np.log(arr, out=x), out=x)
-            return self.inverse_cumulative_hazard(x, out=x)
-        ndtri(arr, out=x)
-        x *= self.sigma_ln
-        np.exp(np.subtract(self.mu_ln, x, out=x), out=x)
+            self._weibull_from_hazard(x, x)
+        else:
+            ndtri(arr, out=x)
+            x *= self.sigma_ln
+            np.exp(np.subtract(self.mu_ln, x, out=x), out=x)
         return _maybe_scalar(x)
+
+    def _weibull_from_hazard(self, y, out):
+        """Weibull's x = beta * y**(1/k) into ``out``; y is checked by the caller."""
+        np.power(y, 1.0 / self.weibull_shape, out=out)
+        out *= self.weibull_scale
 
     def hazard_rate(self, x):
         """Hazard rate lambda(x) = f(x) / (1 - F(x)), x > 0.

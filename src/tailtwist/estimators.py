@@ -8,8 +8,9 @@ Three estimators of alpha = P(sum of components > threshold):
     components and leaving the light-tailed ones untouched.
 
 Replications are processed in fixed chunks of 2**16, chunk j drawing
-from substream j of the base seed and components consuming the stream
-in index order.  Chunk partial sums are combined with exact summation
+from substream j of the base seed (the seed's SeedSequence with spawn
+key (j,), driving PCG64DXSM) and components consuming the stream in
+index order.  Chunk partial sums are combined with exact summation
 (math.fsum), so a report is a bit-reproducible function of
 (scenario, method, theta, runs, seed) no matter how many workers ran
 the chunks.  Each chunk works in place in one block of four arrays

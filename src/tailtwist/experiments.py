@@ -331,10 +331,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One estimate; an improved row at its minmax theta also carries the
+    minmax objective A that solve_p returned for it."""
+
     gamma_db: float
     method: Method
     theta: float
     report: EstimateReport
+    minmax_objective: float | None = None
 
 
 @dataclass(frozen=True)
@@ -364,6 +368,7 @@ def _sweep(config: ExperimentConfig, gammas, thetas, workers: int) -> list[Sweep
             raise ValueError("this experiment needs a dB threshold")
         scenario = config.scenario.with_threshold_db(gamma_db)
         for theta in thetas:
+            budget = None
             if theta is None:
                 if Method.IMPROVED_IS in config.methods:
                     budget = solve_p(scenario, base_plan).objective_value
@@ -386,7 +391,8 @@ def _sweep(config: ExperimentConfig, gammas, thetas, workers: int) -> list[Sweep
                 else:
                     row_theta = plan.theta
                     report = estimate_improved(scenario, plan, config.runs, seed, workers)
-                rows.append(SweepRow(gamma_db, method, row_theta, report))
+                objective = budget if method is Method.IMPROVED_IS else None
+                rows.append(SweepRow(gamma_db, method, row_theta, report, objective))
     return rows
 
 
@@ -506,7 +512,7 @@ def run_diagnostics(config: ExperimentConfig, workers: int = 1) -> DiagnosticsRe
                 s=plan.s,
                 theta_improved=improved.theta,
                 theta_conventional=conventional.theta,
-                a_value=solve_p(scenario, plan).objective_value,
+                a_value=improved.minmax_objective,
                 a_prime=solve_p_prime(scenario, plan).objective_value,
                 ratio_improved=optimality_ratio(improved.report.second_moment, alpha_ref),
                 ratio_conventional=optimality_ratio(conventional.report.second_moment, alpha_ref),

@@ -1,7 +1,9 @@
 """Deterministic uniform random sources with indexed substreams.
 
-Built on the counter-based Philox generator keyed by (seed, substream
-index): a given pair always reproduces the same sequence, and distinct
+Substream j of a seed is PCG64DXSM seeded by the numpy SeedSequence with
+entropy ``seed`` and spawn key ``(j,)``: exactly the j-th child of
+``SeedSequence(seed).spawn(...)``, numpy's construction for parallel
+streams.  A given pair always reproduces the same sequence, and distinct
 indices give statistically independent streams.  That lets replication
 chunks be farmed out to any number of workers and merged reproducibly.
 """
@@ -26,10 +28,10 @@ class UnitSampleStream:
     def __init__(self, seed: int, substream_index: int = 0):
         self.seed = int(seed)
         self.substream_index = int(substream_index)
-        key = np.array(
-            [self.seed & _MASK64, self.substream_index & _MASK64], dtype=np.uint64
+        seq = np.random.SeedSequence(
+            self.seed & _MASK64, spawn_key=(self.substream_index & _MASK64,)
         )
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = np.random.Generator(np.random.PCG64DXSM(seq))
 
     def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """Draw n uniforms on the open interval (0, 1), into ``out`` if given.

@@ -338,8 +338,8 @@ def _reference_inverse_survival(spec, u):
 def _reference_chunk(components, twisted, theta, gamma, seed, chunk_index, count):
     """The chunk kernel as it was before it worked in place: one fresh
     array per temporary, the same float operations in the same order."""
-    key = np.array([seed, chunk_index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
+    seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
+    gen = np.random.Generator(np.random.PCG64DXSM(seq))
     total = np.zeros(count)
 
     def twisted_hazards():

@@ -294,6 +294,29 @@ def test_sweep_solves_only_the_parameters_its_methods_use(monkeypatch, methods, 
     assert calls == expected
 
 
+def test_diagnose_solves_each_parameter_once_per_threshold(monkeypatch):
+    names = ("solve_p", "solve_p_prime", "theta_conventional")
+    calls = {name: 0 for name in names}
+    for name in names:
+        solver = getattr(experiments, name)
+
+        def counted(*args, name=name, solver=solver):
+            calls[name] += 1
+            return solver(*args)
+
+        monkeypatch.setattr(experiments, name, counted)
+    text = (Path(__file__).parents[1] / "configs" / "weibull4_thresholds.cfg").read_text()
+    config = parse_config(text).override(runs=20_000)
+    report = run_diagnostics(config)
+    assert len(config.gamma_grid_db) == len(report.rows) == 13
+    assert calls == {name: 13 for name in names}
+    # the minmax objective carried from the sweep is the float solve_p returns
+    plan = select_dominant(config.scenario)
+    for row in report.rows:
+        scenario = config.scenario.with_threshold_db(row.gamma_db)
+        assert row.a_value == solve_p(scenario, plan).objective_value
+
+
 def test_runners_share_one_row_plan():
     # every runner issues its estimates in (gamma, theta, method) order, row
     # i at seed + i; efficiency and diagnostics post-process the

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 import scipy.stats
 
 from tailtwist.streams import UnitSampleStream
@@ -72,3 +73,34 @@ def test_endpoint_draws_map_to_the_nearest_interior_values():
     out = np.empty(3)
     assert stream.uniforms(3, out=out) is out
     assert out.tolist() == expected
+
+
+@pytest.mark.parametrize("seed, index", [(0, 0), (7, 3), (2024, 12), (-3, 2)])
+def test_substream_is_the_spawned_child_driving_pcg64dxsm(seed, index):
+    child = np.random.SeedSequence(seed % 2**64).spawn(index + 1)[index]
+    expected = np.random.Generator(np.random.PCG64DXSM(child)).random(4096)
+    expected = np.clip(expected, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+    assert np.array_equal(UnitSampleStream(seed, index).uniforms(4096), expected)
+
+
+# SeedSequence hashing, PCG64DXSM and the 53-bit conversion are integer
+# arithmetic, so these values hold on every platform and numpy version
+@pytest.mark.parametrize(
+    "seed, index, expected",
+    [
+        (0, 0, [0.15390745621903046, 0.8581780487903488, 0.8192615347374336, 0.35904550197725715]),
+        (2024, 5, [0.40711516628200395, 0.19911789544894964, 0.29051313340970764, 0.13744857913683317]),
+    ],
+)
+def test_stream_layout_literals(seed, index, expected):
+    assert UnitSampleStream(seed, index).uniforms(4).tolist() == expected
+
+
+@pytest.mark.parametrize("neighbour", [(2024, 6), (2025, 5)])
+def test_neighbouring_keys_uniform_and_uncorrelated(neighbour):
+    n = 50_000
+    a = UnitSampleStream(2024, 5).uniforms(n)
+    b = UnitSampleStream(*neighbour).uniforms(n)
+    assert scipy.stats.kstest(a, "uniform").pvalue > 0.01
+    assert scipy.stats.kstest(b, "uniform").pvalue > 0.01
+    assert abs(np.corrcoef(a, b)[0, 1]) < 4.0 / np.sqrt(n)
