@@ -338,7 +338,7 @@ class SweepRow:
     method: Method
     theta: float
     report: EstimateReport
-    minmax_objective: float | None = None
+    minmax_objective: float | None
 
 
 @dataclass(frozen=True)
@@ -383,15 +383,14 @@ def _sweep(config: ExperimentConfig, gammas, thetas, workers: int) -> list[Sweep
             for method in config.methods:
                 seed = config.seed + len(rows)
                 if method is Method.NAIVE_MC:
-                    row_theta = 0.0
+                    row_theta, objective = 0.0, None
                     report = estimate_naive(scenario, config.runs, seed, workers)
                 elif method is Method.CONVENTIONAL_IS:
-                    row_theta = theta_conv
+                    row_theta, objective = theta_conv, None
                     report = estimate_conventional(scenario, theta_conv, config.runs, seed, workers)
                 else:
-                    row_theta = plan.theta
+                    row_theta, objective = plan.theta, budget
                     report = estimate_improved(scenario, plan, config.runs, seed, workers)
-                objective = budget if method is Method.IMPROVED_IS else None
                 rows.append(SweepRow(gamma_db, method, row_theta, report, objective))
     return rows
 

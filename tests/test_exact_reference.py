@@ -13,9 +13,9 @@ import pytest
 from scipy.integrate import quad
 
 from tailtwist.distributions import DistributionSpec
-from tailtwist.dominance import Scenario, ThetaSource, select_dominant
-from tailtwist.estimators import estimate_conventional, estimate_improved, estimate_naive
-from tailtwist.twist_optimizer import solve_p, theta_conventional, theta_star
+from tailtwist.dominance import Scenario
+from tailtwist.estimators import Method
+from tailtwist.experiments import ExperimentConfig, run_single_estimate
 
 SHAPES = (0.4, 0.8)  # unit scales
 RUNS = 1 << 17
@@ -56,6 +56,12 @@ def test_quadrature_agrees_with_forty_digits(gamma_db):
     assert float(abs(exact_tail(g) - reference) / reference) < 1e-12
 
 
+def single_estimate(gamma_db, methods, runs, seed):
+    """The rows ``tailtwist estimate`` prints: each IS method at its minmax theta."""
+    config = ExperimentConfig(scenario(gamma_db), (), (), methods, runs, seed)
+    return run_single_estimate(config)
+
+
 def within_four_se(report, alpha):
     se = math.sqrt(report.variance / report.runs)
     return abs(report.alpha_hat - alpha) <= 4.0 * se, (report.alpha_hat, se, alpha)
@@ -63,22 +69,16 @@ def within_four_se(report, alpha):
 
 @pytest.mark.parametrize("gamma_db", [20.0, 26.0, 32.0])
 def test_is_estimates_at_the_minmax_theta_hit_the_exact_tail(gamma_db):
-    sc = scenario(gamma_db)
-    alpha = exact_tail(sc.threshold_linear)
-    plan = select_dominant(sc)
-    plan = plan.with_theta(
-        theta_star(plan.s, solve_p(sc, plan).objective_value), ThetaSource.MINMAX_IMPROVED
-    )
-    improved = estimate_improved(sc, plan, RUNS, SEED)
-    conventional = estimate_conventional(sc, theta_conventional(sc), RUNS, SEED + 1)
-    ok, detail = within_four_se(improved, alpha)
-    assert ok, detail
-    ok, detail = within_four_se(conventional, alpha)
-    assert ok, detail
+    alpha = exact_tail(scenario(gamma_db).threshold_linear)
+    # improved draws from SEED, conventional from SEED + 1
+    rows = single_estimate(gamma_db, (Method.IMPROVED_IS, Method.CONVENTIONAL_IS), RUNS, SEED)
+    assert [row.method for row in rows] == [Method.IMPROVED_IS, Method.CONVENTIONAL_IS]
+    for row in rows:
+        ok, detail = within_four_se(row.report, alpha)
+        assert ok, (row.method, row.theta) + detail
 
 
 def test_naive_estimate_hits_the_exact_tail_at_20_db():
-    sc = scenario(20.0)
-    report = estimate_naive(sc, 4 * RUNS, SEED + 2)
-    ok, detail = within_four_se(report, exact_tail(sc.threshold_linear))
+    (row,) = single_estimate(20.0, (Method.NAIVE_MC,), 4 * RUNS, SEED + 2)
+    ok, detail = within_four_se(row.report, exact_tail(scenario(20.0).threshold_linear))
     assert ok, detail
