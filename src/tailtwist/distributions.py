@@ -20,9 +20,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
-from .normal_tail import log_upper_tail, upper_tail_quantile_from_log
+from .normal_tail import log_upper_tail, normal_quantile, upper_tail_quantile_from_log
 
 _LN10 = math.log(10.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -202,8 +201,9 @@ class DistributionSpec:
         """The x with survival(x) = u, for 0 < u < 1: the untwisted sampling
         kernel, written into ``out`` if given (which may be u itself).
 
-        Log-normal inverts the normal quantile of u directly, as exp(mu_ln -
-        sigma_ln * ndtri(u)).  Weibull returns exactly inverse_cumulative_hazard(-log u).
+        Log-normal inverts the normal quantile of u directly, as
+        exp(mu_ln - sigma_ln * normal_quantile(u)).  Weibull returns exactly
+        inverse_cumulative_hazard(-log u).
         """
         arr = _as_array(u)
         # min and max make no temporaries, unlike a mask; NaN fails both
@@ -214,7 +214,7 @@ class DistributionSpec:
             np.negative(np.log(arr, out=x), out=x)
             self._weibull_from_hazard(x, x)
         else:
-            ndtri(arr, out=x)
+            normal_quantile(arr, out=x)
             x *= self.sigma_ln
             np.exp(np.subtract(self.mu_ln, x, out=x), out=x)
         return _maybe_scalar(x)

@@ -60,7 +60,9 @@ class EstimateReport:
     indicator T and ``second_moment_se`` its own standard error;
     ``variance`` is the unbiased sample variance of T, from which
     ``relative_error`` (std error / estimate) and the 95% normal
-    confidence interval derive.
+    confidence interval derive.  A run without hits has ``alpha_hat``
+    0 and ``relative_error`` inf; its ``ci95_high`` is the exact
+    one-sided 95% bound 1 - 0.05^(1/runs) for naive MC and inf for IS.
     """
 
     method: Method
@@ -134,7 +136,9 @@ def _simulate_chunk(
 
     log_likelihood_ratio(theta, twisted_hazards(), out=log_weight)
     t = np.exp(log_weight, out=log_weight)
-    np.copyto(t, 0.0, where=total <= gamma)  # totals are never NaN
+    # t is finite (the log weight is at most -s * log1p(-theta)), so a
+    # miss's 0 * t is exactly 0.0
+    t *= total > gamma
     t2 = np.multiply(t, t, out=x)
     t4 = np.multiply(t2, t2, out=u)
     return float(t.sum()), float(t2.sum()), float(t4.sum())
@@ -184,7 +188,14 @@ def _run_estimate(
     fourth_moment = sum_t4 / m
     m2_variance = max(fourth_moment - second_moment * second_moment, 0.0) * bessel
     second_moment_se = math.sqrt(m2_variance / m)
-    relative_error = std_error / alpha_hat if alpha_hat > 0.0 else math.inf
+    if alpha_hat > 0.0:
+        relative_error = std_error / alpha_hat
+        ci95_high = alpha_hat + 1.96 * std_error
+    else:
+        relative_error = math.inf
+        # no hits: naive MC's exact one-sided bound 1 - 0.05^(1/runs), about
+        # 3/runs; an IS row without a hit bounds nothing
+        ci95_high = -math.expm1(math.log(0.05) / m) if method is Method.NAIVE_MC else math.inf
     return EstimateReport(
         method=method,
         alpha_hat=alpha_hat,
@@ -193,7 +204,7 @@ def _run_estimate(
         variance=variance,
         relative_error=relative_error,
         ci95_low=max(alpha_hat - 1.96 * std_error, 0.0),
-        ci95_high=alpha_hat + 1.96 * std_error,
+        ci95_high=ci95_high,
         runs=runs,
         theta=theta,
         seed=seed,

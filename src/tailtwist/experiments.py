@@ -429,16 +429,27 @@ def run_efficiency_sweep(config: ExperimentConfig, workers: int = 1) -> list[Eff
     """Variance-reduction factors of both IS methods across thresholds.
 
     The tail probability reference is the improved estimate at each
-    threshold (naive MC cannot resolve it out there).
+    threshold (naive MC cannot resolve it out there).  A factor that an
+    empty row leaves undefined (no reference, or zero sample variance) is
+    NaN.
     """
     _grid(config.gamma_grid_db, "efficiency", "gamma_grid_db")
     rows = []
     for improved, conventional in _is_pairs(config, workers):
         alpha_ref = improved.report.alpha_hat
-        xi1 = efficiency(improved.report, alpha_ref).xi
-        xi2 = efficiency(conventional.report, alpha_ref).xi
+        xi1 = _or_nan(lambda: efficiency(improved.report, alpha_ref).xi)
+        xi2 = _or_nan(lambda: efficiency(conventional.report, alpha_ref).xi)
         rows.append(EfficiencyRow(improved.gamma_db, xi1, xi2, alpha_ref))
     return rows
+
+
+def _or_nan(fn, *args) -> float:
+    """fn(*args), or NaN where fn rejects the estimate it is given: one
+    empty row must not abort a whole sweep."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return math.nan
 
 
 @dataclass(frozen=True)
@@ -495,7 +506,7 @@ def run_diagnostics(config: ExperimentConfig, workers: int = 1) -> DiagnosticsRe
     The tail-dominance verdicts are exact; their gaps are evaluated at
     the configured thresholds.  The per-threshold rows carry the
     optimizer outputs and the measured optimality ratios of both IS
-    methods.
+    methods; a ratio that an empty row leaves undefined is NaN.
     """
     grid = _grid(config.gamma_grid_db, "diagnose", "gamma_grid_db")
     plan = select_dominant(config.scenario)
@@ -513,8 +524,8 @@ def run_diagnostics(config: ExperimentConfig, workers: int = 1) -> DiagnosticsRe
                 theta_conventional=conventional.theta,
                 a_value=improved.minmax_objective,
                 a_prime=solve_p_prime(scenario, plan).objective_value,
-                ratio_improved=optimality_ratio(improved.report.second_moment, alpha_ref),
-                ratio_conventional=optimality_ratio(conventional.report.second_moment, alpha_ref),
+                ratio_improved=_or_nan(optimality_ratio, improved.report.second_moment, alpha_ref),
+                ratio_conventional=_or_nan(optimality_ratio, conventional.report.second_moment, alpha_ref),
             )
         )
     return DiagnosticsReport(dominance=dominance, rows=tuple(rows))

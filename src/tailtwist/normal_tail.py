@@ -5,14 +5,28 @@ while the thresholds of interest here sit hundreds of standard deviations
 out.  Everything in this module therefore works with log Q(z) and its
 inverse, so survival probabilities as small as exp(-1e6) stay exactly
 representable.
+
+This module is the package's single scipy boundary.  ``scipy.special``
+is imported on the first evaluation, not at import time: only
+log-normal components need it, so Weibull runs never load it.  The
+first evaluation may happen on a chunk worker thread; the import lock
+makes that safe.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.special import log_ndtr, ndtri_exp
+import functools
 
-__all__ = ["log_upper_tail", "upper_tail_quantile_from_log"]
+import numpy as np
+
+__all__ = ["log_upper_tail", "normal_quantile", "upper_tail_quantile_from_log"]
+
+
+@functools.cache
+def _special():
+    import scipy.special
+
+    return scipy.special
 
 
 def log_upper_tail(z):
@@ -21,8 +35,15 @@ def log_upper_tail(z):
     Accurate over the whole real line (both Q near 1 and Q below the
     smallest subnormal).  Accepts scalars or arrays.
     """
-    out = log_ndtr(-np.asarray(z, dtype=float))
+    out = _special().log_ndtr(-np.asarray(z, dtype=float))
     return float(out) if out.ndim == 0 else out
+
+
+def normal_quantile(u, out=None):
+    """The standard normal quantile of u, the z with Q(z) = 1 - u, for
+    0 < u < 1 (unchecked), written into ``out`` if given (which may be u
+    itself)."""
+    return _special().ndtri(u, out=out)
 
 
 def upper_tail_quantile_from_log(y, out=None):
@@ -40,5 +61,5 @@ def upper_tail_quantile_from_log(y, out=None):
     if arr.size and not arr.min() >= 0.0:
         raise ValueError("log-domain tail mass must be >= 0")
     z = np.negative(arr, out=np.empty_like(arr) if out is None else out)
-    np.negative(ndtri_exp(z, out=z), out=z)
+    np.negative(_special().ndtri_exp(z, out=z), out=z)
     return float(z) if z.ndim == 0 else z

@@ -67,6 +67,22 @@ def test_report_fields_are_consistent():
     assert report.method is Method.NAIVE_MC
 
 
+@pytest.mark.parametrize("runs", [16, 1000])
+def test_naive_without_hits_reports_the_exact_one_sided_bound(runs):
+    report = estimate_naive(weibull_scenario(gamma_db=32.0), runs=runs, seed=1)
+    assert report.alpha_hat == report.ci95_low == 0.0
+    assert report.relative_error == math.inf
+    # P(no hit in runs) = 0.05 at alpha = ci95_high: about 3/runs
+    assert (1.0 - report.ci95_high) ** runs == pytest.approx(0.05, rel=1e-12)
+    assert report.ci95_high == pytest.approx(3.0 / runs, rel=0.5)
+
+
+def test_importance_sampling_without_hits_bounds_nothing():
+    report = estimate_conventional(weibull_scenario(gamma_db=32.0), 0.05, runs=16, seed=1)
+    assert report.alpha_hat == report.ci95_low == 0.0
+    assert report.relative_error == report.ci95_high == math.inf
+
+
 # -- likelihood ratios ------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import math
 import textwrap
 from pathlib import Path
 
@@ -473,10 +474,46 @@ def test_cli_wrong_experiment_for_config(tmp_path, capsys):
 
 
 def test_cli_numeric_error_exit_code(tmp_path, capsys):
-    # variance is identically zero when a single run is requested twice
-    text = WEIBULL2_THRESHOLDS.replace("runs = 5000", "runs = 1")
-    cfg = write_config(tmp_path, text)
-    assert main(["efficiency", "--config", cfg]) == 3
+    cfg = write_config(tmp_path, LOGNORMAL4_THETA)
+    assert main(["theta-sweep", "--config", cfg, "--method", "naive"]) == 3
+    assert "naive MC has no twisting parameter" in capsys.readouterr().err
+
+
+LOGNORMAL4_THRESHOLDS = LOGNORMAL4_THETA.replace(
+    "gamma_db = 25\ntheta_grid = 0.2:0.05:0.95", "gamma_grid_db = 20:2:30"
+)
+
+
+@pytest.mark.parametrize("command", ["efficiency", "diagnose"])
+def test_cli_empty_rows_do_not_abort_the_sweep(tmp_path, capsys, command):
+    # one run per estimate: no sample variance, and most rows without a hit
+    cfg = write_config(tmp_path, LOGNORMAL4_THRESHOLDS)
+    assert main([command, "--config", cfg, "--runs", "1"]) == 0
+    out = capsys.readouterr().out
+    rows = out.splitlines()[-6:]
+    assert [row.split(",")[0] for row in rows] == ["20.0", "22.0", "24.0", "26.0", "28.0", "30.0"]
+    assert "nan" in out
+
+
+def test_efficiency_and_diagnostics_mark_undefined_values_nan():
+    config = parse_config(LOGNORMAL4_THRESHOLDS).override(runs=1)
+    pairs = run_threshold_sweep(config.override(methods=(Method.IMPROVED_IS, Method.CONVENTIONAL_IS)))
+    improved, conventional = pairs[::2], pairs[1::2]
+    # a single run has no sample variance, so no factor is defined
+    for row in run_efficiency_sweep(config):
+        assert math.isnan(row.xi1) and math.isnan(row.xi2)
+    diagnostics = run_diagnostics(config).rows
+    assert len(diagnostics) == 6
+    ratios = []
+    for diag, imp, conv in zip(diagnostics, improved, conventional):
+        for ratio, report in ((diag.ratio_improved, imp.report), (diag.ratio_conventional, conv.report)):
+            try:
+                expected = optimality_ratio(report.second_moment, imp.report.alpha_hat)
+            except ValueError:
+                expected = math.nan
+            assert ratio == expected or math.isnan(ratio) and math.isnan(expected)
+            ratios.append(ratio)
+    assert any(math.isnan(r) for r in ratios)
 
 
 @pytest.mark.parametrize("workers", [0, -1])

@@ -1,7 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from tailtwist.normal_tail import log_upper_tail, upper_tail_quantile_from_log
+import tailtwist
+from tailtwist.normal_tail import log_upper_tail, normal_quantile, upper_tail_quantile_from_log
 
 
 # values frozen from a 40-digit arbitrary-precision evaluation of
@@ -74,3 +82,70 @@ def test_quantile_with_out_still_rejects_bad_input(bad):
     y = np.array([1.0, bad, 2.0])
     with pytest.raises(ValueError):
         upper_tail_quantile_from_log(y, out=np.empty(3))
+
+
+def test_normal_quantile_inverts_the_upper_tail():
+    u = np.linspace(1e-6, 1.0 - 1e-6, 999)
+    z = normal_quantile(u)
+    assert np.allclose(np.exp(log_upper_tail(z)), 1.0 - u, rtol=1e-12, atol=1e-15)
+    assert normal_quantile(u, out=u) is u
+    assert np.array_equal(u, z)
+
+
+# -- the scipy boundary, in fresh interpreters --------------------------------------
+
+SRC = str(Path(tailtwist.__file__).resolve().parent.parent)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _fresh_python(code: str) -> str:
+    """Standard output of code run in a new interpreter on this package."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_weibull_subcommands_never_import_scipy(tmp_path):
+    config = str(CONFIGS / "weibull4_thresholds.cfg")
+    out = _fresh_python(f"""
+        import sys
+        import tailtwist, tailtwist.cli
+        for command in ("estimate", "threshold-sweep", "efficiency", "diagnose"):
+            out = {str(tmp_path)!r} + "/" + command
+            args = [command, "--config", {config!r}, "--runs", "2000", "--out", out]
+            assert tailtwist.cli.main(args) == 0
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    """)
+    assert out.strip() == "[]"
+    assert len((tmp_path / "efficiency").read_text().splitlines()) == 14
+
+
+def test_first_lognormal_evaluation_on_pool_threads_is_byte_identical():
+    # one theta, two chunks per row: at workers=2 only pool threads evaluate
+    text = (CONFIGS / "lognormal4_theta_sweep.cfg").read_text().replace("0.2:0.05:0.95", "0.85:0.05:0.85")
+    code = """
+        import json, sys, threading
+        on_main = []
+
+        def hook(event, args):
+            if event == "import" and args[0] == "scipy.special":
+                on_main.append(threading.current_thread() is threading.main_thread())
+
+        sys.addaudithook(hook)
+        import tailtwist
+        config = tailtwist.parse_config({text!r}).override(runs=tailtwist.CHUNK_SIZE + 1)
+        assert "scipy.special" not in sys.modules
+        csv = tailtwist.sweep_rows_to_csv(tailtwist.run_theta_sweep(config, {workers}))
+        print(json.dumps([on_main, csv]))
+    """
+    (serial_on_main, serial_csv), (pool_on_main, pool_csv) = (
+        json.loads(_fresh_python(code.format(text=text, workers=workers))) for workers in (1, 2)
+    )
+    assert serial_on_main and all(serial_on_main)
+    assert pool_on_main and not any(pool_on_main)
+    assert pool_csv == serial_csv
+    assert len(pool_csv.splitlines()) == 3
