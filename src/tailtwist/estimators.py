@@ -14,7 +14,16 @@ index order.  Chunk partial sums are combined with exact summation
 (math.fsum), so a report is a bit-reproducible function of
 (scenario, method, theta, runs, seed) no matter how many workers ran
 the chunks.  Each chunk works in place in one block of four arrays
-(uniforms, draws, running sum, log weight).
+(uniforms, draws, running sum, log weight), in two passes.  The first
+draws every component, forms its cumulative hazard y for the weight and
+sums an upper bound on the draws computed from y
+(``DistributionSpec.inverse_cumulative_hazard_bound``; Weibull's is the
+exact inverse, so a Weibull chunk ends there).  For log-normal components
+the second pass replays the chunk's stream and inverts exactly, with the
+float operations of a full inversion, the draws of the replications whose
+bound sum reaches the threshold (less a 1e-9 margin).  Every other
+replication is a certain miss, so special functions run on the undecided
+replications only.
 """
 
 from __future__ import annotations
@@ -26,11 +35,22 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .distributions import DistributionSpec
+from .distributions import DistributionSpec, Family
 from .dominance import Scenario, TwistPlan, _close
 from .streams import UnitSampleStream
 
 CHUNK_SIZE = 1 << 16
+
+# A log-normal replication is a certain miss when its bound sum is at most
+# gamma * (1 - _SCREEN_MARGIN).  Each bound exceeds its exact draw by a
+# wide gap, except for z <= 0, where the bound is exp(mu_ln) itself: there
+# ndtri_exp (or ndtri) may return a z a few 1e-16 above the true one, which
+# exp turns into a relative excess of about sigma_ln * 1e-16 in the draw.
+# Each exp adds half an ulp, and the N-term sums of positive draws at most
+# N ulps, in either sum.  Together that is below 1e-12 relative, so a
+# 1e-9 margin never screens out a replication whose exactly computed sum
+# exceeds gamma.
+_SCREEN_MARGIN = 1e-9
 
 __all__ = [
     "CHUNK_SIZE",
@@ -117,28 +137,49 @@ def _simulate_chunk(
 ) -> tuple[float, float, float]:
     stream = UnitSampleStream(seed, chunk_index)
     # every step below writes into one of these four arrays; the weight
-    # kernel's theta * y is the only other large temporary
+    # kernel's theta * y and the screen's masks and indices are the only
+    # other temporaries
     u, x, total, log_weight = np.zeros((4, count))
 
-    # components consume the stream in index order; each twisted draw's
-    # cumulative hazard is y by construction and goes to the weight
+    # pass 1: components consume the stream in index order; each draw's
+    # cumulative hazard y goes to the weight if twisted, and its bound on
+    # the draw to the running sum
     def twisted_hazards():
         nonlocal total
         for i, spec in enumerate(components):
-            stream.uniforms(count, out=u)
+            y = np.negative(np.log(stream.uniforms(count, out=u), out=u), out=u)
             if i in twisted:
-                y = np.negative(np.log(u, out=u), out=u)
                 y /= 1.0 - theta
-                total += spec.inverse_cumulative_hazard(y, out=x)
                 yield y
-            else:
-                total += spec.inverse_survival(u, out=x)
+            total += spec.inverse_cumulative_hazard_bound(y, out=x)
 
     log_likelihood_ratio(theta, twisted_hazards(), out=log_weight)
+    if all(spec.family is Family.WEIBULL for spec in components):
+        # Weibull's bound is its exact inverse: total is the exact sum
+        hits = total > gamma
+    else:
+        undecided = np.flatnonzero(total > gamma * (1.0 - _SCREEN_MARGIN))
+        hits = np.zeros(count, dtype=bool)
+        if undecided.size:
+            # pass 2: replay the stream and invert the undecided draws,
+            # each with the float operations of the untwisted or twisted
+            # kernel, summing in component order
+            replay = UnitSampleStream(seed, chunk_index)
+            exact, draw = total[: undecided.size], x[: undecided.size]
+            exact.fill(0.0)
+            for i, spec in enumerate(components):
+                np.take(replay.uniforms(count, out=u), undecided, out=draw)
+                if i in twisted:
+                    y = np.negative(np.log(draw, out=draw), out=draw)
+                    y /= 1.0 - theta
+                    exact += spec.inverse_cumulative_hazard(y, out=draw)
+                else:
+                    exact += spec.inverse_survival(draw, out=draw)
+            hits[undecided[exact > gamma]] = True
     t = np.exp(log_weight, out=log_weight)
     # t is finite (the log weight is at most -s * log1p(-theta)), so a
     # miss's 0 * t is exactly 0.0
-    t *= total > gamma
+    t *= hits
     t2 = np.multiply(t, t, out=x)
     t4 = np.multiply(t2, t2, out=u)
     return float(t.sum()), float(t2.sum()), float(t4.sum())

@@ -114,6 +114,8 @@ class ExperimentConfig:
                 raise ConfigError(None, "runs must be a positive integer")
             cfg = replace(cfg, runs=int(runs))
         if seed is not None:
+            if seed < 0:
+                raise ConfigError(None, "seed must be a non-negative integer")
             cfg = replace(cfg, seed=int(seed))
         if methods is not None:
             cfg = replace(cfg, methods=tuple(methods))
@@ -306,7 +308,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(lineno, "runs must be a positive integer")
     seed = 0
     if "seed" in top:
-        seed = _parse_int(top["seed"][0], "seed", top["seed"][1])
+        lineno, value = top["seed"]
+        seed = _parse_int(lineno, "seed", value)
+        if seed < 0:
+            raise ConfigError(lineno, "seed must be a non-negative integer")
 
     methods: tuple[Method, ...] = (Method.CONVENTIONAL_IS, Method.IMPROVED_IS)
     if "methods" in top:

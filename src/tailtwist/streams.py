@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
-
 __all__ = ["UnitSampleStream"]
 
 
 class UnitSampleStream:
     """Seedable uniform(0,1) source for substream ``substream_index`` of
-    ``seed``.
+    ``seed``, both non-negative integers of any size.  SeedSequence takes
+    them whole, so distinct seeds never share a stream.
 
     Streams are single-owner: do not share one instance across concurrent
     contexts; construct one per worker, e.g. ``UnitSampleStream(seed, j)``.
@@ -27,10 +26,10 @@ class UnitSampleStream:
 
     def __init__(self, seed: int, substream_index: int = 0):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
         self.substream_index = int(substream_index)
-        seq = np.random.SeedSequence(
-            self.seed & _MASK64, spawn_key=(self.substream_index & _MASK64,)
-        )
+        seq = np.random.SeedSequence(self.seed, spawn_key=(self.substream_index,))
         self._gen = np.random.Generator(np.random.PCG64DXSM(seq))
 
     def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -401,3 +401,90 @@ def test_in_place_chunk_matches_the_allocating_reference_exactly(name, twist, th
         theta = 0.0
     args = (scenario.components, twisted, theta, scenario.threshold_linear, 71, 3, count)
     assert _simulate_chunk(*args) == _reference_chunk(*args)
+
+
+# -- the log-normal screen: exact inversion of undecided replications only --------
+
+
+def _reference_totals(components, twisted, theta, seed, chunk_index, count):
+    """Each replication's sum of draws, computed as _reference_chunk does."""
+    seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
+    gen = np.random.Generator(np.random.PCG64DXSM(seq))
+    total = np.zeros(count)
+    for i, spec in enumerate(components):
+        u = _reference_uniforms(gen, count)
+        if i in twisted:
+            total += _reference_inverse_cumulative_hazard(spec, -np.log(u) / (1.0 - theta))
+        else:
+            total += _reference_inverse_survival(spec, u)
+    return total
+
+
+class CountingStream(UnitSampleStream):
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).built += 1
+        super().__init__(*args, **kwargs)
+
+
+@pytest.fixture
+def counting_stream(monkeypatch):
+    monkeypatch.setattr(CountingStream, "built", 0)
+    monkeypatch.setattr("tailtwist.estimators.UnitSampleStream", CountingStream)
+    return CountingStream
+
+
+LOGNORMAL4 = KERNEL_SCENARIOS["lognormal4"]
+
+
+@pytest.mark.parametrize("twist", ["all", "dominant"])
+@pytest.mark.parametrize("rank", [-1, -40])
+def test_screen_at_a_replications_exact_total(twist, rank):
+    # gamma at one replication's exact sum and 1 ulp either side: that
+    # replication misses at the first two and hits at the third
+    twisted = frozenset(range(4) if twist == "all" else select_dominant(LOGNORMAL4).dominant_indices)
+    theta, count = 0.5, 4465
+    total = np.sort(_reference_totals(LOGNORMAL4.components, twisted, theta, 71, 3, count))[rank]
+    results = []
+    for gamma in (np.nextafter(total, np.inf), total, np.nextafter(total, 0.0)):
+        args = (LOGNORMAL4.components, twisted, theta, float(gamma), 71, 3, count)
+        results.append(_simulate_chunk(*args))
+        assert results[-1] == _reference_chunk(*args)
+    assert results[0] == results[1] != results[2]
+
+
+def test_screen_at_zero_threshold_inverts_everything(counting_stream):
+    args = (LOGNORMAL4.components, frozenset(range(4)), 0.3, 0.0, 71, 3, 4465)
+    assert _simulate_chunk(*args) == _reference_chunk(*args)
+    assert counting_stream.built == 2
+
+
+def test_screen_far_above_every_sum_never_replays(counting_stream):
+    args = (LOGNORMAL4.components, frozenset(range(4)), 0.3, 1e12, 71, 3, 4465)
+    assert _simulate_chunk(*args) == _reference_chunk(*args) == (0.0, 0.0, 0.0)
+    assert counting_stream.built == 1
+
+
+def test_screen_inverts_few_twisted_draws(monkeypatch):
+    import tailtwist.distributions as distributions
+
+    inverted = []
+    quantile = distributions.upper_tail_quantile_from_log
+
+    def counting(y, out=None):
+        inverted.append(np.size(y))
+        return quantile(y, out=out)
+
+    monkeypatch.setattr(distributions, "upper_tail_quantile_from_log", counting)
+    twisted = frozenset(range(4))
+    args = (LOGNORMAL4.components, twisted, 0.3, LOGNORMAL4.threshold_linear, 71, 3, CHUNK_SIZE)
+    assert _simulate_chunk(*args)[0] > 0.0
+    assert 0 < sum(inverted) < 0.05 * len(twisted) * CHUNK_SIZE
+
+
+def test_weibull_chunk_builds_its_stream_once(counting_stream):
+    scenario = KERNEL_SCENARIOS["weibull4"]
+    args = (scenario.components, frozenset({0}), 0.8, scenario.threshold_linear, 71, 3, 4465)
+    assert _simulate_chunk(*args) == _reference_chunk(*args)
+    assert counting_stream.built == 1

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from tailtwist.cli import main
+from tailtwist.experiments import ConfigError, parse_config
 from tailtwist.streams import UnitSampleStream
 
 
@@ -29,9 +31,26 @@ def test_open_interval():
     assert np.all(u < 1.0)
 
 
-def test_negative_seed_accepted():
-    u = UnitSampleStream(-3, 2).uniforms(16)
-    assert u.shape == (16,)
+def test_negative_seed_rejected(tmp_path, capsys):
+    with pytest.raises(ValueError, match="non-negative"):
+        UnitSampleStream(-3, 2)
+    text = "gamma_db = 10\nseed = {}\n[component]\nfamily = weibull\nk = 0.5\nbeta = 1\n"
+    with pytest.raises(ConfigError, match="line 2: seed must be a non-negative integer"):
+        parse_config(text.format(-1))
+    with pytest.raises(ConfigError, match="non-negative"):
+        parse_config(text.format(0)).override(seed=-1)
+    path = tmp_path / "exp.cfg"
+    path.write_text(text.format(0))
+    assert main(["estimate", "--config", str(path), "--seed", "-1", "--runs", "16"]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+def test_seeds_beyond_64_bits_do_not_alias(seed):
+    # SeedSequence takes integers of any size, so 2**64 + seed is a new stream
+    a = UnitSampleStream(seed, 1).uniforms(64)
+    b = UnitSampleStream(seed + 2**64, 1).uniforms(64)
+    assert not np.array_equal(a, b)
 
 
 def test_substreams_uniform_and_uncorrelated():
@@ -75,9 +94,9 @@ def test_endpoint_draws_map_to_the_nearest_interior_values():
     assert out.tolist() == expected
 
 
-@pytest.mark.parametrize("seed, index", [(0, 0), (7, 3), (2024, 12), (-3, 2)])
+@pytest.mark.parametrize("seed, index", [(0, 0), (7, 3), (2024, 12), (2**64 - 3, 2)])
 def test_substream_is_the_spawned_child_driving_pcg64dxsm(seed, index):
-    child = np.random.SeedSequence(seed % 2**64).spawn(index + 1)[index]
+    child = np.random.SeedSequence(seed).spawn(index + 1)[index]
     expected = np.random.Generator(np.random.PCG64DXSM(child)).random(4096)
     expected = np.clip(expected, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
     assert np.array_equal(UnitSampleStream(seed, index).uniforms(4096), expected)
