@@ -172,7 +172,6 @@ class DistributionSpec:
         if self.family is Family.WEIBULL:
             out = (arr / self.weibull_scale) ** self.weibull_shape
         else:
-            out = np.zeros_like(arr)
             pos = arr > 0.0
             z = (np.log(np.where(pos, arr, 1.0)) - self.mu_ln) / self.sigma_ln
             out = np.where(pos, -log_upper_tail(z), 0.0)

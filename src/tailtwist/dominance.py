@@ -93,7 +93,6 @@ class Scenario:
 
 class ThetaSource(enum.Enum):
     MINMAX_IMPROVED = "minmax_improved"
-    MINMAX_CONVENTIONAL = "minmax_conventional"
     MANUAL = "manual"
 
 

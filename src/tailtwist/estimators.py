@@ -83,6 +83,8 @@ class EstimateReport:
     confidence interval derive.  A run without hits has ``alpha_hat``
     0 and ``relative_error`` inf; its ``ci95_high`` is the exact
     one-sided 95% bound 1 - 0.05^(1/runs) for naive MC and inf for IS.
+    A single run has no sample variance: both standard errors, the
+    variance and a hit's relative error and interval are NaN.
     """
 
     method: Method
@@ -223,7 +225,8 @@ def _run_estimate(
     m = float(runs)
     alpha_hat = sum_t / m
     second_moment = sum_t2 / m
-    bessel = m / (m - 1.0) if runs > 1 else 0.0
+    # one replication has no sample variance, so every spread below is NaN
+    bessel = m / (m - 1.0) if runs > 1 else math.nan
     variance = max(second_moment - alpha_hat * alpha_hat, 0.0) * bessel
     std_error = math.sqrt(variance / m)
     fourth_moment = sum_t4 / m
@@ -231,9 +234,12 @@ def _run_estimate(
     second_moment_se = math.sqrt(m2_variance / m)
     if alpha_hat > 0.0:
         relative_error = std_error / alpha_hat
+        # max keeps its first argument when that is NaN
+        ci95_low = max(alpha_hat - 1.96 * std_error, 0.0)
         ci95_high = alpha_hat + 1.96 * std_error
     else:
         relative_error = math.inf
+        ci95_low = 0.0
         # no hits: naive MC's exact one-sided bound 1 - 0.05^(1/runs), about
         # 3/runs; an IS row without a hit bounds nothing
         ci95_high = -math.expm1(math.log(0.05) / m) if method is Method.NAIVE_MC else math.inf
@@ -244,7 +250,7 @@ def _run_estimate(
         second_moment_se=second_moment_se,
         variance=variance,
         relative_error=relative_error,
-        ci95_low=max(alpha_hat - 1.96 * std_error, 0.0),
+        ci95_low=ci95_low,
         ci95_high=ci95_high,
         runs=runs,
         theta=theta,
@@ -303,7 +309,7 @@ def efficiency(is_report: EstimateReport, alpha_ref: float) -> EfficiencyReport:
     if not 0.0 < alpha_ref < 1.0:
         raise ValueError("reference tail probability must lie in (0, 1)")
     if not is_report.variance > 0.0:
-        raise ValueError("degenerate estimate: sample variance is zero")
+        raise ValueError("degenerate estimate: sample variance is zero or undefined")
     return EfficiencyReport(xi=alpha_ref * (1.0 - alpha_ref) / is_report.variance)
 
 

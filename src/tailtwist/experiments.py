@@ -19,7 +19,8 @@ Config files are line-oriented ``key = value`` documents with one
     beta = 1
 
 Top-level keys: ``gamma_db`` or ``gamma_grid_db=start:step:stop`` (one of
-them), ``theta_grid=start:step:stop``, ``runs``, ``seed``, ``methods``.
+them), ``theta_grid=start:step:stop``, ``runs``, ``seed``, ``methods`` (a
+comma-separated list of ``naive``, ``conventional``, ``improved``).
 Component keys: ``family`` plus ``k``/``beta`` (Weibull) or
 ``mu_db``/``sigma_db`` (log-normal).
 
@@ -32,7 +33,7 @@ seed ``seed + i``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -108,54 +109,38 @@ class ExperimentConfig:
     seed: int
 
     def override(self, runs=None, seed=None, methods=None) -> "ExperimentConfig":
-        cfg = self
-        if runs is not None:
-            if runs < 1:
-                raise ConfigError(None, "runs must be a positive integer")
-            cfg = replace(cfg, runs=int(runs))
-        if seed is not None:
-            if seed < 0:
-                raise ConfigError(None, "seed must be a non-negative integer")
-            cfg = replace(cfg, seed=int(seed))
+        changes = {
+            key: _check_floor(None, key, value)
+            for key, value in (("runs", runs), ("seed", seed))
+            if value is not None
+        }
         if methods is not None:
-            cfg = replace(cfg, methods=tuple(methods))
-        return cfg
+            changes["methods"] = tuple(methods)
+        return replace(self, **changes)
 
 
-_METHOD_ALIASES = {
-    "naive": Method.NAIVE_MC,
-    "naive_mc": Method.NAIVE_MC,
-    "naivemc": Method.NAIVE_MC,
-    "conventional": Method.CONVENTIONAL_IS,
-    "conventional_is": Method.CONVENTIONAL_IS,
-    "improved": Method.IMPROVED_IS,
-    "improved_is": Method.IMPROVED_IS,
-}
-
-_TOP_KEYS = {"gamma_db", "gamma_grid_db", "theta_grid", "runs", "seed", "methods"}
-_COMPONENT_KEYS = {"family", "k", "beta", "mu_db", "sigma_db"}
-
-# maps a constructor complaint back to the config key that caused it
-_FIELD_TO_KEY = {
-    "weibull_shape": "k",
-    "weibull_scale": "beta",
-    "lognormal_mu_db": "mu_db",
-    "lognormal_sigma_db": "sigma_db",
-}
+# lowest accepted value of each integer key, and how its error names it
+_FLOORS = {"runs": (1, "a positive"), "seed": (0, "a non-negative")}
 
 
-def parse_methods(value: str) -> tuple[Method, ...]:
+def _check_floor(lineno: int | None, key: str, value: int) -> int:
+    floor, kind = _FLOORS[key]
+    if value < floor:
+        raise ConfigError(lineno, f"{key} must be {kind} integer")
+    return int(value)
+
+
+def parse_methods(value: str, lineno: int | None = None) -> tuple[Method, ...]:
     """Parse a comma-separated method list (e.g. "naive,improved")."""
     names = [piece.strip().lower() for piece in value.split(",") if piece.strip()]
     if not names:
-        raise ConfigError(None, "methods list is empty")
-    methods = []
+        raise ConfigError(lineno, "methods list is empty")
+    methods = {}  # a dict keeps the first-seen order of repeated names
     for name in names:
-        if name not in _METHOD_ALIASES:
-            raise ConfigError(None, f"unknown method '{name}'")
-        method = _METHOD_ALIASES[name]
-        if method not in methods:
-            methods.append(method)
+        try:
+            methods[Method(name)] = None
+        except ValueError:
+            raise ConfigError(lineno, f"unknown method '{name}'")
     return tuple(methods)
 
 
@@ -169,11 +154,12 @@ def _parse_float(lineno: int, key: str, value: str) -> float:
     return number
 
 
-def _parse_int(lineno: int, key: str, value: str) -> int:
+def _parse_count(lineno: int, key: str, value: str) -> int:
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         raise ConfigError(lineno, f"key '{key}' expects an integer, got '{value}'")
+    return _check_floor(lineno, key, number)
 
 
 def _parse_grid(lineno: int, key: str, value: str) -> tuple[float, ...]:
@@ -196,6 +182,35 @@ def _parse_grid(lineno: int, key: str, value: str) -> tuple[float, ...]:
     return values
 
 
+def _parse_theta_grid(lineno: int, key: str, value: str) -> tuple[float, ...]:
+    grid = _parse_grid(lineno, key, value)
+    if any(not 0.0 <= t < 1.0 for t in grid):
+        raise ConfigError(lineno, f"{key} values must lie in [0, 1)")
+    return grid
+
+
+# top-level key -> parser(lineno, key, value)
+_TOP_PARSERS = {
+    "gamma_db": _parse_float,
+    "gamma_grid_db": _parse_grid,
+    "theta_grid": _parse_theta_grid,
+    "runs": _parse_count,
+    "seed": _parse_count,
+    "methods": lambda lineno, key, value: parse_methods(value, lineno),
+}
+
+# family -> (constructor, {config key: the constructor's spec field}); the
+# keys are the constructor's arguments in order
+_FAMILIES = {
+    "weibull": (DistributionSpec.weibull, {"k": "weibull_shape", "beta": "weibull_scale"}),
+    "lognormal": (
+        DistributionSpec.lognormal,
+        {"mu_db": "lognormal_mu_db", "sigma_db": "lognormal_sigma_db"},
+    ),
+}
+_COMPONENT_KEYS = {"family"}.union(*(fields for _, fields in _FAMILIES.values()))
+
+
 def _scan_lines(text: str):
     top: dict[str, tuple[int, str]] = {}
     blocks: list[tuple[int, dict[str, tuple[int, str]]]] = []
@@ -216,7 +231,7 @@ def _scan_lines(text: str):
         key = key.strip().lower()
         value = value.strip()
         target = top if current is None else current
-        allowed = _TOP_KEYS if current is None else _COMPONENT_KEYS
+        allowed = _TOP_PARSERS if current is None else _COMPONENT_KEYS
         if key not in allowed:
             raise ConfigError(lineno, f"unknown key '{key}'")
         if key in target:
@@ -226,34 +241,28 @@ def _scan_lines(text: str):
 
 
 def _build_component(block_line: int, block: dict[str, tuple[int, str]]) -> DistributionSpec:
+    # keys are checked in file order, then in table order, so the same
+    # document always names the same offending key
     if "family" not in block:
         raise ConfigError(block_line, "component block is missing 'family'")
     fam_line, fam_value = block["family"]
     family = fam_value.strip().lower()
-    if family == "weibull":
-        wanted, forbidden = {"k", "beta"}, {"mu_db", "sigma_db"}
-    elif family == "lognormal":
-        wanted, forbidden = {"mu_db", "sigma_db"}, {"k", "beta"}
-    else:
+    if family not in _FAMILIES:
         raise ConfigError(fam_line, f"unknown family '{fam_value}'")
-    for key in forbidden:
-        if key in block:
-            raise ConfigError(block[key][0], f"key '{key}' does not apply to family '{family}'")
-    for key in wanted:
+    constructor, fields = _FAMILIES[family]
+    for key, (lineno, _) in block.items():
+        if key != "family" and key not in fields:
+            raise ConfigError(lineno, f"key '{key}' does not apply to family '{family}'")
+    for key in fields:
         if key not in block:
             raise ConfigError(block_line, f"{family} component is missing '{key}'")
-    values = {key: _parse_float(block[key][0], key, block[key][1]) for key in wanted}
+    numbers = [_parse_float(block[key][0], key, block[key][1]) for key in fields]
     try:
-        if family == "weibull":
-            return DistributionSpec.weibull(values["k"], values["beta"])
-        return DistributionSpec.lognormal(values["mu_db"], values["sigma_db"])
+        return constructor(*numbers)
     except ValueError as exc:
+        # anchor a constructor complaint to the key whose field it names
         message = str(exc)
-        lineno = block_line
-        for field, key in _FIELD_TO_KEY.items():
-            if field in message and key in block:
-                lineno = block[key][0]
-                break
+        lineno = next((block[key][0] for key, field in fields.items() if field in message), block_line)
         raise ConfigError(lineno, message)
 
 
@@ -269,65 +278,28 @@ def parse_config(text: str) -> ExperimentConfig:
     if not blocks:
         raise ConfigError(None, "config defines no [component] blocks")
     components = [_build_component(line, block) for line, block in blocks]
+    values = {key: _TOP_PARSERS[key](lineno, key, value) for key, (lineno, value) in top.items()}
 
-    theta_grid: tuple[float, ...] = ()
-    gamma_grid_db: tuple[float, ...] = ()
-    if "theta_grid" in top:
-        lineno, value = top["theta_grid"]
-        theta_grid = _parse_grid(lineno, "theta_grid", value)
-        if any(not 0.0 <= t < 1.0 for t in theta_grid):
-            raise ConfigError(lineno, "theta_grid values must lie in [0, 1)")
-    if "gamma_grid_db" in top:
-        lineno, value = top["gamma_grid_db"]
-        gamma_grid_db = _parse_grid(lineno, "gamma_grid_db", value)
-    if theta_grid and gamma_grid_db:
-        raise ConfigError(
-            top["theta_grid"][0], "theta_grid and gamma_grid_db are mutually exclusive"
-        )
-
-    if "gamma_db" in top and gamma_grid_db:
-        raise ConfigError(top["gamma_db"][0], "gamma_db and gamma_grid_db are mutually exclusive")
-    if not gamma_grid_db and "gamma_db" not in top:
+    for first, second in (("theta_grid", "gamma_grid_db"), ("gamma_db", "gamma_grid_db")):
+        if first in values and second in values:
+            raise ConfigError(top[first][0], f"{first} and {second} are mutually exclusive")
+    if "gamma_db" not in values and "gamma_grid_db" not in values:
         raise ConfigError(None, "config needs gamma_db (or gamma_grid_db for a threshold sweep)")
 
-    if "gamma_db" in top:
-        gamma_db = _parse_float(top["gamma_db"][0], "gamma_db", top["gamma_db"][1])
-    else:
-        gamma_db = gamma_grid_db[0]
-
+    gamma_grid_db = values.get("gamma_grid_db", ())
+    gamma_db = values["gamma_db"] if "gamma_db" in values else gamma_grid_db[0]
     try:
         scenario = Scenario.from_db(components, gamma_db)
     except ValueError as exc:
         raise ConfigError(blocks[0][0], str(exc))
 
-    runs = DEFAULT_RUNS
-    if "runs" in top:
-        lineno, value = top["runs"]
-        runs = _parse_int(lineno, "runs", value)
-        if runs < 1:
-            raise ConfigError(lineno, "runs must be a positive integer")
-    seed = 0
-    if "seed" in top:
-        lineno, value = top["seed"]
-        seed = _parse_int(lineno, "seed", value)
-        if seed < 0:
-            raise ConfigError(lineno, "seed must be a non-negative integer")
-
-    methods: tuple[Method, ...] = (Method.CONVENTIONAL_IS, Method.IMPROVED_IS)
-    if "methods" in top:
-        lineno, value = top["methods"]
-        try:
-            methods = parse_methods(value)
-        except ConfigError as exc:
-            raise ConfigError(lineno, str(exc))
-
     return ExperimentConfig(
         scenario=scenario,
-        theta_grid=theta_grid,
+        theta_grid=values.get("theta_grid", ()),
         gamma_grid_db=gamma_grid_db,
-        methods=methods,
-        runs=runs,
-        seed=seed,
+        methods=values.get("methods", (Method.CONVENTIONAL_IS, Method.IMPROVED_IS)),
+        runs=values.get("runs", DEFAULT_RUNS),
+        seed=values.get("seed", 0),
     )
 
 
@@ -486,23 +458,7 @@ class DiagnosticsReport:
                 f"  component {rep.component}: {rep.verdict.value} "
                 f"(gap {rep.gap[0]!r} -> {rep.gap[-1]!r})"
             )
-        lines.append(DIAGNOSTICS_HEADER)
-        for row in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(row.gamma_db),
-                        str(row.s),
-                        _fmt(row.theta_improved),
-                        _fmt(row.theta_conventional),
-                        _fmt(row.a_value),
-                        _fmt(row.a_prime),
-                        _fmt(row.ratio_improved),
-                        _fmt(row.ratio_conventional),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n" + _csv(DIAGNOSTICS_HEADER, map(astuple, self.rows))
 
 
 def run_diagnostics(config: ExperimentConfig, workers: int = 1) -> DiagnosticsReport:
@@ -539,42 +495,29 @@ def run_diagnostics(config: ExperimentConfig, workers: int = 1) -> DiagnosticsRe
 # -- CSV -------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    # repr of a Python float is the shortest round-trip decimal
-    return repr(float(value))
+# the report fields behind the sweep columns after gamma_db, method, theta
+_SWEEP_REPORT_FIELDS = (
+    "alpha_hat", "second_moment", "second_moment_se", "variance", "relative_error",
+    "ci95_low", "ci95_high", "runs", "seed",
+)
+
+
+def _csv(header: str, rows) -> str:
+    """The header, then one line per row of cells: ints and strings as
+    they are, floats as repr, the shortest round-trip decimal."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(str(v) if isinstance(v, (int, str)) else repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
 
 
 def sweep_rows_to_csv(rows) -> str:
-    lines = [SWEEP_HEADER]
+    table = []
     for row in rows:
-        r = row.report
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row.gamma_db),
-                    row.method.value,
-                    _fmt(row.theta),
-                    _fmt(r.alpha_hat),
-                    _fmt(r.second_moment),
-                    _fmt(r.second_moment_se),
-                    _fmt(r.variance),
-                    _fmt(r.relative_error),
-                    _fmt(r.ci95_low),
-                    _fmt(r.ci95_high),
-                    str(r.runs),
-                    str(r.seed),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        report = [getattr(row.report, field) for field in _SWEEP_REPORT_FIELDS]
+        table.append((row.gamma_db, row.method.value, row.theta, *report))
+    return _csv(SWEEP_HEADER, table)
 
 
 def efficiency_rows_to_csv(rows) -> str:
-    lines = [EFFICIENCY_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [_fmt(row.gamma_db), _fmt(row.xi1), _fmt(row.xi2), _fmt(row.alpha_ref)]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(EFFICIENCY_HEADER, map(astuple, rows))

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -6,13 +9,18 @@ import pytest
 
 from tailtwist import experiments
 from tailtwist.cli import main
-from tailtwist.dominance import DominanceVerdict, select_dominant
-from tailtwist.estimators import CHUNK_SIZE, Method, efficiency, optimality_ratio
+from tailtwist.dominance import DominanceVerdict, TailDominanceReport, select_dominant
+from tailtwist.estimators import CHUNK_SIZE, EstimateReport, Method, efficiency, optimality_ratio
 from tailtwist.experiments import (
+    DIAGNOSTICS_HEADER,
     EFFICIENCY_HEADER,
     MAX_GRID_POINTS,
     SWEEP_HEADER,
     ConfigError,
+    DiagnosticRow,
+    DiagnosticsReport,
+    EfficiencyRow,
+    SweepRow,
     efficiency_rows_to_csv,
     parse_config,
     run_diagnostics,
@@ -199,6 +207,45 @@ def test_grid_at_the_point_limit_parses():
 def test_shipped_configs_parse(name, points):
     config = parse_config((Path(__file__).parents[1] / "configs" / name).read_text())
     assert len(config.theta_grid or config.gamma_grid_db) == points
+
+
+def test_config_errors_do_not_depend_on_the_hash_seed():
+    # the first offending key in file order, then in the family's key order
+    clash = "gamma_db = 20\n[component]\nfamily = weibull\nmu_db = 0\nsigma_db = 4\nk = 0.4\nbeta = 1\n"
+    missing = "gamma_db = 20\n[component]\nfamily = weibull\n"
+    code = textwrap.dedent(
+        f"""
+        from tailtwist.experiments import ConfigError, parse_config
+        for text in ({clash!r}, {missing!r}):
+            try:
+                parse_config(text)
+            except ConfigError as exc:
+                print(exc)
+        """
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = set()
+    for hash_seed in range(8):
+        env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONHASHSEED=str(hash_seed))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        outputs.add(proc.stdout)
+    assert outputs == {
+        "line 4: key 'mu_db' does not apply to family 'weibull'\n"
+        "line 2: weibull component is missing 'k'\n"
+    }
+
+
+def test_method_names_are_exactly_the_method_values(tmp_path, capsys):
+    text = WEIBULL2_THRESHOLDS.replace("methods = conventional,improved", "methods = naive_mc")
+    with pytest.raises(ConfigError, match="^line 5: unknown method 'naive_mc'$"):
+        parse_config(text)
+    cfg = write_config(tmp_path, WEIBULL2_THRESHOLDS)
+    assert main(["estimate", "--config", cfg, "--runs", "100", "--method", "naive_mc"]) == 2
+    assert capsys.readouterr().err == "tailtwist: config error: unknown method 'naive_mc'\n"
+    # lower-cased, and de-duplicated in first-seen order
+    assert experiments.parse_methods("Improved,improved") == (Method.IMPROVED_IS,)
+    assert experiments.parse_methods(" NAIVE , improved,naive") == (Method.NAIVE_MC, Method.IMPROVED_IS)
 
 
 def test_runs_must_be_positive():
@@ -418,6 +465,55 @@ def test_efficiency_csv_header():
     assert len(lines) == 4
 
 
+def hand_made_report(method, alpha_hat, variance, relative_error, runs, seed):
+    return EstimateReport(
+        method=method,
+        alpha_hat=alpha_hat,
+        second_moment=0.1 + 0.2,
+        second_moment_se=1e-300,
+        variance=variance,
+        relative_error=relative_error,
+        ci95_low=0.0,
+        ci95_high=math.inf,
+        runs=runs,
+        theta=0.5,
+        seed=seed,
+    )
+
+
+def test_each_table_renders_exact_bytes():
+    # floats as their shortest round-trip repr, ints and strings as they are
+    improved = hand_made_report(Method.IMPROVED_IS, 1e-300, math.nan, math.inf, 65537, 0)
+    naive = hand_made_report(Method.NAIVE_MC, 0.0, 0.0, 0.0, 1, 2**64 - 1)
+    rows = [
+        SweepRow(20.5, Method.IMPROVED_IS, 0.1 + 0.2, improved, 1.25),
+        SweepRow(21.0, Method.NAIVE_MC, 0.0, naive, None),
+    ]
+    assert sweep_rows_to_csv(rows) == (
+        SWEEP_HEADER + "\n"
+        "20.5,improved,0.30000000000000004,1e-300,0.30000000000000004,1e-300,nan,inf,0.0,inf,65537,0\n"
+        "21.0,naive,0.0,0.0,0.30000000000000004,1e-300,0.0,0.0,0.0,inf,1,18446744073709551615\n"
+    )
+    efficiency_rows = [EfficiencyRow(20.5, 0.1 + 0.2, math.nan, 1e-300), EfficiencyRow(22.0, math.inf, 0.0, 0.5)]
+    assert efficiency_rows_to_csv(efficiency_rows) == (
+        EFFICIENCY_HEADER + "\n20.5,0.30000000000000004,nan,1e-300\n22.0,inf,0.0,0.5\n"
+    )
+    assert efficiency_rows_to_csv([]) == EFFICIENCY_HEADER + "\n"
+    diagnostic = DiagnosticRow(20.5, 2, 0.1 + 0.2, 0.0, 1e-300, math.inf, math.nan, 1.5)
+    dominance = (TailDominanceReport(2, (-0.5, 0.1 + 0.2, -7.0), DominanceVerdict.VIOLATED),)
+    assert DiagnosticsReport(dominance, (diagnostic,)).to_text() == (
+        "tail dominance (gap = 2*Lambda_dominant - Lambda_component, first -> last threshold)\n"
+        "  component 2: violated (gap -0.5 -> -7.0)\n"
+        f"{DIAGNOSTICS_HEADER}\n"
+        "20.5,2,0.30000000000000004,0.0,1e-300,inf,nan,1.5\n"
+    )
+    assert DiagnosticsReport((), ()).to_text() == (
+        "tail dominance (gap = 2*Lambda_dominant - Lambda_component, first -> last threshold)\n"
+        "  all components dominant; nothing to check\n"
+        f"{DIAGNOSTICS_HEADER}\n"
+    )
+
+
 def test_csv_reproducible_across_workers():
     config = small_theta_config()
     base = sweep_rows_to_csv(run_theta_sweep(config, workers=1))
@@ -514,6 +610,21 @@ def test_efficiency_and_diagnostics_mark_undefined_values_nan():
             assert ratio == expected or math.isnan(ratio) and math.isnan(expected)
             ratios.append(ratio)
     assert any(math.isnan(r) for r in ratios)
+
+
+def test_a_single_run_reports_no_spread(capsys):
+    cfg = str(Path(__file__).parents[1] / "configs" / "weibull2_thresholds.cfg")
+    assert main(["estimate", "--config", cfg, "--runs", "1", "--method", "improved", "--seed", "0"]) == 0
+    hit = capsys.readouterr().out.splitlines()[1].split(",")
+    # one replication has no sample variance: no standard error, no interval
+    assert hit[3] == "0.0003052779765289821"
+    assert hit[5:] == ["nan", "nan", "nan", "nan", "nan", "1", "0"]
+    assert main(["estimate", "--config", cfg, "--runs", "1", "--method", "naive,improved", "--seed", "1"]) == 0
+    misses = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    # a row without a hit keeps its infinite relative error and one-sided bound
+    assert [row[1] for row in misses] == ["naive", "improved"]
+    assert misses[0][3:] == ["0.0", "0.0", "nan", "nan", "inf", "0.0", "0.95", "1", "1"]
+    assert misses[1][3:] == ["0.0", "0.0", "nan", "nan", "inf", "0.0", "inf", "1", "2"]
 
 
 @pytest.mark.parametrize("workers", [0, -1])
