@@ -9,21 +9,28 @@ Three estimators of alpha = P(sum of components > threshold):
 
 Replications are processed in fixed chunks of 2**16, chunk j drawing
 from substream j of the base seed (the seed's SeedSequence with spawn
-key (j,), driving PCG64DXSM) and components consuming the stream in
-index order.  Chunk partial sums are combined with exact summation
-(math.fsum), so a report is a bit-reproducible function of
-(scenario, method, theta, runs, seed) no matter how many workers ran
-the chunks.  Each chunk works in place in one block of four arrays
-(uniforms, draws, running sum, log weight), in two passes.  The first
-draws every component, forms its cumulative hazard y for the weight and
-sums an upper bound on the draws computed from y
-(``DistributionSpec.inverse_cumulative_hazard_bound``; Weibull's is the
-exact inverse, so a Weibull chunk ends there).  For log-normal components
-the second pass replays the chunk's stream and inverts exactly, with the
-float operations of a full inversion, the draws of the replications whose
-bound sum reaches the threshold (less a 1e-9 margin).  Every other
-replication is a certain miss, so special functions run on the undecided
-replications only.
+key (j,), driving PCG64DXSM) and component i of a chunk of c replications
+taking stream positions i*c to (i+1)*c - 1.  Chunk partial sums are
+combined with exact summation (math.fsum), so a report is a
+bit-reproducible function of (scenario, method, theta, runs, seed) no
+matter how many workers ran the chunks.
+
+A chunk draws each component, forms its cumulative hazard y for the
+weight and sums an upper bound on the draws computed from y
+(``DistributionSpec.inverse_cumulative_hazard_bound``).  Weibull's bound
+is its exact inverse, so a Weibull chunk decides every replication from
+that sum, in one pass over four full-width arrays.  A chunk with
+log-normal components works in sub-blocks of replications (halves for
+two to four components), each seeking its components' stream positions.
+A sub-block keeps every component's uniform (untwisted) or y (twisted).
+A replication whose bound sum is below the threshold (less a 1e-9
+margin) is a certain miss.  One whose draw of some component alone
+exceeds the threshold (plus the margin) is a certain hit: that draw's y
+exceeds the component's cumulative hazard at that level, a comparison.
+The kept rows of the undecided rest are inverted exactly, with the float
+operations of a full inversion, so special functions run on them only and
+the stream is drawn once.  The full-width log weight becomes t, t**2 and
+t**4 in place, and the chunk holds at most 4 * count doubles either way.
 """
 
 from __future__ import annotations
@@ -42,14 +49,21 @@ from .streams import UnitSampleStream
 CHUNK_SIZE = 1 << 16
 
 # A log-normal replication is a certain miss when its bound sum is at most
-# gamma * (1 - _SCREEN_MARGIN).  Each bound exceeds its exact draw by a
-# wide gap, except for z <= 0, where the bound is exp(mu_ln) itself: there
-# ndtri_exp (or ndtri) may return a z a few 1e-16 above the true one, which
-# exp turns into a relative excess of about sigma_ln * 1e-16 in the draw.
-# Each exp adds half an ulp, and the N-term sums of positive draws at most
-# N ulps, in either sum.  Together that is below 1e-12 relative, so a
-# 1e-9 margin never screens out a replication whose exactly computed sum
-# exceeds gamma.
+# gamma * (1 - _SCREEN_MARGIN), and a certain hit when one component's y
+# exceeds that component's cumulative hazard at gamma * (1 + _SCREEN_MARGIN).
+# Misses: each bound exceeds its exact draw by a wide gap, except for
+# z <= 0, where the bound is exp(mu_ln) itself: there ndtri_exp (or ndtri)
+# may return a z a few 1e-16 above the true one, which exp turns into a
+# relative excess of about sigma_ln * 1e-16 in the draw.  Each exp adds
+# half an ulp, and the N-term sums of positive draws at most N ulps.
+# Hits: the level's hazard and the y of a uniform are each a few ulps off.
+# A relative error d in y moves a log-normal standard score z by about
+# d * max(z, 1), so the draw by sigma_ln * d * max(z, 1) relative, and a
+# Weibull draw by d / shape.  The exactly computed draw adds the few 1e-16
+# above, and a float sum of non-negative draws is never below its largest
+# term.  All of that is below 1e-12 relative for sigma_ln * z < 1e3, so a
+# 1e-9 margin never certifies a replication whose exactly computed sum
+# differs from its certified side of gamma.
 _SCREEN_MARGIN = 1e-9
 
 __all__ = [
@@ -128,6 +142,17 @@ def log_likelihood_ratio(theta: float, hazards, out=None):
     return log_weight
 
 
+def _block_width(n: int, count: int) -> int:
+    """Replications per sub-block of a chunk with log-normal components:
+    the largest count >> j with (n + 2) * width <= 3 * count (or 1).  The
+    sub-block's n kept rows and two scratch rows, plus the full-width log
+    weight, then hold at most the 4 * count doubles of a Weibull chunk."""
+    width = count
+    while width > 1 and (n + 2) * width > 3 * count:
+        width >>= 1
+    return width
+
+
 def _simulate_chunk(
     components: tuple[DistributionSpec, ...],
     twisted: frozenset[int],
@@ -138,53 +163,77 @@ def _simulate_chunk(
     count: int,
 ) -> tuple[float, float, float]:
     stream = UnitSampleStream(seed, chunk_index)
-    # every step below writes into one of these four arrays; the weight
-    # kernel's theta * y and the screen's masks and indices are the only
-    # other temporaries
-    u, x, total, log_weight = np.zeros((4, count))
+    # Weibull's bound is its exact inverse, so a Weibull chunk decides every
+    # replication from its bound sums, in one full-width sub-block whose
+    # components share one row
+    exact_bound = all(spec.family is Family.WEIBULL for spec in components)
+    if exact_bound:
+        width, kept = count, 1
+    else:
+        width, kept = _block_width(len(components), count), len(components)
+        # a replication is a certain hit once one draw alone exceeds this
+        # level, that is once its hazard exceeds the level's hazard; the
+        # level is a normal double, where rounding errors stay relative
+        level = max(gamma, np.finfo(float).tiny) * (1.0 + _SCREEN_MARGIN)
+        level_hazards = [spec.cumulative_hazard(level) for spec in components]
+    # every step below writes into the log weight, the hit flags or one row
+    # of the block; the weight kernel's theta * y, the hit tests and the
+    # screen's indices and masks are the only other temporaries
+    log_weight = np.zeros(count)
+    hits = np.zeros(count, dtype=bool)
+    block = np.empty((kept + 2, width))
 
-    # pass 1: components consume the stream in index order; each draw's
-    # cumulative hazard y goes to the weight if twisted, and its bound on
-    # the draw to the running sum
-    def twisted_hazards():
-        nonlocal total
+    # component i draws stream positions i * count + a onwards; a row keeps
+    # the draw's uniform if untwisted, its cumulative hazard y if twisted; y
+    # goes to the weight, to the hit test and, as an upper bound on the
+    # draw, to the bound sum
+    def twisted_hazards(a, rows, x, bound, hit):
         for i, spec in enumerate(components):
-            y = np.negative(np.log(stream.uniforms(count, out=u), out=u), out=u)
+            if width < count:
+                stream.seek(i * count + a)
+            row = stream.uniforms(bound.size, out=rows[i % kept])
             if i in twisted:
+                y = np.negative(np.log(row, out=row), out=row)
                 y /= 1.0 - theta
                 yield y
-            total += spec.inverse_cumulative_hazard_bound(y, out=x)
+            else:
+                y = np.negative(np.log(row, out=x), out=x)
+            if not exact_bound:
+                hit |= y > level_hazards[i]
+            bound += spec.inverse_cumulative_hazard_bound(y, out=x)
 
-    log_likelihood_ratio(theta, twisted_hazards(), out=log_weight)
-    if all(spec.family is Family.WEIBULL for spec in components):
-        # Weibull's bound is its exact inverse: total is the exact sum
-        hits = total > gamma
-    else:
-        undecided = np.flatnonzero(total > gamma * (1.0 - _SCREEN_MARGIN))
-        hits = np.zeros(count, dtype=bool)
+    for a in range(0, count, width):
+        m = min(width, count - a)
+        rows, x, bound = block[:kept, :m], block[kept, :m], block[kept + 1, :m]
+        hit = hits[a : a + m]
+        bound.fill(0.0)
+        log_likelihood_ratio(theta, twisted_hazards(a, rows, x, bound, hit), out=log_weight[a : a + m])
+        if exact_bound:
+            np.greater(bound, gamma, out=hit)
+            continue
+        # the bound sums certify misses; invert the rest from the kept rows,
+        # with the float operations of the untwisted or twisted kernel,
+        # summing in component order
+        undecided = np.flatnonzero((bound > gamma * (1.0 - _SCREEN_MARGIN)) & ~hit)
         if undecided.size:
-            # pass 2: replay the stream and invert the undecided draws,
-            # each with the float operations of the untwisted or twisted
-            # kernel, summing in component order
-            replay = UnitSampleStream(seed, chunk_index)
-            exact, draw = total[: undecided.size], x[: undecided.size]
-            exact.fill(0.0)
+            total, draw = bound[: undecided.size], x[: undecided.size]
+            total.fill(0.0)
             for i, spec in enumerate(components):
-                np.take(replay.uniforms(count, out=u), undecided, out=draw)
+                np.take(rows[i], undecided, out=draw)
                 if i in twisted:
-                    y = np.negative(np.log(draw, out=draw), out=draw)
-                    y /= 1.0 - theta
-                    exact += spec.inverse_cumulative_hazard(y, out=draw)
+                    total += spec.inverse_cumulative_hazard(draw, out=draw)
                 else:
-                    exact += spec.inverse_survival(draw, out=draw)
-            hits[undecided[exact > gamma]] = True
+                    total += spec.inverse_survival(draw, out=draw)
+            hit[undecided[total > gamma]] = True
     t = np.exp(log_weight, out=log_weight)
     # t is finite (the log weight is at most -s * log1p(-theta)), so a
     # miss's 0 * t is exactly 0.0
     t *= hits
-    t2 = np.multiply(t, t, out=x)
-    t4 = np.multiply(t2, t2, out=u)
-    return float(t.sum()), float(t2.sum()), float(t4.sum())
+    sums = [float(t.sum())]
+    for _ in range(2):  # t**2, then t**4, in place
+        np.multiply(t, t, out=t)
+        sums.append(float(t.sum()))
+    return tuple(sums)
 
 
 def _run_estimate(

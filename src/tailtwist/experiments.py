@@ -394,10 +394,15 @@ def run_threshold_sweep(config: ExperimentConfig, workers: int = 1) -> list[Swee
     return _sweep(config, gammas, (None,), workers)
 
 
-def _is_pairs(config: ExperimentConfig, workers: int):
+def _is_pairs(config: ExperimentConfig, workers: int, command: str):
     """(improved, conventional) rows per threshold of a minmax threshold
-    sweep: at threshold g they draw from seeds seed + 2g and seed + 2g + 1."""
+    sweep: at threshold g they draw from seeds seed + 2g and seed + 2g + 1.
+    The command compares exactly these two methods, so the config must
+    name them and no other."""
     methods = (Method.IMPROVED_IS, Method.CONVENTIONAL_IS)
+    if set(config.methods) != set(methods):
+        names = ",".join(m.value for m in config.methods)
+        raise ConfigError(None, f"{command} runs methods conventional,improved; got {names}")
     rows = run_threshold_sweep(config.override(methods=methods), workers)
     return zip(rows[::2], rows[1::2])
 
@@ -412,7 +417,7 @@ def run_efficiency_sweep(config: ExperimentConfig, workers: int = 1) -> list[Eff
     """
     _grid(config.gamma_grid_db, "efficiency", "gamma_grid_db")
     rows = []
-    for improved, conventional in _is_pairs(config, workers):
+    for improved, conventional in _is_pairs(config, workers, "efficiency"):
         alpha_ref = improved.report.alpha_hat
         xi1 = _or_nan(lambda: efficiency(improved.report, alpha_ref).xi)
         xi2 = _or_nan(lambda: efficiency(conventional.report, alpha_ref).xi)
@@ -470,11 +475,12 @@ def run_diagnostics(config: ExperimentConfig, workers: int = 1) -> DiagnosticsRe
     methods; a ratio that an empty row leaves undefined is NaN.
     """
     grid = _grid(config.gamma_grid_db, "diagnose", "gamma_grid_db")
+    pairs = _is_pairs(config, workers, "diagnose")
     plan = select_dominant(config.scenario)
     dominance = check_tail_dominance(config.scenario, plan, [db_to_linear(g) for g in grid])
 
     rows = []
-    for improved, conventional in _is_pairs(config, workers):
+    for improved, conventional in pairs:
         scenario = config.scenario.with_threshold_db(improved.gamma_db)
         alpha_ref = improved.report.alpha_hat
         rows.append(

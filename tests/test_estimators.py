@@ -18,6 +18,7 @@ from tailtwist.estimators import (
     estimate_naive,
     log_likelihood_ratio,
     optimality_ratio,
+    _SCREEN_MARGIN,
     _simulate_chunk,
 )
 from tailtwist.streams import UnitSampleStream
@@ -385,8 +386,8 @@ KERNEL_SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("count", [CHUNK_SIZE, 4465])
-@pytest.mark.parametrize("theta", [0.3, 0.9])
+@pytest.mark.parametrize("count", [CHUNK_SIZE, 4465, 1])
+@pytest.mark.parametrize("theta", [0.3, 0.9, 0.95])
 @pytest.mark.parametrize("twist", ["naive", "all", "dominant"])
 @pytest.mark.parametrize("name", sorted(KERNEL_SCENARIOS))
 def test_in_place_chunk_matches_the_allocating_reference_exactly(name, twist, theta, count):
@@ -439,12 +440,17 @@ LOGNORMAL4 = KERNEL_SCENARIOS["lognormal4"]
 
 
 @pytest.mark.parametrize("twist", ["all", "dominant"])
-@pytest.mark.parametrize("rank", [-1, -40])
-def test_screen_at_a_replications_exact_total(twist, rank):
+@pytest.mark.parametrize(
+    "theta, count, rank",
+    [pytest.param(0.5, 4465, rank, id=str(rank)) for rank in (-1, -40)]
+    + [(0.95, count, -1) for count in (1, 4465, CHUNK_SIZE)],
+)
+def test_screen_at_a_replications_exact_total(twist, theta, count, rank):
     # gamma at one replication's exact sum and 1 ulp either side: that
-    # replication misses at the first two and hits at the third
+    # replication misses at the first two and hits at the third.  At theta
+    # 0.95 only the largest sum shows: the weight of a lower-ranked one is
+    # lost in the rounding of the other hits' weights.
     twisted = frozenset(range(4) if twist == "all" else select_dominant(LOGNORMAL4).dominant_indices)
-    theta, count = 0.5, 4465
     total = np.sort(_reference_totals(LOGNORMAL4.components, twisted, theta, 71, 3, count))[rank]
     results = []
     for gamma in (np.nextafter(total, np.inf), total, np.nextafter(total, 0.0)):
@@ -454,16 +460,63 @@ def test_screen_at_a_replications_exact_total(twist, rank):
     assert results[0] == results[1] != results[2]
 
 
-def test_screen_at_zero_threshold_inverts_everything(counting_stream):
+@pytest.fixture
+def inverted(monkeypatch):
+    """Element counts passed to the exact log-normal kernels, call by call."""
+    import tailtwist.distributions as distributions
+
+    sizes = []
+    for name in ("upper_tail_quantile_from_log", "normal_quantile"):
+        kernel = getattr(distributions, name)
+
+        def counting(u, out=None, kernel=kernel):
+            sizes.append(np.size(u))
+            return kernel(u, out=out)
+
+        monkeypatch.setattr(distributions, name, counting)
+    return sizes
+
+
+def test_screen_at_zero_threshold_certifies_every_hit(counting_stream, inverted):
     args = (LOGNORMAL4.components, frozenset(range(4)), 0.3, 0.0, 71, 3, 4465)
     assert _simulate_chunk(*args) == _reference_chunk(*args)
-    assert counting_stream.built == 2
+    assert counting_stream.built == 1
+    assert sum(inverted) == 0
 
 
-def test_screen_far_above_every_sum_never_replays(counting_stream):
+def test_screen_far_above_every_sum_inverts_nothing(counting_stream, inverted):
     args = (LOGNORMAL4.components, frozenset(range(4)), 0.3, 1e12, 71, 3, 4465)
     assert _simulate_chunk(*args) == _reference_chunk(*args) == (0.0, 0.0, 0.0)
     assert counting_stream.built == 1
+    assert sum(inverted) == 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DistributionSpec.lognormal(0.0, 4.0),
+        DistributionSpec.lognormal(0.0, 6.0),
+        DistributionSpec.lognormal(3.0, 10.0),
+        DistributionSpec.weibull(0.4, 1.0),
+        DistributionSpec.weibull(0.8, 2.0),
+    ],
+    ids=str,
+)
+def test_a_hazard_above_the_level_certifies_a_draw_above_gamma(spec):
+    # the screen's hit test: a kept y, or -log u of a kept uniform u, above
+    # the cumulative hazard of gamma * (1 + margin) gives an exactly
+    # computed draw above gamma, from far below the median to far above it;
+    # no uniform below 1 has a hazard below -log(1 - 2**-53)
+    gammas = np.geomspace(1e-250, 1e250, 2001)
+    level_hazards = spec.cumulative_hazard(gammas * (1.0 + _SCREEN_MARGIN))
+    y = np.maximum(np.nextafter(level_hazards, np.inf), -np.log(np.nextafter(1.0, 0.0)))
+    assert np.all(spec.inverse_cumulative_hazard(y) > gammas)
+    u = np.exp(-level_hazards)
+    for _ in range(3):
+        with np.errstate(divide="ignore"):  # u = 0 below the underflow point
+            certified = (-np.log(u) > level_hazards) & (0.0 < u) & (u < 1.0)
+        assert np.all(spec.inverse_survival(u[certified]) > gammas[certified])
+        u = np.nextafter(u, 0.0)
 
 
 def test_screen_inverts_few_twisted_draws(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -5,7 +6,9 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from tailtwist import experiments
 from tailtwist.cli import main
@@ -234,6 +237,22 @@ def test_config_errors_do_not_depend_on_the_hash_seed():
         "line 4: key 'mu_db' does not apply to family 'weibull'\n"
         "line 2: weibull component is missing 'k'\n"
     }
+
+
+@pytest.mark.parametrize("command", ["efficiency", "diagnose"])
+def test_pair_commands_reject_any_other_methods(tmp_path, capsys, command):
+    # both compare improved with conventional IS, so a methods list that
+    # names anything else is a config error, not silently ignored
+    cfg = write_config(tmp_path, WEIBULL2_THRESHOLDS)
+    assert main([command, "--config", cfg, "--runs", "100", "--method", "improved"]) == 2
+    assert capsys.readouterr().err == (
+        f"tailtwist: config error: {command} runs methods conventional,improved; got improved\n"
+    )
+    three = WEIBULL2_THRESHOLDS.replace("conventional,improved", "naive,conventional,improved")
+    assert main([command, "--config", write_config(tmp_path, three), "--runs", "100"]) == 2
+    assert "got naive,conventional,improved\n" in capsys.readouterr().err
+    cfg = write_config(tmp_path, WEIBULL2_THRESHOLDS)
+    assert main([command, "--config", cfg, "--runs", "100", "--method", "improved,conventional"]) == 0
 
 
 def test_method_names_are_exactly_the_method_values(tmp_path, capsys):
@@ -512,6 +531,36 @@ def test_each_table_renders_exact_bytes():
         "  all components dominant; nothing to check\n"
         f"{DIAGNOSTICS_HEADER}\n"
     )
+
+
+# sha256 of the theta sweep below as printed by the chunk kernel that replayed
+# its stream (commit 32321de), before chunks kept their draws.  The bytes rest
+# on numpy's exp and log, whose AVX-512 and AVX2 code paths round differently,
+# and on scipy's special functions, so they are pinned per code path for the
+# numpy and scipy releases they were recorded with.
+THETA_SWEEP_SHA256 = {
+    "12e93fdf7d427b06bd0af8d82fa9045d12ff9a4b0df213cd218e93d9f98e42db",  # AVX-512
+    "795cf9c9cd1d05bde1868cb5ab3cac48878bc59ff051987eed95a303fb3f64fa",  # AVX2
+}
+PINNED_RELEASES = ("2.4", "1.17")
+
+
+@pytest.mark.skipif(
+    (np.__version__.rsplit(".", 1)[0], scipy.__version__.rsplit(".", 1)[0]) != PINNED_RELEASES,
+    reason="sweep bytes are pinned for numpy 2.4 and scipy 1.17",
+)
+def test_lognormal4_theta_sweep_bytes_are_pinned():
+    # one full and one partial chunk per row; both methods; two workers too
+    text = (Path(__file__).parents[1] / "configs" / "lognormal4_theta_sweep.cfg").read_text()
+    text = text.replace("theta_grid = 0.2:0.05:0.95", "theta_grid = 0.2:0.15:0.95")
+    config = parse_config(text).override(runs=CHUNK_SIZE + 4465, seed=1)
+    assert len(config.theta_grid) == 6
+    digests = {
+        hashlib.sha256(sweep_rows_to_csv(run_theta_sweep(config, workers)).encode()).hexdigest()
+        for workers in (1, 2)
+    }
+    assert len(digests) == 1
+    assert digests <= THETA_SWEEP_SHA256
 
 
 def test_csv_reproducible_across_workers():

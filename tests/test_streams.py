@@ -45,6 +45,29 @@ def test_negative_seed_rejected(tmp_path, capsys):
     assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("position", [0, 1 << 15, 4 * (1 << 16) - 7])
+def test_seek_lands_on_the_stream_position(position):
+    # 1 << 15 is where the second half-block of a 2**16 chunk starts
+    whole = UnitSampleStream(9, 4).uniforms(4 * (1 << 16) + 10)
+    stream = UnitSampleStream(9, 4)
+    stream.seek(position)
+    assert np.array_equal(stream.uniforms(10), whole[position : position + 10])
+
+
+def test_seek_backwards_after_drawing():
+    stream = UnitSampleStream(9, 4)
+    first = stream.uniforms(1000)
+    stream.seek(300)
+    assert np.array_equal(stream.uniforms(700), first[300:])
+    stream.seek(0)
+    assert np.array_equal(stream.uniforms(1000), first)
+
+
+def test_seek_rejects_a_negative_position():
+    with pytest.raises(ValueError, match="position"):
+        UnitSampleStream(9, 4).seek(-1)
+
+
 @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
 def test_seeds_beyond_64_bits_do_not_alias(seed):
     # SeedSequence takes integers of any size, so 2**64 + seed is a new stream
