@@ -68,7 +68,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(None, f"cannot read config: {exc}")
         config = parse_config(text)
-        methods = parse_methods(args.method) if args.method else None
+        methods = parse_methods(args.method) if args.method is not None else None
         config = config.override(runs=args.runs, seed=args.seed, methods=methods)
         runner, render = _COMMANDS[args.command]
         output = render(runner(config, args.workers))

@@ -3,8 +3,9 @@
 Each component is a Weibull or a log-normal law described by a
 :class:`DistributionSpec`.  The spec exposes density, survival, hazard
 rate, cumulative hazard and their inverses, plus exact inverse-transform
-sampling from both the original law and the hazard-twisted law whose
-survival is the original survival raised to the power (1 - theta).
+sampling from the hazard-twisted law whose survival is the original
+survival raised to the power (1 - theta).  The original law is its case
+theta = 0, so every draw takes one kernel: x = Lambda^-1(-log(U) / (1 - theta)).
 
 All evaluations are routed through log space so they stay numerically
 stable arbitrarily deep in the tail: no expression ever forms 1 - F(x)
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .normal_tail import log_upper_tail, normal_quantile, upper_tail_quantile_from_log
+from .normal_tail import log_upper_tail, upper_tail_quantile_from_log
 
 _LN10 = math.log(10.0)
 _LN2 = math.log(2.0)
@@ -189,7 +190,8 @@ class DistributionSpec:
         if self.family is Family.WEIBULL:
             if arr.size and not arr.min() >= 0.0:  # NaN fails too
                 raise ValueError("inverse_cumulative_hazard requires y >= 0")
-            self._weibull_from_hazard(arr, x)
+            np.power(arr, 1.0 / self.weibull_shape, out=x)
+            x *= self.weibull_scale
         else:
             upper_tail_quantile_from_log(arr, out=x)  # which checks y
             x *= self.sigma_ln
@@ -222,33 +224,6 @@ class DistributionSpec:
         x += self.mu_ln
         np.exp(x, out=x)
         return _maybe_scalar(x)
-
-    def inverse_survival(self, u, out=None):
-        """The x with survival(x) = u, for 0 < u < 1: the untwisted sampling
-        kernel, written into ``out`` if given (which may be u itself).
-
-        Log-normal inverts the normal quantile of u directly, as
-        exp(mu_ln - sigma_ln * normal_quantile(u)).  Weibull returns exactly
-        inverse_cumulative_hazard(-log u).
-        """
-        arr = _as_array(u)
-        # min and max make no temporaries, unlike a mask; NaN fails both
-        if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
-            raise ValueError("inverse_survival requires 0 < u < 1")
-        x = np.empty_like(arr) if out is None else out
-        if self.family is Family.WEIBULL:
-            np.negative(np.log(arr, out=x), out=x)
-            self._weibull_from_hazard(x, x)
-        else:
-            normal_quantile(arr, out=x)
-            x *= self.sigma_ln
-            np.exp(np.subtract(self.mu_ln, x, out=x), out=x)
-        return _maybe_scalar(x)
-
-    def _weibull_from_hazard(self, y, out):
-        """Weibull's x = beta * y**(1/k) into ``out``; y is checked by the caller."""
-        np.power(y, 1.0 / self.weibull_shape, out=out)
-        out *= self.weibull_scale
 
     def hazard_rate(self, x):
         """Hazard rate lambda(x) = f(x) / (1 - F(x)), x > 0.
@@ -349,10 +324,9 @@ class DistributionSpec:
     # -- sampling ---------------------------------------------------------
 
     def sample(self, stream, size: int | None = None):
-        """Exact draw(s) by inversion: X = survival^-1(U)."""
-        n = 1 if size is None else int(size)
-        x = self.inverse_survival(stream.uniforms(n))
-        return float(x[0]) if size is None else x
+        """Exact draw(s) by inversion: the untwisted case theta = 0 of
+        :meth:`sample_twisted`."""
+        return self.sample_twisted(0.0, stream, size)
 
     def sample_twisted(self, theta: float, stream, size: int | None = None):
         """Draw(s) from the hazard-twisted law with survival (1-F)^(1-theta).

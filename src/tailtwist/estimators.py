@@ -11,26 +11,31 @@ Replications are processed in fixed chunks of 2**16, chunk j drawing
 from substream j of the base seed (the seed's SeedSequence with spawn
 key (j,), driving PCG64DXSM) and component i of a chunk of c replications
 taking stream positions i*c to (i+1)*c - 1.  Chunk partial sums are
-combined with exact summation (math.fsum), so a report is a
-bit-reproducible function of (scenario, method, theta, runs, seed) no
-matter how many workers ran the chunks.
+combined with exact summation (math.fsum), so on one platform and one
+numpy/scipy build a report is a bit-reproducible function of (scenario,
+method, theta, runs, seed) no matter how many workers ran the chunks.
+Other builds may differ in the last bits of a special function or of a
+vectorised log, and so in the bytes.
 
-A chunk draws each component, forms its cumulative hazard y for the
-weight and sums an upper bound on the draws computed from y
+Every draw takes one kernel: its cumulative hazard y = -log(U) / (1 - theta)
+(theta = 0 for an untwisted component) inverted by
+``DistributionSpec.inverse_cumulative_hazard``.  A chunk draws each
+component, forms its y, feeds a twisted y to the weight and sums an upper
+bound on the draws computed from y
 (``DistributionSpec.inverse_cumulative_hazard_bound``).  Weibull's bound
 is its exact inverse, so a Weibull chunk decides every replication from
 that sum, in one pass over four full-width arrays.  A chunk with
 log-normal components works in sub-blocks of replications (halves for
-two to four components), each seeking its components' stream positions.
-A sub-block keeps every component's uniform (untwisted) or y (twisted).
-A replication whose bound sum is below the threshold (less a 1e-9
-margin) is a certain miss.  One whose draw of some component alone
-exceeds the threshold (plus the margin) is a certain hit: that draw's y
-exceeds the component's cumulative hazard at that level, a comparison.
-The kept rows of the undecided rest are inverted exactly, with the float
-operations of a full inversion, so special functions run on them only and
-the stream is drawn once.  The full-width log weight becomes t, t**2 and
-t**4 in place, and the chunk holds at most 4 * count doubles either way.
+two to four components), each seeking its components' stream positions
+and keeping every component's y.  A replication whose bound sum is below
+the threshold (less a 1e-9 margin) is a certain miss.  One whose draw of
+some component alone exceeds the threshold (plus the margin) is a certain
+hit: that draw's y exceeds the component's cumulative hazard at that
+level, a comparison.  The kept y of the undecided rest are inverted
+exactly, with the float operations of the sampling kernel, so special
+functions run on them only and the stream is drawn once.  The full-width
+log weight becomes t, t**2 and t**4 in place, and the chunk holds at most
+4 * count doubles either way.
 """
 
 from __future__ import annotations
@@ -52,9 +57,9 @@ CHUNK_SIZE = 1 << 16
 # gamma * (1 - _SCREEN_MARGIN), and a certain hit when one component's y
 # exceeds that component's cumulative hazard at gamma * (1 + _SCREEN_MARGIN).
 # Misses: each bound exceeds its exact draw by a wide gap, except for
-# z <= 0, where the bound is exp(mu_ln) itself: there ndtri_exp (or ndtri)
-# may return a z a few 1e-16 above the true one, which exp turns into a
-# relative excess of about sigma_ln * 1e-16 in the draw.  Each exp adds
+# z <= 0, where the bound is exp(mu_ln) itself: there ndtri_exp may return
+# a z a few 1e-16 above the true one, which exp turns into a relative
+# excess of about sigma_ln * 1e-16 in the draw.  Each exp adds
 # half an ulp, and the N-term sums of positive draws at most N ulps.
 # Hits: the level's hazard and the y of a uniform are each a few ulps off.
 # A relative error d in y moves a log-normal standard score z by about
@@ -183,21 +188,19 @@ def _simulate_chunk(
     hits = np.zeros(count, dtype=bool)
     block = np.empty((kept + 2, width))
 
-    # component i draws stream positions i * count + a onwards; a row keeps
-    # the draw's uniform if untwisted, its cumulative hazard y if twisted; y
-    # goes to the weight, to the hit test and, as an upper bound on the
-    # draw, to the bound sum
+    # component i draws stream positions i * count + a onwards; its row keeps
+    # the draw's cumulative hazard y = -log(u) / (1 - theta_i), with theta_i
+    # = 0 if untwisted; a twisted y goes to the weight, and every y to the
+    # hit test and, as an upper bound on the draw, to the bound sum
     def twisted_hazards(a, rows, x, bound, hit):
         for i, spec in enumerate(components):
             if width < count:
                 stream.seek(i * count + a)
-            row = stream.uniforms(bound.size, out=rows[i % kept])
+            y = stream.uniforms(bound.size, out=rows[i % kept])
+            np.negative(np.log(y, out=y), out=y)
             if i in twisted:
-                y = np.negative(np.log(row, out=row), out=row)
                 y /= 1.0 - theta
                 yield y
-            else:
-                y = np.negative(np.log(row, out=x), out=x)
             if not exact_bound:
                 hit |= y > level_hazards[i]
             bound += spec.inverse_cumulative_hazard_bound(y, out=x)
@@ -211,19 +214,16 @@ def _simulate_chunk(
         if exact_bound:
             np.greater(bound, gamma, out=hit)
             continue
-        # the bound sums certify misses; invert the rest from the kept rows,
-        # with the float operations of the untwisted or twisted kernel,
-        # summing in component order
+        # the bound sums certify misses; invert the rest's kept hazards with
+        # the float operations of the sampling kernel, summing in component
+        # order
         undecided = np.flatnonzero((bound > gamma * (1.0 - _SCREEN_MARGIN)) & ~hit)
         if undecided.size:
             total, draw = bound[: undecided.size], x[: undecided.size]
             total.fill(0.0)
             for i, spec in enumerate(components):
                 np.take(rows[i], undecided, out=draw)
-                if i in twisted:
-                    total += spec.inverse_cumulative_hazard(draw, out=draw)
-                else:
-                    total += spec.inverse_survival(draw, out=draw)
+                total += spec.inverse_cumulative_hazard(draw, out=draw)
             hit[undecided[total > gamma]] = True
     t = np.exp(log_weight, out=log_weight)
     # t is finite (the log weight is at most -s * log1p(-theta)), so a

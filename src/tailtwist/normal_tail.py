@@ -4,7 +4,9 @@ The upper-tail probability Q(z) underflows double precision near z = 39,
 while the thresholds of interest here sit hundreds of standard deviations
 out.  Everything in this module therefore works with log Q(z) and its
 inverse, so survival probabilities as small as exp(-1e6) stay exactly
-representable.
+representable.  That inverse is the one sampling kernel of the
+log-normal family: every draw, twisted or not, is inverted from its
+cumulative hazard, never from its uniform.
 
 This module is the package's single scipy boundary.  ``scipy.special``
 is imported on the first evaluation, not at import time: only
@@ -19,7 +21,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["log_upper_tail", "normal_quantile", "upper_tail_quantile_from_log"]
+__all__ = ["log_upper_tail", "upper_tail_quantile_from_log"]
 
 
 @functools.cache
@@ -37,13 +39,6 @@ def log_upper_tail(z):
     """
     out = _special().log_ndtr(-np.asarray(z, dtype=float))
     return float(out) if out.ndim == 0 else out
-
-
-def normal_quantile(u, out=None):
-    """The standard normal quantile of u, the z with Q(z) = 1 - u, for
-    0 < u < 1 (unchecked), written into ``out`` if given (which may be u
-    itself)."""
-    return _special().ndtri(u, out=out)
 
 
 def upper_tail_quantile_from_log(y, out=None):

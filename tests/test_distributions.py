@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
 
 from tailtwist.distributions import (
@@ -298,7 +299,7 @@ def test_inverse_hazard_rate_off_the_rising_branch():
             LOGNORMAL_6DB.inverse_hazard_rate(bad)
 
 
-# -- inverse survival ---------------------------------------------------------
+# -- the sampling kernel: inverse cumulative hazard of -log u -----------------
 
 
 def _kernel_uniforms():
@@ -307,32 +308,18 @@ def _kernel_uniforms():
 
 
 @pytest.mark.parametrize("spec", [LOGNORMAL_6DB, DistributionSpec.lognormal(-2.0, 3.0), DistributionSpec.lognormal(10.0, 20.0)])
-def test_lognormal_inverse_survival_matches_inverse_hazard(spec):
+def test_lognormal_inverse_hazard_of_neg_log_u_matches_scipy_ndtri(spec):
+    # an independent inversion of the untwisted draw: survival(x) = u at
+    # ln x = mu_ln - sigma_ln * ndtri(u)
     u = _kernel_uniforms()
-    expected = spec.inverse_cumulative_hazard(-np.log(u))
-    assert np.allclose(spec.inverse_survival(u), expected, rtol=1e-13, atol=0.0)
-
-
-@pytest.mark.parametrize("spec", [WEIBULL_HEAVY, DistributionSpec.weibull(0.8, 3.0)])
-def test_weibull_inverse_survival_is_the_inverse_hazard_of_neg_log_u(spec):
-    u = _kernel_uniforms()
-    assert np.array_equal(spec.inverse_survival(u), spec.inverse_cumulative_hazard(-np.log(u)))
-
-
-@pytest.mark.parametrize("spec", [WEIBULL_HEAVY, LOGNORMAL_6DB])
-@pytest.mark.parametrize("u", [0.0, 1.0, math.nan])
-def test_inverse_survival_rejects_u_outside_open_unit_interval(spec, u):
-    with pytest.raises(ValueError, match="0 < u < 1"):
-        spec.inverse_survival(u)
-    with pytest.raises(ValueError, match="0 < u < 1"):
-        spec.inverse_survival(np.array([0.5, u]))
+    expected = np.exp(spec.mu_ln - spec.sigma_ln * scipy.special.ndtri(u))
+    assert np.allclose(spec.inverse_cumulative_hazard(-np.log(u)), expected, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("spec", [WEIBULL_HEAVY, LOGNORMAL_6DB])
 @pytest.mark.parametrize("method, values", [
     ("inverse_cumulative_hazard", np.geomspace(1e-12, 1e5, 400)),
     ("inverse_cumulative_hazard_bound", np.geomspace(1e-12, 1e5, 400)),
-    ("inverse_survival", np.linspace(1e-9, 1.0 - 1e-9, 400)),
 ])
 def test_inverse_kernels_write_into_out(spec, method, values):
     fn = getattr(spec, method)
@@ -351,9 +338,6 @@ def test_inverse_kernels_write_into_out(spec, method, values):
 @pytest.mark.parametrize("method, bad", [
     ("inverse_cumulative_hazard", -1e-12),
     ("inverse_cumulative_hazard", math.nan),
-    ("inverse_survival", 0.0),
-    ("inverse_survival", 1.0),
-    ("inverse_survival", math.nan),
 ])
 def test_inverse_kernels_with_out_still_reject_bad_input(spec, method, bad):
     with pytest.raises(ValueError):
@@ -394,7 +378,8 @@ def test_lognormal_bound_covers_the_untwisted_draw(spec):
         1.0 - np.geomspace(2.0**-53, 0.5, 10_000),
         UnitSampleStream(6, 0).uniforms(1 << 16),
     ])
-    assert np.all(spec.inverse_cumulative_hazard_bound(-np.log(u)) >= spec.inverse_survival(u))
+    y = -np.log(u)
+    assert np.all(spec.inverse_cumulative_hazard_bound(y) >= spec.inverse_cumulative_hazard(y))
 
 
 @pytest.mark.parametrize("spec", [WEIBULL_HEAVY, DistributionSpec.weibull(0.8, 3.0)])
@@ -413,10 +398,10 @@ def test_bound_rejects_negative_or_nan_hazard(spec, bad):
         spec.inverse_cumulative_hazard_bound(np.array([0.5, bad, 2.0]), out=np.empty(3))
 
 
-def test_inverse_survival_round_trips_survival():
+def test_inverse_hazard_of_neg_log_survival_round_trips():
     x = np.geomspace(1e-3, 1e6, 50)
     for spec in (WEIBULL_HEAVY, LOGNORMAL_6DB):
-        assert np.allclose(spec.inverse_survival(spec.survival(x)), x, rtol=1e-8)
+        assert np.allclose(spec.inverse_cumulative_hazard(-np.log(spec.survival(x))), x, rtol=1e-8)
 
 
 # -- log density --------------------------------------------------------------

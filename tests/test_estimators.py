@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from scipy.special import ndtri, ndtri_exp
+from scipy.special import ndtri_exp
 
 from tailtwist.distributions import DistributionSpec, Family
 from tailtwist.dominance import Scenario, ThetaSource, select_dominant
@@ -324,7 +324,7 @@ def test_twisted_chunk_weights_come_from_the_log_weight_kernel():
     stream = UnitSampleStream(56, 0)
     y = -np.log(stream.uniforms(1000)) / (1.0 - plan.theta)
     x0 = scenario.components[0].inverse_cumulative_hazard(y)
-    x1 = scenario.components[1].inverse_survival(stream.uniforms(1000))
+    x1 = scenario.components[1].inverse_cumulative_hazard(-np.log(stream.uniforms(1000)))
     weights = np.exp(log_likelihood_ratio(plan.theta, [y]))
     t = np.where(x0 + x1 > scenario.threshold_linear, weights, 0.0)
     assert report.alpha_hat == float(t.sum()) / 1000
@@ -346,12 +346,6 @@ def _reference_inverse_cumulative_hazard(spec, y):
     return np.exp(spec.mu_ln + spec.sigma_ln * -ndtri_exp(-y))
 
 
-def _reference_inverse_survival(spec, u):
-    if spec.family is Family.WEIBULL:
-        return _reference_inverse_cumulative_hazard(spec, -np.log(u))
-    return np.exp(spec.mu_ln - spec.sigma_ln * ndtri(u))
-
-
 def _reference_chunk(components, twisted, theta, gamma, seed, chunk_index, count):
     """The chunk kernel as it was before it worked in place: one fresh
     array per temporary, the same float operations in the same order."""
@@ -368,7 +362,7 @@ def _reference_chunk(components, twisted, theta, gamma, seed, chunk_index, count
                 total += _reference_inverse_cumulative_hazard(spec, y)
                 yield y
             else:
-                total += _reference_inverse_survival(spec, u)
+                total += _reference_inverse_cumulative_hazard(spec, -np.log(u))
 
     log_weight = log_likelihood_ratio(theta, twisted_hazards())
     t = np.where(total > gamma, np.exp(log_weight), 0.0)
@@ -417,7 +411,7 @@ def _reference_totals(components, twisted, theta, seed, chunk_index, count):
         if i in twisted:
             total += _reference_inverse_cumulative_hazard(spec, -np.log(u) / (1.0 - theta))
         else:
-            total += _reference_inverse_survival(spec, u)
+            total += _reference_inverse_cumulative_hazard(spec, -np.log(u))
     return total
 
 
@@ -462,18 +456,17 @@ def test_screen_at_a_replications_exact_total(twist, theta, count, rank):
 
 @pytest.fixture
 def inverted(monkeypatch):
-    """Element counts passed to the exact log-normal kernels, call by call."""
+    """Element counts passed to the exact log-normal kernel, call by call."""
     import tailtwist.distributions as distributions
 
     sizes = []
-    for name in ("upper_tail_quantile_from_log", "normal_quantile"):
-        kernel = getattr(distributions, name)
+    kernel = distributions.upper_tail_quantile_from_log
 
-        def counting(u, out=None, kernel=kernel):
-            sizes.append(np.size(u))
-            return kernel(u, out=out)
+    def counting(y, out=None):
+        sizes.append(np.size(y))
+        return kernel(y, out=out)
 
-        monkeypatch.setattr(distributions, name, counting)
+    monkeypatch.setattr(distributions, "upper_tail_quantile_from_log", counting)
     return sizes
 
 
@@ -503,10 +496,10 @@ def test_screen_far_above_every_sum_inverts_nothing(counting_stream, inverted):
     ids=str,
 )
 def test_a_hazard_above_the_level_certifies_a_draw_above_gamma(spec):
-    # the screen's hit test: a kept y, or -log u of a kept uniform u, above
-    # the cumulative hazard of gamma * (1 + margin) gives an exactly
-    # computed draw above gamma, from far below the median to far above it;
-    # no uniform below 1 has a hazard below -log(1 - 2**-53)
+    # the screen's hit test: a kept y, twisted or -log u of an untwisted
+    # uniform u, above the cumulative hazard of gamma * (1 + margin) gives an
+    # exactly computed draw above gamma, from far below the median to far
+    # above it; no uniform below 1 has a hazard below -log(1 - 2**-53)
     gammas = np.geomspace(1e-250, 1e250, 2001)
     level_hazards = spec.cumulative_hazard(gammas * (1.0 + _SCREEN_MARGIN))
     y = np.maximum(np.nextafter(level_hazards, np.inf), -np.log(np.nextafter(1.0, 0.0)))
@@ -514,26 +507,30 @@ def test_a_hazard_above_the_level_certifies_a_draw_above_gamma(spec):
     u = np.exp(-level_hazards)
     for _ in range(3):
         with np.errstate(divide="ignore"):  # u = 0 below the underflow point
-            certified = (-np.log(u) > level_hazards) & (0.0 < u) & (u < 1.0)
-        assert np.all(spec.inverse_survival(u[certified]) > gammas[certified])
+            y = -np.log(u)
+        certified = (y > level_hazards) & (0.0 < u) & (u < 1.0)
+        assert np.all(spec.inverse_cumulative_hazard(y[certified]) > gammas[certified])
         u = np.nextafter(u, 0.0)
 
 
-def test_screen_inverts_few_twisted_draws(monkeypatch):
-    import tailtwist.distributions as distributions
-
-    inverted = []
-    quantile = distributions.upper_tail_quantile_from_log
-
-    def counting(y, out=None):
-        inverted.append(np.size(y))
-        return quantile(y, out=out)
-
-    monkeypatch.setattr(distributions, "upper_tail_quantile_from_log", counting)
+def test_screen_inverts_few_twisted_draws(inverted):
     twisted = frozenset(range(4))
     args = (LOGNORMAL4.components, twisted, 0.3, LOGNORMAL4.threshold_linear, 71, 3, CHUNK_SIZE)
     assert _simulate_chunk(*args)[0] > 0.0
     assert 0 < sum(inverted) < 0.05 * len(twisted) * CHUNK_SIZE
+
+
+def test_naive_lognormal_chunk_inverts_every_draw_from_its_hazard(inverted):
+    # untwisted draws take the one sampling kernel: gamma at a replication's
+    # exact sum leaves some replications undecided, and each of them inverts
+    # all n of its kept hazards, one component per call
+    n = LOGNORMAL4.n
+    total = np.sort(_reference_totals(LOGNORMAL4.components, frozenset(), 0.0, 71, 3, CHUNK_SIZE))[-5]
+    args = (LOGNORMAL4.components, frozenset(), 0.0, float(total), 71, 3, CHUNK_SIZE)
+    assert _simulate_chunk(*args) == _reference_chunk(*args) == (4.0, 4.0, 4.0)
+    assert sum(inverted) > 0 and sum(inverted) % n == 0
+    sizes = np.reshape(inverted, (-1, n))
+    assert np.all(sizes == sizes[:, :1])
 
 
 def test_weibull_chunk_builds_its_stream_once(counting_stream):

@@ -267,6 +267,15 @@ def test_method_names_are_exactly_the_method_values(tmp_path, capsys):
     assert experiments.parse_methods(" NAIVE , improved,naive") == (Method.NAIVE_MC, Method.IMPROVED_IS)
 
 
+def test_an_empty_method_option_is_a_config_error(tmp_path, capsys):
+    # an empty --method names no method; it does not fall back to the config's
+    cfg = write_config(tmp_path, WEIBULL2_THRESHOLDS)
+    assert main(["estimate", "--config", cfg, "--runs", "100", "--method", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "tailtwist: config error: methods list is empty\n"
+    assert captured.out == ""
+
+
 def test_runs_must_be_positive():
     text = WEIBULL2_THRESHOLDS.replace("runs = 5000", "runs = 0")
     with pytest.raises(ConfigError, match="runs"):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tailtwist
-from tailtwist.normal_tail import log_upper_tail, normal_quantile, upper_tail_quantile_from_log
+from tailtwist.normal_tail import log_upper_tail, upper_tail_quantile_from_log
 
 
 # values frozen from a 40-digit arbitrary-precision evaluation of
@@ -82,14 +82,6 @@ def test_quantile_with_out_still_rejects_bad_input(bad):
     y = np.array([1.0, bad, 2.0])
     with pytest.raises(ValueError):
         upper_tail_quantile_from_log(y, out=np.empty(3))
-
-
-def test_normal_quantile_inverts_the_upper_tail():
-    u = np.linspace(1e-6, 1.0 - 1e-6, 999)
-    z = normal_quantile(u)
-    assert np.allclose(np.exp(log_upper_tail(z)), 1.0 - u, rtol=1e-12, atol=1e-15)
-    assert normal_quantile(u, out=u) is u
-    assert np.array_equal(u, z)
 
 
 # -- the scipy boundary, in fresh interpreters --------------------------------------
