@@ -308,11 +308,19 @@ def _kernel_uniforms():
 
 
 @pytest.mark.parametrize("spec", [LOGNORMAL_6DB, DistributionSpec.lognormal(-2.0, 3.0), DistributionSpec.lognormal(10.0, 20.0)])
-def test_lognormal_inverse_hazard_of_neg_log_u_matches_scipy_ndtri(spec):
-    # an independent inversion of the untwisted draw: survival(x) = u at
-    # ln x = mu_ln - sigma_ln * ndtri(u)
+def test_lognormal_inverse_survival_matches_inverse_hazard(spec):
+    # an independent inverse survival of the untwisted draw: survival(x) = u
+    # at ln x = mu_ln - sigma_ln * ndtri(u)
     u = _kernel_uniforms()
     expected = np.exp(spec.mu_ln - spec.sigma_ln * scipy.special.ndtri(u))
+    assert np.allclose(spec.inverse_cumulative_hazard(-np.log(u)), expected, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("spec", [WEIBULL_HEAVY, DistributionSpec.weibull(0.8, 3.0)])
+def test_weibull_inverse_survival_is_the_inverse_hazard_of_neg_log_u(spec):
+    # scipy's inverse survival of the same law, independent of our kernel
+    u = _kernel_uniforms()
+    expected = scipy.stats.weibull_min.isf(u, spec.weibull_shape, scale=spec.weibull_scale)
     assert np.allclose(spec.inverse_cumulative_hazard(-np.log(u)), expected, rtol=1e-13, atol=0.0)
 
 
@@ -320,6 +328,8 @@ def test_lognormal_inverse_hazard_of_neg_log_u_matches_scipy_ndtri(spec):
 @pytest.mark.parametrize("method, values", [
     ("inverse_cumulative_hazard", np.geomspace(1e-12, 1e5, 400)),
     ("inverse_cumulative_hazard_bound", np.geomspace(1e-12, 1e5, 400)),
+    # the hazards -log u of untwisted draws, u across the open unit interval
+    ("inverse_cumulative_hazard", -np.log(np.linspace(1e-9, 1.0 - 1e-9, 400))),
 ])
 def test_inverse_kernels_write_into_out(spec, method, values):
     fn = getattr(spec, method)
@@ -398,7 +408,7 @@ def test_bound_rejects_negative_or_nan_hazard(spec, bad):
         spec.inverse_cumulative_hazard_bound(np.array([0.5, bad, 2.0]), out=np.empty(3))
 
 
-def test_inverse_hazard_of_neg_log_survival_round_trips():
+def test_inverse_survival_round_trips_survival():
     x = np.geomspace(1e-3, 1e6, 50)
     for spec in (WEIBULL_HEAVY, LOGNORMAL_6DB):
         assert np.allclose(spec.inverse_cumulative_hazard(-np.log(spec.survival(x))), x, rtol=1e-8)
@@ -475,6 +485,33 @@ def test_twisted_theta_zero_matches_plain_sampling():
     plain = WEIBULL_HEAVY.sample(UnitSampleStream(5, 1), size=10_000)
     twisted = WEIBULL_HEAVY.sample_twisted(0.0, UnitSampleStream(5, 1), size=10_000)
     assert np.array_equal(plain, twisted)
+
+
+@pytest.mark.parametrize("spec", [
+    DistributionSpec.weibull(0.8, 3.0),
+    LOGNORMAL_6DB,
+    DistributionSpec.lognormal(-2.0, 3.0),
+    DistributionSpec.lognormal(10.0, 20.0),
+])
+def test_sample_is_sample_twisted_at_theta_zero(spec):
+    # one sampling kernel: an untwisted draw is the theta = 0 twisted draw,
+    # bit for bit, as an array and as a scalar
+    plain = spec.sample(UnitSampleStream(17, 2), size=4096)
+    twisted = spec.sample_twisted(0.0, UnitSampleStream(17, 2), size=4096)
+    assert np.array_equal(plain, twisted)
+    scalar = spec.sample(UnitSampleStream(17, 2))
+    assert isinstance(scalar, float)
+    assert scalar == spec.sample_twisted(0.0, UnitSampleStream(17, 2)) == plain[0]
+
+
+@pytest.mark.parametrize("spec", [LOGNORMAL_6DB, DistributionSpec.lognormal(-2.0, 3.0), DistributionSpec.lognormal(10.0, 20.0)])
+def test_lognormal_sample_is_scipys_inverse_survival_of_the_stream(spec):
+    # sample() inverts the stream's uniforms as scipy's lognorm.isf does,
+    # with shape sigma_ln and scale exp(mu_ln)
+    draws = spec.sample(UnitSampleStream(23, 1), size=1 << 14)
+    u = UnitSampleStream(23, 1).uniforms(1 << 14)
+    expected = scipy.stats.lognorm.isf(u, spec.sigma_ln, scale=math.exp(spec.mu_ln))
+    assert np.allclose(draws, expected, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("spec,x_grid", [

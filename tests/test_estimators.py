@@ -454,6 +454,22 @@ def test_screen_at_a_replications_exact_total(twist, theta, count, rank):
     assert results[0] == results[1] != results[2]
 
 
+@pytest.mark.parametrize("count, rank", [(1, -1), (4465, -1), (4465, -40), (CHUNK_SIZE, -1), (CHUNK_SIZE, -1000)])
+def test_naive_screen_at_a_replications_exact_total(count, rank):
+    # the untwisted hit test reads -log u against the level hazards: gamma
+    # at one replication's exact sum and 1 ulp either side, each hit of
+    # weight 1, so a replication of any rank shows
+    twisted = frozenset()
+    total = np.sort(_reference_totals(LOGNORMAL4.components, twisted, 0.0, 71, 3, count))[rank]
+    results = []
+    for gamma in (np.nextafter(total, np.inf), total, np.nextafter(total, 0.0)):
+        args = (LOGNORMAL4.components, twisted, 0.0, float(gamma), 71, 3, count)
+        results.append(_simulate_chunk(*args))
+        assert results[-1] == _reference_chunk(*args)
+    assert results[0] == results[1]
+    assert results[2] == tuple(r + 1.0 for r in results[1])
+
+
 @pytest.fixture
 def inverted(monkeypatch):
     """Element counts passed to the exact log-normal kernel, call by call."""
