@@ -17,6 +17,11 @@ method, theta, runs, seed) no matter how many workers ran the chunks.
 Other builds may differ in the last bits of a special function or of a
 vectorised log, and so in the bytes.
 
+A sweep runs every chunk of every estimate on one pool of ``workers``
+threads, so an estimate's chunks start while the previous estimate's
+last chunk still runs; an estimate alone is a one-estimate sweep.  With
+one worker no thread starts and every chunk runs on the calling thread.
+
 Every draw takes one kernel: its cumulative hazard y = -log(U) / (1 - theta)
 (theta = 0 for an untwisted component) inverted by
 ``DistributionSpec.inverse_cumulative_hazard``.  A chunk draws each
@@ -41,7 +46,9 @@ log weight becomes t, t**2 and t**4 in place, and the chunk holds at most
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 
@@ -104,6 +111,15 @@ class EstimateReport:
     one-sided 95% bound 1 - 0.05^(1/runs) for naive MC and inf for IS.
     A single run has no sample variance: both standard errors, the
     variance and a hit's relative error and interval are NaN.
+
+    T, T**2 and T**4 are plain doubles, which underflow far in the tail.
+    A run with hits whose mean of T**2 underflowed, to 0 or below the
+    smallest normal double (about 2.2e-308), reports NaN for the second
+    moment, both standard errors, the variance, the relative error and
+    the interval, and one whose mean of T underflowed also for
+    ``alpha_hat``; one whose mean of T**4 alone underflowed, for
+    ``second_moment_se``.  So no such run claims zero spread, or passes
+    for a run without hits.
     """
 
     method: Method
@@ -166,7 +182,9 @@ def _simulate_chunk(
     seed: int,
     chunk_index: int,
     count: int,
-) -> tuple[float, float, float]:
+) -> tuple[float, float, float, int]:
+    """Sums of t, t**2 and t**4 over one chunk's replications, t the
+    weighted indicator, and its hit count."""
     stream = UnitSampleStream(seed, chunk_index)
     # Weibull's bound is its exact inverse, so a Weibull chunk decides every
     # replication from its bound sums, in one full-width sub-block whose
@@ -233,55 +251,108 @@ def _simulate_chunk(
     for _ in range(2):  # t**2, then t**4, in place
         np.multiply(t, t, out=t)
         sums.append(float(t.sum()))
-    return tuple(sums)
+    return (*sums, int(np.count_nonzero(hits)))
 
 
-def _run_estimate(
+@dataclass(frozen=True)
+class _Estimate:
+    """One estimate's work: the arguments of its chunks, in chunk order,
+    and what its report records besides their partial sums."""
+
+    method: Method
+    theta: float
+    runs: int
+    seed: int
+    chunks: tuple[tuple, ...]
+
+
+def _estimate(
     scenario: Scenario,
     twisted: frozenset[int],
     theta: float,
     method: Method,
     runs: int,
     seed: int,
-    workers: int,
-) -> EstimateReport:
+) -> _Estimate:
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    gamma = scenario.threshold_linear
+    chunks = tuple(
+        (scenario.components, twisted, theta, gamma, seed, j, min(CHUNK_SIZE, runs - a))
+        for j, a in enumerate(range(0, runs, CHUNK_SIZE))
+    )
+    return _Estimate(method, theta, runs, seed, chunks)
+
+
+def _naive_estimate(scenario: Scenario, runs: int, seed: int) -> _Estimate:
+    return _estimate(scenario, frozenset(), 0.0, Method.NAIVE_MC, runs, seed)
+
+
+def _conventional_estimate(scenario: Scenario, theta: float, runs: int, seed: int) -> _Estimate:
+    if not 0.0 <= theta < 1.0:
+        raise ValueError("twisting parameter must lie in [0, 1)")
+    twisted = frozenset(range(scenario.n))
+    return _estimate(scenario, twisted, theta, Method.CONVENTIONAL_IS, runs, seed)
+
+
+def _improved_estimate(scenario: Scenario, plan: TwistPlan, runs: int, seed: int) -> _Estimate:
+    if plan.theta is None:
+        raise ValueError("the twist plan has no twisting parameter set")
+    plan.check_fits(scenario)
+    lead = astuple(scenario.components[plan.dominant_indices[0]])
+    for i in plan.dominant_indices:
+        # one family per scenario: a field is None in both specs or in neither
+        pairs = zip(lead[1:], astuple(scenario.components[i])[1:])
+        if not all(a is None or _close(a, b) for a, b in pairs):
+            raise ValueError("dominant components must be identically distributed")
+    twisted = frozenset(plan.dominant_indices)
+    return _estimate(scenario, twisted, plan.theta, Method.IMPROVED_IS, runs, seed)
+
+
+def _run_estimates(estimates: list[_Estimate], workers: int) -> list[EstimateReport]:
+    """The report of each estimate, in order.
+
+    With one worker every chunk runs in turn on the calling thread.
+    Otherwise one pool of ``workers`` threads runs the chunks of all the
+    estimates, so an estimate's chunks start while the previous one's last
+    chunk still runs.  Results are taken in estimate and chunk order, so
+    the error raised is the first one a serial run would raise; the chunks
+    still queued are then cancelled.
+    """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    n_chunks = (runs + CHUNK_SIZE - 1) // CHUNK_SIZE
-    counts = [
-        min(CHUNK_SIZE, runs - j * CHUNK_SIZE) for j in range(n_chunks)
-    ]
+    chunks = [args for estimate in estimates for args in estimate.chunks]
 
-    def compute(j: int) -> tuple[float, float, float]:
-        return _simulate_chunk(
-            scenario.components, twisted, theta, scenario.threshold_linear,
-            seed, j, counts[j],
-        )
+    def reports(partials) -> list[EstimateReport]:
+        return [
+            _report(estimate, list(itertools.islice(partials, len(estimate.chunks))))
+            for estimate in estimates
+        ]
 
-    if workers > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(compute, range(n_chunks)))
-    else:
-        partials = [compute(j) for j in range(n_chunks)]
+    if workers == 1:
+        return reports(itertools.starmap(_simulate_chunk, chunks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return reports(pool.map(_simulate_chunk, *zip(*chunks)))
 
-    # fsum is exact, so the merge is independent of completion order
-    sum_t = math.fsum(p[0] for p in partials)
-    sum_t2 = math.fsum(p[1] for p in partials)
-    sum_t4 = math.fsum(p[2] for p in partials)
 
-    m = float(runs)
-    alpha_hat = sum_t / m
-    second_moment = sum_t2 / m
+def _report(estimate: _Estimate, partials) -> EstimateReport:
+    """The report of an estimate from its chunks' partial sums."""
+    hits = sum(p[3] for p in partials)
+    m = float(estimate.runs)
+    # fsum is exact, so the merge is independent of how the chunks ran.  A
+    # mean below the smallest normal double although replications hit has
+    # underflowed, in its terms or in the division: NaN
+    alpha_hat, second_moment, fourth_moment = (
+        mean if mean >= sys.float_info.min or not hits else math.nan
+        for mean in (math.fsum(p[k] for p in partials) / m for k in range(3))
+    )
     # one replication has no sample variance, so every spread below is NaN
-    bessel = m / (m - 1.0) if runs > 1 else math.nan
+    bessel = m / (m - 1.0) if estimate.runs > 1 else math.nan
     variance = max(second_moment - alpha_hat * alpha_hat, 0.0) * bessel
     std_error = math.sqrt(variance / m)
-    fourth_moment = sum_t4 / m
     m2_variance = max(fourth_moment - second_moment * second_moment, 0.0) * bessel
     second_moment_se = math.sqrt(m2_variance / m)
-    if alpha_hat > 0.0:
+    if hits:
         relative_error = std_error / alpha_hat
         # max keeps its first argument when that is NaN
         ci95_low = max(alpha_hat - 1.96 * std_error, 0.0)
@@ -291,9 +362,9 @@ def _run_estimate(
         ci95_low = 0.0
         # no hits: naive MC's exact one-sided bound 1 - 0.05^(1/runs), about
         # 3/runs; an IS row without a hit bounds nothing
-        ci95_high = -math.expm1(math.log(0.05) / m) if method is Method.NAIVE_MC else math.inf
+        ci95_high = -math.expm1(math.log(0.05) / m) if estimate.method is Method.NAIVE_MC else math.inf
     return EstimateReport(
-        method=method,
+        method=estimate.method,
         alpha_hat=alpha_hat,
         second_moment=second_moment,
         second_moment_se=second_moment_se,
@@ -301,9 +372,9 @@ def _run_estimate(
         relative_error=relative_error,
         ci95_low=ci95_low,
         ci95_high=ci95_high,
-        runs=runs,
-        theta=theta,
-        seed=seed,
+        runs=estimate.runs,
+        theta=estimate.theta,
+        seed=estimate.seed,
     )
 
 
@@ -312,21 +383,14 @@ def estimate_naive(
 ) -> EstimateReport:
     """Plain Monte Carlo: fraction of replications whose sum exceeds the
     threshold."""
-    return _run_estimate(
-        scenario, frozenset(), 0.0, Method.NAIVE_MC, runs, seed, workers
-    )
+    return _run_estimates([_naive_estimate(scenario, runs, seed)], workers)[0]
 
 
 def estimate_conventional(
     scenario: Scenario, theta: float, runs: int, seed: int, workers: int = 1
 ) -> EstimateReport:
     """Importance sampling with every component hazard-twisted by theta."""
-    if not 0.0 <= theta < 1.0:
-        raise ValueError("twisting parameter must lie in [0, 1)")
-    twisted = frozenset(range(scenario.n))
-    return _run_estimate(
-        scenario, twisted, theta, Method.CONVENTIONAL_IS, runs, seed, workers
-    )
+    return _run_estimates([_conventional_estimate(scenario, theta, runs, seed)], workers)[0]
 
 
 def estimate_improved(
@@ -338,19 +402,7 @@ def estimate_improved(
     them alone keeps the likelihood weights closer to 1 and lowers the
     estimator's second moment relative to twisting everything.
     """
-    if plan.theta is None:
-        raise ValueError("the twist plan has no twisting parameter set")
-    plan.check_fits(scenario)
-    lead = astuple(scenario.components[plan.dominant_indices[0]])
-    for i in plan.dominant_indices:
-        # one family per scenario: a field is None in both specs or in neither
-        pairs = zip(lead[1:], astuple(scenario.components[i])[1:])
-        if not all(a is None or _close(a, b) for a, b in pairs):
-            raise ValueError("dominant components must be identically distributed")
-    twisted = frozenset(plan.dominant_indices)
-    return _run_estimate(
-        scenario, twisted, plan.theta, Method.IMPROVED_IS, runs, seed, workers
-    )
+    return _run_estimates([_improved_estimate(scenario, plan, runs, seed)], workers)[0]
 
 
 def efficiency(is_report: EstimateReport, alpha_ref: float) -> EfficiencyReport:

@@ -48,10 +48,11 @@ from .dominance import (
 from .estimators import (
     EstimateReport,
     Method,
+    _conventional_estimate,
+    _improved_estimate,
+    _naive_estimate,
+    _run_estimates,
     efficiency,
-    estimate_conventional,
-    estimate_improved,
-    estimate_naive,
     optimality_ratio,
 )
 from .twist_optimizer import solve_p, solve_p_prime, theta_conventional, theta_star
@@ -336,10 +337,12 @@ def _sweep(config: ExperimentConfig, gammas, thetas, workers: int) -> list[Sweep
     """Every estimate of every runner, in (gamma, theta, method) order.
 
     Row i draws from seed ``config.seed + i``.  A theta of None stands for
-    each IS method's minmax parameter at that threshold.
+    each IS method's minmax parameter at that threshold.  Every row is
+    built, and every threshold's minmax parameters solved, before one pool
+    runs the chunks of all the rows.
     """
     base_plan = select_dominant(config.scenario)
-    rows = []
+    rows = []  # (gamma_db, objective, estimate)
     for gamma_db in gammas:
         if gamma_db is None:
             raise ValueError("this experiment needs a dB threshold")
@@ -360,16 +363,17 @@ def _sweep(config: ExperimentConfig, gammas, thetas, workers: int) -> list[Sweep
             for method in config.methods:
                 seed = config.seed + len(rows)
                 if method is Method.NAIVE_MC:
-                    row_theta, objective = 0.0, None
-                    report = estimate_naive(scenario, config.runs, seed, workers)
+                    row = (gamma_db, None, _naive_estimate(scenario, config.runs, seed))
                 elif method is Method.CONVENTIONAL_IS:
-                    row_theta, objective = theta_conv, None
-                    report = estimate_conventional(scenario, theta_conv, config.runs, seed, workers)
+                    row = (gamma_db, None, _conventional_estimate(scenario, theta_conv, config.runs, seed))
                 else:
-                    row_theta, objective = plan.theta, budget
-                    report = estimate_improved(scenario, plan, config.runs, seed, workers)
-                rows.append(SweepRow(gamma_db, method, row_theta, report, objective))
-    return rows
+                    row = (gamma_db, budget, _improved_estimate(scenario, plan, config.runs, seed))
+                rows.append(row)
+    reports = _run_estimates([estimate for _, _, estimate in rows], workers)
+    return [
+        SweepRow(gamma_db, report.method, report.theta, report, objective)
+        for (gamma_db, objective, _), report in zip(rows, reports)
+    ]
 
 
 def run_single_estimate(config: ExperimentConfig, workers: int = 1) -> list[SweepRow]:

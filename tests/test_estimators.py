@@ -19,6 +19,8 @@ from tailtwist.estimators import (
     log_likelihood_ratio,
     optimality_ratio,
     _SCREEN_MARGIN,
+    _Estimate,
+    _report,
     _simulate_chunk,
 )
 from tailtwist.streams import UnitSampleStream
@@ -255,6 +257,32 @@ def test_runs_must_be_positive():
         estimate_naive(scenario, runs=0, seed=0)
 
 
+SPREADS = {"second_moment", "second_moment_se", "variance", "relative_error", "ci95_low", "ci95_high"}
+
+
+@pytest.mark.parametrize(
+    "runs, sums, nan_fields",
+    [
+        (1000, (1e-200, 1e-300, 0.0), {"second_moment_se"}),
+        (1000, (1e-200, 0.0, 0.0), SPREADS),
+        (1000, (0.0, 0.0, 0.0), SPREADS | {"alpha_hat"}),
+        # non-zero sums whose means fall below the smallest normal double
+        (65536, (1e-200, 1e-306, 1e-306), SPREADS),
+        (65536, (1e-320, 1e-320, 1e-320), SPREADS | {"alpha_hat"}),
+    ],
+)
+def test_sums_that_underflow_under_hits_report_nan(runs, sums, nan_fields):
+    # a row with hits whose mean of t, t**2 or t**4 underflowed reads NaN
+    # in the columns read from it, not an exact 0 or a row without a hit
+    estimate = _Estimate(Method.IMPROVED_IS, 0.99, runs, 0, ())
+    report = _report(estimate, [(*sums, 2), (0.0, 0.0, 0.0, 1)])
+    values = dataclasses.asdict(report)
+    assert {name for name, v in values.items() if isinstance(v, float) and math.isnan(v)} == nan_fields
+    assert report.alpha_hat == sums[0] / runs or "alpha_hat" in nan_fields
+    empty = _report(estimate, [(0.0, 0.0, 0.0, 0)])
+    assert (empty.alpha_hat, empty.relative_error, empty.ci95_high) == (0.0, math.inf, math.inf)
+
+
 # -- efficiency and optimality -------------------------------------------------------
 
 
@@ -348,7 +376,8 @@ def _reference_inverse_cumulative_hazard(spec, y):
 
 def _reference_chunk(components, twisted, theta, gamma, seed, chunk_index, count):
     """The chunk kernel as it was before it worked in place: one fresh
-    array per temporary, the same float operations in the same order."""
+    array per temporary, the same float operations in the same order,
+    and the hit count."""
     seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
     gen = np.random.Generator(np.random.PCG64DXSM(seq))
     total = np.zeros(count)
@@ -365,9 +394,10 @@ def _reference_chunk(components, twisted, theta, gamma, seed, chunk_index, count
                 total += _reference_inverse_cumulative_hazard(spec, -np.log(u))
 
     log_weight = log_likelihood_ratio(theta, twisted_hazards())
-    t = np.where(total > gamma, np.exp(log_weight), 0.0)
+    hit = total > gamma
+    t = np.where(hit, np.exp(log_weight), 0.0)
     t2 = t * t
-    return float(t.sum()), float(t2.sum()), float((t2 * t2).sum())
+    return float(t.sum()), float(t2.sum()), float((t2 * t2).sum()), int(hit.sum())
 
 
 KERNEL_SCENARIOS = {
@@ -495,7 +525,7 @@ def test_screen_at_zero_threshold_certifies_every_hit(counting_stream, inverted)
 
 def test_screen_far_above_every_sum_inverts_nothing(counting_stream, inverted):
     args = (LOGNORMAL4.components, frozenset(range(4)), 0.3, 1e12, 71, 3, 4465)
-    assert _simulate_chunk(*args) == _reference_chunk(*args) == (0.0, 0.0, 0.0)
+    assert _simulate_chunk(*args) == _reference_chunk(*args) == (0.0, 0.0, 0.0, 0)
     assert counting_stream.built == 1
     assert sum(inverted) == 0
 
@@ -543,7 +573,7 @@ def test_naive_lognormal_chunk_inverts_every_draw_from_its_hazard(inverted):
     n = LOGNORMAL4.n
     total = np.sort(_reference_totals(LOGNORMAL4.components, frozenset(), 0.0, 71, 3, CHUNK_SIZE))[-5]
     args = (LOGNORMAL4.components, frozenset(), 0.0, float(total), 71, 3, CHUNK_SIZE)
-    assert _simulate_chunk(*args) == _reference_chunk(*args) == (4.0, 4.0, 4.0)
+    assert _simulate_chunk(*args) == _reference_chunk(*args) == (4.0, 4.0, 4.0, 4)
     assert sum(inverted) > 0 and sum(inverted) % n == 0
     sizes = np.reshape(inverted, (-1, n))
     assert np.all(sizes == sizes[:, :1])

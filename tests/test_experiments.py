@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
-from tailtwist import experiments
+from tailtwist import estimators, experiments
 from tailtwist.cli import main
 from tailtwist.dominance import DominanceVerdict, TailDominanceReport, select_dominant
 from tailtwist.estimators import CHUNK_SIZE, EstimateReport, Method, efficiency, optimality_ratio
@@ -578,6 +579,185 @@ def test_csv_reproducible_across_workers():
     again = sweep_rows_to_csv(run_theta_sweep(config, workers=1))
     parallel = sweep_rows_to_csv(run_theta_sweep(config, workers=4))
     assert base == again == parallel
+
+
+# -- one chunk pool per sweep ------------------------------------------------------
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The pools the estimators build, each setting ``cancelled`` once it
+    has cancelled a queued chunk."""
+    built = []
+
+    class CountingPool(estimators.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.cancelled = threading.Event()
+            built.append(self)
+
+        def submit(self, fn, *args, **kwargs):
+            future = super().submit(fn, *args, **kwargs)
+            cancel = future.cancel
+
+            def counted_cancel():
+                if cancel():
+                    self.cancelled.set()
+                    return True
+                return False
+
+            future.cancel = counted_cancel
+            return future
+
+    monkeypatch.setattr(estimators, "ThreadPoolExecutor", CountingPool)
+    return built
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sweep_runs_every_chunk_on_one_pool(pools, workers):
+    # two chunks per row, one full and one partial
+    config = small_theta_config(theta_grid="0.2:0.05:0.95", runs=CHUNK_SIZE + 4465)
+    rows = run_theta_sweep(config, workers)
+    assert len(rows) == 32
+    assert len(pools) == (1 if workers > 1 else 0)
+
+
+def test_single_chunk_rows_run_on_the_pool(monkeypatch):
+    config = small_theta_config(theta_grid="0.2:0.05:0.95", runs=4465)
+    serial = sweep_rows_to_csv(run_theta_sweep(config, workers=1))
+    threads = []
+    chunk = estimators._simulate_chunk
+
+    def recorded(*args):
+        threads.append(threading.get_ident())
+        return chunk(*args)
+
+    monkeypatch.setattr(estimators, "_simulate_chunk", recorded)
+    assert sweep_rows_to_csv(run_theta_sweep(config, workers=2)) == serial
+    assert len(threads) == 32
+    assert threading.get_ident() not in threads
+
+
+def test_more_workers_than_cores_with_fast_thread_switches_match_serial():
+    config = small_theta_config(theta_grid="0.2:0.05:0.95", runs=CHUNK_SIZE + 4465)
+    serial = sweep_rows_to_csv(run_theta_sweep(config, workers=1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = sweep_rows_to_csv(run_theta_sweep(config, workers=2 * (os.cpu_count() or 1) + 1))
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled == serial
+
+
+class FirstError(ArithmeticError):
+    pass
+
+
+class LaterError(ValueError):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failing_chunk_raises_the_first_error_in_row_order(monkeypatch, workers):
+    # row 5's chunk raises only after row 6's has raised, yet its error is
+    # the one reported, as in a serial run, and the pool's threads are gone
+    # when the call returns
+    config = small_theta_config(theta_grid="0.2:0.05:0.95", runs=1000)
+    later_raised = threading.Event()
+    started = []
+    chunk = estimators._simulate_chunk
+
+    def failing(*args):
+        row = args[4] - config.seed
+        started.append(row)
+        if row == 5:
+            later_raised.wait(timeout=5.0 if workers > 1 else 0.0)
+            raise FirstError("row 5")
+        if row == 6:
+            later_raised.set()
+            raise LaterError("row 6")
+        return chunk(*args)
+
+    monkeypatch.setattr(estimators, "_simulate_chunk", failing)
+    before = threading.active_count()
+    with pytest.raises(FirstError, match="row 5"):
+        run_theta_sweep(config, workers)
+    assert threading.active_count() == before
+    assert started == list(range(6)) if workers == 1 else 6 in started
+
+
+def test_a_failing_chunk_cancels_the_queued_ones(pools, monkeypatch):
+    # row 0 fails at once; the rows after it hold both threads until a
+    # queued chunk has been cancelled, so one always is
+    config = small_theta_config(theta_grid="0.2:0.05:0.95", runs=1000)
+    started = []
+    chunk = estimators._simulate_chunk
+
+    def failing(*args):
+        row = args[4] - config.seed
+        started.append(row)
+        if row == 0:
+            raise FirstError("row 0")
+        pools[0].cancelled.wait(timeout=5.0)
+        return chunk(*args)
+
+    monkeypatch.setattr(estimators, "_simulate_chunk", failing)
+    with pytest.raises(FirstError, match="row 0"):
+        run_theta_sweep(config, workers=2)
+    assert pools[0].cancelled.is_set()
+    assert sorted(started) in ([0, 1], [0, 1, 2])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_solve_runs_before_any_chunk(monkeypatch, workers):
+    # a later threshold's failing solve is raised before row 0's chunk has
+    # run, at any worker count
+    config = parse_config(WEIBULL2_THRESHOLDS).override(runs=1000)
+    solve = experiments.theta_conventional
+    started = []
+    chunk = estimators._simulate_chunk
+
+    def failing_solve(scenario):
+        if scenario.threshold_db > 20.0:
+            raise LaterError("solve")
+        return solve(scenario)
+
+    def recorded(*args):
+        started.append(args[4])
+        return chunk(*args)
+
+    monkeypatch.setattr(experiments, "theta_conventional", failing_solve)
+    monkeypatch.setattr(estimators, "_simulate_chunk", recorded)
+    with pytest.raises(LaterError, match="solve"):
+        run_threshold_sweep(config, workers)
+    assert started == []
+
+
+# -- deep-tail rows ---------------------------------------------------------------
+
+
+def test_rows_whose_sums_underflow_are_not_exact_or_empty():
+    # far in the tail each hit's weight t underflows: at 70 dB its t**2, at
+    # 75 and 80 dB t itself; replications still hit, so these rows must
+    # neither claim zero spread nor read as rows without a hit
+    text = (Path(__file__).parents[1] / "configs" / "weibull4_thresholds.cfg").read_text()
+    config = parse_config(text.replace("gamma_grid_db = 20:1:32", "gamma_grid_db = 70:5:80"))
+    rows = run_threshold_sweep(config.override(runs=CHUNK_SIZE, methods=(Method.IMPROVED_IS,)))
+    assert [row.gamma_db for row in rows] == [70.0, 75.0, 80.0]
+    for row in rows:
+        # one chunk per row; component 0 is the dominant one
+        scenario = config.scenario.with_threshold_db(row.gamma_db)
+        args = (scenario.components, frozenset({0}), row.theta, scenario.threshold_linear, row.report.seed, 0, CHUNK_SIZE)
+        assert estimators._simulate_chunk(*args)[3] > 0
+    spreads = ("second_moment", "second_moment_se", "variance", "relative_error", "ci95_low", "ci95_high")
+    deep = rows[0].report
+    assert 0.0 < deep.alpha_hat < 1e-250
+    assert all(math.isnan(getattr(deep, field)) for field in spreads)
+    for row in rows[1:]:
+        assert all(math.isnan(getattr(row.report, field)) for field in ("alpha_hat",) + spreads)
+    cells = sweep_rows_to_csv(rows).splitlines()[2].split(",")
+    assert cells[3:10] == ["nan"] * 7
 
 
 # -- CLI ------------------------------------------------------------------------
