@@ -33,20 +33,12 @@ __all__ = [
     "LightTailWarning",
     "DistributionSpec",
     "db_to_linear",
-    "linear_to_db",
 ]
 
 
 def db_to_linear(value_db: float) -> float:
     """Decibel value to linear power units: 10**(dB/10)."""
     return 10.0 ** (value_db / 10.0)
-
-
-def linear_to_db(value: float) -> float:
-    """Linear power value to decibels."""
-    if value <= 0.0:
-        raise ValueError("only positive values have a dB representation")
-    return 10.0 * math.log10(value)
 
 
 class Family(enum.Enum):

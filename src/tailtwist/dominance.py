@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -122,9 +122,17 @@ class TwistPlan:
         return replace(self, theta=float(theta), theta_source=source)
 
     def check_fits(self, scenario: Scenario) -> None:
-        """Raise ValueError unless every dominant index names a component."""
+        """Raise ValueError unless every dominant index names a component
+        and the dominant components are identically distributed (up to the
+        tolerance that groups them)."""
         if any(i < 0 or i >= scenario.n for i in self.dominant_indices):
             raise ValueError("twist plan indexes components outside the scenario")
+        lead = astuple(scenario.components[self.dominant_indices[0]])
+        for i in self.dominant_indices[1:]:
+            # one family per scenario: a field is None in both specs or in neither
+            pairs = zip(lead[1:], astuple(scenario.components[i])[1:])
+            if not all(a is None or _close(a, b) for a, b in pairs):
+                raise ValueError("dominant components must be identically distributed")
 
 
 def select_dominant(scenario: Scenario) -> TwistPlan:

@@ -10,10 +10,13 @@ Three estimators of alpha = P(sum of components > threshold):
 Replications are processed in fixed chunks of 2**16, chunk j drawing
 from substream j of the base seed (the seed's SeedSequence with spawn
 key (j,), driving PCG64DXSM) and component i of a chunk of c replications
-taking stream positions i*c to (i+1)*c - 1.  Chunk partial sums are
-combined with exact summation (math.fsum), so on one platform and one
-numpy/scipy build a report is a bit-reproducible function of (scenario,
-method, theta, runs, seed) no matter how many workers ran the chunks.
+taking stream positions i*c to (i+1)*c - 1.  Each chunk returns a
+``ChunkSums`` record: the sums ``t``, ``t2`` and ``t4`` of its weighted
+indicators t, t**2 and t**4, and its count of ``hits``.  Records merge
+exactly (math.fsum per sum, an integer sum of hits), so on one platform
+and one numpy/scipy build a report is a bit-reproducible function of
+(scenario, method, theta, runs, seed) no matter how many workers ran the
+chunks.
 Other builds may differ in the last bits of a special function or of a
 vectorised log, and so in the bytes.
 
@@ -50,12 +53,13 @@ import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import DistributionSpec, Family
-from .dominance import Scenario, TwistPlan, _close
+from .dominance import Scenario, TwistPlan
 from .streams import UnitSampleStream
 
 CHUNK_SIZE = 1 << 16
@@ -146,6 +150,15 @@ class EfficiencyReport:
     xi: float
 
 
+class ChunkSums(NamedTuple):
+    """One chunk's sums of t, t**2 and t**4, t the weighted indicator, and its hit count."""
+
+    t: float
+    t2: float
+    t4: float
+    hits: int
+
+
 def log_likelihood_ratio(theta: float, hazards, out=None):
     """Log importance weight of a draw whose twisted components were each
     hazard-twisted by theta.
@@ -182,9 +195,8 @@ def _simulate_chunk(
     seed: int,
     chunk_index: int,
     count: int,
-) -> tuple[float, float, float, int]:
-    """Sums of t, t**2 and t**4 over one chunk's replications, t the
-    weighted indicator, and its hit count."""
+) -> ChunkSums:
+    """The sums of one chunk's replications."""
     stream = UnitSampleStream(seed, chunk_index)
     # Weibull's bound is its exact inverse, so a Weibull chunk decides every
     # replication from its bound sums, in one full-width sub-block whose
@@ -247,11 +259,10 @@ def _simulate_chunk(
     # t is finite (the log weight is at most -s * log1p(-theta)), so a
     # miss's 0 * t is exactly 0.0
     t *= hits
-    sums = [float(t.sum())]
-    for _ in range(2):  # t**2, then t**4, in place
-        np.multiply(t, t, out=t)
-        sums.append(float(t.sum()))
-    return (*sums, int(np.count_nonzero(hits)))
+    sum_t = float(t.sum())
+    sum_t2 = float(np.multiply(t, t, out=t).sum())
+    sum_t4 = float(np.multiply(t, t, out=t).sum())
+    return ChunkSums(sum_t, sum_t2, sum_t4, int(np.count_nonzero(hits)))
 
 
 @dataclass(frozen=True)
@@ -268,12 +279,25 @@ class _Estimate:
 
 def _estimate(
     scenario: Scenario,
-    twisted: frozenset[int],
-    theta: float,
     method: Method,
     runs: int,
     seed: int,
+    theta: float = 0.0,
+    plan: TwistPlan | None = None,
 ) -> _Estimate:
+    """One estimate's chunks.  Naive MC twists nothing, conventional IS every
+    component by ``theta``, improved IS the plan's dominant ones by its theta."""
+    if method is Method.NAIVE_MC:
+        twisted, theta = frozenset(), 0.0
+    elif method is Method.CONVENTIONAL_IS:
+        if not 0.0 <= theta < 1.0:
+            raise ValueError("twisting parameter must lie in [0, 1)")
+        twisted = frozenset(range(scenario.n))
+    else:
+        if plan.theta is None:
+            raise ValueError("the twist plan has no twisting parameter set")
+        plan.check_fits(scenario)
+        twisted, theta = frozenset(plan.dominant_indices), plan.theta
     if runs < 1:
         raise ValueError("runs must be >= 1")
     gamma = scenario.threshold_linear
@@ -282,31 +306,6 @@ def _estimate(
         for j, a in enumerate(range(0, runs, CHUNK_SIZE))
     )
     return _Estimate(method, theta, runs, seed, chunks)
-
-
-def _naive_estimate(scenario: Scenario, runs: int, seed: int) -> _Estimate:
-    return _estimate(scenario, frozenset(), 0.0, Method.NAIVE_MC, runs, seed)
-
-
-def _conventional_estimate(scenario: Scenario, theta: float, runs: int, seed: int) -> _Estimate:
-    if not 0.0 <= theta < 1.0:
-        raise ValueError("twisting parameter must lie in [0, 1)")
-    twisted = frozenset(range(scenario.n))
-    return _estimate(scenario, twisted, theta, Method.CONVENTIONAL_IS, runs, seed)
-
-
-def _improved_estimate(scenario: Scenario, plan: TwistPlan, runs: int, seed: int) -> _Estimate:
-    if plan.theta is None:
-        raise ValueError("the twist plan has no twisting parameter set")
-    plan.check_fits(scenario)
-    lead = astuple(scenario.components[plan.dominant_indices[0]])
-    for i in plan.dominant_indices:
-        # one family per scenario: a field is None in both specs or in neither
-        pairs = zip(lead[1:], astuple(scenario.components[i])[1:])
-        if not all(a is None or _close(a, b) for a, b in pairs):
-            raise ValueError("dominant components must be identically distributed")
-    twisted = frozenset(plan.dominant_indices)
-    return _estimate(scenario, twisted, plan.theta, Method.IMPROVED_IS, runs, seed)
 
 
 def _run_estimates(estimates: list[_Estimate], workers: int) -> list[EstimateReport]:
@@ -335,16 +334,16 @@ def _run_estimates(estimates: list[_Estimate], workers: int) -> list[EstimateRep
         return reports(pool.map(_simulate_chunk, *zip(*chunks)))
 
 
-def _report(estimate: _Estimate, partials) -> EstimateReport:
-    """The report of an estimate from its chunks' partial sums."""
-    hits = sum(p[3] for p in partials)
+def _report(estimate: _Estimate, partials: list[ChunkSums]) -> EstimateReport:
+    """The report of an estimate from its chunks' records."""
+    hits = sum(p.hits for p in partials)
     m = float(estimate.runs)
     # fsum is exact, so the merge is independent of how the chunks ran.  A
     # mean below the smallest normal double although replications hit has
     # underflowed, in its terms or in the division: NaN
     alpha_hat, second_moment, fourth_moment = (
         mean if mean >= sys.float_info.min or not hits else math.nan
-        for mean in (math.fsum(p[k] for p in partials) / m for k in range(3))
+        for mean in (math.fsum(getattr(p, field) for p in partials) / m for field in ("t", "t2", "t4"))
     )
     # one replication has no sample variance, so every spread below is NaN
     bessel = m / (m - 1.0) if estimate.runs > 1 else math.nan
@@ -383,14 +382,15 @@ def estimate_naive(
 ) -> EstimateReport:
     """Plain Monte Carlo: fraction of replications whose sum exceeds the
     threshold."""
-    return _run_estimates([_naive_estimate(scenario, runs, seed)], workers)[0]
+    return _run_estimates([_estimate(scenario, Method.NAIVE_MC, runs, seed)], workers)[0]
 
 
 def estimate_conventional(
     scenario: Scenario, theta: float, runs: int, seed: int, workers: int = 1
 ) -> EstimateReport:
     """Importance sampling with every component hazard-twisted by theta."""
-    return _run_estimates([_conventional_estimate(scenario, theta, runs, seed)], workers)[0]
+    estimate = _estimate(scenario, Method.CONVENTIONAL_IS, runs, seed, theta=theta)
+    return _run_estimates([estimate], workers)[0]
 
 
 def estimate_improved(
@@ -402,7 +402,7 @@ def estimate_improved(
     them alone keeps the likelihood weights closer to 1 and lowers the
     estimator's second moment relative to twisting everything.
     """
-    return _run_estimates([_improved_estimate(scenario, plan, runs, seed)], workers)[0]
+    return _run_estimates([_estimate(scenario, Method.IMPROVED_IS, runs, seed, plan=plan)], workers)[0]
 
 
 def efficiency(is_report: EstimateReport, alpha_ref: float) -> EfficiencyReport:

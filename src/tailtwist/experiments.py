@@ -48,9 +48,7 @@ from .dominance import (
 from .estimators import (
     EstimateReport,
     Method,
-    _conventional_estimate,
-    _improved_estimate,
-    _naive_estimate,
+    _estimate,
     _run_estimates,
     efficiency,
     optimality_ratio,
@@ -286,6 +284,13 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(top[first][0], f"{first} and {second} are mutually exclusive")
     if "gamma_db" not in values and "gamma_grid_db" not in values:
         raise ConfigError(None, "config needs gamma_db (or gamma_grid_db for a threshold sweep)")
+    # each dB threshold's linear value 10**(dB/10) must be a finite double
+    for key in ("gamma_db", "gamma_grid_db"):
+        db = max(np.atleast_1d(values.get(key, 0.0)).tolist())
+        try:
+            db_to_linear(db)
+        except OverflowError:
+            raise ConfigError(top[key][0], f"key '{key}': {db!r} dB overflows a double in linear units")
 
     gamma_grid_db = values.get("gamma_grid_db", ())
     gamma_db = values["gamma_db"] if "gamma_db" in values else gamma_grid_db[0]
@@ -348,7 +353,7 @@ def _sweep(config: ExperimentConfig, gammas, thetas, workers: int) -> list[Sweep
             raise ValueError("this experiment needs a dB threshold")
         scenario = config.scenario.with_threshold_db(gamma_db)
         for theta in thetas:
-            budget = None
+            budget, plan, theta_conv = None, None, theta
             if theta is None:
                 if Method.IMPROVED_IS in config.methods:
                     budget = solve_p(scenario, base_plan).objective_value
@@ -359,16 +364,10 @@ def _sweep(config: ExperimentConfig, gammas, thetas, workers: int) -> list[Sweep
                     theta_conv = theta_conventional(scenario)
             else:
                 plan = base_plan.with_theta(theta, ThetaSource.MANUAL)
-                theta_conv = theta
             for method in config.methods:
                 seed = config.seed + len(rows)
-                if method is Method.NAIVE_MC:
-                    row = (gamma_db, None, _naive_estimate(scenario, config.runs, seed))
-                elif method is Method.CONVENTIONAL_IS:
-                    row = (gamma_db, None, _conventional_estimate(scenario, theta_conv, config.runs, seed))
-                else:
-                    row = (gamma_db, budget, _improved_estimate(scenario, plan, config.runs, seed))
-                rows.append(row)
+                estimate = _estimate(scenario, method, config.runs, seed, theta=theta_conv, plan=plan)
+                rows.append((gamma_db, budget if method is Method.IMPROVED_IS else None, estimate))
     reports = _run_estimates([estimate for _, _, estimate in rows], workers)
     return [
         SweepRow(gamma_db, report.method, report.theta, report, objective)

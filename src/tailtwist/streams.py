@@ -58,9 +58,3 @@ class UnitSampleStream:
         """
         u = self._gen.random(int(n), out=out)
         return np.clip(u, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=u)
-
-    def __repr__(self) -> str:
-        return (
-            f"UnitSampleStream(seed={self.seed}, "
-            f"substream_index={self.substream_index})"
-        )

@@ -140,7 +140,7 @@ def solve_p(scenario: Scenario, plan: TwistPlan) -> OptimizationResult:
     sum x >= threshold; the value is the exponent budget A(threshold)
     that the minmax parameter is built from.
     """
-    plan.check_fits(scenario)
+    plan.check_fits(scenario)  # so the dominant components share one law
     dominant_spec = scenario.components[plan.dominant_indices[0]]
     specs = [dominant_spec] * plan.s
     return _minimize_allocation(specs, [1.0] * plan.s, scenario.threshold_linear)
@@ -164,13 +164,14 @@ def theta_star(s: int, a: float) -> float:
     """Minmax twisting parameter 1 - s/A, clamped into [0, 1).
 
     A at or below s means the threshold is too small for twisting to
-    help; the clamp to 0 keeps the estimator valid there.
+    help; the clamp to 0 keeps the estimator valid there.  Where 1 - s/A
+    rounds to 1, the clamp gives the largest double below 1.
     """
     if not a > 0.0:
         raise ValueError("the optimized hazard budget A must be positive")
     if s < 1:
         raise ValueError("the twisted-component count s must be >= 1")
-    return max(0.0, 1.0 - s / a)
+    return min(max(0.0, 1.0 - s / a), math.nextafter(1.0, 0.0))
 
 
 def bound_h(plan: TwistPlan, a: float, theta: float) -> float:

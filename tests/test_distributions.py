@@ -13,7 +13,6 @@ from tailtwist.distributions import (
     Family,
     LightTailWarning,
     db_to_linear,
-    linear_to_db,
 )
 from tailtwist.normal_tail import upper_tail_quantile_from_log
 from tailtwist.streams import UnitSampleStream
@@ -90,9 +89,6 @@ def test_light_weibull_warns():
 
 def test_db_conversions():
     assert db_to_linear(20.0) == pytest.approx(100.0, rel=1e-15)
-    assert linear_to_db(100.0) == pytest.approx(20.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        linear_to_db(0.0)
 
 
 # -- hazard rate -------------------------------------------------------------

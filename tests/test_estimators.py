@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from tailtwist.distributions import DistributionSpec, Family
 from tailtwist.dominance import Scenario, ThetaSource, select_dominant
 from tailtwist.estimators import (
     CHUNK_SIZE,
+    ChunkSums,
     EstimateReport,
     Method,
     efficiency,
@@ -275,12 +277,27 @@ def test_sums_that_underflow_under_hits_report_nan(runs, sums, nan_fields):
     # a row with hits whose mean of t, t**2 or t**4 underflowed reads NaN
     # in the columns read from it, not an exact 0 or a row without a hit
     estimate = _Estimate(Method.IMPROVED_IS, 0.99, runs, 0, ())
-    report = _report(estimate, [(*sums, 2), (0.0, 0.0, 0.0, 1)])
+    report = _report(estimate, [ChunkSums(*sums, hits=2), ChunkSums(0.0, 0.0, 0.0, hits=1)])
     values = dataclasses.asdict(report)
     assert {name for name, v in values.items() if isinstance(v, float) and math.isnan(v)} == nan_fields
     assert report.alpha_hat == sums[0] / runs or "alpha_hat" in nan_fields
-    empty = _report(estimate, [(0.0, 0.0, 0.0, 0)])
+    empty = _report(estimate, [ChunkSums(0.0, 0.0, 0.0, hits=0)])
     assert (empty.alpha_hat, empty.relative_error, empty.ci95_high) == (0.0, math.inf, math.inf)
+
+
+def test_the_report_does_not_depend_on_the_order_of_the_chunks():
+    # a left-to-right float sum of 1, 2**-53 and 2**-53 depends on the order;
+    # the records merge exactly, so every permutation gives the same report
+    chunks = [
+        ChunkSums(t=1.0, t2=2**-52, t4=3.0, hits=5),
+        ChunkSums(t=2**-53, t2=1.0, t4=2**-53, hits=1),
+        ChunkSums(t=2**-53, t2=2**-53, t4=2**-53, hits=2),
+    ]
+    assert sum(c.t for c in chunks) != sum(c.t for c in reversed(chunks))
+    estimate = _Estimate(Method.IMPROVED_IS, 0.5, 3 * CHUNK_SIZE, 0, ())
+    reports = [_report(estimate, list(order)) for order in itertools.permutations(chunks)]
+    assert len({repr(report) for report in reports}) == 1
+    assert reports[0].alpha_hat == (1.0 + 2**-52) / (3 * CHUNK_SIZE)
 
 
 # -- efficiency and optimality -------------------------------------------------------

@@ -183,6 +183,26 @@ def test_non_finite_numbers_are_config_errors_on_their_line(tmp_path, capsys, co
     assert "config error: line 2: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, line, overflowing",
+    [
+        ("estimate", "gamma_db = 4000", "4000.0"),
+        # only the grid's last point overflows: 10**308.5 is past the largest double
+        ("threshold-sweep", "gamma_grid_db = 3000:85:3085", "3085.0"),
+    ],
+)
+def test_thresholds_that_overflow_in_linear_units_are_config_errors_on_their_line(
+    tmp_path, capsys, command, line, overflowing
+):
+    text = f"# overflowing threshold on line 2\n{line}\n[component]\nfamily = weibull\nk = 0.4\nbeta = 1\n"
+    with pytest.raises(ConfigError, match=f"^line 2: key '[a-z_]+': {overflowing} dB overflows"):
+        parse_config(text)
+    assert main([command, "--config", write_config(tmp_path, text)]) == 2
+    assert "config error: line 2: " in capsys.readouterr().err
+    # the largest whole-dB threshold that fits still parses
+    assert parse_config(text.replace(line, "gamma_db = 3082")).scenario.threshold_linear == 10.0**308.2
+
+
 @pytest.mark.parametrize("grid", ["0:5e-324:1", "0:1e-300:1", "0:1e-5:1"])
 def test_oversized_grids_are_config_errors_on_their_line(tmp_path, capsys, monkeypatch, grid):
     def bounded_range(*args):
@@ -749,7 +769,7 @@ def test_rows_whose_sums_underflow_are_not_exact_or_empty():
         # one chunk per row; component 0 is the dominant one
         scenario = config.scenario.with_threshold_db(row.gamma_db)
         args = (scenario.components, frozenset({0}), row.theta, scenario.threshold_linear, row.report.seed, 0, CHUNK_SIZE)
-        assert estimators._simulate_chunk(*args)[3] > 0
+        assert estimators._simulate_chunk(*args).hits > 0
     spreads = ("second_moment", "second_moment_se", "variance", "relative_error", "ci95_low", "ci95_high")
     deep = rows[0].report
     assert 0.0 < deep.alpha_hat < 1e-250
@@ -758,6 +778,27 @@ def test_rows_whose_sums_underflow_are_not_exact_or_empty():
         assert all(math.isnan(getattr(row.report, field)) for field in ("alpha_hat",) + spreads)
     cells = sweep_rows_to_csv(rows).splitlines()[2].split(",")
     assert cells[3:10] == ["nan"] * 7
+
+
+def test_a_threshold_too_deep_for_theta_below_one_writes_nan_rows(tmp_path, capsys):
+    # at 420 dB both budgets A exceed 1e16, so 1 - s/A rounds to 1: each
+    # minmax theta is the largest double below 1, every hit's weight
+    # underflows, and the rows read nan; the 20 dB rows are kept
+    text = (Path(__file__).parents[1] / "configs" / "weibull2_thresholds.cfg").read_text()
+    deep = text.replace("gamma_grid_db = 20:1:32", "gamma_grid_db = 20:400:420")
+    rows = run_threshold_sweep(parse_config(deep).override(runs=4096))
+    assert [(row.gamma_db, row.method) for row in rows] == [
+        (20.0, Method.CONVENTIONAL_IS), (20.0, Method.IMPROVED_IS),
+        (420.0, Method.CONVENTIONAL_IS), (420.0, Method.IMPROVED_IS),
+    ]
+    assert all(0.0 < row.report.alpha_hat < 0.01 for row in rows[:2])
+    for row in rows[2:]:
+        assert row.theta == math.nextafter(1.0, 0.0)
+        assert math.isnan(row.report.alpha_hat) and math.isnan(row.report.relative_error)
+    cfg = write_config(tmp_path, deep)
+    for command in ("threshold-sweep", "efficiency", "diagnose"):
+        assert main([command, "--config", cfg, "--runs", "4096"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("420.0,")
 
 
 # -- CLI ------------------------------------------------------------------------

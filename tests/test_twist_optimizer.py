@@ -10,7 +10,8 @@ import pytest
 
 import tailtwist
 from tailtwist.distributions import DistributionSpec, LightTailWarning
-from tailtwist.dominance import Scenario, select_dominant
+from tailtwist.dominance import Scenario, ThetaSource, TwistPlan, check_tail_dominance, select_dominant
+from tailtwist.estimators import estimate_improved
 from tailtwist.twist_optimizer import (
     _minimize_allocation,
     bound_h,
@@ -109,6 +110,44 @@ def test_solve_p_rejects_foreign_plan():
     other = select_dominant(weibull_scenario([0.4, 0.4, 0.4]))
     with pytest.raises(ValueError):
         solve_p(scenario, other)
+
+
+# every function that reads a plan checks it the same way
+PLAN_READERS = {
+    "solve_p": solve_p,
+    "solve_p_prime": solve_p_prime,
+    "check_tail_dominance": lambda scenario, plan: check_tail_dominance(scenario, plan, [1e2, 1e3]),
+    "estimate_improved": lambda scenario, plan: estimate_improved(
+        scenario, plan.with_theta(0.5, ThetaSource.MANUAL), runs=1, seed=0
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(PLAN_READERS))
+def test_plan_readers_reject_dominant_components_that_differ(reader):
+    # the hand-made plan (0, 1) groups shapes 0.8 and 0.4: pricing both as
+    # the first component would give solve_p the budget of two shape-0.8
+    # components instead of the far smaller one of the shape-0.4 corner
+    scenario = weibull_scenario([0.8, 0.4], gamma_db=26.0)
+    with pytest.raises(ValueError, match="^dominant components must be identically distributed$"):
+        PLAN_READERS[reader](scenario, TwistPlan((0, 1), 2))
+
+
+@pytest.mark.parametrize("reader", sorted(PLAN_READERS))
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        weibull_scenario([0.8, 0.4], gamma_db=26.0),
+        weibull_scenario([0.4, 0.4, 0.8], scales=[1.0, 1.0 + 1e-15, 1.0]),
+        # parameters that differ only in the last bits group as one law
+        weibull_scenario([0.4, 0.4 * (1.0 + 1e-13), 0.8]),
+        lognormal_scenario([6.0, 4.0, 6.0, 4.0]),
+    ],
+)
+def test_plan_readers_accept_the_selected_plan(reader, scenario):
+    plan = select_dominant(scenario)
+    assert plan.s == len(plan.dominant_indices) >= 1
+    PLAN_READERS[reader](scenario, plan)
 
 
 # -- solve_p_prime ---------------------------------------------------------------
@@ -300,6 +339,19 @@ def test_theta_star_values():
     assert theta_star(2, 11.077623477928462) == pytest.approx(0.8194558603672476, rel=1e-10)
     assert theta_star(3, 3.0) == 0.0
     assert theta_star(2, 1.0) == 0.0
+
+
+def test_theta_star_stays_below_one_where_one_minus_s_over_a_rounds_to_one():
+    below_one = math.nextafter(1.0, 0.0)
+    assert 1.0 - 1.0 / 1e17 == 1.0
+    assert theta_star(1, 1e17) == below_one
+    assert theta_star(2, 2.0**54) == below_one
+    # where 1 - s/A is representable the cap does not move it
+    assert theta_star(1, 2.0**52) == 1.0 - 2.0**-52
+    assert theta_star(1, 2.0**53) == below_one == 1.0 - 2.0**-53
+    # the conventional parameter goes through theta_star: at 420 dB the
+    # all-components budget is about 6.3e16
+    assert theta_conventional(weibull_scenario([0.4, 0.8], gamma_db=420.0)) == below_one
 
 
 def test_theta_star_validation():
