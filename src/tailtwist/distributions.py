@@ -37,8 +37,12 @@ __all__ = [
 
 
 def db_to_linear(value_db: float) -> float:
-    """Decibel value to linear power units: 10**(dB/10)."""
-    return 10.0 ** (value_db / 10.0)
+    """Decibel value to linear power units: 10**(dB/10).  A ValueError
+    names a dB value whose linear value overflows a double."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{float(value_db)!r} dB overflows a double in linear units") from None
 
 
 class Family(enum.Enum):

@@ -27,23 +27,20 @@ one worker no thread starts and every chunk runs on the calling thread.
 
 Every draw takes one kernel: its cumulative hazard y = -log(U) / (1 - theta)
 (theta = 0 for an untwisted component) inverted by
-``DistributionSpec.inverse_cumulative_hazard``.  A chunk draws each
-component, forms its y, feeds a twisted y to the weight and sums an upper
-bound on the draws computed from y
-(``DistributionSpec.inverse_cumulative_hazard_bound``).  Weibull's bound
-is its exact inverse, so a Weibull chunk decides every replication from
-that sum, in one pass over four full-width arrays.  A chunk with
-log-normal components works in sub-blocks of replications (halves for
-two to four components), each seeking its components' stream positions
-and keeping every component's y.  A replication whose bound sum is below
-the threshold (less a 1e-9 margin) is a certain miss.  One whose draw of
-some component alone exceeds the threshold (plus the margin) is a certain
-hit: that draw's y exceeds the component's cumulative hazard at that
-level, a comparison.  The kept y of the undecided rest are inverted
-exactly, with the float operations of the sampling kernel, so special
-functions run on them only and the stream is drawn once.  The full-width
-log weight becomes t, t**2 and t**4 in place, and the chunk holds at most
-4 * count doubles either way.
+``DistributionSpec.inverse_cumulative_hazard``.  A chunk works in
+sub-blocks whose n kept rows of y hold at most 4 * count doubles: one
+full-width block for up to four components, else blocks that seek their
+components' stream positions.  It draws each component, forms its y,
+feeds a twisted y to the weight and decides each replication in three
+stages, each on fewer replications.  Comparisons of y with two hazards per
+component certify a hit (one draw alone above the threshold plus a 1e-9
+margin) or a miss (every draw at most the threshold less the margin, over
+n).  The undecided sum an upper bound on their draws
+(``DistributionSpec.inverse_cumulative_hazard_bound``, exact for
+Weibull), which certifies more misses.  The kept y of the rest are
+inverted exactly, with the float operations of the sampling kernel, so
+special functions run on them only and the stream is drawn once.  The
+full-width log weight becomes t, t**2 and t**4 in place.
 """
 
 from __future__ import annotations
@@ -58,28 +55,29 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import DistributionSpec, Family
+from .distributions import DistributionSpec
 from .dominance import Scenario, TwistPlan
 from .streams import UnitSampleStream
 
 CHUNK_SIZE = 1 << 16
 
-# A log-normal replication is a certain miss when its bound sum is at most
-# gamma * (1 - _SCREEN_MARGIN), and a certain hit when one component's y
-# exceeds that component's cumulative hazard at gamma * (1 + _SCREEN_MARGIN).
-# Misses: each bound exceeds its exact draw by a wide gap, except for
-# z <= 0, where the bound is exp(mu_ln) itself: there ndtri_exp may return
-# a z a few 1e-16 above the true one, which exp turns into a relative
-# excess of about sigma_ln * 1e-16 in the draw.  Each exp adds
-# half an ulp, and the N-term sums of positive draws at most N ulps.
-# Hits: the level's hazard and the y of a uniform are each a few ulps off.
-# A relative error d in y moves a log-normal standard score z by about
-# d * max(z, 1), so the draw by sigma_ln * d * max(z, 1) relative, and a
-# Weibull draw by d / shape.  The exactly computed draw adds the few 1e-16
-# above, and a float sum of non-negative draws is never below its largest
-# term.  All of that is below 1e-12 relative for sigma_ln * z < 1e3, so a
-# 1e-9 margin never certifies a replication whose exactly computed sum
-# differs from its certified side of gamma.
+# A replication is a certain hit when one component's y exceeds that
+# component's cumulative hazard at gamma * (1 + _SCREEN_MARGIN), and a
+# certain miss when every y is at most its component's hazard at the share
+# gamma * (1 - _SCREEN_MARGIN) / N, or when its bound sum is at most
+# gamma * (1 - _SCREEN_MARGIN).  The two levels' hazards and the y of a
+# uniform are each a few ulps off.  A relative error d in y moves a
+# log-normal standard score z by about d * max(z, 1), so the draw by
+# sigma_ln * d * max(z, 1) relative, and a Weibull draw by d / shape.  Deep
+# in the tail, ndtri_exp's z is up to 7e-13 relative off (against mpmath),
+# which moves a log-normal draw x by up to 7e-13 * (ln x - mu_ln) relative
+# (3.8e-10 measured at 1e250 for sigma_db = 4).  Each exp adds half an ulp.
+# A bound exceeds its exact draw by a wide gap, except at z <= 0, where
+# the log-normal bound is exp(mu_ln) and ndtri_exp may return a z a few
+# 1e-16 high; a Weibull bound is its exact draw.  A float sum of N
+# non-negative draws is never below its largest, nor above N times its
+# largest by more than N ulps.  So while ln x - mu_ln < 1000, a 1e-9 margin
+# never certifies a replication whose exactly computed sum is on the other side.
 _SCREEN_MARGIN = 1e-9
 
 __all__ = [
@@ -177,12 +175,12 @@ def log_likelihood_ratio(theta: float, hazards, out=None):
 
 
 def _block_width(n: int, count: int) -> int:
-    """Replications per sub-block of a chunk with log-normal components:
-    the largest count >> j with (n + 2) * width <= 3 * count (or 1).  The
-    sub-block's n kept rows and two scratch rows, plus the full-width log
-    weight, then hold at most the 4 * count doubles of a Weibull chunk."""
+    """Replications per sub-block of a chunk of n components: the largest
+    count >> j with n * width <= 4 * count (or 1).  The sub-block's n kept
+    rows then hold at most 4 * count doubles, so a chunk of up to four
+    components keeps one full-width block and never seeks its stream."""
     width = count
-    while width > 1 and (n + 2) * width > 3 * count:
+    while width > 1 and n * width > 4 * count:
         width >>= 1
     return width
 
@@ -198,63 +196,57 @@ def _simulate_chunk(
 ) -> ChunkSums:
     """The sums of one chunk's replications."""
     stream = UnitSampleStream(seed, chunk_index)
-    # Weibull's bound is its exact inverse, so a Weibull chunk decides every
-    # replication from its bound sums, in one full-width sub-block whose
-    # components share one row
-    exact_bound = all(spec.family is Family.WEIBULL for spec in components)
-    if exact_bound:
-        width, kept = count, 1
-    else:
-        width, kept = _block_width(len(components), count), len(components)
-        # a replication is a certain hit once one draw alone exceeds this
-        # level, that is once its hazard exceeds the level's hazard; the
-        # level is a normal double, where rounding errors stay relative
-        level = max(gamma, np.finfo(float).tiny) * (1.0 + _SCREEN_MARGIN)
-        level_hazards = [spec.cumulative_hazard(level) for spec in components]
-    # every step below writes into the log weight, the hit flags or one row
-    # of the block; the weight kernel's theta * y, the hit tests and the
-    # screen's indices and masks are the only other temporaries
+    n = len(components)
+    width = _block_width(n, count)
+    # hit and share levels are normal doubles, where rounding errors stay
+    # relative; a smaller share is 0, whose hazard 0 is below every y of a
+    # uniform below 1, so it certifies no miss
+    level = max(gamma, sys.float_info.min) * (1.0 + _SCREEN_MARGIN)
+    share = gamma * (1.0 - _SCREEN_MARGIN) / n
+    if share < sys.float_info.min:
+        share = 0.0
+    hit_hazards = [spec.cumulative_hazard(level) for spec in components]
+    share_hazards = [spec.cumulative_hazard(share) for spec in components]
+    # every step below writes into the log weight, the flags or one kept row;
+    # the weight kernel's theta * y, the comparisons and the undecided
+    # replications' indices, sums and draws are the only other temporaries
     log_weight = np.zeros(count)
     hits = np.zeros(count, dtype=bool)
-    block = np.empty((kept + 2, width))
+    over_share = np.zeros(count, dtype=bool)
+    block = np.empty((n, width))
 
     # component i draws stream positions i * count + a onwards; its row keeps
     # the draw's cumulative hazard y = -log(u) / (1 - theta_i), with theta_i
-    # = 0 if untwisted; a twisted y goes to the weight, and every y to the
-    # hit test and, as an upper bound on the draw, to the bound sum
-    def twisted_hazards(a, rows, x, bound, hit):
+    # = 0 if untwisted; a twisted y goes to the weight
+    def twisted_hazards(a, rows, hit, over):
         for i, spec in enumerate(components):
             if width < count:
                 stream.seek(i * count + a)
-            y = stream.uniforms(bound.size, out=rows[i % kept])
+            y = stream.uniforms(rows.shape[1], out=rows[i])
             np.negative(np.log(y, out=y), out=y)
             if i in twisted:
                 y /= 1.0 - theta
                 yield y
-            if not exact_bound:
-                hit |= y > level_hazards[i]
-            bound += spec.inverse_cumulative_hazard_bound(y, out=x)
+            hit |= y > hit_hazards[i]
+            over |= y > share_hazards[i]
 
+    # bound sums above the cut stay undecided, and exact sums above gamma
+    # hit, both summed in component order
+    stages = (
+        (DistributionSpec.inverse_cumulative_hazard_bound, gamma * (1.0 - _SCREEN_MARGIN)),
+        (DistributionSpec.inverse_cumulative_hazard, gamma),
+    )
     for a in range(0, count, width):
         m = min(width, count - a)
-        rows, x, bound = block[:kept, :m], block[kept, :m], block[kept + 1, :m]
-        hit = hits[a : a + m]
-        bound.fill(0.0)
-        log_likelihood_ratio(theta, twisted_hazards(a, rows, x, bound, hit), out=log_weight[a : a + m])
-        if exact_bound:
-            np.greater(bound, gamma, out=hit)
-            continue
-        # the bound sums certify misses; invert the rest's kept hazards with
-        # the float operations of the sampling kernel, summing in component
-        # order
-        undecided = np.flatnonzero((bound > gamma * (1.0 - _SCREEN_MARGIN)) & ~hit)
-        if undecided.size:
-            total, draw = bound[: undecided.size], x[: undecided.size]
-            total.fill(0.0)
+        rows, hit, over = block[:, :m], hits[a : a + m], over_share[a : a + m]
+        log_likelihood_ratio(theta, twisted_hazards(a, rows, hit, over), out=log_weight[a : a + m])
+        undecided = np.flatnonzero(over & ~hit)
+        for invert, cut in stages:
+            total, draw = np.zeros(undecided.size), np.empty(undecided.size)
             for i, spec in enumerate(components):
-                np.take(rows[i], undecided, out=draw)
-                total += spec.inverse_cumulative_hazard(draw, out=draw)
-            hit[undecided[total > gamma]] = True
+                total += invert(spec, np.take(rows[i], undecided, out=draw), out=draw)
+            undecided = undecided[total > cut]
+        hit[undecided] = True
     t = np.exp(log_weight, out=log_weight)
     # t is finite (the log weight is at most -s * log1p(-theta)), so a
     # miss's 0 * t is exactly 0.0

@@ -289,8 +289,8 @@ def parse_config(text: str) -> ExperimentConfig:
         db = max(np.atleast_1d(values.get(key, 0.0)).tolist())
         try:
             db_to_linear(db)
-        except OverflowError:
-            raise ConfigError(top[key][0], f"key '{key}': {db!r} dB overflows a double in linear units")
+        except ValueError as exc:
+            raise ConfigError(top[key][0], f"key '{key}': {exc}")
 
     gamma_grid_db = values.get("gamma_grid_db", ())
     gamma_db = values["gamma_db"] if "gamma_db" in values else gamma_grid_db[0]

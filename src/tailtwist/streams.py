@@ -16,6 +16,9 @@ import numpy as np
 
 __all__ = ["UnitSampleStream"]
 
+# the open interval's end points, to which exact 0.0 and 1.0 move
+_OPEN_ENDS = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+
 
 class UnitSampleStream:
     """Seedable uniform(0,1) source for substream ``substream_index`` of
@@ -57,4 +60,4 @@ class UnitSampleStream:
         interior value so -log(u) is always finite.
         """
         u = self._gen.random(int(n), out=out)
-        return np.clip(u, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0), out=u)
+        return np.clip(u, *_OPEN_ENDS, out=u)

@@ -89,6 +89,9 @@ def test_light_weibull_warns():
 
 def test_db_conversions():
     assert db_to_linear(20.0) == pytest.approx(100.0, rel=1e-15)
+    assert db_to_linear(3082.0) == 10.0**308.2
+    with pytest.raises(ValueError, match=r"^3082\.6 dB overflows"):
+        db_to_linear(3082.6)
 
 
 # -- hazard rate -------------------------------------------------------------

@@ -53,6 +53,18 @@ def test_scenario_rejects_non_finite_threshold(make):
         make(DistributionSpec.weibull(0.4, 1.0))
 
 
+@pytest.mark.parametrize("make, named", [
+    pytest.param(lambda spec: Scenario.from_db([spec], 4000), "4000.0", id="from_db"),
+    pytest.param(
+        lambda spec: Scenario.from_db([spec], 20.0).with_threshold_db(3085.0), "3085.0", id="with_threshold_db"
+    ),
+])
+def test_scenario_names_a_db_threshold_that_overflows_in_linear_units(make, named):
+    # 10**(dB/10) overflows past about 3082.5 dB, before the finiteness check
+    with pytest.raises(ValueError, match=f"^{named} dB overflows a double in linear units$"):
+        make(DistributionSpec.weibull(0.4, 1.0))
+
+
 def test_scenario_rejects_empty():
     with pytest.raises(ValueError):
         Scenario.from_db([], 20.0)

@@ -22,6 +22,7 @@ from tailtwist.estimators import (
     optimality_ratio,
     _SCREEN_MARGIN,
     _Estimate,
+    _block_width,
     _report,
     _simulate_chunk,
 )
@@ -445,7 +446,23 @@ def test_in_place_chunk_matches_the_allocating_reference_exactly(name, twist, th
     assert _simulate_chunk(*args) == _reference_chunk(*args)
 
 
-# -- the log-normal screen: exact inversion of undecided replications only --------
+@pytest.mark.parametrize("count", [CHUNK_SIZE, 4465, 3])
+@pytest.mark.parametrize("n, halvings", [(4, 0), (6, 1), (9, 2)])
+@pytest.mark.parametrize("family", ["weibull", "lognormal"])
+def test_chunks_of_more_than_four_components_work_in_seeking_sub_blocks(family, n, halvings, count):
+    # n kept rows of width replications hold at most four full-width rows
+    assert _block_width(n, count) == max(count >> halvings, 1)
+    specs = {
+        "weibull": [DistributionSpec.weibull(0.4, 1.0)] + [DistributionSpec.weibull(0.8, 1.0)] * (n - 1),
+        "lognormal": [DistributionSpec.lognormal(0.0, 4.0)] * (n - 2) + [DistributionSpec.lognormal(0.0, 6.0)] * 2,
+    }[family]
+    scenario = Scenario.from_db(specs, 28.0)
+    twisted = frozenset(select_dominant(scenario).dominant_indices)
+    args = (scenario.components, twisted, 0.6, scenario.threshold_linear, 71, 3, count)
+    assert _simulate_chunk(*args) == _reference_chunk(*args)
+
+
+# -- the screen: exact inversion of undecided replications only --------------------
 
 
 def _reference_totals(components, twisted, theta, seed, chunk_index, count):
@@ -501,6 +518,26 @@ def test_screen_at_a_replications_exact_total(twist, theta, count, rank):
     assert results[0] == results[1] != results[2]
 
 
+@pytest.mark.parametrize("twist", ["all", "dominant"])
+@pytest.mark.parametrize(
+    "theta, count, rank",
+    [pytest.param(0.5, 4465, rank, id=str(rank)) for rank in (-1, -40)]
+    + [(0.95, count, -1) for count in (1, 4465, CHUNK_SIZE)],
+)
+def test_weibull_screen_at_a_replications_exact_total(twist, theta, count, rank):
+    # as for lognormal4: Weibull chunks take the same comparisons, bound
+    # sums and exact inversions
+    scenario = KERNEL_SCENARIOS["weibull4"]
+    twisted = frozenset(range(4) if twist == "all" else select_dominant(scenario).dominant_indices)
+    total = np.sort(_reference_totals(scenario.components, twisted, theta, 71, 3, count))[rank]
+    results = []
+    for gamma in (np.nextafter(total, np.inf), total, np.nextafter(total, 0.0)):
+        args = (scenario.components, twisted, theta, float(gamma), 71, 3, count)
+        results.append(_simulate_chunk(*args))
+        assert results[-1] == _reference_chunk(*args)
+    assert results[0] == results[1] != results[2]
+
+
 @pytest.mark.parametrize("count, rank", [(1, -1), (4465, -1), (4465, -40), (CHUNK_SIZE, -1), (CHUNK_SIZE, -1000)])
 def test_naive_screen_at_a_replications_exact_total(count, rank):
     # the untwisted hit test reads -log u against the level hazards: gamma
@@ -547,17 +584,16 @@ def test_screen_far_above_every_sum_inverts_nothing(counting_stream, inverted):
     assert sum(inverted) == 0
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        DistributionSpec.lognormal(0.0, 4.0),
-        DistributionSpec.lognormal(0.0, 6.0),
-        DistributionSpec.lognormal(3.0, 10.0),
-        DistributionSpec.weibull(0.4, 1.0),
-        DistributionSpec.weibull(0.8, 2.0),
-    ],
-    ids=str,
-)
+SCREEN_SPECS = [
+    DistributionSpec.lognormal(0.0, 4.0),
+    DistributionSpec.lognormal(0.0, 6.0),
+    DistributionSpec.lognormal(3.0, 10.0),
+    DistributionSpec.weibull(0.4, 1.0),
+    DistributionSpec.weibull(0.8, 2.0),
+]
+
+
+@pytest.mark.parametrize("spec", SCREEN_SPECS, ids=str)
 def test_a_hazard_above_the_level_certifies_a_draw_above_gamma(spec):
     # the screen's hit test: a kept y, twisted or -log u of an untwisted
     # uniform u, above the cumulative hazard of gamma * (1 + margin) gives an
@@ -574,6 +610,88 @@ def test_a_hazard_above_the_level_certifies_a_draw_above_gamma(spec):
         certified = (y > level_hazards) & (0.0 < u) & (u < 1.0)
         assert np.all(spec.inverse_cumulative_hazard(y[certified]) > gammas[certified])
         u = np.nextafter(u, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("spec", SCREEN_SPECS, ids=str)
+def test_a_hazard_at_most_the_share_level_certifies_a_draw_at_most_the_share(spec, n):
+    # the screen's miss test: a kept y at most the cumulative hazard of the
+    # share gamma * (1 - margin) / n gives an exactly computed draw within
+    # half the margin of gamma / n, so n such draws sum to at most gamma.
+    # Deep in the log-normal tail ndtri_exp's z is a few 1e-13 off, which
+    # puts the draw up to 4e-10 above the share at 1e250
+    gammas = np.geomspace(1e-250, 1e250, 2001)
+    share_hazards = spec.cumulative_hazard(gammas * (1.0 - _SCREEN_MARGIN) / n)
+
+    def check(y, certified):
+        draws = spec.inverse_cumulative_hazard(y[certified])
+        assert np.all(draws <= gammas[certified] * (1.0 - 0.5 * _SCREEN_MARGIN) / n)
+        total = np.zeros_like(draws)
+        for _ in range(n):
+            total += draws
+        assert np.all(total <= gammas[certified])
+
+    check(share_hazards, share_hazards >= 0.0)
+    # the y of uniforms at and just above the share level's
+    u = np.exp(-share_hazards)
+    for _ in range(3):
+        with np.errstate(divide="ignore"):  # u = 0 below the underflow point
+            y = -np.log(u)
+        check(y, (y <= share_hazards) & (0.0 < u) & (u < 1.0))
+        u = np.nextafter(u, 1.0)
+
+
+def _reference_hazards(components, twisted, theta, seed, chunk_index, count):
+    """Each component's kept y, computed as _reference_chunk does."""
+    seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
+    gen = np.random.Generator(np.random.PCG64DXSM(seq))
+    return [
+        -np.log(_reference_uniforms(gen, count)) / (1.0 - theta if i in twisted else 1.0)
+        for i in range(len(components))
+    ]
+
+
+def _certified_hits(components, ys, gamma):
+    """The replications whose one draw alone certifies a hit."""
+    level = max(gamma, np.finfo(float).tiny) * (1.0 + _SCREEN_MARGIN)
+    return np.any([y > spec.cumulative_hazard(level) for spec, y in zip(components, ys)], axis=0)
+
+
+@pytest.fixture
+def bounded(monkeypatch):
+    """Element counts passed to the screen's bound, call by call."""
+    sizes = []
+    bound = DistributionSpec.inverse_cumulative_hazard_bound
+
+    def counting(spec, y, out=None):
+        sizes.append(np.size(y))
+        return bound(spec, y, out=out)
+
+    monkeypatch.setattr(DistributionSpec, "inverse_cumulative_hazard_bound", counting)
+    return sizes
+
+
+def test_the_bound_sees_only_the_replications_the_comparisons_leave_undecided(bounded):
+    # undecided: some draw above its share level and none above the level
+    components, twisted, gamma = LOGNORMAL4.components, frozenset(range(4)), LOGNORMAL4.threshold_linear
+    ys = _reference_hazards(components, twisted, 0.3, 71, 3, CHUNK_SIZE)
+    shares = [spec.cumulative_hazard(gamma * (1.0 - _SCREEN_MARGIN) / 4) for spec in components]
+    over_share = np.any([y > share for y, share in zip(ys, shares)], axis=0)
+    undecided = int(np.count_nonzero(over_share & ~_certified_hits(components, ys, gamma)))
+    args = (components, twisted, 0.3, gamma, 71, 3, CHUNK_SIZE)
+    assert _simulate_chunk(*args) == _reference_chunk(*args)
+    assert bounded == [undecided] * 4
+    assert 0 < undecided < 0.15 * CHUNK_SIZE
+
+
+def test_a_share_below_the_smallest_normal_double_certifies_no_miss(bounded):
+    # gamma / 4 is subnormal, where rounding is no longer relative: every
+    # replication that no draw certifies a hit goes on to the bound sums
+    components, gamma = (DistributionSpec.weibull(0.5, 1e-310),) * 4, 1e-310
+    ys = _reference_hazards(components, frozenset(), 0.0, 71, 3, 4465)
+    args = (components, frozenset(), 0.0, gamma, 71, 3, 4465)
+    assert _simulate_chunk(*args) == _reference_chunk(*args)
+    assert bounded == [4465 - np.count_nonzero(_certified_hits(components, ys, gamma))] * 4
 
 
 def test_screen_inverts_few_twisted_draws(inverted):
