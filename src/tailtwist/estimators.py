@@ -27,20 +27,24 @@ one worker no thread starts and every chunk runs on the calling thread.
 
 Every draw takes one kernel: its cumulative hazard y = -log(U) / (1 - theta)
 (theta = 0 for an untwisted component) inverted by
-``DistributionSpec.inverse_cumulative_hazard``.  A chunk works in
-sub-blocks whose n kept rows of y hold at most 4 * count doubles: one
-full-width block for up to four components, else blocks that seek their
-components' stream positions.  It draws each component, forms its y,
-feeds a twisted y to the weight and decides each replication in three
-stages, each on fewer replications.  Comparisons of y with two hazards per
-component certify a hit (one draw alone above the threshold plus a 1e-9
-margin) or a miss (every draw at most the threshold less the margin, over
-n).  The undecided sum an upper bound on their draws
-(``DistributionSpec.inverse_cumulative_hazard_bound``, exact for
-Weibull), which certifies more misses.  The kept y of the rest are
-inverted exactly, with the float operations of the sampling kernel, so
-special functions run on them only and the stream is drawn once.  The
-full-width log weight becomes t, t**2 and t**4 in place.
+``DistributionSpec.inverse_cumulative_hazard``.  The draw falls as U
+rises, and the log weight of the s twisted draws is
+theta / (1 - theta) * log(prod U) - s * log1p(-theta), so a chunk keeps
+uniforms, not hazards.  It works in sub-blocks whose n kept rows hold at
+most 4 * count doubles: one full-width block for up to four components,
+else blocks that seek their components' stream positions.  It multiplies
+the twisted uniforms into the log weight as it draws them, takes one log
+per block, and decides each replication in three stages, each on fewer
+replications.  Comparisons of each uniform with its component's two
+critical uniforms (``_screen``, once per estimate) certify a hit (one draw
+alone above the threshold plus a 1e-9 margin) or a miss (every draw at
+most the threshold less the margin, over n).  The undecided sum an upper
+bound on their draws (``DistributionSpec.inverse_cumulative_hazard_bound``,
+exact for Weibull), which certifies more misses, and the rest are inverted
+exactly.  Only undecided replications form y from their kept uniforms,
+with the float operations of the sampling kernel, so logs and special
+functions run on them only and the stream is drawn once.  The full-width
+log weight becomes t, t**2 and t**4 in place.
 """
 
 from __future__ import annotations
@@ -55,30 +59,46 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import DistributionSpec
+from .distributions import DistributionSpec, Family
 from .dominance import Scenario, TwistPlan
 from .streams import UnitSampleStream
 
 CHUNK_SIZE = 1 << 16
 
-# A replication is a certain hit when one component's y exceeds that
-# component's cumulative hazard at gamma * (1 + _SCREEN_MARGIN), and a
-# certain miss when every y is at most its component's hazard at the share
+# A replication is a certain hit when one component's uniform is at most
+# its critical uniform exp(-keep * Lambda(gamma * (1 + _SCREEN_MARGIN))),
+# keep = 1 - theta if twisted and 1 otherwise, and a certain miss when every
+# uniform is at least its critical uniform at the share
 # gamma * (1 - _SCREEN_MARGIN) / N, or when its bound sum is at most
-# gamma * (1 - _SCREEN_MARGIN).  The two levels' hazards and the y of a
-# uniform are each a few ulps off.  A relative error d in y moves a
-# log-normal standard score z by about d * max(z, 1), so the draw by
-# sigma_ln * d * max(z, 1) relative, and a Weibull draw by d / shape.  Deep
-# in the tail, ndtri_exp's z is up to 7e-13 relative off (against mpmath),
-# which moves a log-normal draw x by up to 7e-13 * (ln x - mu_ln) relative
-# (3.8e-10 measured at 1e250 for sigma_db = 4).  Each exp adds half an ulp.
-# A bound exceeds its exact draw by a wide gap, except at z <= 0, where
-# the log-normal bound is exp(mu_ln) and ndtri_exp may return a z a few
-# 1e-16 high; a Weibull bound is its exact draw.  A float sum of N
-# non-negative draws is never below its largest, nor above N times its
-# largest by more than N ulps.  So while ln x - mu_ln < 1000, a 1e-9 margin
-# never certifies a replication whose exactly computed sum is on the other side.
+# gamma * (1 - _SCREEN_MARGIN).  The hit uniform is rounded down and the
+# share uniform up past the rounding of keep * Lambda and of exp, so a
+# certified uniform's y, as the sampling kernel computes it, is at most a
+# few ulps on the wrong side of the level's hazard, itself a few ulps
+# off.  A relative error d in y moves a log-normal standard score z by about
+# d * max(z, 1), so the draw by sigma_ln * d * max(z, 1) relative, and a
+# Weibull draw by d / shape.  Deep in the tail, ndtri_exp's z is up to
+# 7e-13 relative off (against mpmath), which moves a log-normal draw x by
+# up to 7e-13 * max(|ln x - mu_ln|, sigma_ln) relative (3.8e-10 measured
+# at 1e250 for sigma_db = 4).  Each exp adds half an ulp.  A bound exceeds
+# its exact draw by a wide gap, except at z <= 0, where the log-normal
+# bound is exp(mu_ln) and ndtri_exp may return a z a few 1e-16 high; a
+# Weibull bound is its exact draw.  A float sum of N non-negative draws is
+# never below its largest, nor above N times its largest by more than N
+# ulps.  So while max(|ln x - mu_ln|, sigma_ln) < _SCREEN_LOG_RANGE for a
+# log-normal level x, and shape >= _SCREEN_MIN_SHAPE for a Weibull one, a
+# 1e-9 margin never certifies a replication whose exactly computed sum is
+# on the other side.  Beyond them a component's critical uniforms certify
+# nothing: 0 for a hit, and at least 1 for the share.
 _SCREEN_MARGIN = 1e-9
+_SCREEN_LOG_RANGE = 1000.0
+_SCREEN_MIN_SHAPE = 1e-5
+
+# A block's twisted row of uniforms, each at least 2**-53, joins the block's
+# product while it has fewer than _PRODUCT_FACTORS factors, so no partial
+# product falls below 2**-1007, a normal double.  Any other twisted row (one
+# holding the stream's remapped 0, 2**-1074, say) is logged on its own.
+_SMALLEST_FACTOR = 2.0**-53
+_PRODUCT_FACTORS = 19
 
 __all__ = [
     "CHUNK_SIZE",
@@ -157,7 +177,7 @@ class ChunkSums(NamedTuple):
     hits: int
 
 
-def log_likelihood_ratio(theta: float, hazards, out=None):
+def log_likelihood_ratio(theta: float, hazards):
     """Log importance weight of a draw whose twisted components were each
     hazard-twisted by theta.
 
@@ -165,13 +185,63 @@ def log_likelihood_ratio(theta: float, hazards, out=None):
     hazard under the original law, a scalar or an array over replications.
     The weight is (1-theta)^(-s) * exp(-theta * sum of the hazards); the
     entries are consumed once, in order, so a generator may supply them.
-    A zeroed array ``out`` receives the log weights in place.
+    A twisted draw's hazard is y = -log(u) / (1 - theta), u its uniform, so
+    the same log weight is theta / (1 - theta) * log(product of the u)
+    - s * log1p(-theta): the form a chunk computes, one log per block.
     """
-    log_weight, s = 0.0 if out is None else out, 0
+    log_weight, s = 0.0, 0
     for s, y in enumerate(hazards, start=1):
         log_weight -= theta * y
     log_weight -= s * math.log1p(-theta)
     return log_weight
+
+
+class _Screen(NamedTuple):
+    """An estimate's critical uniforms, one per component: a uniform at most
+    ``hit[i]`` certifies a hit, and uniforms each at least their
+    ``share[i]`` certify a miss."""
+
+    hit: tuple[float, ...]
+    share: tuple[float, ...]
+
+
+def _critical_uniform(spec: DistributionSpec, keep: float, x: float, up: bool) -> float:
+    """exp(-keep * Lambda(x)), rounded up or down past the rounding of
+    keep * Lambda(x) and of exp; 1.0 (up) or 0.0 (down) where the screen
+    margin does not cover the draws near x."""
+    if spec.family is Family.WEIBULL:
+        covered = spec.weibull_shape >= _SCREEN_MIN_SHAPE
+    else:
+        covered = x == 0.0 or max(abs(math.log(x) - spec.mu_ln), spec.sigma_ln) < _SCREEN_LOG_RANGE
+    if not covered:
+        return 1.0 if up else 0.0
+    exponent = keep * spec.cumulative_hazard(x)
+    # below the smallest normal double the rounding of exp is not relative
+    if exponent >= -math.log(sys.float_info.min):
+        return sys.float_info.min if up else 0.0
+    # keep * Lambda is half an ulp off, which moves exp by half an ulp per
+    # unit of the exponent; exp itself is within an ulp
+    slack = (4.0 + exponent) * sys.float_info.epsilon
+    return math.exp(-exponent) * (1.0 + slack if up else 1.0 - slack)
+
+
+def _screen(
+    components: tuple[DistributionSpec, ...], twisted: frozenset[int], theta: float, gamma: float
+) -> _Screen:
+    """The critical uniforms of a chunk's components at the hit level
+    gamma * (1 + margin) and at the share gamma * (1 - margin) / n."""
+    # hit and share levels are normal doubles, where rounding errors stay
+    # relative; a smaller share is 0, whose critical uniform, at least 1,
+    # certifies no miss
+    level = max(gamma, sys.float_info.min) * (1.0 + _SCREEN_MARGIN)
+    share = gamma * (1.0 - _SCREEN_MARGIN) / len(components)
+    if share < sys.float_info.min:
+        share = 0.0
+    keeps = [1.0 - theta if i in twisted else 1.0 for i in range(len(components))]
+    return _Screen(
+        tuple(_critical_uniform(spec, k, level, up=False) for spec, k in zip(components, keeps)),
+        tuple(_critical_uniform(spec, k, share, up=True) for spec, k in zip(components, keeps)),
+    )
 
 
 def _block_width(n: int, count: int) -> int:
@@ -193,43 +263,26 @@ def _simulate_chunk(
     seed: int,
     chunk_index: int,
     count: int,
+    screen: _Screen | None = None,
 ) -> ChunkSums:
-    """The sums of one chunk's replications."""
+    """The sums of one chunk's replications.  ``screen`` is the estimate's
+    ``_screen(components, twisted, theta, gamma)``, computed here if not
+    given."""
+    if screen is None:
+        screen = _screen(components, twisted, theta, gamma)
     stream = UnitSampleStream(seed, chunk_index)
     n = len(components)
     width = _block_width(n, count)
-    # hit and share levels are normal doubles, where rounding errors stay
-    # relative; a smaller share is 0, whose hazard 0 is below every y of a
-    # uniform below 1, so it certifies no miss
-    level = max(gamma, sys.float_info.min) * (1.0 + _SCREEN_MARGIN)
-    share = gamma * (1.0 - _SCREEN_MARGIN) / n
-    if share < sys.float_info.min:
-        share = 0.0
-    hit_hazards = [spec.cumulative_hazard(level) for spec in components]
-    share_hazards = [spec.cumulative_hazard(share) for spec in components]
+    keep = 1.0 - theta
     # every step below writes into the log weight, the flags or one kept row;
-    # the weight kernel's theta * y, the comparisons and the undecided
+    # the comparisons, one row minimum per twisted row and the undecided
     # replications' indices, sums and draws are the only other temporaries
-    log_weight = np.zeros(count)
+    # the twisted uniforms' product from 1, then the log weight; 0 if nothing
+    # is twisted
+    log_weight = np.ones(count) if twisted else np.zeros(count)
     hits = np.zeros(count, dtype=bool)
     over_share = np.zeros(count, dtype=bool)
     block = np.empty((n, width))
-
-    # component i draws stream positions i * count + a onwards; its row keeps
-    # the draw's cumulative hazard y = -log(u) / (1 - theta_i), with theta_i
-    # = 0 if untwisted; a twisted y goes to the weight
-    def twisted_hazards(a, rows, hit, over):
-        for i, spec in enumerate(components):
-            if width < count:
-                stream.seek(i * count + a)
-            y = stream.uniforms(rows.shape[1], out=rows[i])
-            np.negative(np.log(y, out=y), out=y)
-            if i in twisted:
-                y /= 1.0 - theta
-                yield y
-            hit |= y > hit_hazards[i]
-            over |= y > share_hazards[i]
-
     # bound sums above the cut stay undecided, and exact sums above gamma
     # hit, both summed in component order
     stages = (
@@ -239,14 +292,38 @@ def _simulate_chunk(
     for a in range(0, count, width):
         m = min(width, count - a)
         rows, hit, over = block[:, :m], hits[a : a + m], over_share[a : a + m]
-        log_likelihood_ratio(theta, twisted_hazards(a, rows, hit, over), out=log_weight[a : a + m])
+        product, factors, alone = log_weight[a : a + m], 0, []
+        # component i draws stream positions i * count + a onwards into row i
+        for i in range(n):
+            if width < count:
+                stream.seek(i * count + a)
+            u = stream.uniforms(m, out=rows[i])
+            hit |= u <= screen.hit[i]
+            over |= u < screen.share[i]
+            if i in twisted:
+                if factors < _PRODUCT_FACTORS and u.min() >= _SMALLEST_FACTOR:
+                    product *= u
+                    factors += 1
+                else:
+                    alone.append(i)
         undecided = np.flatnonzero(over & ~hit)
         for invert, cut in stages:
             total, draw = np.zeros(undecided.size), np.empty(undecided.size)
             for i, spec in enumerate(components):
-                total += invert(spec, np.take(rows[i], undecided, out=draw), out=draw)
+                # y = -log(u) / (1 - theta_i), theta_i = 0 if untwisted
+                y = np.take(rows[i], undecided, out=draw)
+                np.negative(np.log(y, out=y), out=y)
+                if i in twisted:
+                    y /= keep
+                total += invert(spec, y, out=y)
             undecided = undecided[total > cut]
         hit[undecided] = True
+        if twisted:
+            np.log(product, out=product)
+            for i in alone:
+                product += np.log(rows[i], out=rows[i])
+            product *= theta / keep
+            product -= len(twisted) * math.log1p(-theta)
     t = np.exp(log_weight, out=log_weight)
     # t is finite (the log weight is at most -s * log1p(-theta)), so a
     # miss's 0 * t is exactly 0.0
@@ -292,9 +369,14 @@ def _estimate(
         twisted, theta = frozenset(plan.dominant_indices), plan.theta
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    if theta == 0.0:
+        # a weight of 1 needs no product
+        twisted = frozenset()
     gamma = scenario.threshold_linear
+    # the critical uniforms, once per estimate and on the calling thread
+    screen = _screen(scenario.components, twisted, theta, gamma)
     chunks = tuple(
-        (scenario.components, twisted, theta, gamma, seed, j, min(CHUNK_SIZE, runs - a))
+        (scenario.components, twisted, theta, gamma, seed, j, min(CHUNK_SIZE, runs - a), screen)
         for j, a in enumerate(range(0, runs, CHUNK_SIZE))
     )
     return _Estimate(method, theta, runs, seed, chunks)

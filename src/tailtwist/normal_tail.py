@@ -10,9 +10,10 @@ cumulative hazard, never from its uniform.
 
 This module is the package's single scipy boundary.  ``scipy.special``
 is imported on the first evaluation, not at import time: only
-log-normal components need it, so Weibull runs never load it.  The
-first evaluation may happen on a chunk worker thread; the import lock
-makes that safe.
+log-normal components need it, so Weibull runs never load it.  An
+estimate computes its critical uniforms, and so makes the first
+evaluation, on the calling thread before any chunk runs; the import
+lock would make a first evaluation on a chunk worker thread safe too.
 """
 
 from __future__ import annotations

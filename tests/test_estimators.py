@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,10 +21,13 @@ from tailtwist.estimators import (
     estimate_naive,
     log_likelihood_ratio,
     optimality_ratio,
+    _SCREEN_LOG_RANGE,
     _SCREEN_MARGIN,
+    _critical_uniform,
     _Estimate,
     _block_width,
     _report,
+    _screen,
     _simulate_chunk,
 )
 from tailtwist.streams import UnitSampleStream
@@ -362,18 +366,23 @@ def test_estimator_consumes_stream_components_in_order():
 
 def test_twisted_chunk_weights_come_from_the_log_weight_kernel():
     # improved IS rebuilt from the stream: twisted component 0 draws
-    # y = -log(u)/(1-theta), component 1 is untwisted
+    # y = -log(u)/(1-theta), component 1 is untwisted; the chunk weighs a
+    # replication from its twisted uniform u, as
+    # theta/(1-theta) * log(u) - log1p(-theta)
     scenario = weibull_scenario(gamma_db=20.0)
     plan = minmax_plan(scenario)
     assert plan.dominant_indices == (0,)
     report = estimate_improved(scenario, plan, runs=1000, seed=56)
     stream = UnitSampleStream(56, 0)
-    y = -np.log(stream.uniforms(1000)) / (1.0 - plan.theta)
+    u = stream.uniforms(1000)
+    y = -np.log(u) / (1.0 - plan.theta)
     x0 = scenario.components[0].inverse_cumulative_hazard(y)
     x1 = scenario.components[1].inverse_cumulative_hazard(-np.log(stream.uniforms(1000)))
-    weights = np.exp(log_likelihood_ratio(plan.theta, [y]))
+    weights = np.exp(np.log(u) * (plan.theta / (1.0 - plan.theta)) - math.log1p(-plan.theta))
     t = np.where(x0 + x1 > scenario.threshold_linear, weights, 0.0)
     assert report.alpha_hat == float(t.sum()) / 1000
+    # the product form is the hazard form of the weight kernel, up to rounding
+    np.testing.assert_allclose(weights, np.exp(log_likelihood_ratio(plan.theta, [y])), rtol=1e-13, atol=0.0)
 
 
 # -- the in-place chunk kernel against the allocating one -------------------------
@@ -395,23 +404,29 @@ def _reference_inverse_cumulative_hazard(spec, y):
 def _reference_chunk(components, twisted, theta, gamma, seed, chunk_index, count):
     """The chunk kernel as it was before it worked in place: one fresh
     array per temporary, the same float operations in the same order,
-    and the hit count."""
+    and the hit count.  The log weight is theta/(1-theta) times the log of
+    the twisted uniforms' product, less s * log1p(-theta); past 19 factors
+    each further twisted row adds its own log."""
     seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
     gen = np.random.Generator(np.random.PCG64DXSM(seq))
     total = np.zeros(count)
-
-    def twisted_hazards():
-        nonlocal total
-        for i, spec in enumerate(components):
-            u = _reference_uniforms(gen, count)
-            if i in twisted:
-                y = -np.log(u) / (1.0 - theta)
-                total += _reference_inverse_cumulative_hazard(spec, y)
-                yield y
-            else:
-                total += _reference_inverse_cumulative_hazard(spec, -np.log(u))
-
-    log_weight = log_likelihood_ratio(theta, twisted_hazards())
+    factors = []
+    for i, spec in enumerate(components):
+        u = _reference_uniforms(gen, count)
+        if i in twisted:
+            total += _reference_inverse_cumulative_hazard(spec, -np.log(u) / (1.0 - theta))
+            factors.append(u)
+        else:
+            total += _reference_inverse_cumulative_hazard(spec, -np.log(u))
+    log_weight = np.zeros(count)
+    if factors:
+        product = factors[0]
+        for u in factors[1:19]:
+            product = product * u
+        log_weight = np.log(product)
+        for u in factors[19:]:
+            log_weight = log_weight + np.log(u)
+        log_weight = log_weight * (theta / (1.0 - theta)) - len(factors) * math.log1p(-theta)
     hit = total > gamma
     t = np.where(hit, np.exp(log_weight), 0.0)
     t2 = t * t
@@ -719,3 +734,176 @@ def test_weibull_chunk_builds_its_stream_once(counting_stream):
     args = (scenario.components, frozenset({0}), 0.8, scenario.threshold_linear, 71, 3, 4465)
     assert _simulate_chunk(*args) == _reference_chunk(*args)
     assert counting_stream.built == 1
+
+
+# -- the critical uniforms and the twisted uniforms' product ------------------------
+
+
+@pytest.mark.parametrize("keep", [1.0, 0.05])
+@pytest.mark.parametrize("spec", SCREEN_SPECS, ids=str)
+def test_a_uniform_at_most_the_hit_uniform_certifies_a_draw_above_gamma(spec, keep):
+    # the chunk's hit test in uniform space: u <= the critical uniform of
+    # gamma * (1 + margin), and its y = -log(u) / keep computed as the
+    # sampling kernel computes it, gives a draw above gamma
+    for gamma in np.geomspace(1e-250, 1e250, 401):
+        u = _critical_uniform(spec, keep, gamma * (1.0 + _SCREEN_MARGIN), up=False)
+        for _ in range(3):
+            if u > 0.0:
+                assert spec.inverse_cumulative_hazard(-np.log(u) / keep) > gamma
+            u = np.nextafter(u, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("keep", [1.0, 0.05])
+@pytest.mark.parametrize("spec", SCREEN_SPECS, ids=str)
+def test_a_uniform_at_least_the_share_uniform_certifies_a_draw_at_most_the_share(spec, keep, n):
+    # the chunk's miss test in uniform space: u >= the critical uniform of
+    # the share gamma * (1 - margin) / n gives a draw within half the
+    # margin of gamma / n
+    for gamma in np.geomspace(1e-250, 1e250, 401):
+        u = _critical_uniform(spec, keep, gamma * (1.0 - _SCREEN_MARGIN) / n, up=True)
+        for _ in range(3):
+            if u < 1.0:
+                draw = spec.inverse_cumulative_hazard(-np.log(u) / keep)
+                assert draw <= gamma * (1.0 - 0.5 * _SCREEN_MARGIN) / n
+            u = np.nextafter(u, 1.0)
+
+
+FAR_LOGNORMAL4 = Scenario.from_db([DistributionSpec.lognormal(-4000.0, 40.0)] * 4, 25.0)
+
+
+def test_critical_uniforms_beyond_the_screens_range_certify_nothing():
+    # at mu_db = -4000 a level far enough above the median is beyond the
+    # range where ndtri_exp's error stays inside the margin: no uniform is
+    # at most 0, and every uniform is below 1
+    spec = FAR_LOGNORMAL4.components[0]
+    far = math.exp(spec.mu_ln + _SCREEN_LOG_RANGE)
+    near = math.exp(spec.mu_ln + 0.5 * _SCREEN_LOG_RANGE)
+    twisted = frozenset(range(4))
+    assert _screen(FAR_LOGNORMAL4.components, twisted, 0.9999, 8.0 * far) == ((0.0,) * 4, (1.0,) * 4)
+    hit, share = _screen(FAR_LOGNORMAL4.components, twisted, 0.9999, 4.0 * near)
+    assert all(0.0 < h < s < 1.0 for h, s in zip(hit, share))
+    # Weibull draws are as far off as the y they invert, over the shape
+    assert _critical_uniform(DistributionSpec.weibull(1e-6, 1.0), 1.0, 2.0, up=False) == 0.0
+    assert _critical_uniform(DistributionSpec.weibull(1e-6, 1.0), 1.0, 2.0, up=True) == 1.0
+
+
+@pytest.mark.parametrize("count", [1, 4465, CHUNK_SIZE])
+def test_screen_at_a_replications_exact_total_far_above_the_median(count):
+    # at theta 0.999 the largest sum sits 1,200-1,500 natural-log units
+    # above the median of ln X, where a draw's ndtri_exp round trip may be
+    # off by as much as the 1e-9 margin: gamma at that sum and 1 ulp either
+    # side must still read as the exact-everywhere reference reads it
+    components, twisted, theta = FAR_LOGNORMAL4.components, frozenset(range(4)), 0.999
+    total = np.max(_reference_totals(components, twisted, theta, 71, 3, count))
+    assert math.log(total) - components[0].mu_ln > _SCREEN_LOG_RANGE
+    results = []
+    for gamma in (np.nextafter(total, np.inf), total, np.nextafter(total, 0.0)):
+        args = (components, twisted, theta, float(gamma), 71, 3, count)
+        results.append(_simulate_chunk(*args))
+        assert results[-1] == _reference_chunk(*args)
+    assert results[0].hits == results[1].hits == results[2].hits - 1
+
+
+class PinnedStream(UnitSampleStream):
+    """A chunk's stream whose uniforms at the positions of ``pinned`` take
+    the values given there."""
+
+    pinned: dict[int, float] = {}
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.position = 0
+
+    def seek(self, position):
+        super().seek(position)
+        self.position = position
+
+    def uniforms(self, n, out=None):
+        u = super().uniforms(n, out=out)
+        for position, value in self.pinned.items():
+            if self.position <= position < self.position + n:
+                u[position - self.position] = value
+        self.position += n
+        return u
+
+
+@pytest.fixture
+def pinned_stream(monkeypatch):
+    monkeypatch.setattr("tailtwist.estimators.UnitSampleStream", PinnedStream)
+    return PinnedStream
+
+
+def _hazard_form_chunk(components, twisted, theta, gamma, seed, chunk_index, count):
+    """The chunk's sums from PinnedStream, its weights from
+    log_likelihood_ratio over the twisted hazards."""
+    stream = PinnedStream(seed, chunk_index)
+    ys = [
+        -np.log(stream.uniforms(count)) / (1.0 - theta if i in twisted else 1.0) for i in range(len(components))
+    ]
+    total = np.zeros(count)
+    for spec, y in zip(components, ys):
+        total += spec.inverse_cumulative_hazard(y)
+    log_weight = log_likelihood_ratio(theta, [ys[i] for i in sorted(twisted)])
+    t = np.where(total > gamma, np.exp(log_weight), 0.0)
+    hits = int(np.count_nonzero(total > gamma))
+    return ChunkSums(float(t.sum()), float((t * t).sum()), float((t**4).sum()), hits)
+
+
+def _strict_chunk(*args):
+    """The chunk with every floating-point exception raised and every
+    warning an error, so no partial product may fall below the smallest
+    normal double."""
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        return _simulate_chunk(*args)
+
+
+def _assert_matches_the_hazard_form(sums, reference):
+    assert sums.hits == reference.hits > 0
+    assert all(math.isfinite(x) and x > 0.0 for x in sums[:3])
+    assert sums[:3] == pytest.approx(reference[:3], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("count", [7, 4465])
+def test_a_remapped_zero_uniform_is_weighed_on_its_own(pinned_stream, monkeypatch, count):
+    # the stream turns an exact 0.0 into 2**-1074: multiplied into the
+    # product it would underflow, so its row is logged on its own
+    scenario = KERNEL_SCENARIOS["weibull4"]
+    zero = float(np.nextafter(0.0, 1.0))
+    monkeypatch.setattr(PinnedStream, "pinned", {3: zero, 2 * count + 5: zero})
+    args = (scenario.components, frozenset(range(4)), 0.05, scenario.threshold_linear, 71, 3, count)
+    sums = _strict_chunk(*args)
+    _assert_matches_the_hazard_form(sums, _hazard_form_chunk(*args))
+    # and the two replications whose uniform it is now hit
+    monkeypatch.setattr(PinnedStream, "pinned", {})
+    assert sums.hits == _hazard_form_chunk(*args).hits + 2
+
+
+def test_conventional_importance_sampling_at_zero_theta_weighs_one():
+    scenario = KERNEL_SCENARIOS["weibull4"].with_threshold_db(16.0)
+    args = (scenario.components, frozenset(range(4)), 0.0, scenario.threshold_linear, 71, 3, 4465)
+    sums = _strict_chunk(*args)
+    _assert_matches_the_hazard_form(sums, _hazard_form_chunk(*args))
+    assert sums == (sums.hits, sums.hits, sums.hits, sums.hits)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        report = estimate_conventional(scenario, 0.0, runs=4465, seed=71)
+    naive = estimate_naive(scenario, runs=4465, seed=71)
+    assert report == dataclasses.replace(naive, method=Method.CONVENTIONAL_IS)
+
+
+@pytest.mark.parametrize("count", [9, 4465])
+def test_twenty_one_twisted_components_keep_every_partial_product_normal(pinned_stream, monkeypatch, count):
+    # replication 7 draws the stream's smallest nonzero uniform, 2**-53, in
+    # every component: 19 such factors stay normal, 20 would not
+    components = (DistributionSpec.weibull(0.8, 1.0),) * 21
+    smallest = 2.0**-53
+    monkeypatch.setattr(PinnedStream, "pinned", {i * count + 7: smallest for i in range(21)})
+    args = (components, frozenset(range(21)), 0.05, 60.0, 71, 3, count)
+    assert _block_width(21, count) < count
+    sums = _strict_chunk(*args)
+    _assert_matches_the_hazard_form(sums, _hazard_form_chunk(*args))
+    # the allocating reference multiplies and logs in the same order
+    monkeypatch.setattr(PinnedStream, "pinned", {})
+    assert _strict_chunk(*args) == _reference_chunk(*args)

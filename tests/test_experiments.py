@@ -563,14 +563,16 @@ def test_each_table_renders_exact_bytes():
     )
 
 
-# sha256 of the theta sweep below as printed by the chunk kernel that replayed
-# its stream (commit 32321de), before chunks kept their draws.  The bytes rest
-# on numpy's exp and log, whose AVX-512 and AVX2 code paths round differently,
-# and on scipy's special functions, so they are pinned per code path for the
-# numpy and scipy releases they were recorded with.
+# sha256 of the theta sweep below as printed by the chunk kernel that weighs
+# each replication from the log of its twisted uniforms' product.  The bytes
+# rest on numpy's exp and log, whose AVX-512 and AVX2 code paths round
+# differently, and on scipy's special functions, so they are pinned per code
+# path for the numpy and scipy releases they were recorded with.  The AVX2
+# digest is what an AVX-512 machine prints under
+# NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".
 THETA_SWEEP_SHA256 = {
-    "12e93fdf7d427b06bd0af8d82fa9045d12ff9a4b0df213cd218e93d9f98e42db",  # AVX-512
-    "795cf9c9cd1d05bde1868cb5ab3cac48878bc59ff051987eed95a303fb3f64fa",  # AVX2
+    "fe6ece4138f3eafe1e00c25654fa55026660b46a4a3a34afe900624e990e86a0",  # AVX-512
+    "47627a38ad104b99f22ebe3067b0804a816580cbc7707722e57cf8075c98ed05",  # AVX2
 }
 PINNED_RELEASES = ("2.4", "1.17")
 
@@ -896,7 +898,7 @@ def test_a_single_run_reports_no_spread(capsys):
     assert main(["estimate", "--config", cfg, "--runs", "1", "--method", "improved", "--seed", "0"]) == 0
     hit = capsys.readouterr().out.splitlines()[1].split(",")
     # one replication has no sample variance: no standard error, no interval
-    assert hit[3] == "0.0003052779765289821"
+    assert hit[3] == "0.00030527797652898263"
     assert hit[5:] == ["nan", "nan", "nan", "nan", "nan", "1", "0"]
     assert main(["estimate", "--config", cfg, "--runs", "1", "--method", "naive,improved", "--seed", "1"]) == 0
     misses = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]

@@ -116,28 +116,45 @@ def test_weibull_subcommands_never_import_scipy(tmp_path):
     assert len((tmp_path / "efficiency").read_text().splitlines()) == 14
 
 
-def test_first_lognormal_evaluation_on_pool_threads_is_byte_identical():
-    # one theta, two chunks per row: at workers=2 only pool threads evaluate
+def test_scipy_is_imported_once_on_the_calling_thread_before_any_chunk():
+    # one theta, two chunks per row: at workers=2 only pool threads run the
+    # chunks, yet each estimate computes its critical uniforms, and so first
+    # evaluates a log-normal hazard, on the calling thread before they start
     text = (CONFIGS / "lognormal4_theta_sweep.cfg").read_text().replace("0.2:0.05:0.95", "0.85:0.05:0.85")
     code = """
         import json, sys, threading
-        on_main = []
+        events = []
+
+        def on_main():
+            return threading.current_thread() is threading.main_thread()
 
         def hook(event, args):
             if event == "import" and args[0] == "scipy.special":
-                on_main.append(threading.current_thread() is threading.main_thread())
+                events.append(["import", on_main()])
 
         sys.addaudithook(hook)
         import tailtwist
+        from tailtwist import estimators
+        chunk = estimators._simulate_chunk
+
+        def recorded(*args):
+            events.append(["chunk", on_main()])
+            return chunk(*args)
+
+        estimators._simulate_chunk = recorded
         config = tailtwist.parse_config({text!r}).override(runs=tailtwist.CHUNK_SIZE + 1)
         assert "scipy.special" not in sys.modules
         csv = tailtwist.sweep_rows_to_csv(tailtwist.run_theta_sweep(config, {workers}))
-        print(json.dumps([on_main, csv]))
+        print(json.dumps([events, csv]))
     """
-    (serial_on_main, serial_csv), (pool_on_main, pool_csv) = (
+    (serial_events, serial_csv), (pool_events, pool_csv) = (
         json.loads(_fresh_python(code.format(text=text, workers=workers))) for workers in (1, 2)
     )
-    assert serial_on_main and all(serial_on_main)
-    assert pool_on_main and not any(pool_on_main)
+    for events in (serial_events, pool_events):
+        assert events[0] == ["import", True]
+        assert events.count(["import", True]) == 1
+        assert len(events) == 5  # the import, then two chunks for each of two rows
+    assert all(on_main for _, on_main in serial_events[1:])
+    assert not any(on_main for _, on_main in pool_events[1:])
     assert pool_csv == serial_csv
     assert len(pool_csv.splitlines()) == 3
