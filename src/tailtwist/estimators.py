@@ -38,13 +38,19 @@ per block, and decides each replication in three stages, each on fewer
 replications.  Comparisons of each uniform with its component's two
 critical uniforms (``_screen``, once per estimate) certify a hit (one draw
 alone above the threshold plus a 1e-9 margin) or a miss (every draw at
-most the threshold less the margin, over n).  The undecided sum an upper
-bound on their draws (``DistributionSpec.inverse_cumulative_hazard_bound``,
-exact for Weibull), which certifies more misses, and the rest are inverted
-exactly.  Only undecided replications form y from their kept uniforms,
-with the float operations of the sampling kernel, so logs and special
-functions run on them only and the stream is drawn once.  The full-width
-log weight becomes t, t**2 and t**4 in place.
+most its component's share level).  The share levels split the threshold
+less the margin where the components' draws lie: they maximise the
+probability, under the sampling law, that every draw is at most its level,
+so a twisted component whose draws carry the sum gets most of it.  The
+undecided sum an upper bound on their draws
+(``DistributionSpec.inverse_cumulative_hazard_bound``), which certifies
+more misses, and the rest are inverted exactly.  A Weibull bound is its
+exact inverse, so where every component is Weibull the bound sums decide
+at the threshold and no draw is inverted twice.  Only undecided
+replications form y from their kept uniforms, with the float operations
+of the sampling kernel, so logs and special functions run on them only
+and the stream is drawn once.  The full-width log weight becomes t, t**2
+and t**4 in place.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ import enum
 import itertools
 import math
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -68,8 +75,9 @@ CHUNK_SIZE = 1 << 16
 # A replication is a certain hit when one component's uniform is at most
 # its critical uniform exp(-keep * Lambda(gamma * (1 + _SCREEN_MARGIN))),
 # keep = 1 - theta if twisted and 1 otherwise, and a certain miss when every
-# uniform is at least its critical uniform at the share
-# gamma * (1 - _SCREEN_MARGIN) / N, or when its bound sum is at most
+# uniform is at least its critical uniform at its component's share level
+# c_i (``_screen``: normal doubles or 0 whose float sum over the components
+# is at most gamma * (1 - _SCREEN_MARGIN)), or when its bound sum is at most
 # gamma * (1 - _SCREEN_MARGIN).  The hit uniform is rounded down and the
 # share uniform up past the rounding of keep * Lambda and of exp, so a
 # certified uniform's y, as the sampling kernel computes it, is at most a
@@ -79,19 +87,27 @@ CHUNK_SIZE = 1 << 16
 # Weibull draw by d / shape.  Deep in the tail, ndtri_exp's z is up to
 # 7e-13 relative off (against mpmath), which moves a log-normal draw x by
 # up to 7e-13 * max(|ln x - mu_ln|, sigma_ln) relative (3.8e-10 measured
-# at 1e250 for sigma_db = 4).  Each exp adds half an ulp.  A bound exceeds
-# its exact draw by a wide gap, except at z <= 0, where the log-normal
-# bound is exp(mu_ln) and ndtri_exp may return a z a few 1e-16 high; a
-# Weibull bound is its exact draw.  A float sum of N non-negative draws is
-# never below its largest, nor above N times its largest by more than N
-# ulps.  So while max(|ln x - mu_ln|, sigma_ln) < _SCREEN_LOG_RANGE for a
-# log-normal level x, and shape >= _SCREEN_MIN_SHAPE for a Weibull one, a
-# 1e-9 margin never certifies a replication whose exactly computed sum is
-# on the other side.  Beyond them a component's critical uniforms certify
-# nothing: 0 for a hit, and at least 1 for the share.
+# at 1e250 for sigma_db = 4).  Each exp adds half an ulp.  So while
+# max(|ln x - mu_ln|, sigma_ln) < _SCREEN_LOG_RANGE for a log-normal level
+# x, and shape >= _SCREEN_MIN_SHAPE for a Weibull one, a draw certified at
+# the hit level is above gamma, and a draw certified at its share level is
+# at most c_i * (1 + _SCREEN_MARGIN / 2).  Those draws sum to at most
+# gamma * (1 - _SCREEN_MARGIN / 2), and a float sum of N non-negative
+# draws exceeds their exact sum by at most N - 1 roundings, so the float
+# sum stays at most gamma.  A bound exceeds its exact draw by a wide gap,
+# except at z <= 0, where the log-normal bound is exp(mu_ln) and ndtri_exp
+# may return a z a few 1e-16 high; a Weibull bound is its exact draw.  So
+# the 1e-9 margin never certifies a replication whose exactly computed sum
+# is on the other side.  Beyond the range and the shape a component's
+# critical uniforms certify nothing: 0 for a hit, and at least 1 for the
+# share.
 _SCREEN_MARGIN = 1e-9
 _SCREEN_LOG_RANGE = 1000.0
 _SCREEN_MIN_SHAPE = 1e-5
+
+# The share levels' search grid, as fractions of gamma * (1 - _SCREEN_MARGIN)
+_SHARE_GRID = np.geomspace(1e-8, 1.0, 129)
+_SHARE_STEPS = np.diff(_SHARE_GRID)
 
 # A block's twisted row of uniforms, each at least 2**-53, joins the block's
 # product while it has fewer than _PRODUCT_FACTORS factors, so no partial
@@ -199,23 +215,24 @@ def log_likelihood_ratio(theta: float, hazards):
 class _Screen(NamedTuple):
     """An estimate's critical uniforms, one per component: a uniform at most
     ``hit[i]`` certifies a hit, and uniforms each at least their
-    ``share[i]`` certify a miss."""
+    ``share[i]``, the critical uniform of component i's share level
+    ``level[i]``, certify a miss."""
 
     hit: tuple[float, ...]
     share: tuple[float, ...]
+    level: tuple[float, ...]
 
 
-def _critical_uniform(spec: DistributionSpec, keep: float, x: float, up: bool) -> float:
-    """exp(-keep * Lambda(x)), rounded up or down past the rounding of
-    keep * Lambda(x) and of exp; 1.0 (up) or 0.0 (down) where the screen
-    margin does not cover the draws near x."""
+def _rounded_uniform(spec: DistributionSpec, x: float, exponent: float, up: bool) -> float:
+    """exp(-exponent), for exponent = keep * Lambda(x), rounded up or down
+    past the rounding of keep * Lambda(x) and of exp; 1.0 (up) or 0.0
+    (down) where the screen margin does not cover the draws near x."""
     if spec.family is Family.WEIBULL:
         covered = spec.weibull_shape >= _SCREEN_MIN_SHAPE
     else:
         covered = x == 0.0 or max(abs(math.log(x) - spec.mu_ln), spec.sigma_ln) < _SCREEN_LOG_RANGE
     if not covered:
         return 1.0 if up else 0.0
-    exponent = keep * spec.cumulative_hazard(x)
     # below the smallest normal double the rounding of exp is not relative
     if exponent >= -math.log(sys.float_info.min):
         return sys.float_info.min if up else 0.0
@@ -225,23 +242,95 @@ def _critical_uniform(spec: DistributionSpec, keep: float, x: float, up: bool) -
     return math.exp(-exponent) * (1.0 + slack if up else 1.0 - slack)
 
 
+def _critical_uniform(spec: DistributionSpec, keep: float, x: float, up: bool) -> float:
+    """exp(-keep * Lambda(x)), rounded as ``_rounded_uniform`` rounds it."""
+    # Lambda of a one-element array, bit for bit as of the screen's longer
+    # ones; for a 0-d array numpy may take another pow, off in the last bit
+    return _rounded_uniform(spec, x, keep * spec.cumulative_hazard(np.array([x])).item(), up)
+
+
+def _fit_levels(levels: list[float], counts: list[int], total: float) -> list[float]:
+    """The levels, stepped down an ulp at a time until their float sum over
+    the components (``counts[j]`` copies of ``levels[j]``) is at most
+    ``total``, each then a normal double or else 0."""
+    while math.fsum(itertools.chain.from_iterable([c] * m for c, m in zip(levels, counts))) > total:
+        levels = [math.nextafter(c, 0.0) for c in levels]
+    # below the smallest normal double rounding errors are no longer
+    # relative; a level of 0 has a critical uniform of at least 1, which
+    # certifies no miss
+    return [c if c >= sys.float_info.min else 0.0 for c in levels]
+
+
+def _share_levels(exponents: np.ndarray, counts: list[int], total: float) -> list[float]:
+    """Share levels c_j, one per class of ``counts[j]`` alike components,
+    whose float sum over the components is at most ``total``.
+
+    ``exponents[j]`` holds class j's keep * Lambda on the grid
+    total * _SHARE_GRID.  The levels maximise the sum over the classes of
+    counts[j] * log(1 - exp(-keep * Lambda(c_j))), the log-probability under
+    the sampling law that every draw is at most its level, on the grid:
+    every class takes its grid steps while their gain per unit of the
+    total, on its slopes' non-increasing envelope, is at least one common
+    marginal gain, the smallest whose levels fit.  The levels are then
+    scaled up to the total."""
+    # an exponent of 0 would gain -inf; clipped, it gains about -744, still
+    # the class's least
+    gains = np.log(-np.expm1(-np.maximum(exponents, 5e-324)))
+    envelope = np.minimum.accumulate(np.diff(gains, axis=1) / _SHARE_STEPS, axis=1)
+    # each class's steps at every marginal gain on an envelope, and at an
+    # infinite one, where no class steps and n * 1e-8 of the total is used
+    marginal = -np.append(envelope.ravel(), np.inf)
+    steps = np.array([np.searchsorted(-e, marginal, side="right") for e in envelope])
+    # sums over the classes: the first np.dot call pages in BLAS, for a few numbers
+    weights = np.array(counts, dtype=float)
+    used = (weights[:, None] * _SHARE_GRID[steps]).sum(axis=0)
+    fractions = _SHARE_GRID[steps[:, np.argmax(np.where(used <= 1.0, used, -1.0))]]
+    # each fraction over the fractions' sum is at most 1, so no level overflows
+    return _fit_levels((total * (fractions / (weights * fractions).sum())).tolist(), counts, total)
+
+
+def _log_certain(shares: list[float], counts: list[int]) -> float:
+    """The log-probability under the sampling law that every uniform is at
+    least its component's share uniform, ``counts[j]`` components having
+    ``shares[j]``."""
+    logs = [math.log1p(-s) if s < 1.0 else -math.inf for s in shares]
+    return math.fsum(itertools.chain.from_iterable([x] * m for x, m in zip(logs, counts)))
+
+
 def _screen(
     components: tuple[DistributionSpec, ...], twisted: frozenset[int], theta: float, gamma: float
 ) -> _Screen:
     """The critical uniforms of a chunk's components at the hit level
-    gamma * (1 + margin) and at the share gamma * (1 - margin) / n."""
-    # hit and share levels are normal doubles, where rounding errors stay
-    # relative; a smaller share is 0, whose critical uniform, at least 1,
-    # certifies no miss
+    gamma * (1 + margin) and at their share levels, which split
+    gamma * (1 - margin).
+
+    Components alike in law and twist form a class with one level and one
+    pair of critical uniforms.  The levels are ``_share_levels``, or the
+    equal split gamma * (1 - margin) / n where that certifies a miss at
+    least as often, and always for a single class."""
+    # the hit level is a normal double, where rounding errors stay relative
     level = max(gamma, sys.float_info.min) * (1.0 + _SCREEN_MARGIN)
-    share = gamma * (1.0 - _SCREEN_MARGIN) / len(components)
-    if share < sys.float_info.min:
-        share = 0.0
-    keeps = [1.0 - theta if i in twisted else 1.0 for i in range(len(components))]
-    return _Screen(
-        tuple(_critical_uniform(spec, k, level, up=False) for spec, k in zip(components, keeps)),
-        tuple(_critical_uniform(spec, k, share, up=True) for spec, k in zip(components, keeps)),
-    )
+    total = gamma * (1.0 - _SCREEN_MARGIN)
+    keys = [(spec, 1.0 - theta if i in twisted else 1.0) for i, spec in enumerate(components)]
+    classes = Counter(keys)
+    order, counts = list(classes), list(classes.values())
+    levels = _fit_levels([total / len(keys)] * len(order), counts, total)
+    # every split leaves some level at most the equal split's, and a level
+    # of 0 certifies nothing
+    solve = len(order) > 1 and levels[0] > 0.0
+    points = np.concatenate(([level, levels[0]], total * _SHARE_GRID if solve else ()))
+    # one Lambda per class, at the hit level, the equal split and the grid
+    exponents = np.array([keep * spec.cumulative_hazard(points) for spec, keep in order])
+    at_hit, at_equal = exponents[:, 0].tolist(), exponents[:, 1].tolist()
+    hits = [_rounded_uniform(spec, level, e, up=False) for (spec, _), e in zip(order, at_hit)]
+    shares = [_rounded_uniform(spec, levels[0], e, up=True) for (spec, _), e in zip(order, at_equal)]
+    if solve:
+        split = _share_levels(exponents[:, 2:], counts, total)
+        split_shares = [_critical_uniform(spec, keep, c, up=True) for (spec, keep), c in zip(order, split)]
+        if _log_certain(split_shares, counts) > _log_certain(shares, counts):
+            levels, shares = split, split_shares
+    index = [order.index(key) for key in keys]
+    return _Screen(*(tuple(values[j] for j in index) for values in (hits, shares, levels)))
 
 
 def _block_width(n: int, count: int) -> int:
@@ -284,11 +373,16 @@ def _simulate_chunk(
     over_share = np.zeros(count, dtype=bool)
     block = np.empty((n, width))
     # bound sums above the cut stay undecided, and exact sums above gamma
-    # hit, both summed in component order
-    stages = (
-        (DistributionSpec.inverse_cumulative_hazard_bound, gamma * (1.0 - _SCREEN_MARGIN)),
-        (DistributionSpec.inverse_cumulative_hazard, gamma),
-    )
+    # hit, both summed in component order.  A Weibull bound is its exact
+    # inverse, with the same float operations, so where every component is
+    # Weibull the bound sums are the exact sums and decide at gamma
+    if all(spec.family is Family.WEIBULL for spec in components):
+        stages = ((DistributionSpec.inverse_cumulative_hazard_bound, gamma),)
+    else:
+        stages = (
+            (DistributionSpec.inverse_cumulative_hazard_bound, gamma * (1.0 - _SCREEN_MARGIN)),
+            (DistributionSpec.inverse_cumulative_hazard, gamma),
+        )
     for a in range(0, count, width):
         m = min(width, count - a)
         rows, hit, over = block[:, :m], hits[a : a + m], over_share[a : a + m]

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from scipy.special import ndtri_exp
 
-from tailtwist.distributions import DistributionSpec, Family
+from tailtwist.distributions import DistributionSpec, Family, db_to_linear
 from tailtwist.dominance import Scenario, ThetaSource, select_dominant
 from tailtwist.estimators import (
     CHUNK_SIZE,
@@ -26,6 +27,7 @@ from tailtwist.estimators import (
     _critical_uniform,
     _Estimate,
     _block_width,
+    _estimate,
     _report,
     _screen,
     _simulate_chunk,
@@ -440,6 +442,10 @@ KERNEL_SCENARIOS = {
     "lognormal4": Scenario.from_db(
         [DistributionSpec.lognormal(0.0, 4.0)] * 2 + [DistributionSpec.lognormal(0.0, 6.0)] * 2, 25.0
     ),
+    # four classes, each with its own share level
+    "weibull4-unequal": Scenario.from_db(
+        [DistributionSpec.weibull(k, b) for k, b in ((0.35, 1.0), (0.5, 2.0), (0.65, 1.0), (0.8, 0.5))], 26.0
+    ),
 }
 
 
@@ -475,6 +481,23 @@ def test_chunks_of_more_than_four_components_work_in_seeking_sub_blocks(family, 
     twisted = frozenset(select_dominant(scenario).dominant_indices)
     args = (scenario.components, twisted, 0.6, scenario.threshold_linear, 71, 3, count)
     assert _simulate_chunk(*args) == _reference_chunk(*args)
+
+
+@pytest.mark.parametrize("count", [CHUNK_SIZE, 4465])
+@pytest.mark.parametrize("theta", [0.5, 0.9])
+def test_a_mixed_family_chunk_matches_the_allocating_reference_exactly(theta, count):
+    # a chunk takes any components: Weibull and log-normal classes get their
+    # own share levels, and log-normal draws keep the bound and exact stages
+    components = (
+        DistributionSpec.weibull(0.4, 1.0),
+        DistributionSpec.lognormal(0.0, 6.0),
+        DistributionSpec.weibull(0.8, 1.0),
+        DistributionSpec.lognormal(0.0, 4.0),
+    )
+    args = (components, frozenset({0, 1}), theta, db_to_linear(24.0), 71, 3, count)
+    sums = _simulate_chunk(*args)
+    assert sums == _reference_chunk(*args)
+    assert sums.hits > 0
 
 
 # -- the screen: exact inversion of undecided replications only --------------------
@@ -627,42 +650,58 @@ def test_a_hazard_above_the_level_certifies_a_draw_above_gamma(spec):
         u = np.nextafter(u, 0.0)
 
 
+# splits of gamma * (1 - margin) into the share levels of n components, as
+# fractions of it: the equal split, and for n = 4 an unequal one too
+SHARE_SPLITS = {
+    1: [(1.0,)],
+    4: [(0.25,) * 4, (0.9, 0.07, 0.02, 0.01)],
+}
+
+
 @pytest.mark.parametrize("n", [1, 4])
 @pytest.mark.parametrize("spec", SCREEN_SPECS, ids=str)
 def test_a_hazard_at_most_the_share_level_certifies_a_draw_at_most_the_share(spec, n):
-    # the screen's miss test: a kept y at most the cumulative hazard of the
-    # share gamma * (1 - margin) / n gives an exactly computed draw within
-    # half the margin of gamma / n, so n such draws sum to at most gamma.
-    # Deep in the log-normal tail ndtri_exp's z is a few 1e-13 off, which
-    # puts the draw up to 4e-10 above the share at 1e250
+    # the screen's miss test: a kept y at most the cumulative hazard of a
+    # share level c gives an exactly computed draw within half the margin
+    # of c, so draws at levels that split gamma * (1 - margin) sum to at
+    # most gamma.  Deep in the log-normal tail ndtri_exp's z is a few 1e-13
+    # off, which puts the draw up to 4e-10 above its level at 1e250
     gammas = np.geomspace(1e-250, 1e250, 2001)
-    share_hazards = spec.cumulative_hazard(gammas * (1.0 - _SCREEN_MARGIN) / n)
+    for split in SHARE_SPLITS[n]:
+        total = np.zeros_like(gammas)
+        for fraction in split:
+            levels = gammas * (1.0 - _SCREEN_MARGIN) * fraction
+            share_hazards = spec.cumulative_hazard(levels)
 
-    def check(y, certified):
-        draws = spec.inverse_cumulative_hazard(y[certified])
-        assert np.all(draws <= gammas[certified] * (1.0 - 0.5 * _SCREEN_MARGIN) / n)
-        total = np.zeros_like(draws)
-        for _ in range(n):
-            total += draws
-        assert np.all(total <= gammas[certified])
+            def check(y, certified):
+                draws = spec.inverse_cumulative_hazard(y[certified])
+                assert np.all(draws <= levels[certified] * (1.0 + 0.5 * _SCREEN_MARGIN))
 
-    check(share_hazards, share_hazards >= 0.0)
-    # the y of uniforms at and just above the share level's
-    u = np.exp(-share_hazards)
-    for _ in range(3):
-        with np.errstate(divide="ignore"):  # u = 0 below the underflow point
-            y = -np.log(u)
-        check(y, (y <= share_hazards) & (0.0 < u) & (u < 1.0))
-        u = np.nextafter(u, 1.0)
+            check(share_hazards, share_hazards >= 0.0)
+            total += spec.inverse_cumulative_hazard(share_hazards)
+            # the y of uniforms at and just above the share level's
+            u = np.exp(-share_hazards)
+            for _ in range(3):
+                with np.errstate(divide="ignore"):  # u = 0 below the underflow point
+                    y = -np.log(u)
+                check(y, (y <= share_hazards) & (0.0 < u) & (u < 1.0))
+                u = np.nextafter(u, 1.0)
+        # the largest certified draws, summed in component order
+        assert np.all(total <= gammas)
+
+
+def _reference_uniform_rows(n, seed, chunk_index, count):
+    """Each of n components' uniforms, drawn as _reference_chunk draws them."""
+    seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
+    gen = np.random.Generator(np.random.PCG64DXSM(seq))
+    return [_reference_uniforms(gen, count) for _ in range(n)]
 
 
 def _reference_hazards(components, twisted, theta, seed, chunk_index, count):
     """Each component's kept y, computed as _reference_chunk does."""
-    seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
-    gen = np.random.Generator(np.random.PCG64DXSM(seq))
     return [
-        -np.log(_reference_uniforms(gen, count)) / (1.0 - theta if i in twisted else 1.0)
-        for i in range(len(components))
+        -np.log(u) / (1.0 - theta if i in twisted else 1.0)
+        for i, u in enumerate(_reference_uniform_rows(len(components), seed, chunk_index, count))
     ]
 
 
@@ -690,8 +729,9 @@ def test_the_bound_sees_only_the_replications_the_comparisons_leave_undecided(bo
     # undecided: some draw above its share level and none above the level
     components, twisted, gamma = LOGNORMAL4.components, frozenset(range(4)), LOGNORMAL4.threshold_linear
     ys = _reference_hazards(components, twisted, 0.3, 71, 3, CHUNK_SIZE)
-    shares = [spec.cumulative_hazard(gamma * (1.0 - _SCREEN_MARGIN) / 4) for spec in components]
-    over_share = np.any([y > share for y, share in zip(ys, shares)], axis=0)
+    shares = _screen(components, twisted, 0.3, gamma).share
+    us = _reference_uniform_rows(4, 71, 3, CHUNK_SIZE)
+    over_share = np.any([u < share for u, share in zip(us, shares)], axis=0)
     undecided = int(np.count_nonzero(over_share & ~_certified_hits(components, ys, gamma)))
     args = (components, twisted, 0.3, gamma, 71, 3, CHUNK_SIZE)
     assert _simulate_chunk(*args) == _reference_chunk(*args)
@@ -758,15 +798,16 @@ def test_a_uniform_at_most_the_hit_uniform_certifies_a_draw_above_gamma(spec, ke
 @pytest.mark.parametrize("spec", SCREEN_SPECS, ids=str)
 def test_a_uniform_at_least_the_share_uniform_certifies_a_draw_at_most_the_share(spec, keep, n):
     # the chunk's miss test in uniform space: u >= the critical uniform of
-    # the share gamma * (1 - margin) / n gives a draw within half the
-    # margin of gamma / n
+    # a share level c gives a draw within half the margin of c
     for gamma in np.geomspace(1e-250, 1e250, 401):
-        u = _critical_uniform(spec, keep, gamma * (1.0 - _SCREEN_MARGIN) / n, up=True)
-        for _ in range(3):
-            if u < 1.0:
-                draw = spec.inverse_cumulative_hazard(-np.log(u) / keep)
-                assert draw <= gamma * (1.0 - 0.5 * _SCREEN_MARGIN) / n
-            u = np.nextafter(u, 1.0)
+        for fraction in {f for split in SHARE_SPLITS[n] for f in split}:
+            level = gamma * (1.0 - _SCREEN_MARGIN) * fraction
+            u = _critical_uniform(spec, keep, level, up=True)
+            for _ in range(3):
+                if u < 1.0:
+                    draw = spec.inverse_cumulative_hazard(-np.log(u) / keep)
+                    assert draw <= level * (1.0 + 0.5 * _SCREEN_MARGIN)
+                u = np.nextafter(u, 1.0)
 
 
 FAR_LOGNORMAL4 = Scenario.from_db([DistributionSpec.lognormal(-4000.0, 40.0)] * 4, 25.0)
@@ -780,8 +821,8 @@ def test_critical_uniforms_beyond_the_screens_range_certify_nothing():
     far = math.exp(spec.mu_ln + _SCREEN_LOG_RANGE)
     near = math.exp(spec.mu_ln + 0.5 * _SCREEN_LOG_RANGE)
     twisted = frozenset(range(4))
-    assert _screen(FAR_LOGNORMAL4.components, twisted, 0.9999, 8.0 * far) == ((0.0,) * 4, (1.0,) * 4)
-    hit, share = _screen(FAR_LOGNORMAL4.components, twisted, 0.9999, 4.0 * near)
+    assert _screen(FAR_LOGNORMAL4.components, twisted, 0.9999, 8.0 * far)[:2] == ((0.0,) * 4, (1.0,) * 4)
+    hit, share, _ = _screen(FAR_LOGNORMAL4.components, twisted, 0.9999, 4.0 * near)
     assert all(0.0 < h < s < 1.0 for h, s in zip(hit, share))
     # Weibull draws are as far off as the y they invert, over the shape
     assert _critical_uniform(DistributionSpec.weibull(1e-6, 1.0), 1.0, 2.0, up=False) == 0.0
@@ -803,6 +844,110 @@ def test_screen_at_a_replications_exact_total_far_above_the_median(count):
         results.append(_simulate_chunk(*args))
         assert results[-1] == _reference_chunk(*args)
     assert results[0].hits == results[1].hits == results[2].hits - 1
+
+
+# -- the share levels -------------------------------------------------------------
+
+SHARE_POOL = [
+    DistributionSpec.weibull(0.4, 1.0),
+    DistributionSpec.weibull(0.8, 1.0),
+    DistributionSpec.weibull(0.6, 30.0),
+    DistributionSpec.weibull(0.95, 1e-3),
+    DistributionSpec.lognormal(0.0, 4.0),
+    DistributionSpec.lognormal(0.0, 6.0),
+    DistributionSpec.lognormal(30.0, 10.0),
+    DistributionSpec.lognormal(-20.0, 2.0),
+]
+SHARE_GAMMAS = [0.0, 1e-310] + [10.0**e for e in (-300, -200, -100, -30, -5, 0, 2.6, 5, 30, 100, 200, 300)] + [
+    sys.float_info.max
+]
+
+
+def _log_certain(shares):
+    """log of the product of 1 - share, the probability that a
+    replication's uniforms are each at least their share uniform."""
+    return math.fsum(math.log1p(-s) if s < 1.0 else -math.inf for s in shares)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 0.95])
+@pytest.mark.parametrize("twist", ["naive", "dominant", "all"])
+def test_share_levels_split_the_total_and_certify_at_least_the_equal_split(twist, theta):
+    rng = np.random.default_rng(19)
+    for _ in range(30):
+        components = tuple(SHARE_POOL[k] for k in rng.integers(len(SHARE_POOL), size=rng.integers(1, 7)))
+        n = len(components)
+        twisted = {
+            "naive": frozenset(),
+            # the components alike to the first
+            "dominant": frozenset(i for i, spec in enumerate(components) if spec == components[0]),
+            "all": frozenset(range(n)),
+        }[twist]
+        keys = [(spec, 1.0 - theta if i in twisted else 1.0) for i, spec in enumerate(components)]
+        for gamma in SHARE_GAMMAS:
+            total = gamma * (1.0 - _SCREEN_MARGIN)
+            screen = _screen(components, twisted, theta, gamma)
+            assert all(c == 0.0 or sys.float_info.min <= c < math.inf for c in screen.level)
+            assert math.fsum(screen.level) <= total
+            assert screen.share == tuple(_critical_uniform(*key, c, up=True) for key, c in zip(keys, screen.level))
+            for i, j in itertools.combinations(range(n), 2):
+                if keys[i] == keys[j]:
+                    assert (screen.hit[i], screen.share[i]) == (screen.hit[j], screen.share[j])
+            # the equal split of the same total, its level fitted like any
+            # split's: a normal double or 0, n of them summing to at most it
+            equal = total / n
+            while math.fsum([equal] * n) > total:
+                equal = math.nextafter(equal, 0.0)
+            if equal < sys.float_info.min:
+                equal = 0.0
+            equal_shares = [_critical_uniform(*key, equal, up=True) for key in keys]
+            assert _log_certain(screen.share) >= _log_certain(equal_shares)
+            if len(set(keys)) == 1:
+                assert screen.share == tuple(equal_shares)
+
+
+def test_share_levels_at_zero_and_subnormal_thresholds_certify_no_miss():
+    components = KERNEL_SCENARIOS["weibull4"].components
+    for gamma in (0.0, 1e-310, 4.0 * sys.float_info.min):
+        screen = _screen(components, frozenset({0}), 0.9, gamma)
+        assert screen.level == (0.0,) * 4
+        assert all(share >= 1.0 for share in screen.share)
+
+
+def test_share_levels_leave_few_weibull_replications_undecided(bounded):
+    # improved IS on weibull4 at 26 dB twists the heavy component by about
+    # 0.91: its draws carry the sum, the light ones stay far below gamma / 4,
+    # and the equal split left 19.8% of this chunk to the bound
+    scenario = KERNEL_SCENARIOS["weibull4"]
+    estimate = _estimate(scenario, Method.IMPROVED_IS, CHUNK_SIZE, 7, plan=minmax_plan(scenario))
+    assert estimate.theta == pytest.approx(0.909, abs=1e-3)
+    screen = estimate.chunks[0][-1]
+    assert screen.level[0] > 0.9 * scenario.threshold_linear
+    _simulate_chunk(*estimate.chunks[0])
+    assert len(bounded) == scenario.n
+    assert bounded[0] < 0.03 * CHUNK_SIZE
+
+
+def test_a_weibull_chunk_inverts_each_undecided_draw_once(bounded, monkeypatch):
+    # a Weibull bound is its exact inverse: an all-Weibull chunk decides at
+    # gamma from its bound sums, gamma at one replication's exact sum and 1
+    # ulp either side included, and calls no exact stage after them
+    scenario, twisted = KERNEL_SCENARIOS["weibull4"], frozenset(range(4))
+    total = np.sort(_reference_totals(scenario.components, twisted, 0.5, 71, 3, 4465))[-1]
+    exact = DistributionSpec.inverse_cumulative_hazard
+    inverted = []
+
+    def counting(spec, y, out=None):
+        inverted.append(np.size(y))
+        return exact(spec, y, out=out)
+
+    monkeypatch.setattr(DistributionSpec, "inverse_cumulative_hazard", counting)
+    for gamma in (np.nextafter(total, np.inf), total, np.nextafter(total, 0.0)):
+        bounded.clear()
+        inverted.clear()
+        args = (scenario.components, twisted, 0.5, float(gamma), 71, 3, 4465)
+        assert _simulate_chunk(*args) == _reference_chunk(*args)
+        assert inverted == bounded
+        assert len(bounded) == 4 and bounded[0] > 0
 
 
 class PinnedStream(UnitSampleStream):

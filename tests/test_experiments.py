@@ -595,6 +595,34 @@ def test_lognormal4_theta_sweep_bytes_are_pinned():
     assert digests <= THETA_SWEEP_SHA256
 
 
+# sha256 of the Weibull threshold sweep below, recorded with the equal
+# share gamma * (1 - 1e-9) / n and matched since by the per-component share
+# levels: the screen decides only which replications are certain, never a
+# hit or a weight.  Pinned per code path as above.
+WEIBULL_SWEEP_SHA256 = {
+    "2664c078b088254bd35a939aaad417e62035ce8797e795a6f11288de9d9b2965",  # AVX-512
+    "4992d6fe04e76b2980cdb3432dbddb47fea3e7f2331e2d619753c2d904a73bc8",  # AVX2
+}
+
+
+@pytest.mark.skipif(
+    (np.__version__.rsplit(".", 1)[0], scipy.__version__.rsplit(".", 1)[0]) != PINNED_RELEASES,
+    reason="sweep bytes are pinned for numpy 2.4 and scipy 1.17",
+)
+def test_weibull4_threshold_sweep_bytes_are_pinned():
+    # one full and one partial chunk per row; both methods at 13 thresholds;
+    # two workers too
+    text = (Path(__file__).parents[1] / "configs" / "weibull4_thresholds.cfg").read_text()
+    config = parse_config(text).override(runs=CHUNK_SIZE + 4465)
+    assert len(config.gamma_grid_db) == 13
+    digests = {
+        hashlib.sha256(sweep_rows_to_csv(run_threshold_sweep(config, workers)).encode()).hexdigest()
+        for workers in (1, 2)
+    }
+    assert len(digests) == 1
+    assert digests <= WEIBULL_SWEEP_SHA256
+
+
 def test_csv_reproducible_across_workers():
     config = small_theta_config()
     base = sweep_rows_to_csv(run_theta_sweep(config, workers=1))

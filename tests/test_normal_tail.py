@@ -116,6 +116,22 @@ def test_weibull_subcommands_never_import_scipy(tmp_path):
     assert len((tmp_path / "efficiency").read_text().splitlines()) == 14
 
 
+def test_a_weibull_threshold_sweep_imports_neither_numpy_ma_nor_scipy_special(tmp_path):
+    # the share levels' solve keeps to a few small numpy calls; numpy.ma,
+    # which some numpy functions import on first use, would add about a
+    # megabyte to every run
+    config = str(CONFIGS / "weibull4_thresholds.cfg")
+    out = _fresh_python(f"""
+        import sys
+        import tailtwist.cli
+        args = ["threshold-sweep", "--config", {config!r}, "--runs", "65537", "--out", {str(tmp_path / "sweep")!r}]
+        assert tailtwist.cli.main(args) == 0
+        print(sorted(name for name in ("numpy.ma", "scipy.special") if name in sys.modules))
+    """)
+    assert out.strip() == "[]"
+    assert len((tmp_path / "sweep").read_text().splitlines()) == 27
+
+
 def test_scipy_is_imported_once_on_the_calling_thread_before_any_chunk():
     # one theta, two chunks per row: at workers=2 only pool threads run the
     # chunks, yet each estimate computes its critical uniforms, and so first
