@@ -25,7 +25,6 @@ import numpy as np
 from .normal_tail import log_upper_tail, upper_tail_quantile_from_log
 
 _LN10 = math.log(10.0)
-_LN2 = math.log(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 __all__ = [
@@ -167,7 +166,8 @@ class DistributionSpec:
         if not np.all(arr >= 0.0):  # NaN fails too
             raise ValueError("cumulative_hazard requires x >= 0")
         if self.family is Family.WEIBULL:
-            out = (arr / self.weibull_scale) ** self.weibull_shape
+            with np.errstate(over="ignore"):  # a ratio to the scale that overflows: hazard inf
+                out = (arr / self.weibull_scale) ** self.weibull_shape
         else:
             pos = arr > 0.0
             z = (np.log(np.where(pos, arr, 1.0)) - self.mu_ln) / self.sigma_ln
@@ -193,32 +193,6 @@ class DistributionSpec:
             x *= self.sigma_ln
             x += self.mu_ln
             np.exp(x, out=x)
-        return _maybe_scalar(x)
-
-    def inverse_cumulative_hazard_bound(self, y, out=None):
-        """An upper bound on inverse_cumulative_hazard(y), elementwise, for
-        y >= 0, written into ``out`` if given (which may be y itself).
-
-        Weibull's bound is its exact inverse.  Log-normal uses
-        Q(z) <= exp(-z**2/2)/2 for z >= 0, with Q the standard normal
-        survival function: a draw of cumulative hazard y has standard score
-        z <= sqrt(2 max(y - ln 2, 0)), so x is at most
-        exp(mu_ln + sigma_ln * sqrt(2 max(y - ln 2, 0))), one sqrt and one
-        exp in place of a special-function call.  Equality holds only at
-        z = 0.
-        """
-        if self.family is Family.WEIBULL:
-            return self.inverse_cumulative_hazard(y, out=out)
-        arr = _as_array(y)
-        if arr.size and not arr.min() >= 0.0:  # NaN fails too
-            raise ValueError("inverse_cumulative_hazard_bound requires y >= 0")
-        x = np.subtract(arr, _LN2, out=np.empty_like(arr) if out is None else out)
-        np.maximum(x, 0.0, out=x)
-        x *= 2.0
-        np.sqrt(x, out=x)
-        x *= self.sigma_ln
-        x += self.mu_ln
-        np.exp(x, out=x)
         return _maybe_scalar(x)
 
     def hazard_rate(self, x):

@@ -32,30 +32,24 @@ rises, and the log weight of the s twisted draws is
 theta / (1 - theta) * log(prod U) - s * log1p(-theta), so a chunk keeps
 uniforms, not hazards.  It works in sub-blocks whose n kept rows hold at
 most 4 * count doubles: one full-width block for up to four components,
-else blocks that seek their components' stream positions.  It multiplies
-the twisted uniforms into the log weight as it draws them, takes one log
-per block, and decides each replication in three stages, each on fewer
-replications.  Comparisons of each uniform with its component's two
-critical uniforms (``_screen``, once per estimate) certify a hit (one draw
-alone above the threshold plus a 1e-9 margin) or a miss (every draw at
-most its component's share level).  The share levels split the threshold
-less the margin where the components' draws lie: they maximise the
-probability, under the sampling law, that every draw is at most its level,
-so a twisted component whose draws carry the sum gets most of it.  The
-undecided sum an upper bound on their draws
-(``DistributionSpec.inverse_cumulative_hazard_bound``), which certifies
-more misses, and the rest are inverted exactly.  A Weibull bound is its
-exact inverse, so where every component is Weibull the bound sums decide
-at the threshold and no draw is inverted twice.  Only undecided
-replications form y from their kept uniforms, with the float operations
-of the sampling kernel, so logs and special functions run on them only
-and the stream is drawn once.  The full-width log weight becomes t, t**2
-and t**4 in place.
+else blocks that seek their components' stream positions.  Each block
+decides its replications in three stages, each on fewer of them:
+comparisons of each uniform with its component's critical uniforms
+(``_screen``) certify a hit (one draw alone above the threshold plus a
+1e-9 margin) or a miss (every draw at most its share of the threshold
+less the margin, shared where the draws lie); the undecided sum bounds on
+their draws, a Weibull one's exact draw and a log-normal one's table nodes
+either side of its y, and a lower sum above the threshold plus the margin
+certifies a hit, an upper one at most the threshold less it a miss; only
+the rest are inverted exactly.  Only undecided replications form y from
+their kept uniforms, so special functions run on them only, and only hits
+are weighed: one log and one exp of their twisted uniforms' product.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 import sys
@@ -77,10 +71,9 @@ CHUNK_SIZE = 1 << 16
 # keep = 1 - theta if twisted and 1 otherwise, and a certain miss when every
 # uniform is at least its critical uniform at its component's share level
 # c_i (``_screen``: normal doubles or 0 whose float sum over the components
-# is at most gamma * (1 - _SCREEN_MARGIN)), or when its bound sum is at most
-# gamma * (1 - _SCREEN_MARGIN).  The hit uniform is rounded down and the
-# share uniform up past the rounding of keep * Lambda and of exp, so a
-# certified uniform's y, as the sampling kernel computes it, is at most a
+# is at most gamma * (1 - _SCREEN_MARGIN)).  The hit uniform is rounded down
+# and the share uniform up past the rounding of keep * Lambda and of exp, so
+# a certified uniform's y, as the sampling kernel computes it, is at most a
 # few ulps on the wrong side of the level's hazard, itself a few ulps
 # off.  A relative error d in y moves a log-normal standard score z by about
 # d * max(z, 1), so the draw by sigma_ln * d * max(z, 1) relative, and a
@@ -94,22 +87,24 @@ CHUNK_SIZE = 1 << 16
 # at most c_i * (1 + _SCREEN_MARGIN / 2).  Those draws sum to at most
 # gamma * (1 - _SCREEN_MARGIN / 2), and a float sum of N non-negative
 # draws exceeds their exact sum by at most N - 1 roundings, so the float
-# sum stays at most gamma.  A bound exceeds its exact draw by a wide gap,
-# except at z <= 0, where the log-normal bound is exp(mu_ln) and ndtri_exp
-# may return a z a few 1e-16 high; a Weibull bound is its exact draw.  So
-# the 1e-9 margin never certifies a replication whose exactly computed sum
-# is on the other side.  Beyond the range and the shape a component's
+# sum stays at most gamma.  Beyond the range and the shape a component's
 # critical uniforms certify nothing: 0 for a hit, and at least 1 for the
-# share.
+# share.  Lower bounds summing above gamma * (1 + _SCREEN_MARGIN) certify a
+# hit, and upper ones summing to at most gamma * (1 - _SCREEN_MARGIN) a miss.
+# A log-normal bound, a computed inverse at a table node beside y, is off the
+# computed draw by two such ndtri_exp errors and an ulp: under 7e-10 at the
+# nodes where max(|ln x - mu_ln|, sigma_ln) < _SCREEN_LOG_RANGE / 2.  A
+# Weibull bound is its exact draw.
 _SCREEN_MARGIN = 1e-9
 _SCREEN_LOG_RANGE = 1000.0
 _SCREEN_MIN_SHAPE = 1e-5
+_TABLE_BITS = 10  # a log-normal table has 2**_TABLE_BITS + 1 nodes
 
 # The share levels' search grid, as fractions of gamma * (1 - _SCREEN_MARGIN)
 _SHARE_GRID = np.geomspace(1e-8, 1.0, 129)
 _SHARE_STEPS = np.diff(_SHARE_GRID)
 
-# A block's twisted row of uniforms, each at least 2**-53, joins the block's
+# A block's twisted row of uniforms, each at least 2**-53, joins its hits'
 # product while it has fewer than _PRODUCT_FACTORS factors, so no partial
 # product falls below 2**-1007, a normal double.  Any other twisted row (one
 # holding the stream's remapped 0, 2**-1074, say) is logged on its own.
@@ -203,7 +198,7 @@ def log_likelihood_ratio(theta: float, hazards):
     entries are consumed once, in order, so a generator may supply them.
     A twisted draw's hazard is y = -log(u) / (1 - theta), u its uniform, so
     the same log weight is theta / (1 - theta) * log(product of the u)
-    - s * log1p(-theta): the form a chunk computes, one log per block.
+    - s * log1p(-theta): the form a chunk computes, at its hits only.
     """
     log_weight, s = 0.0, 0
     for s, y in enumerate(hazards, start=1):
@@ -213,14 +208,15 @@ def log_likelihood_ratio(theta: float, hazards):
 
 
 class _Screen(NamedTuple):
-    """An estimate's critical uniforms, one per component: a uniform at most
-    ``hit[i]`` certifies a hit, and uniforms each at least their
+    """An estimate's critical uniforms and tables, one per component: a
+    uniform at most ``hit[i]`` certifies a hit, uniforms each at least their
     ``share[i]``, the critical uniform of component i's share level
-    ``level[i]``, certify a miss."""
+    ``level[i]``, certify a miss, and ``table[i]`` bounds a log-normal draw."""
 
     hit: tuple[float, ...]
     share: tuple[float, ...]
     level: tuple[float, ...]
+    table: tuple[tuple[float, np.ndarray, np.ndarray] | None, ...]
 
 
 def _rounded_uniform(spec: DistributionSpec, x: float, exponent: float, up: bool) -> float:
@@ -247,6 +243,26 @@ def _critical_uniform(spec: DistributionSpec, keep: float, x: float, up: bool) -
     # Lambda of a one-element array, bit for bit as of the screen's longer
     # ones; for a 0-d array numpy may take another pow, off in the last bit
     return _rounded_uniform(spec, x, keep * spec.cumulative_hazard(np.array([x])).item(), up)
+
+
+@functools.lru_cache(maxsize=32)
+def _table(spec: DistributionSpec, hazard: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """A log-normal spec's (step, lower, upper) up to ``hazard``, its hit
+    level's: a y in ((j - 1) * step, j * step] has its draw between lower[j]
+    and upper[j], the computed inverses x at (j - 1) * step and j * step, or
+    0 and inf, which certify nothing: beyond the nodes, at a hazard of 0,
+    subnormal or inf, and where max(|ln x - mu_ln|, sigma_ln) >= half
+    _SCREEN_LOG_RANGE (x = 0 and inf too).  Cached per law and threshold."""
+    lower, upper, step = np.zeros((1 << _TABLE_BITS) + 2), np.full((1 << _TABLE_BITS) + 2, np.inf), 1.0
+    if sys.float_info.min <= hazard <= sys.float_info.max:
+        # the least power of two above hazard / 2**_TABLE_BITS, so y / step is exact
+        step = math.ldexp(1.0, math.frexp(hazard)[1] - _TABLE_BITS)
+        with np.errstate(over="ignore", divide="ignore"):
+            x = spec.inverse_cumulative_hazard(np.arange(lower.size - 1) * step)
+            covered = np.maximum(np.abs(np.log(x) - spec.mu_ln), spec.sigma_ln) < 0.5 * _SCREEN_LOG_RANGE
+        lower[1:], upper[:-1] = np.where(covered, x, 0.0), np.where(covered, x, np.inf)
+    lower.flags.writeable = upper.flags.writeable = False  # shared through the cache
+    return step, lower, upper
 
 
 def _fit_levels(levels: list[float], counts: list[int], total: float) -> list[float]:
@@ -320,8 +336,11 @@ def _screen(
     solve = len(order) > 1 and levels[0] > 0.0
     points = np.concatenate(([level, levels[0]], total * _SHARE_GRID if solve else ()))
     # one Lambda per class, at the hit level, the equal split and the grid
-    exponents = np.array([keep * spec.cumulative_hazard(points) for spec, keep in order])
+    hazards = [spec.cumulative_hazard(points) for spec, _ in order]
+    exponents = np.array([keep * hazard for (_, keep), hazard in zip(order, hazards)])
     at_hit, at_equal = exponents[:, 0].tolist(), exponents[:, 1].tolist()
+    # one table per log-normal law, over y whatever its twist
+    tables = {s: _table(s, h[0].item()) for (s, _), h in zip(order, hazards) if s.family is Family.LOGNORMAL}
     hits = [_rounded_uniform(spec, level, e, up=False) for (spec, _), e in zip(order, at_hit)]
     shares = [_rounded_uniform(spec, levels[0], e, up=True) for (spec, _), e in zip(order, at_equal)]
     if solve:
@@ -329,8 +348,8 @@ def _screen(
         split_shares = [_critical_uniform(spec, keep, c, up=True) for (spec, keep), c in zip(order, split)]
         if _log_certain(split_shares, counts) > _log_certain(shares, counts):
             levels, shares = split, split_shares
-    index = [order.index(key) for key in keys]
-    return _Screen(*(tuple(values[j] for j in index) for values in (hits, shares, levels)))
+    at = [order.index(key) for key in keys]
+    return _Screen(*(tuple(v[j] for j in at) for v in (hits, shares, levels)), tuple(map(tables.get, components)))
 
 
 def _block_width(n: int, count: int) -> int:
@@ -342,6 +361,19 @@ def _block_width(n: int, count: int) -> int:
     while width > 1 and n * width > 4 * count:
         width >>= 1
     return width
+
+
+def _bracket(spec: DistributionSpec, table: tuple | None, y: np.ndarray, sums: np.ndarray) -> None:
+    """Add bounds on the draw of each y (overwritten) to ``sums``: the exact
+    draw to both rows if ``table`` is None, else the table's to rows 0 and 1."""
+    if table is None:
+        sums += spec.inverse_cumulative_hazard(y, out=y)
+        return
+    step, lower, upper = table
+    # clipped before the cast: a y beyond the nodes (y / step inf even) reads inf
+    j = np.minimum(np.ceil(np.divide(y, step, out=y), out=y), lower.size - 1, out=y).astype(np.intp)
+    sums[0] += np.take(lower, j, out=y, mode="clip")
+    sums[1] += np.take(upper, j, out=y, mode="clip")
 
 
 def _simulate_chunk(
@@ -363,31 +395,22 @@ def _simulate_chunk(
     n = len(components)
     width = _block_width(n, count)
     keep = 1.0 - theta
-    # every step below writes into the log weight, the flags or one kept row;
-    # the comparisons, one row minimum per twisted row and the undecided
-    # replications' indices, sums and draws are the only other temporaries
-    # the twisted uniforms' product from 1, then the log weight; 0 if nothing
-    # is twisted
-    log_weight = np.ones(count) if twisted else np.zeros(count)
-    hits = np.zeros(count, dtype=bool)
-    over_share = np.zeros(count, dtype=bool)
+    # every step below writes into t, the flags or one kept row; comparisons,
+    # indices, bounds, draws and weights are the only other temporaries
+    t = np.zeros(count)
+    hits, over_share = np.zeros((2, count), dtype=bool)
     block = np.empty((n, width))
-    # bound sums above the cut stay undecided, and exact sums above gamma
-    # hit, both summed in component order.  A Weibull bound is its exact
-    # inverse, with the same float operations, so where every component is
-    # Weibull the bound sums are the exact sums and decide at gamma
-    if all(spec.family is Family.WEIBULL for spec in components):
-        stages = ((DistributionSpec.inverse_cumulative_hazard_bound, gamma),)
-    else:
-        stages = (
-            (DistributionSpec.inverse_cumulative_hazard_bound, gamma * (1.0 - _SCREEN_MARGIN)),
-            (DistributionSpec.inverse_cumulative_hazard, gamma),
-        )
+    # bound sums, then exact sums, which decide all that is left, in component
+    # order: a lower sum above the high cut hits, an upper one above the low cut
+    # stays undecided.  Weibull bounds are exact draws, so all-Weibull is one stage
+    exact = ((None,) * n, gamma, gamma)
+    bounds = (screen.table, gamma * (1.0 + _SCREEN_MARGIN), gamma * (1.0 - _SCREEN_MARGIN))
+    stages = (bounds, exact) if any(screen.table) else (exact,)
     for a in range(0, count, width):
         m = min(width, count - a)
         rows, hit, over = block[:, :m], hits[a : a + m], over_share[a : a + m]
-        product, factors, alone = log_weight[a : a + m], 0, []
         # component i draws stream positions i * count + a onwards into row i
+        product, alone = [], []
         for i in range(n):
             if width < count:
                 stream.seek(i * count + a)
@@ -395,33 +418,35 @@ def _simulate_chunk(
             hit |= u <= screen.hit[i]
             over |= u < screen.share[i]
             if i in twisted:
-                if factors < _PRODUCT_FACTORS and u.min() >= _SMALLEST_FACTOR:
-                    product *= u
-                    factors += 1
-                else:
-                    alone.append(i)
+                (product if len(product) < _PRODUCT_FACTORS and u.min() >= _SMALLEST_FACTOR else alone).append(i)
         undecided = np.flatnonzero(over & ~hit)
-        for invert, cut in stages:
-            total, draw = np.zeros(undecided.size), np.empty(undecided.size)
+        for tables, high, low in stages:
+            if not undecided.size:
+                break
+            sums, draw = np.zeros((2, undecided.size)), np.empty(undecided.size)
             for i, spec in enumerate(components):
-                # y = -log(u) / (1 - theta_i), theta_i = 0 if untwisted
-                y = np.take(rows[i], undecided, out=draw)
-                np.negative(np.log(y, out=y), out=y)
-                if i in twisted:
-                    y /= keep
-                total += invert(spec, y, out=y)
-            undecided = undecided[total > cut]
-        hit[undecided] = True
-        if twisted:
-            np.log(product, out=product)
+                # y = -log(u) / (1 - theta_i), theta_i = 0 if untwisted: log(u) / -keep
+                # rounds as -log(u) / keep does, and log(u) / -1 is -log(u)
+                y = np.log(np.take(rows[i], undecided, out=draw, mode="clip"), out=draw)
+                y /= -keep if i in twisted else -1.0
+                _bracket(spec, tables[i], y, sums)
+            hit[undecided[sums[0] > high]] = True
+            undecided = undecided[:0] if tables is exact[0] else undecided[(sums[0] <= high) & (sums[1] > low)]
+        # the hits' weights, 2**14 hits at a time, so their temporaries stay small
+        hit_at = np.flatnonzero(hit) if twisted else ()
+        for r in range(0, len(hit_at), 1 << 14):
+            at = hit_at[r : r + (1 << 14)]
+            weight, part = np.ones(at.size), np.empty(at.size)
+            for i in product:
+                weight *= np.take(rows[i], at, out=part, mode="clip")
+            np.log(weight, out=weight)
             for i in alone:
-                product += np.log(rows[i], out=rows[i])
-            product *= theta / keep
-            product -= len(twisted) * math.log1p(-theta)
-    t = np.exp(log_weight, out=log_weight)
-    # t is finite (the log weight is at most -s * log1p(-theta)), so a
-    # miss's 0 * t is exactly 0.0
-    t *= hits
+                weight += np.log(np.take(rows[i], at, out=part, mode="clip"), out=part)
+            weight *= theta / keep
+            weight -= len(twisted) * math.log1p(-theta)
+            t[a : a + m][at] = np.exp(weight, out=weight)
+    if not twisted:
+        t[hits] = 1.0
     sum_t = float(t.sum())
     sum_t2 = float(np.multiply(t, t, out=t).sum())
     sum_t4 = float(np.multiply(t, t, out=t).sum())

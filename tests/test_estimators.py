@@ -9,6 +9,7 @@ import pytest
 
 from scipy.special import ndtri_exp
 
+from tailtwist import estimators
 from tailtwist.distributions import DistributionSpec, Family, db_to_linear
 from tailtwist.dominance import Scenario, ThetaSource, select_dominant
 from tailtwist.estimators import (
@@ -403,32 +404,37 @@ def _reference_inverse_cumulative_hazard(spec, y):
     return np.exp(spec.mu_ln + spec.sigma_ln * -ndtri_exp(-y))
 
 
-def _reference_chunk(components, twisted, theta, gamma, seed, chunk_index, count):
+def _reference_chunk(components, twisted, theta, gamma, seed, chunk_index, count, pinned=None):
     """The chunk kernel as it was before it worked in place: one fresh
-    array per temporary, the same float operations in the same order,
-    and the hit count.  The log weight is theta/(1-theta) times the log of
-    the twisted uniforms' product, less s * log1p(-theta); past 19 factors
-    each further twisted row adds its own log."""
+    array per temporary, full-width weights, the same float operations in
+    the same order, and the hit count.  The log weight is theta/(1-theta)
+    times the log of the twisted uniforms' product, less s * log1p(-theta);
+    a twisted row joins the product while it has fewer than 19 factors and
+    its uniforms are each at least 2**-53, and any other adds its own log.
+    The uniform at stream position p is ``pinned[p]`` where given."""
     seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
     gen = np.random.Generator(np.random.PCG64DXSM(seq))
     total = np.zeros(count)
-    factors = []
+    factors, alone = [], []
     for i, spec in enumerate(components):
         u = _reference_uniforms(gen, count)
+        for position, value in (pinned or {}).items():
+            if i * count <= position < (i + 1) * count:
+                u[position - i * count] = value
         if i in twisted:
             total += _reference_inverse_cumulative_hazard(spec, -np.log(u) / (1.0 - theta))
-            factors.append(u)
+            (factors if len(factors) < 19 and u.min() >= 2.0**-53 else alone).append(u)
         else:
             total += _reference_inverse_cumulative_hazard(spec, -np.log(u))
     log_weight = np.zeros(count)
-    if factors:
-        product = factors[0]
-        for u in factors[1:19]:
+    if twisted:
+        product = np.ones(count)
+        for u in factors:
             product = product * u
         log_weight = np.log(product)
-        for u in factors[19:]:
+        for u in alone:
             log_weight = log_weight + np.log(u)
-        log_weight = log_weight * (theta / (1.0 - theta)) - len(factors) * math.log1p(-theta)
+        log_weight = log_weight * (theta / (1.0 - theta)) - len(twisted) * math.log1p(-theta)
     hit = total > gamma
     t = np.where(hit, np.exp(log_weight), 0.0)
     t2 = t * t
@@ -487,7 +493,7 @@ def test_chunks_of_more_than_four_components_work_in_seeking_sub_blocks(family, 
 @pytest.mark.parametrize("theta", [0.5, 0.9])
 def test_a_mixed_family_chunk_matches_the_allocating_reference_exactly(theta, count):
     # a chunk takes any components: Weibull and log-normal classes get their
-    # own share levels, and log-normal draws keep the bound and exact stages
+    # own share levels, and log-normal draws keep the table and exact stages
     components = (
         DistributionSpec.weibull(0.4, 1.0),
         DistributionSpec.lognormal(0.0, 6.0),
@@ -608,7 +614,16 @@ def inverted(monkeypatch):
     return sizes
 
 
+def _screened(components, twisted, theta, gamma, inverted):
+    """The estimate's screen, its tables built before the chunk's inversions
+    are counted: they are not the chunk's."""
+    screen = _screen(components, twisted, theta, gamma)
+    inverted.clear()
+    return screen
+
+
 def test_screen_at_zero_threshold_certifies_every_hit(counting_stream, inverted):
+    # the hit level's hazard is 0, so the tables take no inversion at all
     args = (LOGNORMAL4.components, frozenset(range(4)), 0.3, 0.0, 71, 3, 4465)
     assert _simulate_chunk(*args) == _reference_chunk(*args)
     assert counting_stream.built == 1
@@ -617,7 +632,8 @@ def test_screen_at_zero_threshold_certifies_every_hit(counting_stream, inverted)
 
 def test_screen_far_above_every_sum_inverts_nothing(counting_stream, inverted):
     args = (LOGNORMAL4.components, frozenset(range(4)), 0.3, 1e12, 71, 3, 4465)
-    assert _simulate_chunk(*args) == _reference_chunk(*args) == (0.0, 0.0, 0.0, 0)
+    screen = _screened(*args[:4], inverted)
+    assert _simulate_chunk(*args, screen) == _reference_chunk(*args) == (0.0, 0.0, 0.0, 0)
     assert counting_stream.built == 1
     assert sum(inverted) == 0
 
@@ -713,15 +729,18 @@ def _certified_hits(components, ys, gamma):
 
 @pytest.fixture
 def bounded(monkeypatch):
-    """Element counts passed to the screen's bound, call by call."""
+    """Element counts passed to the screen's bounds, call by call: a
+    log-normal table's and a Weibull draw's.  The exact stage passes a
+    log-normal draw no table; no chunk here mixes the families."""
     sizes = []
-    bound = DistributionSpec.inverse_cumulative_hazard_bound
+    bracket = estimators._bracket
 
-    def counting(spec, y, out=None):
-        sizes.append(np.size(y))
-        return bound(spec, y, out=out)
+    def counting(spec, table, y, sums):
+        if table is not None or spec.family is Family.WEIBULL:
+            sizes.append(np.size(y))
+        return bracket(spec, table, y, sums)
 
-    monkeypatch.setattr(DistributionSpec, "inverse_cumulative_hazard_bound", counting)
+    monkeypatch.setattr(estimators, "_bracket", counting)
     return sizes
 
 
@@ -752,7 +771,7 @@ def test_a_share_below_the_smallest_normal_double_certifies_no_miss(bounded):
 def test_screen_inverts_few_twisted_draws(inverted):
     twisted = frozenset(range(4))
     args = (LOGNORMAL4.components, twisted, 0.3, LOGNORMAL4.threshold_linear, 71, 3, CHUNK_SIZE)
-    assert _simulate_chunk(*args)[0] > 0.0
+    assert _simulate_chunk(*args, _screened(*args[:4], inverted))[0] > 0.0
     assert 0 < sum(inverted) < 0.05 * len(twisted) * CHUNK_SIZE
 
 
@@ -763,10 +782,30 @@ def test_naive_lognormal_chunk_inverts_every_draw_from_its_hazard(inverted):
     n = LOGNORMAL4.n
     total = np.sort(_reference_totals(LOGNORMAL4.components, frozenset(), 0.0, 71, 3, CHUNK_SIZE))[-5]
     args = (LOGNORMAL4.components, frozenset(), 0.0, float(total), 71, 3, CHUNK_SIZE)
-    assert _simulate_chunk(*args) == _reference_chunk(*args) == (4.0, 4.0, 4.0, 4)
+    screen = _screened(*args[:4], inverted)
+    assert _simulate_chunk(*args, screen) == _reference_chunk(*args) == (4.0, 4.0, 4.0, 4)
     assert sum(inverted) > 0 and sum(inverted) % n == 0
     sizes = np.reshape(inverted, (-1, n))
     assert np.all(sizes == sizes[:, :1])
+
+
+def test_a_conventional_lognormal4_chunk_inverts_few_replications_exactly(monkeypatch):
+    # conventional IS at 25 dB and theta 0.85, seed 1: the closed-form bound
+    # exp(mu_ln + sigma_ln * sqrt(2 (y - ln 2))) left 16.8% of this chunk to
+    # exact inversion, and the tables leave 0.13%
+    args = (LOGNORMAL4.components, frozenset(range(4)), 0.85, LOGNORMAL4.threshold_linear, 1, 0, CHUNK_SIZE)
+    screen = _screen(*args[:4])
+    exact = DistributionSpec.inverse_cumulative_hazard
+    inverted = []
+
+    def counting(spec, y, out=None):
+        inverted.append(np.size(y))
+        return exact(spec, y, out=out)
+
+    monkeypatch.setattr(DistributionSpec, "inverse_cumulative_hazard", counting)
+    assert _simulate_chunk(*args, screen) == _reference_chunk(*args)
+    assert len(inverted) == 4 and len(set(inverted)) == 1
+    assert 0 < inverted[0] < 0.005 * CHUNK_SIZE
 
 
 def test_weibull_chunk_builds_its_stream_once(counting_stream):
@@ -822,7 +861,7 @@ def test_critical_uniforms_beyond_the_screens_range_certify_nothing():
     near = math.exp(spec.mu_ln + 0.5 * _SCREEN_LOG_RANGE)
     twisted = frozenset(range(4))
     assert _screen(FAR_LOGNORMAL4.components, twisted, 0.9999, 8.0 * far)[:2] == ((0.0,) * 4, (1.0,) * 4)
-    hit, share, _ = _screen(FAR_LOGNORMAL4.components, twisted, 0.9999, 4.0 * near)
+    hit, share = _screen(FAR_LOGNORMAL4.components, twisted, 0.9999, 4.0 * near)[:2]
     assert all(0.0 < h < s < 1.0 for h, s in zip(hit, share))
     # Weibull draws are as far off as the y they invert, over the shape
     assert _critical_uniform(DistributionSpec.weibull(1e-6, 1.0), 1.0, 2.0, up=False) == 0.0
@@ -844,6 +883,100 @@ def test_screen_at_a_replications_exact_total_far_above_the_median(count):
         results.append(_simulate_chunk(*args))
         assert results[-1] == _reference_chunk(*args)
     assert results[0].hits == results[1].hits == results[2].hits - 1
+
+
+# -- the log-normal tables ---------------------------------------------------------
+
+# the screen's log-normal laws and the shipped configs' ones
+TABLE_SPECS = [spec for spec in SCREEN_SPECS if spec.family is Family.LOGNORMAL] + [
+    DistributionSpec.lognormal(-3.0, 6.0)
+]
+TABLE_GAMMAS = [0.0, 1e-310] + [10.0**e for e in range(-250, 251, 50)] + [sys.float_info.max]
+
+
+def _table_bounds(spec, table, y):
+    """The lower and upper bounds the chunk's bound stage adds for each y.
+    A cast of a NaN or an infinite index raises."""
+    sums = np.zeros((2, y.size))
+    # y / step may overflow to inf, which reads the inf above the nodes
+    with np.errstate(over="ignore", invalid="raise"):
+        estimators._bracket(spec, table, y.copy(), sums)
+    return sums
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
+def test_a_tables_bounds_bracket_the_computed_draw(spec):
+    # y on a dense grid over the nodes and beyond them, at each node and an
+    # ulp either side, and the stream's extremes: -log(2**-1074) / keep for
+    # keep down to 2**-53, and the y of the uniform nearest 1.  The computed
+    # inverse rises only up to its rounding (a node an ulp from y may be a
+    # few ulps on the wrong side of its draw), so the bounds hold within
+    # half the screen margin, as the certified draws of the share levels do
+    keeps = 2.0 ** -np.arange(54.0)
+    extremes = np.concatenate([-np.log(5e-324) / keeps, -np.log1p(-(2.0**-53)) / keeps])
+    for gamma in TABLE_GAMMAS:
+        step, lower, upper = table = _screen((spec,), frozenset(), 0.0, gamma).table[0]
+        nodes = np.arange(lower.size - 1) * step
+        y = np.concatenate([
+            np.linspace(0.0, 2.0 * nodes[-1], 50_001),
+            nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, np.inf),
+            extremes,
+        ])
+        with np.errstate(over="ignore"):  # draws far above the nodes overflow to inf
+            x = spec.inverse_cumulative_hazard(y)
+        lower, upper = _table_bounds(spec, table, y)
+        assert not np.isnan(lower).any() and not np.isnan(upper).any()
+        assert np.all(lower <= x * (1.0 + 0.5 * _SCREEN_MARGIN))
+        assert np.all(upper >= x * (1.0 - 0.5 * _SCREEN_MARGIN))
+        assert np.all(upper[y > nodes[-1]] == np.inf)
+
+
+@pytest.mark.parametrize("hazard", [0.0, -0.0, 5e-324, 1e-310, math.inf])
+def test_a_table_at_a_zero_subnormal_or_infinite_hazard_certifies_nothing(hazard):
+    for spec in TABLE_SPECS:
+        table = estimators._table(spec, hazard)
+        assert np.all(table[1] == 0.0) and np.all(table[2] == np.inf)
+        lower, upper = _table_bounds(spec, table, np.array([0.0, 5e-324, 1.0, 1e300]))
+        assert np.all(lower == 0.0) and np.all(upper == np.inf)
+    # the hit level of a zero threshold has hazard 0
+    assert all(np.all(table[2] == np.inf) for table in _screen(LOGNORMAL4.components, frozenset(), 0.0, 0.0).table)
+
+
+def test_table_nodes_beyond_half_the_screens_range_certify_nothing():
+    # the hit level 600 natural-log units above mu_ln: the nodes climb past
+    # 500, where two ndtri_exp errors no longer stay under the margin
+    spec = FAR_LOGNORMAL4.components[0]
+    step, lower, upper = _screen((spec,), frozenset(), 0.0, math.exp(spec.mu_ln + 600.0)).table[0]
+    # the low nodes' draws underflow to 0, as far from mu_ln as can be
+    with np.errstate(divide="ignore"):
+        nodes = spec.inverse_cumulative_hazard(np.arange(lower.size - 1) * step)
+        far = np.abs(np.log(nodes) - spec.mu_ln) >= 0.5 * _SCREEN_LOG_RANGE
+        above = np.log(nodes) > spec.mu_ln
+    assert np.any(~far) and np.any(far & above)
+    assert np.array_equal(lower[1:], np.where(far, 0.0, nodes))
+    assert np.array_equal(upper[:-1], np.where(far, np.inf, nodes))
+
+
+def test_a_node_rounded_above_a_later_draw_certifies_no_hit(pinned_stream, monkeypatch):
+    # the computed inverse rises only up to its rounding: find a y just past
+    # a node whose draw is an ulp or so below that node's, and put gamma at
+    # that draw.  The node bounds the draw from below only within the
+    # margin, so the replication goes on to exact inversion and misses
+    spec = DistributionSpec.lognormal(-3.0, 6.0)
+    step, lower, _ = _screen((spec,), frozenset(), 0.0, 1.0).table[0]
+    u = np.exp(-np.arange(1, lower.size - 1) * step)
+    u = np.concatenate([u, np.nextafter(u, 0.0), np.nextafter(np.nextafter(u, 0.0), 0.0)])
+    y = -np.log(u)
+    x = spec.inverse_cumulative_hazard(y)
+    below = x < lower[np.ceil(y / step).astype(int)]
+    assert below.any()
+    u, x = u[below][0], x[below][0]
+    # gamma at the draw keeps the table's step
+    assert _screen((spec,), frozenset(), 0.0, float(x)).table[0][0] == step
+    monkeypatch.setattr(PinnedStream, "pinned", {0: float(u)})
+    for gamma, hits in ((float(x), 0), (float(np.nextafter(x, 0.0)), 1)):
+        args = ((spec,), frozenset(), 0.0, gamma, 71, 3, 1)
+        assert _simulate_chunk(*args) == _reference_chunk(*args, pinned={0: float(u)}) == (hits,) * 4
 
 
 # -- the share levels -------------------------------------------------------------
@@ -1052,3 +1185,49 @@ def test_twenty_one_twisted_components_keep_every_partial_product_normal(pinned_
     # the allocating reference multiplies and logs in the same order
     monkeypatch.setattr(PinnedStream, "pinned", {})
     assert _strict_chunk(*args) == _reference_chunk(*args)
+
+
+# gamma far above every sum, at the sums' 99th percentile, at their median,
+# and at 0; conventional IS at theta 0.95 and 25 dB hits 94%
+HIT_FRACTIONS = {
+    "none": (0.5, lambda totals: 1e12, 0.0),
+    "1%": (0.5, lambda totals: np.quantile(totals, 0.99), 0.01),
+    "half": (0.5, np.median, 0.5),
+    "all": (0.5, lambda totals: 0.0, 1.0),
+    "theta-0.95": (0.95, lambda totals: LOGNORMAL4.threshold_linear, 0.94),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HIT_FRACTIONS))
+def test_hit_only_weights_match_the_full_width_reference(case):
+    theta, gamma_of, fraction = HIT_FRACTIONS[case]
+    twisted = frozenset(range(4))
+    gamma = float(gamma_of(_reference_totals(LOGNORMAL4.components, twisted, theta, 71, 3, CHUNK_SIZE)))
+    args = (LOGNORMAL4.components, twisted, theta, gamma, 71, 3, CHUNK_SIZE)
+    sums = _simulate_chunk(*args)
+    assert sums == _reference_chunk(*args)
+    assert sums.hits == pytest.approx(fraction * CHUNK_SIZE, abs=0.005 * CHUNK_SIZE)
+
+
+# a heavy Weibull component that carries the hits, and a light one whose
+# draw from the stream's remapped 0 still falls far below 16 dB
+REMAPPED_ZERO_COMPONENTS = (
+    DistributionSpec.weibull(0.4, 1.0),
+    DistributionSpec.weibull(0.8, 1.0),
+    DistributionSpec.weibull(0.95, 1e-3),
+)
+
+
+@pytest.mark.parametrize("row, hit", [(2, False), (0, True)])
+def test_a_remapped_zero_uniform_weighs_as_the_reference_at_a_miss_and_at_a_hit(pinned_stream, monkeypatch, row, hit):
+    # the stream turns an exact 0.0 into 2**-1074; its twisted row is logged
+    # on its own, for every hit of the block, whether its own replication
+    # misses or hits
+    args = (REMAPPED_ZERO_COMPONENTS, frozenset(range(3)), 0.05, db_to_linear(16.0), 71, 3, 4465)
+    pinned = {row * 4465 + 7: float(np.nextafter(0.0, 1.0))}
+    monkeypatch.setattr(PinnedStream, "pinned", pinned)
+    sums = _strict_chunk(*args)
+    assert sums == _reference_chunk(*args, pinned=pinned)
+    # replication 7 misses unpinned, and hits pinned only in the heavy row
+    assert _reference_totals(*args[:3], *args[4:])[7] <= args[3]
+    assert sums.hits == _reference_chunk(*args)[3] + hit > hit

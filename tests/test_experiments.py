@@ -921,6 +921,25 @@ def test_efficiency_and_diagnostics_mark_undefined_values_nan():
     assert any(math.isnan(r) for r in ratios)
 
 
+def test_a_weibull_level_whose_ratio_to_the_scale_overflows_writes_nothing_to_stderr(tmp_path):
+    # at 3082 dB over a scale of 0.001 the level's ratio to the scale
+    # overflows: its hazard is inf, the rows are written, and numpy's
+    # overflow warning would be noise on stderr
+    text = (Path(__file__).parents[1] / "configs" / "weibull2_thresholds.cfg").read_text()
+    text = text.replace("gamma_grid_db = 20:1:32", "gamma_db = 3082").replace("beta = 1\n", "beta = 0.001\n")
+    assert text.count("beta = 0.001") == 2
+    cfg = write_config(tmp_path, text)
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tailtwist.cli", "estimate", "--config", cfg, "--runs", "4465"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == 3
+
+
 def test_a_single_run_reports_no_spread(capsys):
     cfg = str(Path(__file__).parents[1] / "configs" / "weibull2_thresholds.cfg")
     assert main(["estimate", "--config", cfg, "--runs", "1", "--method", "improved", "--seed", "0"]) == 0
