@@ -30,10 +30,10 @@ Every draw takes one kernel: its cumulative hazard y = -log(U) / (1 - theta)
 ``DistributionSpec.inverse_cumulative_hazard``.  The draw falls as U
 rises, and the log weight of the s twisted draws is
 theta / (1 - theta) * log(prod U) - s * log1p(-theta), so a chunk keeps
-uniforms, not hazards.  It works in sub-blocks whose n kept rows hold at
-most 4 * count doubles: one full-width block for up to four components,
-else blocks that seek their components' stream positions.  Each block
-decides its replications in three stages, each on fewer of them:
+uniforms, not hazards: one full-width row per component, n * count
+doubles for n components (0.5 MB per component at 2**16 replications).
+Whether a twisted row joins the weights' product is decided once per row.
+A chunk decides its replications in three stages, each on fewer of them:
 comparisons of each uniform with its component's critical uniforms
 (``_screen``) certify a hit (one draw alone above the threshold plus a
 1e-9 margin) or a miss (every draw at most its share of the threshold
@@ -104,7 +104,7 @@ _TABLE_BITS = 10  # a log-normal table has 2**_TABLE_BITS + 1 nodes
 _SHARE_GRID = np.geomspace(1e-8, 1.0, 129)
 _SHARE_STEPS = np.diff(_SHARE_GRID)
 
-# A block's twisted row of uniforms, each at least 2**-53, joins its hits'
+# A chunk's twisted row of uniforms, each at least 2**-53, joins its hits'
 # product while it has fewer than _PRODUCT_FACTORS factors, so no partial
 # product falls below 2**-1007, a normal double.  Any other twisted row (one
 # holding the stream's remapped 0, 2**-1074, say) is logged on its own.
@@ -352,17 +352,6 @@ def _screen(
     return _Screen(*(tuple(v[j] for j in at) for v in (hits, shares, levels)), tuple(map(tables.get, components)))
 
 
-def _block_width(n: int, count: int) -> int:
-    """Replications per sub-block of a chunk of n components: the largest
-    count >> j with n * width <= 4 * count (or 1).  The sub-block's n kept
-    rows then hold at most 4 * count doubles, so a chunk of up to four
-    components keeps one full-width block and never seeks its stream."""
-    width = count
-    while width > 1 and n * width > 4 * count:
-        width >>= 1
-    return width
-
-
 def _bracket(spec: DistributionSpec, table: tuple | None, y: np.ndarray, sums: np.ndarray) -> None:
     """Add bounds on the draw of each y (overwritten) to ``sums``: the exact
     draw to both rows if ``table`` is None, else the table's to rows 0 and 1."""
@@ -393,58 +382,51 @@ def _simulate_chunk(
         screen = _screen(components, twisted, theta, gamma)
     stream = UnitSampleStream(seed, chunk_index)
     n = len(components)
-    width = _block_width(n, count)
     keep = 1.0 - theta
     # every step below writes into t, the flags or one kept row; comparisons,
     # indices, bounds, draws and weights are the only other temporaries
     t = np.zeros(count)
     hits, over_share = np.zeros((2, count), dtype=bool)
-    block = np.empty((n, width))
+    rows = np.empty((n, count))
+    # component i draws stream positions i * count to (i + 1) * count - 1 into row i
+    product, alone = [], []
+    for i in range(n):
+        u = stream.uniforms(count, out=rows[i])
+        hits |= u <= screen.hit[i]
+        over_share |= u < screen.share[i]
+        if i in twisted:
+            (product if len(product) < _PRODUCT_FACTORS and u.min() >= _SMALLEST_FACTOR else alone).append(i)
     # bound sums, then exact sums, which decide all that is left, in component
     # order: a lower sum above the high cut hits, an upper one above the low cut
     # stays undecided.  Weibull bounds are exact draws, so all-Weibull is one stage
     exact = ((None,) * n, gamma, gamma)
     bounds = (screen.table, gamma * (1.0 + _SCREEN_MARGIN), gamma * (1.0 - _SCREEN_MARGIN))
-    stages = (bounds, exact) if any(screen.table) else (exact,)
-    for a in range(0, count, width):
-        m = min(width, count - a)
-        rows, hit, over = block[:, :m], hits[a : a + m], over_share[a : a + m]
-        # component i draws stream positions i * count + a onwards into row i
-        product, alone = [], []
-        for i in range(n):
-            if width < count:
-                stream.seek(i * count + a)
-            u = stream.uniforms(m, out=rows[i])
-            hit |= u <= screen.hit[i]
-            over |= u < screen.share[i]
-            if i in twisted:
-                (product if len(product) < _PRODUCT_FACTORS and u.min() >= _SMALLEST_FACTOR else alone).append(i)
-        undecided = np.flatnonzero(over & ~hit)
-        for tables, high, low in stages:
-            if not undecided.size:
-                break
-            sums, draw = np.zeros((2, undecided.size)), np.empty(undecided.size)
-            for i, spec in enumerate(components):
-                # y = -log(u) / (1 - theta_i), theta_i = 0 if untwisted: log(u) / -keep
-                # rounds as -log(u) / keep does, and log(u) / -1 is -log(u)
-                y = np.log(np.take(rows[i], undecided, out=draw, mode="clip"), out=draw)
-                y /= -keep if i in twisted else -1.0
-                _bracket(spec, tables[i], y, sums)
-            hit[undecided[sums[0] > high]] = True
-            undecided = undecided[:0] if tables is exact[0] else undecided[(sums[0] <= high) & (sums[1] > low)]
-        # the hits' weights, 2**14 hits at a time, so their temporaries stay small
-        hit_at = np.flatnonzero(hit) if twisted else ()
-        for r in range(0, len(hit_at), 1 << 14):
-            at = hit_at[r : r + (1 << 14)]
-            weight, part = np.ones(at.size), np.empty(at.size)
-            for i in product:
-                weight *= np.take(rows[i], at, out=part, mode="clip")
-            np.log(weight, out=weight)
-            for i in alone:
-                weight += np.log(np.take(rows[i], at, out=part, mode="clip"), out=part)
-            weight *= theta / keep
-            weight -= len(twisted) * math.log1p(-theta)
-            t[a : a + m][at] = np.exp(weight, out=weight)
+    undecided = np.flatnonzero(over_share & ~hits)
+    for tables, high, low in (bounds, exact) if any(screen.table) else (exact,):
+        if not undecided.size:
+            break
+        sums, draw = np.zeros((2, undecided.size)), np.empty(undecided.size)
+        for i, spec in enumerate(components):
+            # y = -log(u) / (1 - theta_i), theta_i = 0 if untwisted: log(u) / -keep
+            # rounds as -log(u) / keep does, and log(u) / -1 is -log(u)
+            y = np.log(np.take(rows[i], undecided, out=draw, mode="clip"), out=draw)
+            y /= -keep if i in twisted else -1.0
+            _bracket(spec, tables[i], y, sums)
+        hits[undecided[sums[0] > high]] = True
+        undecided = undecided[:0] if tables is exact[0] else undecided[(sums[0] <= high) & (sums[1] > low)]
+    # the hits' weights, 2**14 hits at a time, so their temporaries stay small
+    hit_at = np.flatnonzero(hits) if twisted else ()
+    for r in range(0, len(hit_at), 1 << 14):
+        at = hit_at[r : r + (1 << 14)]
+        weight, part = np.ones(at.size), np.empty(at.size)
+        for i in product:
+            weight *= np.take(rows[i], at, out=part, mode="clip")
+        np.log(weight, out=weight)
+        for i in alone:
+            weight += np.log(np.take(rows[i], at, out=part, mode="clip"), out=part)
+        weight *= theta / keep
+        weight -= len(twisted) * math.log1p(-theta)
+        t[at] = np.exp(weight, out=weight)
     if not twisted:
         t[hits] = 1.0
     sum_t = float(t.sum())

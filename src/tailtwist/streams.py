@@ -6,8 +6,8 @@ entropy ``seed`` and spawn key ``(j,)``: exactly the j-th child of
 streams.  A given pair always reproduces the same sequence, and distinct
 indices give statistically independent streams.  That lets replication
 chunks be farmed out to any number of workers and merged reproducibly.
-A stream can also seek to any position of its substream, so one chunk
-can draw its components' uniforms block by block, in any order.
+A stream is read straight through from position 0: a chunk draws its
+components' rows of uniforms one after another.
 """
 
 from __future__ import annotations
@@ -36,22 +36,6 @@ class UnitSampleStream:
         self.substream_index = int(substream_index)
         seq = np.random.SeedSequence(self.seed, spawn_key=(self.substream_index,))
         self._gen = np.random.Generator(np.random.PCG64DXSM(seq))
-        self._initial_state = self._gen.bit_generator.state
-
-    def seek(self, position: int) -> None:
-        """Make the next uniform drawn the one at ``position`` (from 0) of
-        the substream, forwards or backwards.
-
-        Each uniform takes one 64-bit output, so this resets the generator
-        to its initial state and advances it by ``position`` outputs, in
-        O(log position) steps.
-        """
-        position = int(position)
-        if position < 0:
-            raise ValueError("stream position must be >= 0")
-        bit_generator = self._gen.bit_generator
-        bit_generator.state = self._initial_state
-        bit_generator.advance(position)
 
     def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """Draw n uniforms on the open interval (0, 1), into ``out`` if given.

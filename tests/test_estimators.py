@@ -27,7 +27,6 @@ from tailtwist.estimators import (
     _SCREEN_MARGIN,
     _critical_uniform,
     _Estimate,
-    _block_width,
     _estimate,
     _report,
     _screen,
@@ -474,11 +473,9 @@ def test_in_place_chunk_matches_the_allocating_reference_exactly(name, twist, th
 
 
 @pytest.mark.parametrize("count", [CHUNK_SIZE, 4465, 3])
-@pytest.mark.parametrize("n, halvings", [(4, 0), (6, 1), (9, 2)])
+@pytest.mark.parametrize("n", [4, 6, 9])
 @pytest.mark.parametrize("family", ["weibull", "lognormal"])
-def test_chunks_of_more_than_four_components_work_in_seeking_sub_blocks(family, n, halvings, count):
-    # n kept rows of width replications hold at most four full-width rows
-    assert _block_width(n, count) == max(count >> halvings, 1)
+def test_chunks_of_more_than_four_components_match_the_allocating_reference(family, n, count):
     specs = {
         "weibull": [DistributionSpec.weibull(0.4, 1.0)] + [DistributionSpec.weibull(0.8, 1.0)] * (n - 1),
         "lognormal": [DistributionSpec.lognormal(0.0, 4.0)] * (n - 2) + [DistributionSpec.lognormal(0.0, 6.0)] * 2,
@@ -1093,10 +1090,6 @@ class PinnedStream(UnitSampleStream):
         super().__init__(*args, **kwargs)
         self.position = 0
 
-    def seek(self, position):
-        super().seek(position)
-        self.position = position
-
     def uniforms(self, n, out=None):
         u = super().uniforms(n, out=out)
         for position, value in self.pinned.items():
@@ -1179,7 +1172,6 @@ def test_twenty_one_twisted_components_keep_every_partial_product_normal(pinned_
     smallest = 2.0**-53
     monkeypatch.setattr(PinnedStream, "pinned", {i * count + 7: smallest for i in range(21)})
     args = (components, frozenset(range(21)), 0.05, 60.0, 71, 3, count)
-    assert _block_width(21, count) < count
     sums = _strict_chunk(*args)
     _assert_matches_the_hazard_form(sums, _hazard_form_chunk(*args))
     # the allocating reference multiplies and logs in the same order
@@ -1221,7 +1213,7 @@ REMAPPED_ZERO_COMPONENTS = (
 @pytest.mark.parametrize("row, hit", [(2, False), (0, True)])
 def test_a_remapped_zero_uniform_weighs_as_the_reference_at_a_miss_and_at_a_hit(pinned_stream, monkeypatch, row, hit):
     # the stream turns an exact 0.0 into 2**-1074; its twisted row is logged
-    # on its own, for every hit of the block, whether its own replication
+    # on its own, for every hit of the chunk, whether its own replication
     # misses or hits
     args = (REMAPPED_ZERO_COMPONENTS, frozenset(range(3)), 0.05, db_to_linear(16.0), 71, 3, 4465)
     pinned = {row * 4465 + 7: float(np.nextafter(0.0, 1.0))}
@@ -1231,3 +1223,17 @@ def test_a_remapped_zero_uniform_weighs_as_the_reference_at_a_miss_and_at_a_hit(
     # replication 7 misses unpinned, and hits pinned only in the heavy row
     assert _reference_totals(*args[:3], *args[4:])[7] <= args[3]
     assert sums.hits == _reference_chunk(*args)[3] + hit > hit
+
+
+def test_a_remapped_zero_uniform_sets_its_row_apart_for_every_hit_of_the_chunk(pinned_stream, monkeypatch):
+    # six twisted components; the remapped 0 of replication 3000 in row 2 has
+    # that row logged on its own for the hits before replication 3000 too,
+    # as the reference decides over the whole row
+    components = (DistributionSpec.weibull(0.4, 1.0),) + (DistributionSpec.weibull(0.8, 1.0),) * 5
+    args = (components, frozenset(range(6)), 0.7, db_to_linear(10.0), 71, 3, 4465)
+    pinned = {2 * 4465 + 3000: float(np.nextafter(0.0, 1.0))}
+    monkeypatch.setattr(PinnedStream, "pinned", pinned)
+    sums = _simulate_chunk(*args)
+    assert sums == _reference_chunk(*args, pinned=pinned)
+    # replications before 3000 hit
+    assert np.count_nonzero(_reference_totals(*args[:3], *args[4:])[:3000] > args[3]) > 0

@@ -623,6 +623,33 @@ def test_weibull4_threshold_sweep_bytes_are_pinned():
     assert digests <= WEIBULL_SWEEP_SHA256
 
 
+# sha256 of the sixteen-component Weibull threshold sweep below, recorded
+# while chunks of more than four components still drew their rows in
+# sub-blocks.  Pinned per code path as above.
+WEIBULL16_SWEEP_SHA256 = {
+    "c64945141b822effbf09d561b569302306c792d49978affb13d7868207f14b91",  # AVX-512
+    "49c0c6223f7c9459876a90ddecc01d046ec4507d30e90fe3a20644d8def7d2e8",  # AVX2
+}
+
+
+@pytest.mark.skipif(
+    (np.__version__.rsplit(".", 1)[0], scipy.__version__.rsplit(".", 1)[0]) != PINNED_RELEASES,
+    reason="sweep bytes are pinned for numpy 2.4 and scipy 1.17",
+)
+def test_weibull16_threshold_sweep_bytes_are_pinned():
+    # one full and one partial chunk of sixteen rows each; both methods at 5
+    # thresholds; two workers too
+    text = (Path(__file__).parents[1] / "configs" / "weibull16_thresholds.cfg").read_text()
+    config = parse_config(text).override(runs=CHUNK_SIZE + 4465)
+    assert len(config.gamma_grid_db) == 5 and config.scenario.n == 16
+    digests = {
+        hashlib.sha256(sweep_rows_to_csv(run_threshold_sweep(config, workers)).encode()).hexdigest()
+        for workers in (1, 2)
+    }
+    assert len(digests) == 1
+    assert digests <= WEIBULL16_SWEEP_SHA256
+
+
 def test_csv_reproducible_across_workers():
     config = small_theta_config()
     base = sweep_rows_to_csv(run_theta_sweep(config, workers=1))

@@ -354,6 +354,22 @@ def test_theta_star_stays_below_one_where_one_minus_s_over_a_rounds_to_one():
     assert theta_conventional(weibull_scenario([0.4, 0.8], gamma_db=420.0)) == below_one
 
 
+@pytest.mark.parametrize(
+    "n, conventional, improved", [(4, 0.6352, 0.9088), (32, 0.0, 0.9603)]
+)
+def test_conventional_twisting_vanishes_with_many_light_components(n, conventional, improved):
+    # one shape-0.4 component and n - 1 of shape 0.8 at 26 + 10 log10(n / 4)
+    # dB: twisting all n, the minmax parameter falls to exactly 0 at n = 32,
+    # so conventional IS is naive MC there, while twisting the one dominant
+    # component keeps a parameter near 1
+    scenario = weibull_scenario([0.4] + [0.8] * (n - 1), gamma_db=26.0 + 10.0 * math.log10(n / 4))
+    plan = select_dominant(scenario)
+    assert plan.dominant_indices == (0,)
+    theta_conv = theta_conventional(scenario)
+    assert theta_conv == pytest.approx(conventional, abs=5e-5) and (theta_conv == 0.0) == (conventional == 0.0)
+    assert theta_star(plan.s, solve_p(scenario, plan).objective_value) == pytest.approx(improved, abs=5e-5)
+
+
 def test_theta_star_validation():
     with pytest.raises(ValueError):
         theta_star(1, 0.0)
