@@ -71,6 +71,19 @@ def test_sequential_draws_continue_the_stream():
     assert np.array_equal(np.concatenate([first, second]), combined)
 
 
+@pytest.mark.parametrize("count", [1 << 16, 4465, 3])
+def test_rows_drawn_one_after_another_read_the_stream_straight_through(count):
+    # a chunk draws its n rows into one (n, count) array in component order,
+    # so row i holds stream positions i * count to (i + 1) * count - 1
+    rows = np.full((5, count), np.nan)
+    stream = UnitSampleStream(9, 4)
+    for row in rows:
+        assert stream.uniforms(count, out=row) is row
+    whole = UnitSampleStream(9, 4).uniforms(5 * count)
+    assert np.array_equal(rows.ravel(), whole)
+    assert np.array_equal(rows[2], whole[2 * count : 3 * count])
+
+
 def test_uniforms_fill_out_in_place():
     out = np.full(1000, np.nan)
     assert UnitSampleStream(42, 7).uniforms(1000, out=out) is out
