@@ -9,14 +9,16 @@ Three estimators of alpha = P(sum of components > threshold):
 
 Replications are processed in fixed chunks of 2**16, chunk j drawing
 from substream j of the base seed (the seed's SeedSequence with spawn
-key (j,), driving PCG64DXSM) and component i of a chunk of c replications
-taking stream positions i*c to (i+1)*c - 1.  Each chunk returns a
-``ChunkSums`` record: the sums ``t``, ``t2`` and ``t4`` of its weighted
-indicators t, t**2 and t**4, and its count of ``hits``.  Records merge
-exactly (math.fsum per sum, an integer sum of hits), so on one platform
-and one numpy/scipy build a report is a bit-reproducible function of
-(scenario, method, theta, runs, seed) no matter how many workers ran the
-chunks.
+key (j,), driving PCG64DXSM).  A chunk reads its stream in a fixed order
+(``_Rows``): each component's row of uniforms in component order, whole
+or only below the component's share uniform, then the rest of each row
+not drawn whole, in component order, where the chunk reads it.  Each
+chunk returns a ``ChunkSums`` record: the sums ``t``, ``t2`` and ``t4``
+of its weighted indicators t, t**2 and t**4, and its count of ``hits``.
+Records merge exactly (math.fsum per sum, an integer sum of hits), so on
+one platform and one numpy/scipy build a report is a bit-reproducible
+function of (scenario, method, theta, runs, seed) no matter how many
+workers ran the chunks.
 Other builds may differ in the last bits of a special function or of a
 vectorised log, and so in the bytes.
 
@@ -30,18 +32,26 @@ Every draw takes one kernel: its cumulative hazard y = -log(U) / (1 - theta)
 ``DistributionSpec.inverse_cumulative_hazard``.  The draw falls as U
 rises, and the log weight of the s twisted draws is
 theta / (1 - theta) * log(prod U) - s * log1p(-theta), so a chunk keeps
-uniforms, not hazards: one full-width row per component, n * count
-doubles for n components (0.5 MB per component at 2**16 replications).
-Whether a twisted row joins the weights' product is decided once per row.
+uniforms, not hazards.  Most uniforms of a light component certify a
+miss, so a row whose share uniform p is small is thinned: the positions
+of its uniforms below p come from geometric gaps, their values are p * V,
+and the rest of the row is drawn, as p + (1 - p) * V, only where the
+chunk reads it; it costs about p * count gaps and the uniforms read,
+not count uniforms (Devroye 1986, ch. X).  Whole rows share one block
+of n * count doubles (0.5 MB per component at 2**16 replications); a
+thinned row is held packed.  Whether a twisted row joins the weights'
+product is decided once per row, from its uniforms at the hits.
 A chunk decides its replications in three stages, each on fewer of them:
-comparisons of each uniform with its component's critical uniforms
-(``_screen``) certify a hit (one draw alone above the threshold plus a
-1e-9 margin) or a miss (every draw at most its share of the threshold
-less the margin, shared where the draws lie); the undecided sum bounds on
-their draws, a Weibull one's exact draw and a log-normal one's table nodes
-either side of its y, and a lower sum above the threshold plus the margin
-certifies a hit, an upper one at most the threshold less it a miss; only
-the rest are inverted exactly.  Only undecided replications form y from
+comparisons with each component's critical uniforms (``_screen``)
+certify a hit (one draw alone above the threshold plus a 1e-9 margin)
+or, where no uniform is below its share uniform, a miss (every draw at
+most its share of the threshold less the margin, shared where the draws
+lie), so only the uniforms below their share uniforms are compared with
+the hit uniforms; the undecided sum bounds on their draws, a Weibull
+one's exact draw and a log-normal one's table nodes either side of its
+y, and a lower sum above the threshold plus the margin certifies a hit,
+an upper one at most the threshold less it a miss; only the rest are
+inverted exactly.  Only undecided replications form y from
 their kept uniforms, so special functions run on them only, and only hits
 are weighed: one log and one exp of their twisted uniforms' product.
 """
@@ -104,12 +114,23 @@ _TABLE_BITS = 10  # a log-normal table has 2**_TABLE_BITS + 1 nodes
 _SHARE_GRID = np.geomspace(1e-8, 1.0, 129)
 _SHARE_STEPS = np.diff(_SHARE_GRID)
 
-# A chunk's twisted row of uniforms, each at least 2**-53, joins its hits'
-# product while it has fewer than _PRODUCT_FACTORS factors, so no partial
-# product falls below 2**-1007, a normal double.  Any other twisted row (one
-# holding the stream's remapped 0, 2**-1074, say) is logged on its own.
+# A chunk's twisted row whose uniforms at its hits are each at least 2**-53
+# joins the hits' product while it has fewer than _PRODUCT_FACTORS factors,
+# so no partial product falls below 2**-1007, a normal double.  Any other
+# twisted row (one holding the stream's remapped 0, 2**-1074, at a hit, say)
+# is logged on its own.
 _SMALLEST_FACTOR = 2.0**-53
 _PRODUCT_FACTORS = 19
+
+# A chunk draws a row of uniforms whole, at about 5 ns a uniform, or only
+# below its share uniform p, by geometric gaps at about 30 ns each, and then
+# where the kernel reads it, at about 10 ns a uniform: a twisted row at every
+# replication with some uniform below its share uniform, a share q of them,
+# and an untwisted one at the few undecided.  A row is drawn whole where
+# thinning costs as much, in whole-row uniforms:
+# _GAP_COST * p + _FILL_COST * q (twisted) or _GAP_COST * p (untwisted) >= 1
+_GAP_COST = 6.0
+_FILL_COST = 2.0
 
 __all__ = [
     "CHUNK_SIZE",
@@ -211,12 +232,15 @@ class _Screen(NamedTuple):
     """An estimate's critical uniforms and tables, one per component: a
     uniform at most ``hit[i]`` certifies a hit, uniforms each at least their
     ``share[i]``, the critical uniform of component i's share level
-    ``level[i]``, certify a miss, and ``table[i]`` bounds a log-normal draw."""
+    ``level[i]``, certify a miss, and ``table[i]`` bounds a log-normal draw.
+    A chunk draws row i whole where ``whole[i]``, else only below its
+    share uniform."""
 
     hit: tuple[float, ...]
     share: tuple[float, ...]
     level: tuple[float, ...]
     table: tuple[tuple[float, np.ndarray, np.ndarray] | None, ...]
+    whole: tuple[bool, ...]
 
 
 def _rounded_uniform(spec: DistributionSpec, x: float, exponent: float, up: bool) -> float:
@@ -349,7 +373,13 @@ def _screen(
         if _log_certain(split_shares, counts) > _log_certain(shares, counts):
             levels, shares = split, split_shares
     at = [order.index(key) for key in keys]
-    return _Screen(*(tuple(v[j] for j in at) for v in (hits, shares, levels)), tuple(map(tables.get, components)))
+    hits, shares, levels = (tuple(v[j] for j in at) for v in (hits, shares, levels))
+    # the chance under the sampling law that some uniform is below its share
+    over = -math.expm1(_log_certain(shares, [1] * len(shares)))
+    whole = tuple(
+        _GAP_COST * s + (_FILL_COST * over if i in twisted else 0.0) >= 1.0 for i, s in enumerate(shares)
+    )
+    return _Screen(hits, shares, levels, tuple(map(tables.get, components)), whole)
 
 
 def _bracket(spec: DistributionSpec, table: tuple | None, y: np.ndarray, sums: np.ndarray) -> None:
@@ -363,6 +393,47 @@ def _bracket(spec: DistributionSpec, table: tuple | None, y: np.ndarray, sums: n
     j = np.minimum(np.ceil(np.divide(y, step, out=y), out=y), lower.size - 1, out=y).astype(np.intp)
     sums[0] += np.take(lower, j, out=y, mode="clip")
     sums[1] += np.take(upper, j, out=y, mode="clip")
+
+
+class _Rows:
+    """A chunk's uniforms: one row of ``count`` per component, read from
+    substream ``chunk_index`` of ``seed``.  ``next`` draws the rows one
+    after another in component order, each whole or only below its cut;
+    ``fill`` then draws the rest of a row where the kernel reads it, again
+    in component order.  So the stream's reads are a fixed function of the
+    seed, the chunk and the cuts.  Tests replace this class with pinned
+    whole rows."""
+
+    def __init__(self, seed: int, chunk_index: int, n: int, count: int):
+        self._stream = UnitSampleStream(seed, chunk_index)
+        # whole row i is row i of one block, one allocation per chunk: malloc
+        # keeps such a block on its heap from chunk to chunk, where it gave
+        # separate rows back to the system and faulted them in again
+        self._whole = np.empty((n, count))
+        self._below = []
+
+    def next(self, p: float, whole: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """The next row and None if ``whole``, else its uniforms below ``p``
+        and their positions, in increasing order."""
+        row = self._whole[len(self._below)]
+        if whole:
+            self._below.append(None)
+            return self._stream.uniforms(row.size, out=row), None
+        at, u = self._stream.below(p, row.size)
+        self._below.append((p, at, u))
+        return u, at
+
+    def fill(self, i: int, positions: np.ndarray) -> np.ndarray:
+        """Row i, not drawn whole, at the increasing ``positions``: its
+        uniforms below its cut where it has them, else uniforms drawn here
+        on the condition that they are not."""
+        p, at, u = self._below[i]
+        row = self._stream.above(p, positions.size)
+        if positions.size:
+            j = np.searchsorted(positions, at)
+            mine = np.take(positions, j, mode="clip") == at
+            row[j[mine]] = u[mine]
+        return row
 
 
 def _simulate_chunk(
@@ -380,59 +451,84 @@ def _simulate_chunk(
     given."""
     if screen is None:
         screen = _screen(components, twisted, theta, gamma)
-    stream = UnitSampleStream(seed, chunk_index)
-    n = len(components)
+    rows = _Rows(seed, chunk_index, len(components), count)
     keep = 1.0 - theta
-    # every step below writes into t, the flags or one kept row; comparisons,
-    # indices, bounds, draws and weights are the only other temporaries
-    t = np.zeros(count)
-    hits, over_share = np.zeros((2, count), dtype=bool)
-    rows = np.empty((n, count))
-    # component i draws stream positions i * count to (i + 1) * count - 1 into row i
-    product, alone = [], []
-    for i in range(n):
-        u = stream.uniforms(count, out=rows[i])
-        hits |= u <= screen.hit[i]
-        over_share |= u < screen.share[i]
-        if i in twisted:
-            (product if len(product) < _PRODUCT_FACTORS and u.min() >= _SMALLEST_FACTOR else alone).append(i)
+    # a replication is decided on its uniforms below their share uniforms: a
+    # miss if it has none, a hit if one is at most its hit uniform
+    over_share, hits = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+    # a row not drawn whole is drawn where it is read and held packed, in
+    # replication order: an untwisted one at the undecided, a twisted one at
+    # every replication over its share, where the weights may read it.  So
+    # the entries of a replication differ by kind of row: its position in a
+    # whole row (kind 0), its turn among the undecided in an untwisted packed
+    # row (1), and its rank among those over their share in a twisted one (2)
+    u, kind = [], []
+    for i, (p, h, whole) in enumerate(zip(screen.share, screen.hit, screen.whole)):
+        row, at = rows.next(p, whole)
+        if at is None:
+            over_share |= row < p
+            hits |= row <= h
+        else:
+            over_share[at] = True
+            hits[at[row <= h]] = True
+        u.append(row)
+        kind.append(0 if at is None else 2 if i in twisted else 1)
+    undecided = np.flatnonzero(over_share & ~hits)
+    entries = [undecided, np.arange(undecided.size), None]
+    if 2 in kind:
+        over_at = np.flatnonzero(over_share)
+        entries[2] = np.flatnonzero(~hits[over_at])
+    for i, k in enumerate(kind):
+        if k:
+            u[i] = rows.fill(i, over_at if k == 2 else undecided)
     # bound sums, then exact sums, which decide all that is left, in component
     # order: a lower sum above the high cut hits, an upper one above the low cut
     # stays undecided.  Weibull bounds are exact draws, so all-Weibull is one stage
-    exact = ((None,) * n, gamma, gamma)
+    exact = ((None,) * len(components), gamma, gamma)
     bounds = (screen.table, gamma * (1.0 + _SCREEN_MARGIN), gamma * (1.0 - _SCREEN_MARGIN))
-    undecided = np.flatnonzero(over_share & ~hits)
     for tables, high, low in (bounds, exact) if any(screen.table) else (exact,):
-        if not undecided.size:
+        if not entries[0].size:
             break
-        sums, draw = np.zeros((2, undecided.size)), np.empty(undecided.size)
+        sums, draw = np.zeros((2, entries[0].size)), np.empty(entries[0].size)
         for i, spec in enumerate(components):
             # y = -log(u) / (1 - theta_i), theta_i = 0 if untwisted: log(u) / -keep
             # rounds as -log(u) / keep does, and log(u) / -1 is -log(u)
-            y = np.log(np.take(rows[i], undecided, out=draw, mode="clip"), out=draw)
+            y = np.log(np.take(u[i], entries[kind[i]], out=draw, mode="clip"), out=draw)
             y /= -keep if i in twisted else -1.0
             _bracket(spec, tables[i], y, sums)
-        hits[undecided[sums[0] > high]] = True
-        undecided = undecided[:0] if tables is exact[0] else undecided[(sums[0] <= high) & (sums[1] > low)]
-    # the hits' weights, 2**14 hits at a time, so their temporaries stay small
-    hit_at = np.flatnonzero(hits) if twisted else ()
-    for r in range(0, len(hit_at), 1 << 14):
-        at = hit_at[r : r + (1 << 14)]
-        weight, part = np.ones(at.size), np.empty(at.size)
-        for i in product:
-            weight *= np.take(rows[i], at, out=part, mode="clip")
-        np.log(weight, out=weight)
-        for i in alone:
-            weight += np.log(np.take(rows[i], at, out=part, mode="clip"), out=part)
-        weight *= theta / keep
-        weight -= len(twisted) * math.log1p(-theta)
-        t[at] = np.exp(weight, out=weight)
+        hits[entries[0][sums[0] > high]] = True
+        # exact sums are equal, so none stays undecided after them
+        left = (sums[0] <= high) & (sums[1] > low)
+        entries = [None if e is None else e[left] for e in entries]
     if not twisted:
-        t[hits] = 1.0
+        hit_count = int(np.count_nonzero(hits))
+        return ChunkSums(*(float(hit_count),) * 3, hit_count)
+    hit_at = np.flatnonzero(hits)
+    if not hit_at.size:
+        return ChunkSums(0.0, 0.0, 0.0, 0)
+    # the hits' weights, in replication order.  A twisted row joins their
+    # product while it has fewer than _PRODUCT_FACTORS factors and its
+    # uniforms at the hits are each at least _SMALLEST_FACTOR
+    entries = [hit_at, None, np.flatnonzero(hits[over_at]) if 2 in kind else None]
+    weight, part = np.ones(hit_at.size), np.empty(hit_at.size)
+    factors, alone = 0, []
+    for i in sorted(twisted):
+        row = np.take(u[i], entries[kind[i]], out=part, mode="clip")
+        if factors < _PRODUCT_FACTORS and row.min() >= _SMALLEST_FACTOR:
+            weight *= row
+            factors += 1
+        else:
+            alone.append(i)
+    np.log(weight, out=weight)
+    for i in alone:
+        weight += np.log(np.take(u[i], entries[kind[i]], out=part, mode="clip"), out=part)
+    weight *= theta / keep
+    weight -= len(twisted) * math.log1p(-theta)
+    t = np.exp(weight, out=weight)
     sum_t = float(t.sum())
     sum_t2 = float(np.multiply(t, t, out=t).sum())
     sum_t4 = float(np.multiply(t, t, out=t).sum())
-    return ChunkSums(sum_t, sum_t2, sum_t4, int(np.count_nonzero(hits)))
+    return ChunkSums(sum_t, sum_t2, sum_t4, hit_at.size)
 
 
 @dataclass(frozen=True)

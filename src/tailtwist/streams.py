@@ -6,18 +6,24 @@ entropy ``seed`` and spawn key ``(j,)``: exactly the j-th child of
 streams.  A given pair always reproduces the same sequence, and distinct
 indices give statistically independent streams.  That lets replication
 chunks be farmed out to any number of workers and merged reproducibly.
-A stream is read straight through from position 0: a chunk draws its
-components' rows of uniforms one after another.
+A stream is read straight through from position 0, whatever its reads
+are: a row of uniforms (``uniforms``), the uniforms of a row that fall
+below a cut (``below``), or uniforms conditioned to lie above it
+(``above``).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 __all__ = ["UnitSampleStream"]
 
-# the open interval's end points, to which exact 0.0 and 1.0 move
-_OPEN_ENDS = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+# the smallest positive double, which an exact 0.0 becomes, and the largest
+# double below 1, which a fill never passes
+_TINY = np.nextafter(0.0, 1.0)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 class UnitSampleStream:
@@ -40,8 +46,49 @@ class UnitSampleStream:
     def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
         """Draw n uniforms on the open interval (0, 1), into ``out`` if given.
 
-        Exact endpoint values are remapped to the nearest representable
-        interior value so -log(u) is always finite.
+        ``Generator.random`` returns k * 2**-53 for k < 2**53, never 1.0;
+        an exact 0.0 becomes 2**-1074, so -log(u) is always finite.
         """
         u = self._gen.random(int(n), out=out)
-        return np.clip(u, *_OPEN_ENDS, out=u)
+        return np.maximum(u, _TINY, out=u)
+
+    def below(self, p: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The positions, in increasing order, of the uniforms of a row of
+        ``count`` that fall below ``p`` in (0, 1), and their values, drawn
+        at a cost set by p * count rather than by count.
+
+        Each gap between positions is geometric by inversion,
+        ceil(log(V) / log1p(-p)) for a uniform V; the gaps' uniforms are
+        read in batches sized from p and the rest of the row, until the
+        running position passes ``count``.  Each value is then p * V for a
+        further uniform V, strictly below ``p`` for a normal double p."""
+        if not 0.0 < p < 1.0:
+            raise ValueError("the cut must lie in (0, 1)")
+        log_q, start, ends = math.log1p(-p), 0.0, []
+        while True:
+            left = p * (count - start)
+            gaps = np.log(self.uniforms(int(left + 4.0 * math.sqrt(left)) + 8))
+            # integers below 2**53 sum exactly, and the sum only rises; a
+            # tiny p makes gaps, or their sum, overflow to inf, past count
+            with np.errstate(over="ignore"):
+                gaps /= log_q
+                end = np.cumsum(np.ceil(gaps, out=gaps), out=gaps)
+            end += start
+            ends.append(end[: np.searchsorted(end, count, side="right")])
+            if ends[-1].size < end.size:
+                break
+            start = end[-1]
+        positions = np.concatenate(ends).astype(np.intp)
+        positions -= 1
+        values = self.uniforms(positions.size)
+        values *= p
+        return positions, values
+
+    def above(self, p: float, n: int) -> np.ndarray:
+        """n uniforms conditioned on being at least ``p`` in (0, 1):
+        p + (1 - p) * V for uniforms V, each at least p and at most the
+        largest double below 1."""
+        u = self.uniforms(n)
+        u *= 1.0 - p
+        u += p
+        return np.minimum(u, _BELOW_ONE, out=u)

@@ -355,46 +355,91 @@ def test_optimality_ratio_validation():
         optimality_ratio(0.0, 0.5)
 
 
+def _rows_from_the_stream(components, twisted, theta, gamma, seed, chunk_index, count):
+    """A chunk's rows rebuilt from its stream in the documented order, and
+    its screen.  Each row in component order, whole or only below its
+    share uniform; then each row not drawn whole, in component order, above
+    its share uniform where the chunk reads it: if twisted at every
+    replication with some uniform below its share uniform, else at those
+    of them that no uniform at most its hit uniform certifies.  Entries the
+    chunk never reads are NaN."""
+    screen = _screen(components, twisted, theta, gamma)
+    stream = UnitSampleStream(seed, chunk_index)
+    rows = np.full((len(components), count), np.nan)
+    for row, p, whole in zip(rows, screen.share, screen.whole):
+        if whole:
+            row[:] = stream.uniforms(count)
+        else:
+            at, u = stream.below(p, count)
+            row[at] = u
+    over = np.any(rows < np.array(screen.share)[:, None], axis=0)
+    undecided = over & ~np.any(rows <= np.array(screen.hit)[:, None], axis=0)
+    for i, (row, p, whole) in enumerate(zip(rows, screen.share, screen.whole)):
+        if not whole:
+            at = np.flatnonzero(over if i in twisted else undecided)
+            row[at] = np.where(np.isnan(row[at]), stream.above(p, at.size), row[at])
+    return rows, screen
+
+
 def test_estimator_consumes_stream_components_in_order():
-    # replication layout: chunk j / component i blocks, in index order
+    # both rows are drawn below their share uniforms, in component order,
+    # then filled where the chunk reads them; a replication no uniform puts
+    # over its share misses, whatever its unread uniforms are
     scenario = weibull_scenario(gamma_db=10.0)
     report = estimate_naive(scenario, runs=1000, seed=55)
-    stream = UnitSampleStream(55, 0)
-    x0 = scenario.components[0].inverse_cumulative_hazard(-np.log(stream.uniforms(1000)))
-    x1 = scenario.components[1].inverse_cumulative_hazard(-np.log(stream.uniforms(1000)))
+    args = (scenario.components, frozenset(), 0.0, scenario.threshold_linear, 55, 0, 1000)
+    rows, screen = _rows_from_the_stream(*args)
+    assert not any(screen.whole)
+    rows = np.nan_to_num(rows, nan=BELOW_ONE)
+    x0 = scenario.components[0].inverse_cumulative_hazard(-np.log(rows[0]))
+    x1 = scenario.components[1].inverse_cumulative_hazard(-np.log(rows[1]))
     expected = float(np.mean(x0 + x1 > scenario.threshold_linear))
     assert report.alpha_hat == expected
 
 
 def test_twisted_chunk_weights_come_from_the_log_weight_kernel():
-    # improved IS rebuilt from the stream: twisted component 0 draws
-    # y = -log(u)/(1-theta), component 1 is untwisted; the chunk weighs a
-    # replication from its twisted uniform u, as
-    # theta/(1-theta) * log(u) - log1p(-theta)
+    # improved IS rebuilt from the stream: twisted component 0, drawn whole,
+    # draws y = -log(u)/(1-theta); untwisted component 1 is drawn below its
+    # share uniform and filled at the undecided.  The chunk weighs a hit
+    # from its twisted uniform u, as theta/(1-theta) * log(u) - log1p(-theta)
     scenario = weibull_scenario(gamma_db=20.0)
     plan = minmax_plan(scenario)
     assert plan.dominant_indices == (0,)
     report = estimate_improved(scenario, plan, runs=1000, seed=56)
-    stream = UnitSampleStream(56, 0)
-    u = stream.uniforms(1000)
+    args = (scenario.components, frozenset({0}), plan.theta, scenario.threshold_linear, 56, 0, 1000)
+    rows, screen = _rows_from_the_stream(*args)
+    assert screen.whole == (True, False)
+    u = rows[0]
+    rows = np.nan_to_num(rows, nan=BELOW_ONE)
     y = -np.log(u) / (1.0 - plan.theta)
     x0 = scenario.components[0].inverse_cumulative_hazard(y)
-    x1 = scenario.components[1].inverse_cumulative_hazard(-np.log(stream.uniforms(1000)))
-    weights = np.exp(np.log(u) * (plan.theta / (1.0 - plan.theta)) - math.log1p(-plan.theta))
-    t = np.where(x0 + x1 > scenario.threshold_linear, weights, 0.0)
-    assert report.alpha_hat == float(t.sum()) / 1000
+    x1 = scenario.components[1].inverse_cumulative_hazard(-np.log(rows[1]))
+    hit = x0 + x1 > scenario.threshold_linear
+    weights = np.exp(np.log(u[hit]) * (plan.theta / (1.0 - plan.theta)) - math.log1p(-plan.theta))
+    assert report.alpha_hat == float(weights.sum()) / 1000
     # the product form is the hazard form of the weight kernel, up to rounding
-    np.testing.assert_allclose(weights, np.exp(log_likelihood_ratio(plan.theta, [y])), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(weights, np.exp(log_likelihood_ratio(plan.theta, [y[hit]])), rtol=1e-13, atol=0.0)
 
 
 # -- the in-place chunk kernel against the allocating one -------------------------
 
 
+# the stream's smallest uniform and the largest double below 1
+TINY, BELOW_ONE = 5e-324, 1.0 - 2.0**-53
+
+
 def _reference_uniforms(gen, n):
     u = gen.random(n)
-    np.copyto(u, np.nextafter(0.0, 1.0), where=u == 0.0)
-    np.copyto(u, np.nextafter(1.0, 0.0), where=u == 1.0)
+    np.copyto(u, TINY, where=u == 0.0)
+    np.copyto(u, BELOW_ONE, where=u == 1.0)
     return u
+
+
+def _reference_uniform_rows(n, seed, chunk_index, count):
+    """Each of n components' uniforms, drawn as _reference_chunk draws them."""
+    seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
+    gen = np.random.Generator(np.random.PCG64DXSM(seq))
+    return [_reference_uniforms(gen, count) for _ in range(n)]
 
 
 def _reference_inverse_cumulative_hazard(spec, y):
@@ -403,41 +448,117 @@ def _reference_inverse_cumulative_hazard(spec, y):
     return np.exp(spec.mu_ln + spec.sigma_ln * -ndtri_exp(-y))
 
 
-def _reference_chunk(components, twisted, theta, gamma, seed, chunk_index, count, pinned=None):
-    """The chunk kernel as it was before it worked in place: one fresh
-    array per temporary, full-width weights, the same float operations in
-    the same order, and the hit count.  The log weight is theta/(1-theta)
-    times the log of the twisted uniforms' product, less s * log1p(-theta);
-    a twisted row joins the product while it has fewer than 19 factors and
-    its uniforms are each at least 2**-53, and any other adds its own log.
-    The uniform at stream position p is ``pinned[p]`` where given."""
-    seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
-    gen = np.random.Generator(np.random.PCG64DXSM(seq))
-    total = np.zeros(count)
-    factors, alone = [], []
-    for i, spec in enumerate(components):
-        u = _reference_uniforms(gen, count)
-        for position, value in (pinned or {}).items():
-            if i * count <= position < (i + 1) * count:
-                u[position - i * count] = value
+def _reference_sums(components, twisted, theta, gamma, rows):
+    """The chunk kernel as it was before it worked in place, on whole
+    ``rows`` of uniforms: one fresh array per temporary, the same float
+    operations in the same order, and the hit count.  The log weight of a
+    hit is theta/(1-theta) times the log of its twisted uniforms' product,
+    less s * log1p(-theta); a twisted row joins the product while it has
+    fewer than 19 factors and its uniforms at the hits are each at least
+    2**-53, and any other adds its own log.  The sums run over the hits'
+    weights in replication order."""
+    total = np.zeros(rows.shape[1])
+    for i, (spec, u) in enumerate(zip(components, rows)):
         if i in twisted:
             total += _reference_inverse_cumulative_hazard(spec, -np.log(u) / (1.0 - theta))
-            (factors if len(factors) < 19 and u.min() >= 2.0**-53 else alone).append(u)
         else:
             total += _reference_inverse_cumulative_hazard(spec, -np.log(u))
-    log_weight = np.zeros(count)
-    if twisted:
-        product = np.ones(count)
+    hit = total > gamma
+    t = np.ones(np.count_nonzero(hit))
+    if twisted and t.size:
+        factors, alone = [], []
+        for i in sorted(twisted):
+            u = rows[i][hit]
+            (factors if len(factors) < 19 and u.min() >= 2.0**-53 else alone).append(u)
+        product = np.ones(t.size)
         for u in factors:
             product = product * u
         log_weight = np.log(product)
         for u in alone:
             log_weight = log_weight + np.log(u)
         log_weight = log_weight * (theta / (1.0 - theta)) - len(twisted) * math.log1p(-theta)
-    hit = total > gamma
-    t = np.where(hit, np.exp(log_weight), 0.0)
+        t = np.exp(log_weight)
     t2 = t * t
     return float(t.sum()), float(t2.sum()), float((t2 * t2).sum()), int(hit.sum())
+
+
+def _reference_chunk(components, twisted, theta, gamma, seed, chunk_index, count, pinned=None):
+    """_reference_sums on the chunk's stream read as whole rows, component i
+    taking stream positions i * count to (i + 1) * count - 1, as
+    ``WholeRows`` feeds them to the chunk.  The uniform at stream position
+    p is ``pinned[p]`` where given."""
+    rows = np.array(_reference_uniform_rows(len(components), seed, chunk_index, count))
+    for position, value in (pinned or {}).items():
+        rows.flat[position] = value
+    return _reference_sums(components, twisted, theta, gamma, rows)
+
+
+class WholeRows:
+    """The chunk's source of uniforms with every row drawn whole from the
+    chunk's stream, one after another, and the uniforms at the stream
+    positions of ``pinned`` replaced by the values given there."""
+
+    pinned: dict[int, float] = {}
+
+    def __init__(self, seed, chunk_index, n, count):
+        seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
+        self._gen = np.random.Generator(np.random.PCG64DXSM(seq))
+        self._start, self._count = 0, count
+
+    def next(self, p, whole):
+        row = _reference_uniforms(self._gen, self._count)
+        for position, value in self.pinned.items():
+            if self._start <= position < self._start + self._count:
+                row[position - self._start] = value
+        self._start += self._count
+        return row, None
+
+
+@pytest.fixture
+def whole_rows(monkeypatch):
+    """Chunks draw every row whole, as _reference_chunk reads the stream."""
+    monkeypatch.setattr(WholeRows, "pinned", {})
+    monkeypatch.setattr(estimators, "_Rows", WholeRows)
+    return WholeRows
+
+
+class RecordedRows(estimators._Rows):
+    """The chunk's own source of uniforms, recording each row as the chunk
+    reads it; ``last.rows`` is NaN wherever the chunk read nothing."""
+
+    last = None
+
+    def __init__(self, seed, chunk_index, n, count):
+        super().__init__(seed, chunk_index, n, count)
+        self.rows = np.full((n, count), np.nan)
+        self._read = 0
+        type(self).last = self
+
+    def next(self, p, whole):
+        row, at = super().next(p, whole)
+        self.rows[self._read, slice(None) if at is None else at] = row
+        self._read += 1
+        return row, at
+
+    def fill(self, i, positions):
+        row = super().fill(i, positions)
+        self.rows[i, positions] = row
+        return row
+
+
+@pytest.fixture
+def recorded_rows(monkeypatch):
+    """_reference_sums on the rows the last chunk read, each unread uniform
+    taken as the largest below 1, which is above every share uniform that
+    leaves a row drawn below it: a replication the chunk read nothing of
+    misses, and one it read in twisted rows only is a certain hit."""
+    monkeypatch.setattr(estimators, "_Rows", RecordedRows)
+
+    def reference(components, twisted, theta, gamma, *_):
+        rows = np.nan_to_num(RecordedRows.last.rows, nan=BELOW_ONE)
+        return _reference_sums(components, twisted, theta, gamma, rows)
+
+    return reference
 
 
 KERNEL_SCENARIOS = {
@@ -458,7 +579,7 @@ KERNEL_SCENARIOS = {
 @pytest.mark.parametrize("theta", [0.3, 0.9, 0.95])
 @pytest.mark.parametrize("twist", ["naive", "all", "dominant"])
 @pytest.mark.parametrize("name", sorted(KERNEL_SCENARIOS))
-def test_in_place_chunk_matches_the_allocating_reference_exactly(name, twist, theta, count):
+def test_in_place_chunk_matches_the_allocating_reference_exactly(whole_rows, name, twist, theta, count):
     scenario = KERNEL_SCENARIOS[name]
     twisted = {
         "naive": frozenset(),
@@ -475,7 +596,7 @@ def test_in_place_chunk_matches_the_allocating_reference_exactly(name, twist, th
 @pytest.mark.parametrize("count", [CHUNK_SIZE, 4465, 3])
 @pytest.mark.parametrize("n", [4, 6, 9])
 @pytest.mark.parametrize("family", ["weibull", "lognormal"])
-def test_chunks_of_more_than_four_components_match_the_allocating_reference(family, n, count):
+def test_chunks_of_more_than_four_components_match_the_allocating_reference(whole_rows, family, n, count):
     specs = {
         "weibull": [DistributionSpec.weibull(0.4, 1.0)] + [DistributionSpec.weibull(0.8, 1.0)] * (n - 1),
         "lognormal": [DistributionSpec.lognormal(0.0, 4.0)] * (n - 2) + [DistributionSpec.lognormal(0.0, 6.0)] * 2,
@@ -488,7 +609,7 @@ def test_chunks_of_more_than_four_components_match_the_allocating_reference(fami
 
 @pytest.mark.parametrize("count", [CHUNK_SIZE, 4465])
 @pytest.mark.parametrize("theta", [0.5, 0.9])
-def test_a_mixed_family_chunk_matches_the_allocating_reference_exactly(theta, count):
+def test_a_mixed_family_chunk_matches_the_allocating_reference_exactly(whole_rows, theta, count):
     # a chunk takes any components: Weibull and log-normal classes get their
     # own share levels, and log-normal draws keep the table and exact stages
     components = (
@@ -503,16 +624,64 @@ def test_a_mixed_family_chunk_matches_the_allocating_reference_exactly(theta, co
     assert sums.hits > 0
 
 
+@pytest.mark.parametrize("count", [CHUNK_SIZE, 4465, 1])
+@pytest.mark.parametrize("theta", [0.3, 0.9])
+@pytest.mark.parametrize("twist", ["naive", "all", "dominant"])
+@pytest.mark.parametrize("name", sorted(KERNEL_SCENARIOS))
+def test_a_chunk_matches_the_allocating_reference_on_the_rows_it_read(recorded_rows, name, twist, theta, count):
+    # the chunk's own source: rows thinned below their share uniforms and
+    # filled where the chunk reads them, the rest left unread
+    scenario = KERNEL_SCENARIOS[name]
+    twisted = {
+        "naive": frozenset(),
+        "all": frozenset(range(scenario.n)),
+        "dominant": frozenset(select_dominant(scenario).dominant_indices),
+    }[twist]
+    if not twisted:
+        theta = 0.0
+    args = (scenario.components, twisted, theta, scenario.threshold_linear, 71, 3, count)
+    assert _simulate_chunk(*args) == recorded_rows(*args)
+    # a thinned row leaves most of a longer chunk unread
+    if count > 1:
+        assert np.isnan(RecordedRows.last.rows).any() == (not all(_screen(*args[:4]).whole))
+
+
+@pytest.mark.parametrize("theta", [0.5, 0.9])
+def test_a_mixed_family_chunk_matches_the_allocating_reference_on_the_rows_it_read(recorded_rows, theta):
+    components = (
+        DistributionSpec.weibull(0.4, 1.0),
+        DistributionSpec.lognormal(0.0, 6.0),
+        DistributionSpec.weibull(0.8, 1.0),
+        DistributionSpec.lognormal(0.0, 4.0),
+    )
+    args = (components, frozenset({0, 1}), theta, db_to_linear(24.0), 71, 3, CHUNK_SIZE)
+    sums = _simulate_chunk(*args)
+    assert sums == recorded_rows(*args)
+    assert sums.hits > 0
+
+
+def test_rows_are_thinned_where_their_share_uniforms_are_small():
+    # improved IS on weibull4 at 26 dB: the twisted heavy row has a share
+    # uniform near 0.4 and is drawn whole, the light ones are thinned.  Where
+    # the screen certifies no miss, share uniforms of 1 and more, every row is
+    # whole; conventional IS at theta 0.95 puts most replications over their
+    # shares, so its twisted rows are whole too
+    scenario = KERNEL_SCENARIOS["weibull4"]
+    screen = _estimate(scenario, Method.IMPROVED_IS, CHUNK_SIZE, 7, plan=minmax_plan(scenario)).chunks[0][-1]
+    assert screen.share[0] > 0.3 and max(screen.share[1:]) < 0.01
+    assert screen.whole == (True, False, False, False)
+    assert _screen(scenario.components, frozenset({0}), 0.9, 0.0).whole == (True,) * 4
+    assert all(_screen(LOGNORMAL4.components, frozenset(range(4)), 0.95, LOGNORMAL4.threshold_linear).whole)
+    assert not any(_screen(LOGNORMAL4.components, frozenset(range(4)), 0.3, LOGNORMAL4.threshold_linear).whole)
+
+
 # -- the screen: exact inversion of undecided replications only --------------------
 
 
 def _reference_totals(components, twisted, theta, seed, chunk_index, count):
     """Each replication's sum of draws, computed as _reference_chunk does."""
-    seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
-    gen = np.random.Generator(np.random.PCG64DXSM(seq))
     total = np.zeros(count)
-    for i, spec in enumerate(components):
-        u = _reference_uniforms(gen, count)
+    for i, (spec, u) in enumerate(zip(components, _reference_uniform_rows(len(components), seed, chunk_index, count))):
         if i in twisted:
             total += _reference_inverse_cumulative_hazard(spec, -np.log(u) / (1.0 - theta))
         else:
@@ -544,7 +713,7 @@ LOGNORMAL4 = KERNEL_SCENARIOS["lognormal4"]
     [pytest.param(0.5, 4465, rank, id=str(rank)) for rank in (-1, -40)]
     + [(0.95, count, -1) for count in (1, 4465, CHUNK_SIZE)],
 )
-def test_screen_at_a_replications_exact_total(twist, theta, count, rank):
+def test_screen_at_a_replications_exact_total(whole_rows, twist, theta, count, rank):
     # gamma at one replication's exact sum and 1 ulp either side: that
     # replication misses at the first two and hits at the third.  At theta
     # 0.95 only the largest sum shows: the weight of a lower-ranked one is
@@ -565,7 +734,7 @@ def test_screen_at_a_replications_exact_total(twist, theta, count, rank):
     [pytest.param(0.5, 4465, rank, id=str(rank)) for rank in (-1, -40)]
     + [(0.95, count, -1) for count in (1, 4465, CHUNK_SIZE)],
 )
-def test_weibull_screen_at_a_replications_exact_total(twist, theta, count, rank):
+def test_weibull_screen_at_a_replications_exact_total(whole_rows, twist, theta, count, rank):
     # as for lognormal4: Weibull chunks take the same comparisons, bound
     # sums and exact inversions
     scenario = KERNEL_SCENARIOS["weibull4"]
@@ -580,7 +749,7 @@ def test_weibull_screen_at_a_replications_exact_total(twist, theta, count, rank)
 
 
 @pytest.mark.parametrize("count, rank", [(1, -1), (4465, -1), (4465, -40), (CHUNK_SIZE, -1), (CHUNK_SIZE, -1000)])
-def test_naive_screen_at_a_replications_exact_total(count, rank):
+def test_naive_screen_at_a_replications_exact_total(whole_rows, count, rank):
     # the untwisted hit test reads -log u against the level hazards: gamma
     # at one replication's exact sum and 1 ulp either side, each hit of
     # weight 1, so a replication of any rank shows
@@ -619,18 +788,18 @@ def _screened(components, twisted, theta, gamma, inverted):
     return screen
 
 
-def test_screen_at_zero_threshold_certifies_every_hit(counting_stream, inverted):
+def test_screen_at_zero_threshold_certifies_every_hit(counting_stream, recorded_rows, inverted):
     # the hit level's hazard is 0, so the tables take no inversion at all
     args = (LOGNORMAL4.components, frozenset(range(4)), 0.3, 0.0, 71, 3, 4465)
-    assert _simulate_chunk(*args) == _reference_chunk(*args)
+    assert _simulate_chunk(*args) == recorded_rows(*args)
     assert counting_stream.built == 1
     assert sum(inverted) == 0
 
 
-def test_screen_far_above_every_sum_inverts_nothing(counting_stream, inverted):
+def test_screen_far_above_every_sum_inverts_nothing(counting_stream, recorded_rows, inverted):
     args = (LOGNORMAL4.components, frozenset(range(4)), 0.3, 1e12, 71, 3, 4465)
     screen = _screened(*args[:4], inverted)
-    assert _simulate_chunk(*args, screen) == _reference_chunk(*args) == (0.0, 0.0, 0.0, 0)
+    assert _simulate_chunk(*args, screen) == recorded_rows(*args) == (0.0, 0.0, 0.0, 0)
     assert counting_stream.built == 1
     assert sum(inverted) == 0
 
@@ -703,13 +872,6 @@ def test_a_hazard_at_most_the_share_level_certifies_a_draw_at_most_the_share(spe
         assert np.all(total <= gammas)
 
 
-def _reference_uniform_rows(n, seed, chunk_index, count):
-    """Each of n components' uniforms, drawn as _reference_chunk draws them."""
-    seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
-    gen = np.random.Generator(np.random.PCG64DXSM(seq))
-    return [_reference_uniforms(gen, count) for _ in range(n)]
-
-
 def _reference_hazards(components, twisted, theta, seed, chunk_index, count):
     """Each component's kept y, computed as _reference_chunk does."""
     return [
@@ -741,7 +903,7 @@ def bounded(monkeypatch):
     return sizes
 
 
-def test_the_bound_sees_only_the_replications_the_comparisons_leave_undecided(bounded):
+def test_the_bound_sees_only_the_replications_the_comparisons_leave_undecided(whole_rows, bounded):
     # undecided: some draw above its share level and none above the level
     components, twisted, gamma = LOGNORMAL4.components, frozenset(range(4)), LOGNORMAL4.threshold_linear
     ys = _reference_hazards(components, twisted, 0.3, 71, 3, CHUNK_SIZE)
@@ -755,7 +917,7 @@ def test_the_bound_sees_only_the_replications_the_comparisons_leave_undecided(bo
     assert 0 < undecided < 0.15 * CHUNK_SIZE
 
 
-def test_a_share_below_the_smallest_normal_double_certifies_no_miss(bounded):
+def test_a_share_below_the_smallest_normal_double_certifies_no_miss(whole_rows, bounded):
     # gamma / 4 is subnormal, where rounding is no longer relative: every
     # replication that no draw certifies a hit goes on to the bound sums
     components, gamma = (DistributionSpec.weibull(0.5, 1e-310),) * 4, 1e-310
@@ -772,7 +934,7 @@ def test_screen_inverts_few_twisted_draws(inverted):
     assert 0 < sum(inverted) < 0.05 * len(twisted) * CHUNK_SIZE
 
 
-def test_naive_lognormal_chunk_inverts_every_draw_from_its_hazard(inverted):
+def test_naive_lognormal_chunk_inverts_every_draw_from_its_hazard(whole_rows, inverted):
     # untwisted draws take the one sampling kernel: gamma at a replication's
     # exact sum leaves some replications undecided, and each of them inverts
     # all n of its kept hazards, one component per call
@@ -786,7 +948,7 @@ def test_naive_lognormal_chunk_inverts_every_draw_from_its_hazard(inverted):
     assert np.all(sizes == sizes[:, :1])
 
 
-def test_a_conventional_lognormal4_chunk_inverts_few_replications_exactly(monkeypatch):
+def test_a_conventional_lognormal4_chunk_inverts_few_replications_exactly(whole_rows, monkeypatch):
     # conventional IS at 25 dB and theta 0.85, seed 1: the closed-form bound
     # exp(mu_ln + sigma_ln * sqrt(2 (y - ln 2))) left 16.8% of this chunk to
     # exact inversion, and the tables leave 0.13%
@@ -805,10 +967,10 @@ def test_a_conventional_lognormal4_chunk_inverts_few_replications_exactly(monkey
     assert 0 < inverted[0] < 0.005 * CHUNK_SIZE
 
 
-def test_weibull_chunk_builds_its_stream_once(counting_stream):
+def test_weibull_chunk_builds_its_stream_once(counting_stream, recorded_rows):
     scenario = KERNEL_SCENARIOS["weibull4"]
     args = (scenario.components, frozenset({0}), 0.8, scenario.threshold_linear, 71, 3, 4465)
-    assert _simulate_chunk(*args) == _reference_chunk(*args)
+    assert _simulate_chunk(*args) == recorded_rows(*args)
     assert counting_stream.built == 1
 
 
@@ -866,7 +1028,7 @@ def test_critical_uniforms_beyond_the_screens_range_certify_nothing():
 
 
 @pytest.mark.parametrize("count", [1, 4465, CHUNK_SIZE])
-def test_screen_at_a_replications_exact_total_far_above_the_median(count):
+def test_screen_at_a_replications_exact_total_far_above_the_median(whole_rows, count):
     # at theta 0.999 the largest sum sits 1,200-1,500 natural-log units
     # above the median of ln X, where a draw's ndtri_exp round trip may be
     # off by as much as the 1e-9 margin: gamma at that sum and 1 ulp either
@@ -954,7 +1116,7 @@ def test_table_nodes_beyond_half_the_screens_range_certify_nothing():
     assert np.array_equal(upper[:-1], np.where(far, np.inf, nodes))
 
 
-def test_a_node_rounded_above_a_later_draw_certifies_no_hit(pinned_stream, monkeypatch):
+def test_a_node_rounded_above_a_later_draw_certifies_no_hit(whole_rows, monkeypatch):
     # the computed inverse rises only up to its rounding: find a y just past
     # a node whose draw is an ulp or so below that node's, and put gamma at
     # that draw.  The node bounds the draw from below only within the
@@ -970,7 +1132,7 @@ def test_a_node_rounded_above_a_later_draw_certifies_no_hit(pinned_stream, monke
     u, x = u[below][0], x[below][0]
     # gamma at the draw keeps the table's step
     assert _screen((spec,), frozenset(), 0.0, float(x)).table[0][0] == step
-    monkeypatch.setattr(PinnedStream, "pinned", {0: float(u)})
+    monkeypatch.setattr(WholeRows, "pinned", {0: float(u)})
     for gamma, hits in ((float(x), 0), (float(np.nextafter(x, 0.0)), 1)):
         args = ((spec,), frozenset(), 0.0, gamma, 71, 3, 1)
         assert _simulate_chunk(*args) == _reference_chunk(*args, pinned={0: float(u)}) == (hits,) * 4
@@ -1041,6 +1203,8 @@ def test_share_levels_at_zero_and_subnormal_thresholds_certify_no_miss():
         screen = _screen(components, frozenset({0}), 0.9, gamma)
         assert screen.level == (0.0,) * 4
         assert all(share >= 1.0 for share in screen.share)
+        # a row whose every uniform is below its share uniform is drawn whole
+        assert all(screen.whole)
 
 
 def test_share_levels_leave_few_weibull_replications_undecided(bounded):
@@ -1057,7 +1221,7 @@ def test_share_levels_leave_few_weibull_replications_undecided(bounded):
     assert bounded[0] < 0.03 * CHUNK_SIZE
 
 
-def test_a_weibull_chunk_inverts_each_undecided_draw_once(bounded, monkeypatch):
+def test_a_weibull_chunk_inverts_each_undecided_draw_once(whole_rows, bounded, monkeypatch):
     # a Weibull bound is its exact inverse: an all-Weibull chunk decides at
     # gamma from its bound sums, gamma at one replication's exact sum and 1
     # ulp either side included, and calls no exact stage after them
@@ -1080,38 +1244,13 @@ def test_a_weibull_chunk_inverts_each_undecided_draw_once(bounded, monkeypatch):
         assert len(bounded) == 4 and bounded[0] > 0
 
 
-class PinnedStream(UnitSampleStream):
-    """A chunk's stream whose uniforms at the positions of ``pinned`` take
-    the values given there."""
-
-    pinned: dict[int, float] = {}
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.position = 0
-
-    def uniforms(self, n, out=None):
-        u = super().uniforms(n, out=out)
-        for position, value in self.pinned.items():
-            if self.position <= position < self.position + n:
-                u[position - self.position] = value
-        self.position += n
-        return u
-
-
-@pytest.fixture
-def pinned_stream(monkeypatch):
-    monkeypatch.setattr("tailtwist.estimators.UnitSampleStream", PinnedStream)
-    return PinnedStream
-
-
 def _hazard_form_chunk(components, twisted, theta, gamma, seed, chunk_index, count):
-    """The chunk's sums from PinnedStream, its weights from
+    """The chunk's sums from the rows WholeRows reads, its weights from
     log_likelihood_ratio over the twisted hazards."""
-    stream = PinnedStream(seed, chunk_index)
-    ys = [
-        -np.log(stream.uniforms(count)) / (1.0 - theta if i in twisted else 1.0) for i in range(len(components))
-    ]
+    rows = np.array(_reference_uniform_rows(len(components), seed, chunk_index, count))
+    for position, value in WholeRows.pinned.items():
+        rows.flat[position] = value
+    ys = [-np.log(u) / (1.0 - theta if i in twisted else 1.0) for i, u in enumerate(rows)]
     total = np.zeros(count)
     for spec, y in zip(components, ys):
         total += spec.inverse_cumulative_hazard(y)
@@ -1137,21 +1276,21 @@ def _assert_matches_the_hazard_form(sums, reference):
 
 
 @pytest.mark.parametrize("count", [7, 4465])
-def test_a_remapped_zero_uniform_is_weighed_on_its_own(pinned_stream, monkeypatch, count):
+def test_a_remapped_zero_uniform_is_weighed_on_its_own(whole_rows, monkeypatch, count):
     # the stream turns an exact 0.0 into 2**-1074: multiplied into the
     # product it would underflow, so its row is logged on its own
     scenario = KERNEL_SCENARIOS["weibull4"]
     zero = float(np.nextafter(0.0, 1.0))
-    monkeypatch.setattr(PinnedStream, "pinned", {3: zero, 2 * count + 5: zero})
+    monkeypatch.setattr(WholeRows, "pinned", {3: zero, 2 * count + 5: zero})
     args = (scenario.components, frozenset(range(4)), 0.05, scenario.threshold_linear, 71, 3, count)
     sums = _strict_chunk(*args)
     _assert_matches_the_hazard_form(sums, _hazard_form_chunk(*args))
     # and the two replications whose uniform it is now hit
-    monkeypatch.setattr(PinnedStream, "pinned", {})
+    monkeypatch.setattr(WholeRows, "pinned", {})
     assert sums.hits == _hazard_form_chunk(*args).hits + 2
 
 
-def test_conventional_importance_sampling_at_zero_theta_weighs_one():
+def test_conventional_importance_sampling_at_zero_theta_weighs_one(whole_rows):
     scenario = KERNEL_SCENARIOS["weibull4"].with_threshold_db(16.0)
     args = (scenario.components, frozenset(range(4)), 0.0, scenario.threshold_linear, 71, 3, 4465)
     sums = _strict_chunk(*args)
@@ -1165,17 +1304,17 @@ def test_conventional_importance_sampling_at_zero_theta_weighs_one():
 
 
 @pytest.mark.parametrize("count", [9, 4465])
-def test_twenty_one_twisted_components_keep_every_partial_product_normal(pinned_stream, monkeypatch, count):
+def test_twenty_one_twisted_components_keep_every_partial_product_normal(whole_rows, monkeypatch, count):
     # replication 7 draws the stream's smallest nonzero uniform, 2**-53, in
     # every component: 19 such factors stay normal, 20 would not
     components = (DistributionSpec.weibull(0.8, 1.0),) * 21
     smallest = 2.0**-53
-    monkeypatch.setattr(PinnedStream, "pinned", {i * count + 7: smallest for i in range(21)})
+    monkeypatch.setattr(WholeRows, "pinned", {i * count + 7: smallest for i in range(21)})
     args = (components, frozenset(range(21)), 0.05, 60.0, 71, 3, count)
     sums = _strict_chunk(*args)
     _assert_matches_the_hazard_form(sums, _hazard_form_chunk(*args))
     # the allocating reference multiplies and logs in the same order
-    monkeypatch.setattr(PinnedStream, "pinned", {})
+    monkeypatch.setattr(WholeRows, "pinned", {})
     assert _strict_chunk(*args) == _reference_chunk(*args)
 
 
@@ -1191,7 +1330,7 @@ HIT_FRACTIONS = {
 
 
 @pytest.mark.parametrize("case", sorted(HIT_FRACTIONS))
-def test_hit_only_weights_match_the_full_width_reference(case):
+def test_hit_only_weights_match_the_full_width_reference(whole_rows, case):
     theta, gamma_of, fraction = HIT_FRACTIONS[case]
     twisted = frozenset(range(4))
     gamma = float(gamma_of(_reference_totals(LOGNORMAL4.components, twisted, theta, 71, 3, CHUNK_SIZE)))
@@ -1211,13 +1350,13 @@ REMAPPED_ZERO_COMPONENTS = (
 
 
 @pytest.mark.parametrize("row, hit", [(2, False), (0, True)])
-def test_a_remapped_zero_uniform_weighs_as_the_reference_at_a_miss_and_at_a_hit(pinned_stream, monkeypatch, row, hit):
-    # the stream turns an exact 0.0 into 2**-1074; its twisted row is logged
-    # on its own, for every hit of the chunk, whether its own replication
-    # misses or hits
+def test_a_remapped_zero_uniform_weighs_as_the_reference_at_a_miss_and_at_a_hit(whole_rows, monkeypatch, row, hit):
+    # the stream turns an exact 0.0 into 2**-1074.  Its twisted row is logged
+    # on its own, for every hit of the chunk, where its own replication hits;
+    # where it misses, the weights never read it and the row joins the product
     args = (REMAPPED_ZERO_COMPONENTS, frozenset(range(3)), 0.05, db_to_linear(16.0), 71, 3, 4465)
     pinned = {row * 4465 + 7: float(np.nextafter(0.0, 1.0))}
-    monkeypatch.setattr(PinnedStream, "pinned", pinned)
+    monkeypatch.setattr(WholeRows, "pinned", pinned)
     sums = _strict_chunk(*args)
     assert sums == _reference_chunk(*args, pinned=pinned)
     # replication 7 misses unpinned, and hits pinned only in the heavy row
@@ -1225,14 +1364,15 @@ def test_a_remapped_zero_uniform_weighs_as_the_reference_at_a_miss_and_at_a_hit(
     assert sums.hits == _reference_chunk(*args)[3] + hit > hit
 
 
-def test_a_remapped_zero_uniform_sets_its_row_apart_for_every_hit_of_the_chunk(pinned_stream, monkeypatch):
-    # six twisted components; the remapped 0 of replication 3000 in row 2 has
-    # that row logged on its own for the hits before replication 3000 too,
-    # as the reference decides over the whole row
+def test_a_remapped_zero_uniform_sets_its_row_apart_for_every_hit_of_the_chunk(whole_rows, monkeypatch):
+    # six twisted components; the remapped 0 of replication 3000 in row 2
+    # makes it hit, and has that row logged on its own for the hits before
+    # replication 3000 too, as the reference decides over the row's uniforms
+    # at every hit of the chunk
     components = (DistributionSpec.weibull(0.4, 1.0),) + (DistributionSpec.weibull(0.8, 1.0),) * 5
     args = (components, frozenset(range(6)), 0.7, db_to_linear(10.0), 71, 3, 4465)
     pinned = {2 * 4465 + 3000: float(np.nextafter(0.0, 1.0))}
-    monkeypatch.setattr(PinnedStream, "pinned", pinned)
+    monkeypatch.setattr(WholeRows, "pinned", pinned)
     sums = _simulate_chunk(*args)
     assert sums == _reference_chunk(*args, pinned=pinned)
     # replications before 3000 hit

@@ -563,16 +563,18 @@ def test_each_table_renders_exact_bytes():
     )
 
 
-# sha256 of the theta sweep below as printed by the chunk kernel that weighs
-# each replication from the log of its twisted uniforms' product.  The bytes
+# sha256 of the theta sweep below as printed by the chunk kernel that thins
+# each row whose share uniform is small, drawing its uniforms below it by
+# geometric gaps and the rest only where the chunk reads them, and weighs
+# each hit from the log of its twisted uniforms' product.  The bytes
 # rest on numpy's exp and log, whose AVX-512 and AVX2 code paths round
 # differently, and on scipy's special functions, so they are pinned per code
 # path for the numpy and scipy releases they were recorded with.  The AVX2
 # digest is what an AVX-512 machine prints under
 # NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".
 THETA_SWEEP_SHA256 = {
-    "fe6ece4138f3eafe1e00c25654fa55026660b46a4a3a34afe900624e990e86a0",  # AVX-512
-    "47627a38ad104b99f22ebe3067b0804a816580cbc7707722e57cf8075c98ed05",  # AVX2
+    "b7abf5b4931a904edec90888d2cc96d11fc0fa494d6fd6f8acf4b85b44273293",  # AVX-512
+    "cf93aaf3e36719ae8d0ad76f93d18f9b084c10260bad5ed76b305617bd45c345",  # AVX2
 }
 PINNED_RELEASES = ("2.4", "1.17")
 
@@ -595,13 +597,13 @@ def test_lognormal4_theta_sweep_bytes_are_pinned():
     assert digests <= THETA_SWEEP_SHA256
 
 
-# sha256 of the Weibull threshold sweep below, recorded with the equal
-# share gamma * (1 - 1e-9) / n and matched since by the per-component share
-# levels: the screen decides only which replications are certain, never a
-# hit or a weight.  Pinned per code path as above.
+# sha256 of the Weibull threshold sweep below, recorded with thinned rows:
+# the screen decides only which replications are certain, never a hit or a
+# weight, but which rows are thinned sets the stream's reads.  Pinned per
+# code path as above.
 WEIBULL_SWEEP_SHA256 = {
-    "2664c078b088254bd35a939aaad417e62035ce8797e795a6f11288de9d9b2965",  # AVX-512
-    "4992d6fe04e76b2980cdb3432dbddb47fea3e7f2331e2d619753c2d904a73bc8",  # AVX2
+    "9d2c0912278869a79aabee52043aba735eca01880eebf99eb7b4574b21685669",  # AVX-512
+    "7384394abc3b880e8bf7030ecc22282be0aa4487619a5e464af299db99b5d5ec",  # AVX2
 }
 
 
@@ -624,11 +626,10 @@ def test_weibull4_threshold_sweep_bytes_are_pinned():
 
 
 # sha256 of the sixteen-component Weibull threshold sweep below, recorded
-# while chunks of more than four components still drew their rows in
-# sub-blocks.  Pinned per code path as above.
+# with thinned rows.  Pinned per code path as above.
 WEIBULL16_SWEEP_SHA256 = {
-    "c64945141b822effbf09d561b569302306c792d49978affb13d7868207f14b91",  # AVX-512
-    "49c0c6223f7c9459876a90ddecc01d046ec4507d30e90fe3a20644d8def7d2e8",  # AVX2
+    "18879190efab0d97d2eada7fac5d95a70f829c7341ff1102b4d6816c8959e85b",  # AVX-512
+    "6b69a6bc4f09c3afbeda2a65f0646db74d049c659ea48b4614882ed38810614b",  # AVX2
 }
 
 

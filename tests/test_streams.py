@@ -1,3 +1,7 @@
+import math
+import sys
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -73,8 +77,8 @@ def test_sequential_draws_continue_the_stream():
 
 @pytest.mark.parametrize("count", [1 << 16, 4465, 3])
 def test_rows_drawn_one_after_another_read_the_stream_straight_through(count):
-    # a chunk draws its n rows into one (n, count) array in component order,
-    # so row i holds stream positions i * count to (i + 1) * count - 1
+    # rows drawn into one (n, count) array one after another: row i holds
+    # stream positions i * count to (i + 1) * count - 1
     rows = np.full((5, count), np.nan)
     stream = UnitSampleStream(9, 4)
     for row in rows:
@@ -91,19 +95,26 @@ def test_uniforms_fill_out_in_place():
     assert np.all((out > 0.0) & (out < 1.0))
 
 
-def test_endpoint_draws_map_to_the_nearest_interior_values():
-    class Endpoints:
-        def random(self, n, out=None):
-            out = np.empty(n) if out is None else out
-            out[:] = [0.0, 0.5, 1.0]
-            return out
+class FixedDraws:
+    """A generator whose draws repeat ``values`` cyclically."""
 
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, n, out=None):
+        out = np.empty(n) if out is None else out
+        out[:] = np.resize(self.values, n)
+        return out
+
+
+def test_an_exact_zero_draw_reads_the_smallest_double_and_every_other_draw_is_kept():
+    draws = [0.0, 0.5, 1.0 - 2.0**-53, 2.0**-53, 0.25]
     stream = UnitSampleStream(1, 0)
-    stream._gen = Endpoints()
-    expected = [np.nextafter(0.0, 1.0), 0.5, np.nextafter(1.0, 0.0)]
-    assert stream.uniforms(3).tolist() == expected
-    out = np.empty(3)
-    assert stream.uniforms(3, out=out) is out
+    stream._gen = FixedDraws(draws)
+    expected = [5e-324] + draws[1:]
+    assert stream.uniforms(5).tolist() == expected
+    out = np.empty(5)
+    assert stream.uniforms(5, out=out) is out
     assert out.tolist() == expected
 
 
@@ -136,3 +147,97 @@ def test_neighbouring_keys_uniform_and_uncorrelated(neighbour):
     assert scipy.stats.kstest(a, "uniform").pvalue > 0.01
     assert scipy.stats.kstest(b, "uniform").pvalue > 0.01
     assert abs(np.corrcoef(a, b)[0, 1]) < 4.0 / np.sqrt(n)
+
+
+# -- a row drawn only below its cut, and the rest of it drawn above it -------------
+
+
+def _thinned(seed, index, p, count):
+    stream = UnitSampleStream(seed, index)
+    return stream.below(p, count)
+
+
+@pytest.mark.parametrize("p", [1e-4, 0.01, 0.125, 0.5])
+def test_the_share_below_the_cut_stays_within_binomial_bounds(p):
+    count, rows = 1 << 16, 20
+    below = 0
+    for index in range(rows):
+        positions, values = _thinned(31, index, p, count)
+        assert positions.dtype == np.intp and positions.size == values.size
+        assert np.all(np.diff(positions) > 0)
+        assert positions.size == 0 or 0 <= positions[0] and positions[-1] < count
+        below += positions.size
+    mean = p * rows * count
+    assert abs(below - mean) <= 5.0 * np.sqrt(mean * (1.0 - p))
+
+
+def test_the_gaps_between_positions_are_geometric():
+    # P(gap = k) = (1 - p)**(k - 1) * p; the first gap is counted from -1
+    p, count = 0.05, 1 << 16
+    gaps = np.concatenate([np.diff(_thinned(32, index, p, count)[0], prepend=-1) for index in range(10)])
+    k = np.arange(1, 61)
+    observed = np.append(np.bincount(gaps, minlength=61)[1:61], np.count_nonzero(gaps > 60))
+    expected = gaps.size * np.append(p * (1.0 - p) ** (k - 1), (1.0 - p) ** 60)
+    assert scipy.stats.chisquare(observed, expected).pvalue > 0.01
+
+
+def test_values_below_the_cut_are_uniform_below_it_and_fills_above_it():
+    p = 0.1
+    stream = UnitSampleStream(33, 0)
+    _, values = stream.below(p, 1 << 17)
+    fills = stream.above(p, 20_000)
+    assert np.all((0.0 < values) & (values < p))
+    assert np.all((p <= fills) & (fills <= 1.0 - 2.0**-53))
+    assert scipy.stats.kstest(values, "uniform", args=(0.0, p)).pvalue > 0.01
+    assert scipy.stats.kstest(fills, "uniform", args=(p, 1.0 - p)).pvalue > 0.01
+
+
+@pytest.mark.parametrize("p", [0.125, 2.0**-10, 2.0**-40, 0.1, 0.3])
+def test_a_value_below_the_cut_never_equals_the_cut(p):
+    # the largest uniform, 1 - 2**-53, makes every gap 1 and every value
+    # p * (1 - 2**-53): exact below a power of two, rounded down below any other
+    stream = UnitSampleStream(1, 0)
+    stream._gen = FixedDraws([1.0 - 2.0**-53])
+    positions, values = stream.below(p, 1000)
+    assert positions.tolist() == list(range(1000))
+    assert np.all(values < p)
+    assert np.all(_thinned(34, 0, p, 1 << 16)[1] < p)
+
+
+@pytest.mark.parametrize("p", [0.01, 0.5, 0.9, 1.0 - 2.0**-53])
+def test_a_fill_is_at_least_the_cut_and_below_one(p):
+    # V = 0 reads 2**-1074 and gives p itself; the largest V gives at most
+    # the largest double below 1
+    stream = UnitSampleStream(1, 0)
+    stream._gen = FixedDraws([0.0, 1.0 - 2.0**-53, 0.5])
+    fills = stream.above(p, 3)
+    assert fills[0] == p
+    assert p <= fills[1] <= 1.0 - 2.0**-53
+    assert np.all(fills >= p)
+
+
+@pytest.mark.parametrize("p", [sys.float_info.min, 5e-324])
+def test_a_cut_at_the_smallest_doubles_yields_nothing_and_warns_nothing(p):
+    # log1p(-p) is -p: each gap's quotient overflows to inf, past any row
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        positions, values = _thinned(35, 0, p, 1 << 16)
+        fills = UnitSampleStream(35, 1).above(p, 1000)
+    assert positions.size == values.size == 0
+    assert np.all(fills >= p)
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.1, math.nan])
+def test_a_cut_outside_the_open_unit_interval_is_rejected(p):
+    with pytest.raises(ValueError, match="cut"):
+        UnitSampleStream(1, 0).below(p, 100)
+
+
+def test_thinned_reads_are_a_fixed_function_of_the_stream():
+    def reads(seed):
+        stream = UnitSampleStream(seed, 3)
+        return [*stream.below(0.02, 4465), stream.above(0.02, 50), *stream.below(0.3, 100), stream.uniforms(5)]
+
+    for a, b in zip(reads(36), reads(36)):
+        assert np.array_equal(a, b)
+    assert not np.array_equal(reads(36)[-1], reads(37)[-1])
