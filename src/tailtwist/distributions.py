@@ -163,6 +163,10 @@ class DistributionSpec:
     def cumulative_hazard(self, x):
         """Hazard function Lambda(x) = -log(1 - F(x)), x >= 0."""
         arr = _as_array(x)
+        if arr.ndim == 0:
+            # numpy's scalar arithmetic may take another pow than its array
+            # loops, off in the last bit: a scalar is a one-element array
+            return float(self.cumulative_hazard(arr.reshape(1))[0])
         if not np.all(arr >= 0.0):  # NaN fails too
             raise ValueError("cumulative_hazard requires x >= 0")
         if self.family is Family.WEIBULL:
@@ -172,16 +176,19 @@ class DistributionSpec:
             pos = arr > 0.0
             z = (np.log(np.where(pos, arr, 1.0)) - self.mu_ln) / self.sigma_ln
             out = np.where(pos, -log_upper_tail(z), 0.0)
-        return _maybe_scalar(out)
+        return out
 
     def inverse_cumulative_hazard(self, y, out=None):
         """The x with cumulative_hazard(x) = y, for y >= 0, written into
         ``out`` if given (which may be y itself).
 
         Computed from y directly in log space; y beyond the exp(-y)
-        underflow point (about 745) is handled exactly.
+        underflow point (about 745) is handled exactly.  A scalar y is
+        inverted as a one-element array, as ``cumulative_hazard`` does.
         """
         arr = _as_array(y)
+        if arr.ndim == 0 and out is None:
+            return float(self.inverse_cumulative_hazard(arr.reshape(1))[0])
         x = np.empty_like(arr) if out is None else out
         if self.family is Family.WEIBULL:
             if arr.size and not arr.min() >= 0.0:  # NaN fails too

@@ -7,18 +7,20 @@ Three estimators of alpha = P(sum of components > threshold):
   * improved importance sampling, hazard-twisting only the dominant
     components and leaving the light-tailed ones untouched.
 
-Replications are processed in fixed chunks of 2**16, chunk j drawing
-from substream j of the base seed (the seed's SeedSequence with spawn
-key (j,), driving PCG64DXSM).  A chunk reads its stream in a fixed order
-(``_Rows``): each component's row of uniforms in component order, whole
-or only below the component's share uniform, then the rest of each row
-not drawn whole, in component order, where the chunk reads it.  Each
-chunk returns a ``ChunkSums`` record: the sums ``t``, ``t2`` and ``t4``
-of its weighted indicators t, t**2 and t**4, and its count of ``hits``.
-Records merge exactly (math.fsum per sum, an integer sum of hits), so on
-one platform and one numpy/scipy build a report is a bit-reproducible
-function of (scenario, method, theta, runs, seed) no matter how many
-workers ran the chunks.
+Replications are processed in chunks of a width fixed per estimate:
+2**17 where at most one row of uniforms is drawn whole, 2**16 otherwise
+(``_estimate``).  Chunk j draws from substream j of the base seed (the
+seed's SeedSequence with spawn key (j,), driving PCG64DXSM), and reads
+it in a fixed order (``_Rows``): each component's row of uniforms in
+component order, whole or only below the component's share uniform, then
+the rest of each row not drawn whole, in component order, where the
+chunk reads it.  Each chunk returns a ``ChunkSums`` record: the sums
+``t``, ``t2`` and ``t4`` of its weighted indicators t, t**2 and t**4, and
+its count of ``hits``.  Records merge exactly (math.fsum per sum, an
+integer sum of hits), so on one platform and one numpy/scipy build a
+report is a bit-reproducible function of (scenario, method, theta, runs,
+seed) no matter how many workers ran the chunks: the inputs fix the
+screen, and so the width.
 Other builds may differ in the last bits of a special function or of a
 vectorised log, and so in the bytes.
 
@@ -26,6 +28,9 @@ A sweep runs every chunk of every estimate on one pool of ``workers``
 threads, so an estimate's chunks start while the previous estimate's
 last chunk still runs; an estimate alone is a one-estimate sweep.  With
 one worker no thread starts and every chunk runs on the calling thread.
+A chunk's numpy calls are about as many at either width, and each may
+hand the GIL to another pool thread, so a wide chunk makes half as many
+of both per replication.
 
 Every draw takes one kernel: its cumulative hazard y = -log(U) / (1 - theta)
 (theta = 0 for an untwisted component) inverted by
@@ -38,9 +43,10 @@ of its uniforms below p come from geometric gaps, their values are p * V,
 and the rest of the row is drawn, as p + (1 - p) * V, only where the
 chunk reads it; it costs about p * count gaps and the uniforms read,
 not count uniforms (Devroye 1986, ch. X).  Whole rows share one block
-of n * count doubles (0.5 MB per component at 2**16 replications); a
-thinned row is held packed.  Whether a twisted row joins the weights'
-product is decided once per row, from its uniforms at the hits.
+of n * count doubles (0.5 MB per component at 2**16 replications, 1 MB
+at 2**17, of which a wide chunk touches at most one row); a thinned row
+is held packed.  Whether a twisted row joins the weights' product is
+decided once per row, from its uniforms at the hits.
 A chunk decides its replications in three stages, each on fewer of them:
 comparisons with each component's critical uniforms (``_screen``)
 certify a hit (one draw alone above the threshold plus a 1e-9 margin)
@@ -75,6 +81,11 @@ from .dominance import Scenario, TwistPlan
 from .streams import UnitSampleStream
 
 CHUNK_SIZE = 1 << 16
+# A chunk's numpy calls are about as many whatever its width, so an estimate
+# that draws at most one row whole takes chunks twice as wide: half the calls
+# per replication, and half the GIL hand-offs between pool threads.  One that
+# draws more rows whole keeps CHUNK_SIZE, and so the memory its rows touch
+_WIDE_CHUNK_SIZE = 2 * CHUNK_SIZE
 
 # A replication is a certain hit when one component's uniform is at most
 # its critical uniform exp(-keep * Lambda(gamma * (1 + _SCREEN_MARGIN))),
@@ -264,9 +275,7 @@ def _rounded_uniform(spec: DistributionSpec, x: float, exponent: float, up: bool
 
 def _critical_uniform(spec: DistributionSpec, keep: float, x: float, up: bool) -> float:
     """exp(-keep * Lambda(x)), rounded as ``_rounded_uniform`` rounds it."""
-    # Lambda of a one-element array, bit for bit as of the screen's longer
-    # ones; for a 0-d array numpy may take another pow, off in the last bit
-    return _rounded_uniform(spec, x, keep * spec.cumulative_hazard(np.array([x])).item(), up)
+    return _rounded_uniform(spec, x, keep * spec.cumulative_hazard(x), up)
 
 
 @functools.lru_cache(maxsize=32)
@@ -408,7 +417,10 @@ class _Rows:
         self._stream = UnitSampleStream(seed, chunk_index)
         # whole row i is row i of one block, one allocation per chunk: malloc
         # keeps such a block on its heap from chunk to chunk, where it gave
-        # separate rows back to the system and faulted them in again
+        # separate rows, or a block of only the whole rows, back to the
+        # system and faulted them in again.  A thinned row leaves its row of
+        # the block untouched, so a wide chunk at n = 16 allocates 16 MB and
+        # touches 1 MB
         self._whole = np.empty((n, count))
         self._below = []
 
@@ -534,7 +546,9 @@ def _simulate_chunk(
 @dataclass(frozen=True)
 class _Estimate:
     """One estimate's work: the arguments of its chunks, in chunk order,
-    and what its report records besides their partial sums."""
+    and what its report records besides their partial sums.  Every chunk
+    but the last has _WIDE_CHUNK_SIZE replications where the screen draws
+    at most one row whole, and CHUNK_SIZE otherwise."""
 
     method: Method
     theta: float
@@ -552,7 +566,8 @@ def _estimate(
     plan: TwistPlan | None = None,
 ) -> _Estimate:
     """One estimate's chunks.  Naive MC twists nothing, conventional IS every
-    component by ``theta``, improved IS the plan's dominant ones by its theta."""
+    component by ``theta``, improved IS the plan's dominant ones by its theta.
+    The chunks are wide where the screen draws at most one row whole."""
     if method is Method.NAIVE_MC:
         twisted, theta = frozenset(), 0.0
     elif method is Method.CONVENTIONAL_IS:
@@ -572,9 +587,10 @@ def _estimate(
     gamma = scenario.threshold_linear
     # the critical uniforms, once per estimate and on the calling thread
     screen = _screen(scenario.components, twisted, theta, gamma)
+    width = _WIDE_CHUNK_SIZE if sum(screen.whole) <= 1 else CHUNK_SIZE
     chunks = tuple(
-        (scenario.components, twisted, theta, gamma, seed, j, min(CHUNK_SIZE, runs - a), screen)
-        for j, a in enumerate(range(0, runs, CHUNK_SIZE))
+        (scenario.components, twisted, theta, gamma, seed, j, min(width, runs - a), screen)
+        for j, a in enumerate(range(0, runs, width))
     )
     return _Estimate(method, theta, runs, seed, chunks)
 

@@ -158,6 +158,21 @@ def test_cumulative_hazard_nondecreasing_and_diverging(spec):
     assert values[-1] > 30.0
 
 
+@pytest.mark.parametrize(
+    "spec", [WEIBULL_HEAVY, DistributionSpec.weibull(0.8, 1.0), DistributionSpec.lognormal(0.0, 4.0), LOGNORMAL_6DB]
+)
+def test_a_scalar_is_evaluated_bit_for_bit_as_an_array_element(spec):
+    # 10,000 levels per law, 20,000 per family: the twist solvers evaluate
+    # scalars and the screen arrays, and numpy's scalar pow put about 5% of
+    # Weibull hazards an ulp off the array's
+    levels = np.exp(UnitSampleStream(11, 0).uniforms(10_000) * 30.0 - 10.0)
+    hazards = spec.cumulative_hazard(levels)
+    assert [spec.cumulative_hazard(float(x)) for x in levels] == hazards.tolist()
+    inverses = spec.inverse_cumulative_hazard(hazards)
+    assert [spec.inverse_cumulative_hazard(float(y)) for y in hazards] == inverses.tolist()
+    assert type(spec.cumulative_hazard(1.0)) is type(spec.inverse_cumulative_hazard(1.0)) is float
+
+
 @pytest.mark.parametrize("spec", [WEIBULL_HEAVY, LOGNORMAL_6DB])
 def test_survival_matches_closed_form(spec):
     if spec.family is Family.WEIBULL:

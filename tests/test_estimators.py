@@ -25,6 +25,7 @@ from tailtwist.estimators import (
     optimality_ratio,
     _SCREEN_LOG_RANGE,
     _SCREEN_MARGIN,
+    _WIDE_CHUNK_SIZE,
     _critical_uniform,
     _Estimate,
     _estimate,
@@ -223,8 +224,10 @@ def test_estimate_determinism_and_worker_independence():
 def test_multichunk_partial_tail_chunk():
     # runs not a multiple of the chunk size must still be deterministic
     scenario = weibull_scenario(gamma_db=10.0)
-    a = estimate_naive(scenario, runs=70_001, seed=2, workers=1)
-    b = estimate_naive(scenario, runs=70_001, seed=2, workers=3)
+    runs = _WIDE_CHUNK_SIZE + 4465
+    assert len(_estimate(scenario, Method.NAIVE_MC, runs, 2).chunks) == 2
+    a = estimate_naive(scenario, runs=runs, seed=2, workers=1)
+    b = estimate_naive(scenario, runs=runs, seed=2, workers=3)
     assert a == b
 
 
@@ -673,6 +676,35 @@ def test_rows_are_thinned_where_their_share_uniforms_are_small():
     assert _screen(scenario.components, frozenset({0}), 0.9, 0.0).whole == (True,) * 4
     assert all(_screen(LOGNORMAL4.components, frozenset(range(4)), 0.95, LOGNORMAL4.threshold_linear).whole)
     assert not any(_screen(LOGNORMAL4.components, frozenset(range(4)), 0.3, LOGNORMAL4.threshold_linear).whole)
+
+
+def test_chunks_are_twice_as_wide_where_at_most_one_row_is_whole_at_any_worker_count(monkeypatch):
+    # improved IS on weibull4 draws one row whole and conventional IS on
+    # lognormal4 none at theta 0.3 and four at 0.95; chunk j is substream j
+    weibull4 = KERNEL_SCENARIOS["weibull4"]
+    runs = _WIDE_CHUNK_SIZE + 5
+    estimates = [
+        _estimate(weibull4, Method.IMPROVED_IS, runs, 7, plan=minmax_plan(weibull4)),
+        _estimate(LOGNORMAL4, Method.CONVENTIONAL_IS, runs, 8, theta=0.3),
+        _estimate(LOGNORMAL4, Method.CONVENTIONAL_IS, runs, 9, theta=0.95),
+    ]
+    assert [sum(e.chunks[0][-1].whole) for e in estimates] == [1, 0, 4]
+    chunk = estimators._simulate_chunk
+    ran, reports = {}, {}
+    for workers in (1, 2):
+        ran[workers] = []
+
+        def recorded(*args, chunks=ran[workers]):
+            chunks.append(args[4:7])
+            return chunk(*args)
+
+        monkeypatch.setattr(estimators, "_simulate_chunk", recorded)
+        reports[workers] = estimators._run_estimates(estimates, workers)
+    wide = [(seed, j, count) for seed in (7, 8) for j, count in enumerate((1 << 17, 5))]
+    narrow = [(9, j, count) for j, count in enumerate((1 << 16, 1 << 16, 5))]
+    assert ran[1] == wide + narrow
+    assert sorted(ran[2]) == sorted(wide + narrow)
+    assert reports[1] == reports[2]
 
 
 # -- the screen: exact inversion of undecided replications only --------------------

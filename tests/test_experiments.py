@@ -14,7 +14,7 @@ import scipy
 from tailtwist import estimators, experiments
 from tailtwist.cli import main
 from tailtwist.dominance import DominanceVerdict, TailDominanceReport, select_dominant
-from tailtwist.estimators import CHUNK_SIZE, EstimateReport, Method, efficiency, optimality_ratio
+from tailtwist.estimators import _WIDE_CHUNK_SIZE, CHUNK_SIZE, EstimateReport, Method, efficiency, optimality_ratio
 from tailtwist.experiments import (
     DIAGNOSTICS_HEADER,
     EFFICIENCY_HEADER,
@@ -563,18 +563,37 @@ def test_each_table_renders_exact_bytes():
     )
 
 
+@pytest.fixture
+def ran(monkeypatch):
+    """The estimates the runners run, in order."""
+    estimates = []
+    run = experiments._run_estimates
+
+    def recorded(batch, workers):
+        estimates.extend(batch)
+        return run(batch, workers)
+
+    monkeypatch.setattr(experiments, "_run_estimates", recorded)
+    return estimates
+
+
+def chunk_counts(estimates) -> set[int]:
+    return {len(estimate.chunks) for estimate in estimates}
+
+
 # sha256 of the theta sweep below as printed by the chunk kernel that thins
 # each row whose share uniform is small, drawing its uniforms below it by
 # geometric gaps and the rest only where the chunk reads them, and weighs
-# each hit from the log of its twisted uniforms' product.  The bytes
+# each hit from the log of its twisted uniforms' product, in chunks of 2**17
+# where at most one row is drawn whole and of 2**16 otherwise.  The bytes
 # rest on numpy's exp and log, whose AVX-512 and AVX2 code paths round
 # differently, and on scipy's special functions, so they are pinned per code
 # path for the numpy and scipy releases they were recorded with.  The AVX2
 # digest is what an AVX-512 machine prints under
 # NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".
 THETA_SWEEP_SHA256 = {
-    "b7abf5b4931a904edec90888d2cc96d11fc0fa494d6fd6f8acf4b85b44273293",  # AVX-512
-    "cf93aaf3e36719ae8d0ad76f93d18f9b084c10260bad5ed76b305617bd45c345",  # AVX2
+    "c087fc5ee300c327359df5d25e6524064a3fb4b7a83278647498855b9ff1ae4d",  # AVX-512
+    "0e7f2b929c5c7836f6cf860c825884dad106ec19576bab5ee2d35aa5b467ae85",  # AVX2
 }
 PINNED_RELEASES = ("2.4", "1.17")
 
@@ -583,16 +602,18 @@ PINNED_RELEASES = ("2.4", "1.17")
     (np.__version__.rsplit(".", 1)[0], scipy.__version__.rsplit(".", 1)[0]) != PINNED_RELEASES,
     reason="sweep bytes are pinned for numpy 2.4 and scipy 1.17",
 )
-def test_lognormal4_theta_sweep_bytes_are_pinned():
-    # one full and one partial chunk per row; both methods; two workers too
+def test_lognormal4_theta_sweep_bytes_are_pinned(ran):
+    # full chunks and a partial one per row, wide rows and narrow ones; both
+    # methods; two workers too
     text = (Path(__file__).parents[1] / "configs" / "lognormal4_theta_sweep.cfg").read_text()
     text = text.replace("theta_grid = 0.2:0.05:0.95", "theta_grid = 0.2:0.15:0.95")
-    config = parse_config(text).override(runs=CHUNK_SIZE + 4465, seed=1)
+    config = parse_config(text).override(runs=_WIDE_CHUNK_SIZE + 4465, seed=1)
     assert len(config.theta_grid) == 6
     digests = {
         hashlib.sha256(sweep_rows_to_csv(run_theta_sweep(config, workers)).encode()).hexdigest()
         for workers in (1, 2)
     }
+    assert chunk_counts(ran) == {2, 3}
     assert len(digests) == 1
     assert digests <= THETA_SWEEP_SHA256
 
@@ -602,8 +623,8 @@ def test_lognormal4_theta_sweep_bytes_are_pinned():
 # weight, but which rows are thinned sets the stream's reads.  Pinned per
 # code path as above.
 WEIBULL_SWEEP_SHA256 = {
-    "9d2c0912278869a79aabee52043aba735eca01880eebf99eb7b4574b21685669",  # AVX-512
-    "7384394abc3b880e8bf7030ecc22282be0aa4487619a5e464af299db99b5d5ec",  # AVX2
+    "09ee822f20d72af61ec860319b657936fec2d5366a9966545fb90e6d4dc2b168",  # AVX-512
+    "2b06f7316911c2d96a5f38f482f355e33ace770b07b3165eb78945d7d2c03a46",  # AVX2
 }
 
 
@@ -611,25 +632,25 @@ WEIBULL_SWEEP_SHA256 = {
     (np.__version__.rsplit(".", 1)[0], scipy.__version__.rsplit(".", 1)[0]) != PINNED_RELEASES,
     reason="sweep bytes are pinned for numpy 2.4 and scipy 1.17",
 )
-def test_weibull4_threshold_sweep_bytes_are_pinned():
-    # one full and one partial chunk per row; both methods at 13 thresholds;
-    # two workers too
+def test_weibull4_threshold_sweep_bytes_are_pinned(ran):
+    # one full and one partial chunk of 2**17 per row; both methods at 13
+    # thresholds; two workers too
     text = (Path(__file__).parents[1] / "configs" / "weibull4_thresholds.cfg").read_text()
-    config = parse_config(text).override(runs=CHUNK_SIZE + 4465)
+    config = parse_config(text).override(runs=_WIDE_CHUNK_SIZE + 4465)
     assert len(config.gamma_grid_db) == 13
     digests = {
         hashlib.sha256(sweep_rows_to_csv(run_threshold_sweep(config, workers)).encode()).hexdigest()
         for workers in (1, 2)
     }
+    assert chunk_counts(ran) == {2}
     assert len(digests) == 1
     assert digests <= WEIBULL_SWEEP_SHA256
 
 
 # sha256 of the sixteen-component Weibull threshold sweep below, recorded
-# with thinned rows.  Pinned per code path as above.
+# with thinned rows.  Both code paths print these bytes.
 WEIBULL16_SWEEP_SHA256 = {
-    "18879190efab0d97d2eada7fac5d95a70f829c7341ff1102b4d6816c8959e85b",  # AVX-512
-    "6b69a6bc4f09c3afbeda2a65f0646db74d049c659ea48b4614882ed38810614b",  # AVX2
+    "85f951d3372f8925ae8342e7f1a0821e009d6ab9a770b6517b4c7eea82a9705f",  # AVX-512 and AVX2
 }
 
 
@@ -637,18 +658,47 @@ WEIBULL16_SWEEP_SHA256 = {
     (np.__version__.rsplit(".", 1)[0], scipy.__version__.rsplit(".", 1)[0]) != PINNED_RELEASES,
     reason="sweep bytes are pinned for numpy 2.4 and scipy 1.17",
 )
-def test_weibull16_threshold_sweep_bytes_are_pinned():
-    # one full and one partial chunk of sixteen rows each; both methods at 5
-    # thresholds; two workers too
+def test_weibull16_threshold_sweep_bytes_are_pinned(ran):
+    # one full and one partial chunk of 2**17 and sixteen rows per row; both
+    # methods at 5 thresholds; two workers too
     text = (Path(__file__).parents[1] / "configs" / "weibull16_thresholds.cfg").read_text()
-    config = parse_config(text).override(runs=CHUNK_SIZE + 4465)
+    config = parse_config(text).override(runs=_WIDE_CHUNK_SIZE + 4465)
     assert len(config.gamma_grid_db) == 5 and config.scenario.n == 16
     digests = {
         hashlib.sha256(sweep_rows_to_csv(run_threshold_sweep(config, workers)).encode()).hexdigest()
         for workers in (1, 2)
     }
+    assert chunk_counts(ran) == {2}
     assert len(digests) == 1
     assert digests <= WEIBULL16_SWEEP_SHA256
+
+
+# A row of at most 2**16 runs is one chunk at either width, so its bytes
+# are those of a row drawn before wide chunks: conventional and improved IS
+# on weibull4 at 26 dB, both wide.  Both code paths print these bytes.
+ONE_CHUNK_ROWS_CSV = (
+    f"{SWEEP_HEADER}\n"
+    "26.0,conventional,0.6351956642576362,1.605750034614314e-05,1.1191835189668831e-07,"
+    "2.3742936857450863e-08,1.1166221240946733e-07,0.08128964161548115,1.3499095787321397e-05,"
+    "1.8615904904964885e-05,65536,1\n"
+    "26.0,improved,0.908798916064409,1.8348251866614737e-05,5.175800489316892e-09,"
+    "1.0619705685677605e-10,4.839215983332078e-09,0.014809924502103082,1.781564886583007e-05,"
+    "1.8880854867399405e-05,65536,2\n"
+)
+
+
+@pytest.mark.skipif(
+    (np.__version__.rsplit(".", 1)[0], scipy.__version__.rsplit(".", 1)[0]) != PINNED_RELEASES,
+    reason="sweep bytes are pinned for numpy 2.4 and scipy 1.17",
+)
+def test_rows_of_one_chunk_keep_their_bytes_in_wide_chunks(ran):
+    text = (Path(__file__).parents[1] / "configs" / "weibull4_thresholds.cfg").read_text()
+    text = text.replace("gamma_grid_db = 20:1:32", "gamma_grid_db = 26:1:26")
+    rows = run_threshold_sweep(parse_config(text).override(runs=CHUNK_SIZE))
+    # conventional IS draws no row whole and improved IS one, so both are wide
+    assert [sum(e.chunks[0][-1].whole) for e in ran] == [0, 1]
+    assert chunk_counts(ran) == {1}
+    assert sweep_rows_to_csv(rows) == ONE_CHUNK_ROWS_CSV
 
 
 def test_csv_reproducible_across_workers():
@@ -692,11 +742,12 @@ def pools(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_sweep_runs_every_chunk_on_one_pool(pools, workers):
-    # two chunks per row, one full and one partial
-    config = small_theta_config(theta_grid="0.2:0.05:0.95", runs=CHUNK_SIZE + 4465)
+def test_a_sweep_runs_every_chunk_on_one_pool(pools, ran, workers):
+    # full chunks and a partial one per row, wide rows and narrow ones
+    config = small_theta_config(theta_grid="0.2:0.05:0.95", runs=_WIDE_CHUNK_SIZE + 4465)
     rows = run_theta_sweep(config, workers)
     assert len(rows) == 32
+    assert chunk_counts(ran) == {2, 3}
     assert len(pools) == (1 if workers > 1 else 0)
 
 
@@ -716,8 +767,8 @@ def test_single_chunk_rows_run_on_the_pool(monkeypatch):
     assert threading.get_ident() not in threads
 
 
-def test_more_workers_than_cores_with_fast_thread_switches_match_serial():
-    config = small_theta_config(theta_grid="0.2:0.05:0.95", runs=CHUNK_SIZE + 4465)
+def test_more_workers_than_cores_with_fast_thread_switches_match_serial(ran):
+    config = small_theta_config(theta_grid="0.2:0.05:0.95", runs=_WIDE_CHUNK_SIZE + 4465)
     serial = sweep_rows_to_csv(run_theta_sweep(config, workers=1))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -725,6 +776,7 @@ def test_more_workers_than_cores_with_fast_thread_switches_match_serial():
         pooled = sweep_rows_to_csv(run_theta_sweep(config, workers=2 * (os.cpu_count() or 1) + 1))
     finally:
         sys.setswitchinterval(interval)
+    assert chunk_counts(ran) == {2, 3}
     assert pooled == serial
 
 
@@ -995,7 +1047,7 @@ def test_workers_below_one_rejected(tmp_path, capsys, workers):
 @pytest.mark.parametrize(
     "command", ["estimate", "theta-sweep", "threshold-sweep", "efficiency", "diagnose"]
 )
-def test_cli_output_identical_across_workers(tmp_path, capsys, command):
+def test_cli_output_identical_across_workers(tmp_path, capsys, ran, command):
     if command == "theta-sweep":
         text = LOGNORMAL4_THETA.replace("0.2:0.05:0.95", "0.5:0.2:0.7")
     else:
@@ -1003,10 +1055,11 @@ def test_cli_output_identical_across_workers(tmp_path, capsys, command):
     cfg = write_config(tmp_path, text)
     outputs = []
     for workers in ("1", "2"):
-        # two chunks, so workers=2 really runs the pool
-        args = [command, "--config", cfg, "--runs", str(CHUNK_SIZE + 1), "--workers", workers]
+        # two chunks or more per row, so workers=2 really runs the pool
+        args = [command, "--config", cfg, "--runs", str(_WIDE_CHUNK_SIZE + 1), "--workers", workers]
         assert main(args) == 0
         outputs.append(capsys.readouterr().out)
+    assert min(chunk_counts(ran)) >= 2
     assert outputs[0] == outputs[1]
 
 

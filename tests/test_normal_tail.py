@@ -133,7 +133,8 @@ def test_a_weibull_threshold_sweep_imports_neither_numpy_ma_nor_scipy_special(tm
 
 
 def test_scipy_is_imported_once_on_the_calling_thread_before_any_chunk():
-    # one theta, two chunks per row: at workers=2 only pool threads run the
+    # one theta, two chunks per row (both rows draw two or more rows whole,
+    # so their chunks are 2**16 wide): at workers=2 only pool threads run the
     # chunks, yet each estimate computes its critical uniforms, and so first
     # evaluates a log-normal hazard, on the calling thread before they start
     text = (CONFIGS / "lognormal4_theta_sweep.cfg").read_text().replace("0.2:0.05:0.95", "0.85:0.05:0.85")
@@ -174,3 +175,56 @@ def test_scipy_is_imported_once_on_the_calling_thread_before_any_chunk():
     assert not any(on_main for _, on_main in pool_events[1:])
     assert pool_csv == serial_csv
     assert len(pool_csv.splitlines()) == 3
+
+
+# -- page faults, in a fresh interpreter ---------------------------------------------
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux's minor page faults")
+def test_chunks_fault_in_few_pages_once_warm():
+    # a chunk's arrays must stay on malloc's heap from chunk to chunk.  A
+    # layout that gives them back to the system faults them in again, up to
+    # 256 pages per 2**17 doubles: a block of only the whole rows took 90 to
+    # 107 faults a chunk in this test, until some larger allocation raised
+    # glibc's thresholds.  So a fresh interpreter, where no earlier test has
+    # raised them, and each kind of chunk in turn: two warm-up chunks, then
+    # 40.  The one n-row block takes up to about 150 faults in 40 chunks, as
+    # the heap grows to its working size.  Wide improved chunks with one
+    # whole row (weibull4, and weibull16, whose block is 16 MB) and narrow
+    # conventional ones with four (lognormal4)
+    code = f"""
+        import json, resource
+        from pathlib import Path
+        import tailtwist
+        from tailtwist import estimators
+        from tailtwist.estimators import Method
+
+        def scenario(name, gamma_db):
+            text = (Path({str(CONFIGS)!r}) / name).read_text()
+            return tailtwist.parse_config(text).scenario.with_threshold_db(gamma_db)
+
+        def improved(name, gamma_db):
+            sc = scenario(name, gamma_db)
+            plan = tailtwist.select_dominant(sc).with_theta(0.9, tailtwist.ThetaSource.MANUAL)
+            return estimators._estimate(sc, Method.IMPROVED_IS, 42 << 17, 7, plan=plan)
+
+        lognormal4 = scenario("lognormal4_theta_sweep.cfg", 25.0)
+        estimates = [
+            improved("weibull4_thresholds.cfg", 26.0),
+            estimators._estimate(lognormal4, Method.CONVENTIONAL_IS, 42 << 16, 7, theta=0.9),
+            improved("weibull16_thresholds.cfg", 32.0),
+        ]
+        faults = []
+        for estimate in estimates:
+            for args in estimate.chunks[:2]:
+                estimators._simulate_chunk(*args)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for args in estimate.chunks[2:]:
+                estimators._simulate_chunk(*args)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        layout = [[e.chunks[0][6], sum(e.chunks[0][7].whole), len(e.chunks)] for e in estimates]
+        print(json.dumps([layout, faults]))
+    """
+    layout, faults = json.loads(_fresh_python(code))
+    assert layout == [[1 << 17, 1, 42], [1 << 16, 4, 42], [1 << 17, 1, 42]]
+    assert all(f < 10 * 40 for f in faults), faults
