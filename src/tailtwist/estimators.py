@@ -35,18 +35,17 @@ of both per replication.
 Every draw takes one kernel: its cumulative hazard y = -log(U) / (1 - theta)
 (theta = 0 for an untwisted component) inverted by
 ``DistributionSpec.inverse_cumulative_hazard``.  The draw falls as U
-rises, and the log weight of the s twisted draws is
-theta / (1 - theta) * log(prod U) - s * log1p(-theta), so a chunk keeps
-uniforms, not hazards.  Most uniforms of a light component certify a
-miss, so a row whose share uniform p is small is thinned: the positions
-of its uniforms below p come from geometric gaps, their values are p * V,
-and the rest of the row is drawn, as p + (1 - p) * V, only where the
-chunk reads it; it costs about p * count gaps and the uniforms read,
-not count uniforms (Devroye 1986, ch. X).  Whole rows share one block
-of n * count doubles (0.5 MB per component at 2**16 replications, 1 MB
-at 2**17, of which a wide chunk touches at most one row); a thinned row
-is held packed.  Whether a twisted row joins the weights' product is
-decided once per row, from its uniforms at the hits.
+rises, so a chunk keeps uniforms, not hazards, and forms y where it reads
+it; the log weight of the s twisted draws is ``log_likelihood_ratio``'s
+-theta * (sum of their y) - s * log1p(-theta).  Most uniforms of a light
+component certify a miss, so a row whose share uniform p is small is
+thinned: the positions of its uniforms below p come from geometric gaps,
+their values are p * V, and the rest of the row is drawn, as
+p + (1 - p) * V, only where the chunk reads it; it costs about p * count
+gaps and the uniforms read, not count uniforms (Devroye 1986, ch. X).
+Whole rows share one block of n * count doubles (0.5 MB per component at
+2**16 replications, 1 MB at 2**17, of which a wide chunk touches at most
+one row); a thinned row is held packed.
 A chunk decides its replications in three stages, each on fewer of them:
 comparisons with each component's critical uniforms (``_screen``)
 certify a hit (one draw alone above the threshold plus a 1e-9 margin)
@@ -59,7 +58,7 @@ y, and a lower sum above the threshold plus the margin certifies a hit,
 an upper one at most the threshold less it a miss; only the rest are
 inverted exactly.  Only undecided replications form y from
 their kept uniforms, so special functions run on them only, and only hits
-are weighed: one log and one exp of their twisted uniforms' product.
+are weighed: one log per twisted draw and one exp per hit.
 """
 
 from __future__ import annotations
@@ -124,14 +123,6 @@ _TABLE_BITS = 10  # a log-normal table has 2**_TABLE_BITS + 1 nodes
 # The share levels' search grid, as fractions of gamma * (1 - _SCREEN_MARGIN)
 _SHARE_GRID = np.geomspace(1e-8, 1.0, 129)
 _SHARE_STEPS = np.diff(_SHARE_GRID)
-
-# A chunk's twisted row whose uniforms at its hits are each at least 2**-53
-# joins the hits' product while it has fewer than _PRODUCT_FACTORS factors,
-# so no partial product falls below 2**-1007, a normal double.  Any other
-# twisted row (one holding the stream's remapped 0, 2**-1074, at a hit, say)
-# is logged on its own.
-_SMALLEST_FACTOR = 2.0**-53
-_PRODUCT_FACTORS = 19
 
 # A chunk draws a row of uniforms whole, at about 5 ns a uniform, or only
 # below its share uniform p, by geometric gaps at about 30 ns each, and then
@@ -220,23 +211,20 @@ class ChunkSums(NamedTuple):
     hits: int
 
 
-def log_likelihood_ratio(theta: float, hazards):
-    """Log importance weight of a draw whose twisted components were each
-    hazard-twisted by theta.
+def log_likelihood_ratio(theta: float, s: int, hazard_sum):
+    """Log importance weight of a draw whose s twisted components were each
+    hazard-twisted by theta: -theta * hazard_sum - s * log1p(-theta), the
+    log of (1-theta)^(-s) * exp(-theta * hazard_sum).
 
-    ``hazards`` holds one entry per twisted component: its cumulative
-    hazard under the original law, a scalar or an array over replications.
-    The weight is (1-theta)^(-s) * exp(-theta * sum of the hazards); the
-    entries are consumed once, in order, so a generator may supply them.
-    A twisted draw's hazard is y = -log(u) / (1 - theta), u its uniform, so
-    the same log weight is theta / (1 - theta) * log(product of the u)
-    - s * log1p(-theta): the form a chunk computes, at its hits only.
+    ``hazard_sum`` is the sum of the twisted draws' cumulative hazards under
+    the original law, a scalar or an array over replications; a twisted
+    draw's hazard is y = -log(u) / (1 - theta), u its uniform.  A chunk
+    weighs its hits through this one kernel, in place: an array
+    ``hazard_sum`` is overwritten with the log weights and returned.
     """
-    log_weight, s = 0.0, 0
-    for s, y in enumerate(hazards, start=1):
-        log_weight -= theta * y
-    log_weight -= s * math.log1p(-theta)
-    return log_weight
+    hazard_sum *= -theta
+    hazard_sum -= s * math.log1p(-theta)
+    return hazard_sum
 
 
 class _Screen(NamedTuple):
@@ -512,31 +500,16 @@ def _simulate_chunk(
         # exact sums are equal, so none stays undecided after them
         left = (sums[0] <= high) & (sums[1] > low)
         entries = [None if e is None else e[left] for e in entries]
-    if not twisted:
-        hit_count = int(np.count_nonzero(hits))
-        return ChunkSums(*(float(hit_count),) * 3, hit_count)
+    # the hits' weights, in replication order, from the sum of their twisted
+    # rows' hazards; with no twisted row each weight is exp(0) = 1
     hit_at = np.flatnonzero(hits)
-    if not hit_at.size:
-        return ChunkSums(0.0, 0.0, 0.0, 0)
-    # the hits' weights, in replication order.  A twisted row joins their
-    # product while it has fewer than _PRODUCT_FACTORS factors and its
-    # uniforms at the hits are each at least _SMALLEST_FACTOR
     entries = [hit_at, None, np.flatnonzero(hits[over_at]) if 2 in kind else None]
-    weight, part = np.ones(hit_at.size), np.empty(hit_at.size)
-    factors, alone = 0, []
+    hazard_sum, y = np.zeros(hit_at.size), np.empty(hit_at.size)
     for i in sorted(twisted):
-        row = np.take(u[i], entries[kind[i]], out=part, mode="clip")
-        if factors < _PRODUCT_FACTORS and row.min() >= _SMALLEST_FACTOR:
-            weight *= row
-            factors += 1
-        else:
-            alone.append(i)
-    np.log(weight, out=weight)
-    for i in alone:
-        weight += np.log(np.take(u[i], entries[kind[i]], out=part, mode="clip"), out=part)
-    weight *= theta / keep
-    weight -= len(twisted) * math.log1p(-theta)
-    t = np.exp(weight, out=weight)
+        np.log(np.take(u[i], entries[kind[i]], out=y, mode="clip"), out=y)
+        y /= -keep
+        hazard_sum += y
+    t = np.exp(log_likelihood_ratio(theta, len(twisted), hazard_sum), out=hazard_sum)
     sum_t = float(t.sum())
     sum_t2 = float(np.multiply(t, t, out=t).sum())
     sum_t4 = float(np.multiply(t, t, out=t).sum())
@@ -582,7 +555,8 @@ def _estimate(
     if runs < 1:
         raise ValueError("runs must be >= 1")
     if theta == 0.0:
-        # a weight of 1 needs no product
+        # every weight is exp(0) = 1 and every twisted draw an untwisted one,
+        # so no row is read for the weights
         twisted = frozenset()
     gamma = scenario.threshold_linear
     # the critical uniforms, once per estimate and on the calling thread

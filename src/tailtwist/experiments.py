@@ -115,6 +115,11 @@ class ExperimentConfig:
         }
         if methods is not None:
             changes["methods"] = tuple(methods)
+            if not changes["methods"]:
+                raise ConfigError(None, "methods list is empty")
+            for method in changes["methods"]:
+                if not isinstance(method, Method):
+                    raise ConfigError(None, f"unknown method {method!r}")
         return replace(self, **changes)
 
 

@@ -101,13 +101,13 @@ def test_importance_sampling_without_hits_bounds_nothing():
 
 def test_likelihood_ratio_is_one_without_twisting():
     spec = DistributionSpec.weibull(0.4, 1.0)
-    assert math.exp(log_likelihood_ratio(0.0, [spec.cumulative_hazard(3.0)])) == 1.0
+    assert math.exp(log_likelihood_ratio(0.0, 1, spec.cumulative_hazard(3.0))) == 1.0
 
 
 def test_likelihood_ratio_frozen_value():
     # (1-theta)^-1 * exp(-theta * 100^0.4) at the minmax theta
     spec = DistributionSpec.weibull(0.4, 1.0)
-    log_l = log_likelihood_ratio(0.8415106807538887, [spec.cumulative_hazard(100.0)])
+    log_l = log_likelihood_ratio(0.8415106807538887, 1, spec.cumulative_hazard(100.0))
     assert math.exp(log_l) == pytest.approx(0.031194753030558537, rel=1e-12)
 
 
@@ -118,7 +118,7 @@ def test_change_of_measure_identity_improved(theta):
     rng = np.random.default_rng(8)
     for _ in range(25):
         x = rng.uniform(0.05, 500.0, size=2)
-        log_l = log_likelihood_ratio(theta, spec.cumulative_hazard(x))
+        log_l = log_likelihood_ratio(theta, 2, spec.cumulative_hazard(x).sum())
         log_f = sum(spec.log_density(v) for v in x)
         log_g = sum(
             math.log1p(-theta) + math.log(spec.hazard_rate(v))
@@ -135,7 +135,7 @@ def test_change_of_measure_identity_conventional():
     for _ in range(25):
         x = rng.uniform(0.05, 500.0, size=scenario.n)
         hazards = [s.cumulative_hazard(v) for s, v in zip(scenario.components, x)]
-        log_l = log_likelihood_ratio(theta, hazards)
+        log_l = log_likelihood_ratio(theta, len(hazards), sum(hazards))
         log_f = sum(s.log_density(v) for s, v in zip(scenario.components, x))
         log_g = sum(
             math.log1p(-theta) + math.log(s.hazard_rate(v))
@@ -146,14 +146,16 @@ def test_change_of_measure_identity_conventional():
 
 
 def test_log_likelihood_ratio_over_replications_matches_per_draw():
-    # the chunk kernel passes one array per twisted component; each
-    # replication's weight must equal the scalar evaluation of that draw
+    # the chunk passes its hits' hazard sums as one array, which the kernel
+    # overwrites with their log weights; each must equal the scalar
+    # evaluation of that replication's sum
     theta = 0.7
-    hazards = [np.array([0.5, 3.0, 40.0]), np.array([2.0, 0.1, 7.5])]
-    vectorised = log_likelihood_ratio(theta, hazards)
-    for j in range(3):
-        assert vectorised[j] == log_likelihood_ratio(theta, [h[j] for h in hazards])
-    assert log_likelihood_ratio(theta, []) == 0.0
+    hazard_sum = np.array([0.5, 3.0, 40.0]) + np.array([2.0, 0.1, 7.5])
+    scalars = [log_likelihood_ratio(theta, 2, h) for h in hazard_sum.tolist()]
+    vectorised = log_likelihood_ratio(theta, 2, hazard_sum)
+    assert vectorised is hazard_sum
+    assert vectorised.tolist() == scalars
+    assert log_likelihood_ratio(theta, 0, 0.0) == 0.0
 
 
 # -- IS estimators -----------------------------------------------------------------
@@ -404,7 +406,7 @@ def test_twisted_chunk_weights_come_from_the_log_weight_kernel():
     # improved IS rebuilt from the stream: twisted component 0, drawn whole,
     # draws y = -log(u)/(1-theta); untwisted component 1 is drawn below its
     # share uniform and filled at the undecided.  The chunk weighs a hit
-    # from its twisted uniform u, as theta/(1-theta) * log(u) - log1p(-theta)
+    # through log_likelihood_ratio at its twisted hazard y
     scenario = weibull_scenario(gamma_db=20.0)
     plan = minmax_plan(scenario)
     assert plan.dominant_indices == (0,)
@@ -418,10 +420,7 @@ def test_twisted_chunk_weights_come_from_the_log_weight_kernel():
     x0 = scenario.components[0].inverse_cumulative_hazard(y)
     x1 = scenario.components[1].inverse_cumulative_hazard(-np.log(rows[1]))
     hit = x0 + x1 > scenario.threshold_linear
-    weights = np.exp(np.log(u[hit]) * (plan.theta / (1.0 - plan.theta)) - math.log1p(-plan.theta))
-    assert report.alpha_hat == float(weights.sum()) / 1000
-    # the product form is the hazard form of the weight kernel, up to rounding
-    np.testing.assert_allclose(weights, np.exp(log_likelihood_ratio(plan.theta, [y[hit]])), rtol=1e-13, atol=0.0)
+    assert report.alpha_hat == np.exp(log_likelihood_ratio(plan.theta, 1, y[hit])).sum() / 1000
 
 
 # -- the in-place chunk kernel against the allocating one -------------------------
@@ -455,11 +454,9 @@ def _reference_sums(components, twisted, theta, gamma, rows):
     """The chunk kernel as it was before it worked in place, on whole
     ``rows`` of uniforms: one fresh array per temporary, the same float
     operations in the same order, and the hit count.  The log weight of a
-    hit is theta/(1-theta) times the log of its twisted uniforms' product,
-    less s * log1p(-theta); a twisted row joins the product while it has
-    fewer than 19 factors and its uniforms at the hits are each at least
-    2**-53, and any other adds its own log.  The sums run over the hits'
-    weights in replication order."""
+    hit is -theta times the sum of its twisted draws' hazards
+    y = -log(u)/(1-theta), in component order, less s * log1p(-theta).
+    The sums run over the hits' weights in replication order."""
     total = np.zeros(rows.shape[1])
     for i, (spec, u) in enumerate(zip(components, rows)):
         if i in twisted:
@@ -467,20 +464,10 @@ def _reference_sums(components, twisted, theta, gamma, rows):
         else:
             total += _reference_inverse_cumulative_hazard(spec, -np.log(u))
     hit = total > gamma
-    t = np.ones(np.count_nonzero(hit))
-    if twisted and t.size:
-        factors, alone = [], []
-        for i in sorted(twisted):
-            u = rows[i][hit]
-            (factors if len(factors) < 19 and u.min() >= 2.0**-53 else alone).append(u)
-        product = np.ones(t.size)
-        for u in factors:
-            product = product * u
-        log_weight = np.log(product)
-        for u in alone:
-            log_weight = log_weight + np.log(u)
-        log_weight = log_weight * (theta / (1.0 - theta)) - len(twisted) * math.log1p(-theta)
-        t = np.exp(log_weight)
+    hazard_sum = np.zeros(np.count_nonzero(hit))
+    for i in sorted(twisted):
+        hazard_sum = hazard_sum + -np.log(rows[i][hit]) / (1.0 - theta)
+    t = np.exp(hazard_sum * -theta - len(twisted) * math.log1p(-theta))
     t2 = t * t
     return float(t.sum()), float(t2.sum()), float((t2 * t2).sum()), int(hit.sum())
 
@@ -1006,7 +993,7 @@ def test_weibull_chunk_builds_its_stream_once(counting_stream, recorded_rows):
     assert counting_stream.built == 1
 
 
-# -- the critical uniforms and the twisted uniforms' product ------------------------
+# -- the critical uniforms ---------------------------------------------------------
 
 
 @pytest.mark.parametrize("keep", [1.0, 0.05])
@@ -1276,57 +1263,43 @@ def test_a_weibull_chunk_inverts_each_undecided_draw_once(whole_rows, bounded, m
         assert len(bounded) == 4 and bounded[0] > 0
 
 
-def _hazard_form_chunk(components, twisted, theta, gamma, seed, chunk_index, count):
-    """The chunk's sums from the rows WholeRows reads, its weights from
-    log_likelihood_ratio over the twisted hazards."""
-    rows = np.array(_reference_uniform_rows(len(components), seed, chunk_index, count))
-    for position, value in WholeRows.pinned.items():
-        rows.flat[position] = value
-    ys = [-np.log(u) / (1.0 - theta if i in twisted else 1.0) for i, u in enumerate(rows)]
-    total = np.zeros(count)
-    for spec, y in zip(components, ys):
-        total += spec.inverse_cumulative_hazard(y)
-    log_weight = log_likelihood_ratio(theta, [ys[i] for i in sorted(twisted)])
-    t = np.where(total > gamma, np.exp(log_weight), 0.0)
-    hits = int(np.count_nonzero(total > gamma))
-    return ChunkSums(float(t.sum()), float((t * t).sum()), float((t**4).sum()), hits)
-
-
 def _strict_chunk(*args):
     """The chunk with every floating-point exception raised and every
-    warning an error, so no partial product may fall below the smallest
-    normal double."""
+    warning an error, so no log, hazard or weight may overflow, underflow
+    or be invalid."""
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         return _simulate_chunk(*args)
 
 
-def _assert_matches_the_hazard_form(sums, reference):
-    assert sums.hits == reference.hits > 0
+def _assert_weighs_as_the_hazard_form(sums, args):
+    """The chunk's sums are the allocating reference's, whose weights take
+    the hazard form, on the rows WholeRows reads; they hold hits and are
+    finite and positive."""
+    assert sums == _reference_chunk(*args, pinned=WholeRows.pinned)
+    assert sums.hits > 0
     assert all(math.isfinite(x) and x > 0.0 for x in sums[:3])
-    assert sums[:3] == pytest.approx(reference[:3], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("count", [7, 4465])
-def test_a_remapped_zero_uniform_is_weighed_on_its_own(whole_rows, monkeypatch, count):
-    # the stream turns an exact 0.0 into 2**-1074: multiplied into the
-    # product it would underflow, so its row is logged on its own
+def test_remapped_zero_uniforms_weigh_as_the_hazard_form_without_an_exception(whole_rows, monkeypatch, count):
+    # the stream turns an exact 0.0 into 2**-1074, whose hazard
+    # -log(2**-1074) / (1 - theta) is finite
     scenario = KERNEL_SCENARIOS["weibull4"]
     zero = float(np.nextafter(0.0, 1.0))
     monkeypatch.setattr(WholeRows, "pinned", {3: zero, 2 * count + 5: zero})
     args = (scenario.components, frozenset(range(4)), 0.05, scenario.threshold_linear, 71, 3, count)
     sums = _strict_chunk(*args)
-    _assert_matches_the_hazard_form(sums, _hazard_form_chunk(*args))
+    _assert_weighs_as_the_hazard_form(sums, args)
     # and the two replications whose uniform it is now hit
-    monkeypatch.setattr(WholeRows, "pinned", {})
-    assert sums.hits == _hazard_form_chunk(*args).hits + 2
+    assert sums.hits == _reference_chunk(*args)[3] + 2
 
 
 def test_conventional_importance_sampling_at_zero_theta_weighs_one(whole_rows):
     scenario = KERNEL_SCENARIOS["weibull4"].with_threshold_db(16.0)
     args = (scenario.components, frozenset(range(4)), 0.0, scenario.threshold_linear, 71, 3, 4465)
     sums = _strict_chunk(*args)
-    _assert_matches_the_hazard_form(sums, _hazard_form_chunk(*args))
+    _assert_weighs_as_the_hazard_form(sums, args)
     assert sums == (sums.hits, sums.hits, sums.hits, sums.hits)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
@@ -1336,16 +1309,17 @@ def test_conventional_importance_sampling_at_zero_theta_weighs_one(whole_rows):
 
 
 @pytest.mark.parametrize("count", [9, 4465])
-def test_twenty_one_twisted_components_keep_every_partial_product_normal(whole_rows, monkeypatch, count):
+def test_twenty_one_twisted_smallest_uniforms_weigh_as_the_hazard_form_without_an_exception(
+    whole_rows, monkeypatch, count
+):
     # replication 7 draws the stream's smallest nonzero uniform, 2**-53, in
-    # every component: 19 such factors stay normal, 20 would not
+    # every component: the product of its 21 uniforms is not a normal
+    # double, but the sum of their hazards is 21 * 53 * log(2) / (1 - theta)
     components = (DistributionSpec.weibull(0.8, 1.0),) * 21
     smallest = 2.0**-53
     monkeypatch.setattr(WholeRows, "pinned", {i * count + 7: smallest for i in range(21)})
     args = (components, frozenset(range(21)), 0.05, 60.0, 71, 3, count)
-    sums = _strict_chunk(*args)
-    _assert_matches_the_hazard_form(sums, _hazard_form_chunk(*args))
-    # the allocating reference multiplies and logs in the same order
+    _assert_weighs_as_the_hazard_form(_strict_chunk(*args), args)
     monkeypatch.setattr(WholeRows, "pinned", {})
     assert _strict_chunk(*args) == _reference_chunk(*args)
 
@@ -1383,9 +1357,9 @@ REMAPPED_ZERO_COMPONENTS = (
 
 @pytest.mark.parametrize("row, hit", [(2, False), (0, True)])
 def test_a_remapped_zero_uniform_weighs_as_the_reference_at_a_miss_and_at_a_hit(whole_rows, monkeypatch, row, hit):
-    # the stream turns an exact 0.0 into 2**-1074.  Its twisted row is logged
-    # on its own, for every hit of the chunk, where its own replication hits;
-    # where it misses, the weights never read it and the row joins the product
+    # the stream turns an exact 0.0 into 2**-1074.  Where its replication
+    # hits, its hazard joins that hit's sum; where it misses, the weights
+    # never read it
     args = (REMAPPED_ZERO_COMPONENTS, frozenset(range(3)), 0.05, db_to_linear(16.0), 71, 3, 4465)
     pinned = {row * 4465 + 7: float(np.nextafter(0.0, 1.0))}
     monkeypatch.setattr(WholeRows, "pinned", pinned)
@@ -1396,11 +1370,10 @@ def test_a_remapped_zero_uniform_weighs_as_the_reference_at_a_miss_and_at_a_hit(
     assert sums.hits == _reference_chunk(*args)[3] + hit > hit
 
 
-def test_a_remapped_zero_uniform_sets_its_row_apart_for_every_hit_of_the_chunk(whole_rows, monkeypatch):
+def test_a_remapped_zero_uniform_at_one_hit_leaves_every_other_hits_weight_as_the_reference(whole_rows, monkeypatch):
     # six twisted components; the remapped 0 of replication 3000 in row 2
-    # makes it hit, and has that row logged on its own for the hits before
-    # replication 3000 too, as the reference decides over the row's uniforms
-    # at every hit of the chunk
+    # makes it hit, and the hits before and after it weigh as the reference
+    # weighs them
     components = (DistributionSpec.weibull(0.4, 1.0),) + (DistributionSpec.weibull(0.8, 1.0),) * 5
     args = (components, frozenset(range(6)), 0.7, db_to_linear(10.0), 71, 3, 4465)
     pinned = {2 * 4465 + 3000: float(np.nextafter(0.0, 1.0))}

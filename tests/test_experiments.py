@@ -157,6 +157,17 @@ def test_empty_methods_rejected():
         parse_config(text)
 
 
+@pytest.mark.parametrize(
+    "methods, message",
+    [([], "methods list is empty"), ([Method.IMPROVED_IS, "naive"], "unknown method"), ([None], "unknown method")],
+)
+def test_override_rejects_what_is_not_a_list_of_methods(methods, message):
+    # no method would write a CSV of its header alone, and a method name is
+    # parse_methods' to read: an estimate needs a Method
+    with pytest.raises(ConfigError, match=message):
+        parse_config(WEIBULL2_THRESHOLDS).override(methods=methods)
+
+
 def test_missing_gamma_rejected():
     with pytest.raises(ConfigError, match="gamma_db"):
         parse_config("[component]\nfamily = weibull\nk = 0.4\nbeta = 1\n")
@@ -584,16 +595,17 @@ def chunk_counts(estimates) -> set[int]:
 # sha256 of the theta sweep below as printed by the chunk kernel that thins
 # each row whose share uniform is small, drawing its uniforms below it by
 # geometric gaps and the rest only where the chunk reads them, and weighs
-# each hit from the log of its twisted uniforms' product, in chunks of 2**17
-# where at most one row is drawn whole and of 2**16 otherwise.  The bytes
+# each hit through log_likelihood_ratio from the sum of its twisted draws'
+# hazards, in chunks of 2**17 where at most one row is drawn whole and of
+# 2**16 otherwise.  The bytes
 # rest on numpy's exp and log, whose AVX-512 and AVX2 code paths round
 # differently, and on scipy's special functions, so they are pinned per code
 # path for the numpy and scipy releases they were recorded with.  The AVX2
 # digest is what an AVX-512 machine prints under
 # NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".
 THETA_SWEEP_SHA256 = {
-    "c087fc5ee300c327359df5d25e6524064a3fb4b7a83278647498855b9ff1ae4d",  # AVX-512
-    "0e7f2b929c5c7836f6cf860c825884dad106ec19576bab5ee2d35aa5b467ae85",  # AVX2
+    "13bc4f16bd88d668a00b497e10337a1f700180ec6f6ed56f34d2aed2ce8076ae",  # AVX-512
+    "c19b227a4105b99e69751831bafa5cb8e773cb5bb4230ab0abf0dd67561797cc",  # AVX2
 }
 PINNED_RELEASES = ("2.4", "1.17")
 
@@ -623,8 +635,8 @@ def test_lognormal4_theta_sweep_bytes_are_pinned(ran):
 # weight, but which rows are thinned sets the stream's reads.  Pinned per
 # code path as above.
 WEIBULL_SWEEP_SHA256 = {
-    "09ee822f20d72af61ec860319b657936fec2d5366a9966545fb90e6d4dc2b168",  # AVX-512
-    "2b06f7316911c2d96a5f38f482f355e33ace770b07b3165eb78945d7d2c03a46",  # AVX2
+    "b126445f68e021e6520e3fa63bc29c1f134206a5d9801e9672de1f64b8d11aa8",  # AVX-512
+    "e1466609438a1ccd7b4ae71adcea8f19d2552e13b1b2decf540640db5b83b7ff",  # AVX2
 }
 
 
@@ -648,9 +660,10 @@ def test_weibull4_threshold_sweep_bytes_are_pinned(ran):
 
 
 # sha256 of the sixteen-component Weibull threshold sweep below, recorded
-# with thinned rows.  Both code paths print these bytes.
+# with thinned rows.  Pinned per code path as above.
 WEIBULL16_SWEEP_SHA256 = {
-    "85f951d3372f8925ae8342e7f1a0821e009d6ab9a770b6517b4c7eea82a9705f",  # AVX-512 and AVX2
+    "316267a998898abfb8c915f404982b77f395b5a4abc8ba2292c7b20df22ce1d8",  # AVX-512
+    "f58228bd74f467c11f6796339fcefa60ab1e420cc2c77754d0ed130d4bf1e1a3",  # AVX2
 }
 
 
@@ -674,16 +687,16 @@ def test_weibull16_threshold_sweep_bytes_are_pinned(ran):
 
 
 # A row of at most 2**16 runs is one chunk at either width, so its bytes
-# are those of a row drawn before wide chunks: conventional and improved IS
-# on weibull4 at 26 dB, both wide.  Both code paths print these bytes.
+# are those it has in chunks of 2**16: conventional and improved IS on
+# weibull4 at 26 dB, both wide.  Both code paths print these bytes.
 ONE_CHUNK_ROWS_CSV = (
     f"{SWEEP_HEADER}\n"
-    "26.0,conventional,0.6351956642576362,1.605750034614314e-05,1.1191835189668831e-07,"
-    "2.3742936857450863e-08,1.1166221240946733e-07,0.08128964161548115,1.3499095787321397e-05,"
-    "1.8615904904964885e-05,65536,1\n"
-    "26.0,improved,0.908798916064409,1.8348251866614737e-05,5.175800489316892e-09,"
-    "1.0619705685677605e-10,4.839215983332078e-09,0.014809924502103082,1.781564886583007e-05,"
-    "1.8880854867399405e-05,65536,2\n"
+    "26.0,conventional,0.6351956642576362,1.6057500346143145e-05,1.1191835189668835e-07,"
+    "2.3742936857450866e-08,1.1166221240946737e-07,0.08128964161548115,1.3499095787321401e-05,"
+    "1.8615904904964888e-05,65536,1\n"
+    "26.0,improved,0.908798916064409,1.834825186661475e-05,5.175800489316897e-09,"
+    "1.0619705685677616e-10,4.839215983332083e-09,0.01480992450210308,1.7815648865830083e-05,"
+    "1.888085486739942e-05,65536,2\n"
 )
 
 
@@ -1025,7 +1038,7 @@ def test_a_single_run_reports_no_spread(capsys):
     assert main(["estimate", "--config", cfg, "--runs", "1", "--method", "improved", "--seed", "0"]) == 0
     hit = capsys.readouterr().out.splitlines()[1].split(",")
     # one replication has no sample variance: no standard error, no interval
-    assert hit[3] == "0.00030527797652898263"
+    assert hit[3] == "0.0003052779765289821"
     assert hit[5:] == ["nan", "nan", "nan", "nan", "nan", "1", "0"]
     assert main(["estimate", "--config", cfg, "--runs", "1", "--method", "naive,improved", "--seed", "1"]) == 0
     misses = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
