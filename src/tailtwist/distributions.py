@@ -53,12 +53,19 @@ class LightTailWarning(UserWarning):
     """Raised when a Weibull shape >= 1 removes the subexponential guarantee."""
 
 
-def _as_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=float)
+def _elementwise(method):
+    """``method`` of an array of floats, which takes a scalar as a
+    one-element array and returns a float: numpy's scalar arithmetic may
+    take another pow or exp than its array loops, off in the last bit."""
 
+    @functools.wraps(method)
+    def evaluate(self, x, **kwargs):
+        arr = np.asarray(x, dtype=float)
+        if arr.ndim:
+            return method(self, arr, **kwargs)
+        return float(method(self, arr.reshape(1), **kwargs)[0])
 
-def _maybe_scalar(arr: np.ndarray):
-    return float(arr) if arr.ndim == 0 else arr
+    return evaluate
 
 
 def _log_normal_hazard(z):
@@ -160,65 +167,54 @@ class DistributionSpec:
 
     # -- hazard machinery ------------------------------------------------
 
+    @_elementwise
     def cumulative_hazard(self, x):
         """Hazard function Lambda(x) = -log(1 - F(x)), x >= 0."""
-        arr = _as_array(x)
-        if arr.ndim == 0:
-            # numpy's scalar arithmetic may take another pow than its array
-            # loops, off in the last bit: a scalar is a one-element array
-            return float(self.cumulative_hazard(arr.reshape(1))[0])
-        if not np.all(arr >= 0.0):  # NaN fails too
+        if not np.all(x >= 0.0):  # NaN fails too
             raise ValueError("cumulative_hazard requires x >= 0")
         if self.family is Family.WEIBULL:
             with np.errstate(over="ignore"):  # a ratio to the scale that overflows: hazard inf
-                out = (arr / self.weibull_scale) ** self.weibull_shape
-        else:
-            pos = arr > 0.0
-            z = (np.log(np.where(pos, arr, 1.0)) - self.mu_ln) / self.sigma_ln
-            out = np.where(pos, -log_upper_tail(z), 0.0)
-        return out
+                return (x / self.weibull_scale) ** self.weibull_shape
+        pos = x > 0.0
+        z = (np.log(np.where(pos, x, 1.0)) - self.mu_ln) / self.sigma_ln
+        return np.where(pos, -log_upper_tail(z), 0.0)
 
+    @_elementwise
     def inverse_cumulative_hazard(self, y, out=None):
         """The x with cumulative_hazard(x) = y, for y >= 0, written into
         ``out`` if given (which may be y itself).
 
         Computed from y directly in log space; y beyond the exp(-y)
-        underflow point (about 745) is handled exactly.  A scalar y is
-        inverted as a one-element array, as ``cumulative_hazard`` does.
+        underflow point (about 745) is handled exactly.
         """
-        arr = _as_array(y)
-        if arr.ndim == 0 and out is None:
-            return float(self.inverse_cumulative_hazard(arr.reshape(1))[0])
-        x = np.empty_like(arr) if out is None else out
+        x = np.empty_like(y) if out is None else out
         if self.family is Family.WEIBULL:
-            if arr.size and not arr.min() >= 0.0:  # NaN fails too
+            if y.size and not y.min() >= 0.0:  # NaN fails too
                 raise ValueError("inverse_cumulative_hazard requires y >= 0")
-            np.power(arr, 1.0 / self.weibull_shape, out=x)
+            np.power(y, 1.0 / self.weibull_shape, out=x)
             x *= self.weibull_scale
         else:
-            upper_tail_quantile_from_log(arr, out=x)  # which checks y
+            upper_tail_quantile_from_log(y, out=x)  # which checks y
             x *= self.sigma_ln
             x += self.mu_ln
             np.exp(x, out=x)
-        return _maybe_scalar(x)
+        return x
 
+    @_elementwise
     def hazard_rate(self, x):
         """Hazard rate lambda(x) = f(x) / (1 - F(x)), x > 0.
 
         Evaluated as exp(log density - log survival) so the deep tail
         never hits 0/0.
         """
-        arr = _as_array(x)
-        if not np.all(arr > 0.0):
+        if not np.all(x > 0.0):
             raise ValueError("hazard_rate requires x > 0")
         if self.family is Family.WEIBULL:
             k, b = self.weibull_shape, self.weibull_scale
-            out = (k / b) * (arr / b) ** (k - 1.0)
-        else:
-            z = (np.log(arr) - self.mu_ln) / self.sigma_ln
-            log_pdf = -np.log(arr * self.sigma_ln) - _LOG_SQRT_2PI - 0.5 * z * z
-            out = np.exp(log_pdf - log_upper_tail(z))
-        return _maybe_scalar(out)
+            return (k / b) * (x / b) ** (k - 1.0)
+        z = (np.log(x) - self.mu_ln) / self.sigma_ln
+        log_pdf = -np.log(x * self.sigma_ln) - _LOG_SQRT_2PI - 0.5 * z * z
+        return np.exp(log_pdf - log_upper_tail(z))
 
     def hazard_peak(self) -> float:
         """The x where the hazard rate peaks: it rises on [0, peak] and not after.
@@ -243,19 +239,18 @@ class DistributionSpec:
 
         return float(_solve_rising(fn, -s - 1.0, 1.0 / s, 1e-15 * (1.0 + s)))
 
+    @_elementwise
     def inverse_hazard_rate(self, level):
         """The x in [0, hazard_peak()] with hazard_rate(x) = level > 0: 0 if
         the hazard never rises, NaN if level is above a log-normal's peak."""
-        arr = _as_array(level)
-        if not np.all(arr > 0.0):
+        if not np.all(level > 0.0):
             raise ValueError("inverse_hazard_rate requires level > 0")
         if self.family is Family.WEIBULL:
             k, b = self.weibull_shape, self.weibull_scale
-            out = b * (arr * b / k) ** (1.0 / (k - 1.0)) if k > 1.0 else np.zeros_like(arr)
-            return _maybe_scalar(out)
+            return b * (level * b / k) ** (1.0 / (k - 1.0)) if k > 1.0 else np.zeros_like(level)
         s, z_peak = self.sigma_ln, self._peak_z
         # log hazard_rate + log sigma_ln + mu_ln = log h(z) - sigma_ln * z, rising up to z_peak
-        target = np.log(arr) + math.log(s) + self.mu_ln
+        target = np.log(level) + math.log(s) + self.mu_ln
         rising = target <= _log_normal_hazard(z_peak) - s * z_peak
         target = target[rising]
 
@@ -267,30 +262,27 @@ class DistributionSpec:
         # log 2 - log sqrt(2 pi) - z^2/2 - s*z, which crosses the target left of
         # the answer
         lo = -s - np.sqrt(np.maximum(s * s + 2.0 * (math.log(2.0) - _LOG_SQRT_2PI - target), 0.0))
-        out = np.full_like(arr, np.nan)
+        out = np.full_like(level, np.nan)
         z = _solve_rising(fn, np.minimum(lo, z_peak), z_peak, 1e-15 * (1.0 + np.abs(target)))
         out[rising] = np.exp(self.mu_ln + s * z)
-        return _maybe_scalar(out)
+        return out
 
+    @_elementwise
     def log_density(self, x):
         """log f(x) = log lambda(x) - Lambda(x), x > 0."""
-        arr = _as_array(x)
-        if not np.all(arr > 0.0):
+        if not np.all(x > 0.0):
             raise ValueError("log_density requires x > 0")
         if self.family is Family.WEIBULL:
             k, b = self.weibull_shape, self.weibull_scale
-            t = arr / b
-            out = np.log(k / b) + (k - 1.0) * np.log(t) - t**k
-        else:
-            z = (np.log(arr) - self.mu_ln) / self.sigma_ln
-            out = -np.log(arr * self.sigma_ln) - _LOG_SQRT_2PI - 0.5 * z * z
-        return _maybe_scalar(out)
+            t = x / b
+            return np.log(k / b) + (k - 1.0) * np.log(t) - t**k
+        z = (np.log(x) - self.mu_ln) / self.sigma_ln
+        return -np.log(x * self.sigma_ln) - _LOG_SQRT_2PI - 0.5 * z * z
 
+    @_elementwise
     def survival(self, x):
         """1 - F(x), underflowing gracefully to 0 in the far tail."""
-        arr = np.asarray(self.cumulative_hazard(x))
-        out = np.exp(-arr)
-        return _maybe_scalar(out)
+        return np.exp(-self.cumulative_hazard(x))
 
     def mean(self) -> float:
         """Exact first moment of the law."""

@@ -71,10 +71,6 @@ class Scenario:
             threshold_db=float(threshold_db),
         )
 
-    @classmethod
-    def from_linear(cls, components, threshold_linear: float) -> "Scenario":
-        return cls(components=tuple(components), threshold_linear=float(threshold_linear))
-
     def with_threshold_db(self, threshold_db: float) -> "Scenario":
         return replace(
             self,

@@ -7,58 +7,77 @@ Three estimators of alpha = P(sum of components > threshold):
   * improved importance sampling, hazard-twisting only the dominant
     components and leaving the light-tailed ones untouched.
 
-Replications are processed in chunks of a width fixed per estimate:
-2**17 where at most one row of uniforms is drawn whole, 2**16 otherwise
-(``_estimate``).  Chunk j draws from substream j of the base seed (the
-seed's SeedSequence with spawn key (j,), driving PCG64DXSM), and reads
-it in a fixed order (``_Rows``): each component's row of uniforms in
-component order, whole or only below the component's share uniform, then
-the rest of each row not drawn whole, in component order, where the
-chunk reads it.  Each chunk returns a ``ChunkSums`` record: the sums
-``t``, ``t2`` and ``t4`` of its weighted indicators t, t**2 and t**4, and
-its count of ``hits``.  Records merge exactly (math.fsum per sum, an
-integer sum of hits), so on one platform and one numpy/scipy build a
-report is a bit-reproducible function of (scenario, method, theta, runs,
-seed) no matter how many workers ran the chunks: the inputs fix the
-screen, and so the width.
-Other builds may differ in the last bits of a special function or of a
-vectorised log, and so in the bytes.
+Chunks.  Replications run in chunks of 2**17 where an estimate draws at
+most one row of uniforms whole, else 2**16 (``_estimate``): a chunk makes
+about as many numpy calls at either width, and each may hand the GIL to
+another pool thread (``_run_estimates``).  Chunk j draws from substream j
+of the seed (its SeedSequence with spawn key (j,), driving PCG64DXSM) and
+reads it straight through (``_Rows``): each component's row in component
+order, whole or only below its share uniform, then the rest of each row
+not drawn whole, in component order, where the chunk reads it.  It
+returns a ``ChunkSums`` record: the sums ``t``, ``t2`` and ``t4`` of its
+weighted indicators t, t**2 and t**4, and its count of ``hits``.  Records
+merge exactly (math.fsum per sum, an integer sum of hits), so on one
+platform and one numpy/scipy build a report is a bit-reproducible
+function of (scenario, method, theta, runs, seed) at any worker count:
+the inputs fix the screen, and so the width.  Other builds may differ in
+the last bits of a special function or of a vectorised log, and so in
+the bytes.
 
-A sweep runs every chunk of every estimate on one pool of ``workers``
-threads, so an estimate's chunks start while the previous estimate's
-last chunk still runs; an estimate alone is a one-estimate sweep.  With
-one worker no thread starts and every chunk runs on the calling thread.
-A chunk's numpy calls are about as many at either width, and each may
-hand the GIL to another pool thread, so a wide chunk makes half as many
-of both per replication.
+Draws and weights.  Every draw takes one kernel: its cumulative hazard
+y = -log(U) / (1 - theta) (theta = 0 untwisted) inverted by
+``DistributionSpec.inverse_cumulative_hazard``, one ndtri_exp for a
+log-normal law.  The draw falls as U rises, so a chunk keeps uniforms,
+not hazards, and only its undecided replications form y: special
+functions run on them only.  Only hits are weighed, through one kernel,
+``log_likelihood_ratio``: s twisted draws whose y sum to S weigh
+(1 - theta)**-s * exp(-theta * S), one log per twisted draw and one exp
+per hit.
 
-Every draw takes one kernel: its cumulative hazard y = -log(U) / (1 - theta)
-(theta = 0 for an untwisted component) inverted by
-``DistributionSpec.inverse_cumulative_hazard``.  The draw falls as U
-rises, so a chunk keeps uniforms, not hazards, and forms y where it reads
-it; the log weight of the s twisted draws is ``log_likelihood_ratio``'s
--theta * (sum of their y) - s * log1p(-theta).  Most uniforms of a light
-component certify a miss, so a row whose share uniform p is small is
-thinned: the positions of its uniforms below p come from geometric gaps,
-their values are p * V, and the rest of the row is drawn, as
-p + (1 - p) * V, only where the chunk reads it; it costs about p * count
-gaps and the uniforms read, not count uniforms (Devroye 1986, ch. X).
-Whole rows share one block of n * count doubles (0.5 MB per component at
-2**16 replications, 1 MB at 2**17, of which a wide chunk touches at most
-one row); a thinned row is held packed.
-A chunk decides its replications in three stages, each on fewer of them:
-comparisons with each component's critical uniforms (``_screen``)
-certify a hit (one draw alone above the threshold plus a 1e-9 margin)
-or, where no uniform is below its share uniform, a miss (every draw at
-most its share of the threshold less the margin, shared where the draws
-lie), so only the uniforms below their share uniforms are compared with
-the hit uniforms; the undecided sum bounds on their draws, a Weibull
-one's exact draw and a log-normal one's table nodes either side of its
-y, and a lower sum above the threshold plus the margin certifies a hit,
-an upper one at most the threshold less it a miss; only the rest are
-inverted exactly.  Only undecided replications form y from
-their kept uniforms, so special functions run on them only, and only hits
-are weighed: one log per twisted draw and one exp per hit.
+Rows.  A row is drawn whole, or thinned where that costs less
+(``_GAP_COST``; Devroye 1986, ch. X): the positions of its uniforms below
+its share uniform p come from geometric gaps ceil(log V / log1p(-p)),
+their values are p * V, and the rest is drawn, as p + (1 - p) * V, only
+where the chunk reads it: a twisted row at every replication with some
+uniform below its share uniform, an untwisted one at the undecided.  A
+thinned row is held packed, one double per replication read; whole rows
+share one block of n * count doubles (0.5 MB a row at 2**16 replications,
+1 MB at 2**17).  Besides its rows a chunk holds a hit flag and an
+over-share flag per replication, the positions of the undecided (and of
+every replication over its share, where a twisted row is thinned),
+scratch sized to the undecided, and one weight per hit.  No uniform is
+drawn twice.
+
+The screen.  A chunk decides its replications in three stages, each on
+fewer of them.  Each certifies only past a margin of 1e-9 of gamma that
+covers the rounding of every computed draw (``_SCREEN_MARGIN``), so no
+stage changes a result: a replication is decided as an exact inversion
+of all its draws decides it.
+  1. Comparisons with two critical uniforms per component, computed once
+     per estimate (``_screen``): exp(-keep * Lambda(level)), keep = 1 -
+     theta if twisted and 1 otherwise, rounded down at the hit level
+     gamma * (1 + 1e-9) and up at the component's share level.  A uniform
+     at most its hit uniform certifies a hit, as a sum is at least its
+     largest draw, and uniforms each at least their share uniform a miss,
+     as the share levels sum to at most gamma * (1 - 1e-9).  Both read
+     only the uniforms below their share uniforms.  The levels, one per
+     class of components alike in law and twist, split that total where
+     the draws lie (``_share_levels``), or equally where that certifies
+     more; deep in the tail the twisted heavy component takes most of it,
+     while the light draws stay near their medians.
+  2. Bound sums on the undecided: a Weibull draw bounds itself with its
+     exact inverse, a log-normal one with the computed inverses at the
+     nodes of its law's table either side of its y (``_table``: 1,025
+     nodes up to the hit level's hazard, one ``take`` per bound).  Lower
+     bounds summing above gamma * (1 + 1e-9) certify a hit, upper ones
+     summing to at most gamma * (1 - 1e-9) a miss.  Where every component
+     is Weibull the bound sums are the exact sums, compared with gamma
+     itself, so no draw is inverted twice.
+  3. Exact inversion of the rest, with the same float operations as an
+     inversion of every draw.
+Where the margin's error analysis does not reach (a log-normal level
+1,000 natural-log units or more from mu_ln, a table node 500 or more, a
+Weibull shape below 1e-5) the screen certifies nothing.
 """
 
 from __future__ import annotations
@@ -80,21 +99,15 @@ from .dominance import Scenario, TwistPlan
 from .streams import UnitSampleStream
 
 CHUNK_SIZE = 1 << 16
-# A chunk's numpy calls are about as many whatever its width, so an estimate
-# that draws at most one row whole takes chunks twice as wide: half the calls
-# per replication, and half the GIL hand-offs between pool threads.  One that
-# draws more rows whole keeps CHUNK_SIZE, and so the memory its rows touch
+# an estimate that draws at most one row whole: half the numpy calls and GIL
+# hand-offs per replication.  One that draws more keeps the memory it touches
 _WIDE_CHUNK_SIZE = 2 * CHUNK_SIZE
 
-# A replication is a certain hit when one component's uniform is at most
-# its critical uniform exp(-keep * Lambda(gamma * (1 + _SCREEN_MARGIN))),
-# keep = 1 - theta if twisted and 1 otherwise, and a certain miss when every
-# uniform is at least its critical uniform at its component's share level
-# c_i (``_screen``: normal doubles or 0 whose float sum over the components
-# is at most gamma * (1 - _SCREEN_MARGIN)).  The hit uniform is rounded down
-# and the share uniform up past the rounding of keep * Lambda and of exp, so
-# a certified uniform's y, as the sampling kernel computes it, is at most a
-# few ulps on the wrong side of the level's hazard, itself a few ulps
+# The critical uniforms (stage 1 of the module docstring) are rounded past
+# the rounding of keep * Lambda and of exp, and the share levels c_i are
+# normal doubles or 0 whose float sum is at most gamma * (1 - _SCREEN_MARGIN).
+# So a certified uniform's y, as the sampling kernel computes it, is at most
+# a few ulps on the wrong side of the level's hazard, itself a few ulps
 # off.  A relative error d in y moves a log-normal standard score z by about
 # d * max(z, 1), so the draw by sigma_ln * d * max(z, 1) relative, and a
 # Weibull draw by d / shape.  Deep in the tail, ndtri_exp's z is up to
@@ -109,12 +122,10 @@ _WIDE_CHUNK_SIZE = 2 * CHUNK_SIZE
 # draws exceeds their exact sum by at most N - 1 roundings, so the float
 # sum stays at most gamma.  Beyond the range and the shape a component's
 # critical uniforms certify nothing: 0 for a hit, and at least 1 for the
-# share.  Lower bounds summing above gamma * (1 + _SCREEN_MARGIN) certify a
-# hit, and upper ones summing to at most gamma * (1 - _SCREEN_MARGIN) a miss.
-# A log-normal bound, a computed inverse at a table node beside y, is off the
-# computed draw by two such ndtri_exp errors and an ulp: under 7e-10 at the
-# nodes where max(|ln x - mu_ln|, sigma_ln) < _SCREEN_LOG_RANGE / 2.  A
-# Weibull bound is its exact draw.
+# share.  A log-normal bound, a computed inverse at a table node beside y,
+# is off the computed draw by two such ndtri_exp errors and an ulp: under
+# 7e-10 at the nodes where max(|ln x - mu_ln|, sigma_ln) is below half
+# _SCREEN_LOG_RANGE.  A Weibull bound is its exact draw.
 _SCREEN_MARGIN = 1e-9
 _SCREEN_LOG_RANGE = 1000.0
 _SCREEN_MIN_SHAPE = 1e-5
@@ -124,13 +135,11 @@ _TABLE_BITS = 10  # a log-normal table has 2**_TABLE_BITS + 1 nodes
 _SHARE_GRID = np.geomspace(1e-8, 1.0, 129)
 _SHARE_STEPS = np.diff(_SHARE_GRID)
 
-# A chunk draws a row of uniforms whole, at about 5 ns a uniform, or only
-# below its share uniform p, by geometric gaps at about 30 ns each, and then
-# where the kernel reads it, at about 10 ns a uniform: a twisted row at every
-# replication with some uniform below its share uniform, a share q of them,
-# and an untwisted one at the few undecided.  A row is drawn whole where
-# thinning costs as much, in whole-row uniforms:
-# _GAP_COST * p + _FILL_COST * q (twisted) or _GAP_COST * p (untwisted) >= 1
+# A whole row costs about 5 ns a uniform, a thinned one about 30 ns a gap
+# and 10 ns a uniform read above p: at a share q of the replications if
+# twisted, at the few undecided if not.  A row is drawn whole where, in
+# whole-row uniforms, _GAP_COST * p + _FILL_COST * q (twisted) or
+# _GAP_COST * p (untwisted) >= 1, as a share uniform p >= 1 always is
 _GAP_COST = 6.0
 _FILL_COST = 2.0
 
@@ -444,13 +453,10 @@ def _simulate_chunk(
     seed: int,
     chunk_index: int,
     count: int,
-    screen: _Screen | None = None,
+    screen: _Screen,
 ) -> ChunkSums:
     """The sums of one chunk's replications.  ``screen`` is the estimate's
-    ``_screen(components, twisted, theta, gamma)``, computed here if not
-    given."""
-    if screen is None:
-        screen = _screen(components, twisted, theta, gamma)
+    ``_screen(components, twisted, theta, gamma)``."""
     rows = _Rows(seed, chunk_index, len(components), count)
     keep = 1.0 - theta
     # a replication is decided on its uniforms below their share uniforms: a
@@ -481,9 +487,8 @@ def _simulate_chunk(
     for i, k in enumerate(kind):
         if k:
             u[i] = rows.fill(i, over_at if k == 2 else undecided)
-    # bound sums, then exact sums, which decide all that is left, in component
-    # order: a lower sum above the high cut hits, an upper one above the low cut
-    # stays undecided.  Weibull bounds are exact draws, so all-Weibull is one stage
+    # stages 2 and 3 of the module docstring, summing in component order; the
+    # exact sums decide all that is left, and all-Weibull takes stage 2 alone
     exact = ((None,) * len(components), gamma, gamma)
     bounds = (screen.table, gamma * (1.0 + _SCREEN_MARGIN), gamma * (1.0 - _SCREEN_MARGIN))
     for tables, high, low in (bounds, exact) if any(screen.table) else (exact,):

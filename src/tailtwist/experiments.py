@@ -114,12 +114,7 @@ class ExperimentConfig:
             if value is not None
         }
         if methods is not None:
-            changes["methods"] = tuple(methods)
-            if not changes["methods"]:
-                raise ConfigError(None, "methods list is empty")
-            for method in changes["methods"]:
-                if not isinstance(method, Method):
-                    raise ConfigError(None, f"unknown method {method!r}")
+            changes["methods"] = _distinct_methods(methods)
         return replace(self, **changes)
 
 
@@ -134,18 +129,28 @@ def _check_floor(lineno: int | None, key: str, value: int) -> int:
     return int(value)
 
 
+def _distinct_methods(methods, lineno: int | None = None) -> tuple[Method, ...]:
+    """The methods once each, in first-seen order; a ConfigError names an
+    empty list or the first entry that is not a ``Method``."""
+    methods = tuple(methods)
+    if not methods:
+        raise ConfigError(lineno, "methods list is empty")
+    for method in methods:
+        if not isinstance(method, Method):
+            raise ConfigError(lineno, f"unknown method {method!r}")
+    return tuple(dict.fromkeys(methods))
+
+
 def parse_methods(value: str, lineno: int | None = None) -> tuple[Method, ...]:
     """Parse a comma-separated method list (e.g. "naive,improved")."""
-    names = [piece.strip().lower() for piece in value.split(",") if piece.strip()]
-    if not names:
-        raise ConfigError(lineno, "methods list is empty")
-    methods = {}  # a dict keeps the first-seen order of repeated names
-    for name in names:
-        try:
-            methods[Method(name)] = None
-        except ValueError:
-            raise ConfigError(lineno, f"unknown method '{name}'")
-    return tuple(methods)
+    methods = []
+    for name in (piece.strip().lower() for piece in value.split(",")):
+        if name:
+            try:
+                methods.append(Method(name))
+            except ValueError:
+                raise ConfigError(lineno, f"unknown method '{name}'")
+    return _distinct_methods(methods, lineno)
 
 
 def _parse_float(lineno: int, key: str, value: str) -> float:

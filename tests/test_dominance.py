@@ -45,8 +45,8 @@ def test_scenario_rejects_mixed_families():
     lambda spec: Scenario.from_db([spec], math.inf),
     lambda spec: Scenario.from_db([spec], -math.inf),
     lambda spec: Scenario.from_db([spec], math.nan),
-    lambda spec: Scenario.from_linear([spec], math.inf),
-    lambda spec: Scenario.from_linear([spec], math.nan),
+    lambda spec: Scenario([spec], math.inf),
+    lambda spec: Scenario([spec], math.nan),
 ])
 def test_scenario_rejects_non_finite_threshold(make):
     with pytest.raises(ValueError, match="threshold must be finite"):
@@ -70,8 +70,8 @@ def test_scenario_rejects_empty():
         Scenario.from_db([], 20.0)
 
 
-def test_scenario_from_linear_allows_degenerate_zero_threshold():
-    scenario = Scenario.from_linear([DistributionSpec.weibull(0.4, 1.0)], 0.0)
+def test_scenario_allows_degenerate_zero_threshold():
+    scenario = Scenario([DistributionSpec.weibull(0.4, 1.0)], 0.0)
     assert scenario.threshold_linear == 0.0
     assert scenario.threshold_db is None
 

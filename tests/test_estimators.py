@@ -10,7 +10,7 @@ import pytest
 from scipy.special import ndtri_exp
 
 from tailtwist import estimators
-from tailtwist.distributions import DistributionSpec, Family, db_to_linear
+from tailtwist.distributions import DistributionSpec, Family, LightTailWarning, db_to_linear
 from tailtwist.dominance import Scenario, ThetaSource, select_dominant
 from tailtwist.estimators import (
     CHUNK_SIZE,
@@ -48,11 +48,17 @@ def minmax_plan(scenario):
     return plan.with_theta(theta_star(plan.s, budget), ThetaSource.MINMAX_IMPROVED)
 
 
+def _chunk(*args):
+    """_simulate_chunk on the estimate's screen, which _estimate builds once
+    per estimate and passes to each of its chunks."""
+    return _simulate_chunk(*args, _screen(*args[:4]))
+
+
 # -- naive MC -------------------------------------------------------------------
 
 
 def test_zero_threshold_is_certain():
-    scenario = Scenario.from_linear([DistributionSpec.weibull(0.4, 1.0)], 0.0)
+    scenario = Scenario([DistributionSpec.weibull(0.4, 1.0)], 0.0)
     report = estimate_naive(scenario, runs=10_000, seed=1)
     assert report.alpha_hat == 1.0
     assert report.relative_error == 0.0
@@ -60,7 +66,7 @@ def test_zero_threshold_is_certain():
 
 def test_naive_matches_closed_form_survival():
     # single component: alpha = exp(-100^0.4) = 1.8188e-3
-    scenario = Scenario.from_linear([DistributionSpec.weibull(0.4, 1.0)], 100.0)
+    scenario = Scenario([DistributionSpec.weibull(0.4, 1.0)], 100.0)
     report = estimate_naive(scenario, runs=1_000_000, seed=3)
     alpha = 0.0018188088961578717
     se = math.sqrt(alpha * (1 - alpha) / report.runs)
@@ -450,6 +456,18 @@ def _reference_inverse_cumulative_hazard(spec, y):
     return np.exp(spec.mu_ln + spec.sigma_ln * -ndtri_exp(-y))
 
 
+def _reference_draw_sums(components, twisted, theta, rows):
+    """Each replication's sum of draws from whole ``rows`` of uniforms, in
+    component order, one fresh array per temporary."""
+    total = np.zeros(len(rows[0]))
+    for i, (spec, u) in enumerate(zip(components, rows)):
+        if i in twisted:
+            total += _reference_inverse_cumulative_hazard(spec, -np.log(u) / (1.0 - theta))
+        else:
+            total += _reference_inverse_cumulative_hazard(spec, -np.log(u))
+    return total
+
+
 def _reference_sums(components, twisted, theta, gamma, rows):
     """The chunk kernel as it was before it worked in place, on whole
     ``rows`` of uniforms: one fresh array per temporary, the same float
@@ -457,13 +475,7 @@ def _reference_sums(components, twisted, theta, gamma, rows):
     hit is -theta times the sum of its twisted draws' hazards
     y = -log(u)/(1-theta), in component order, less s * log1p(-theta).
     The sums run over the hits' weights in replication order."""
-    total = np.zeros(rows.shape[1])
-    for i, (spec, u) in enumerate(zip(components, rows)):
-        if i in twisted:
-            total += _reference_inverse_cumulative_hazard(spec, -np.log(u) / (1.0 - theta))
-        else:
-            total += _reference_inverse_cumulative_hazard(spec, -np.log(u))
-    hit = total > gamma
+    hit = _reference_draw_sums(components, twisted, theta, rows) > gamma
     hazard_sum = np.zeros(np.count_nonzero(hit))
     for i in sorted(twisted):
         hazard_sum = hazard_sum + -np.log(rows[i][hit]) / (1.0 - theta)
@@ -580,7 +592,7 @@ def test_in_place_chunk_matches_the_allocating_reference_exactly(whole_rows, nam
     if not twisted:
         theta = 0.0
     args = (scenario.components, twisted, theta, scenario.threshold_linear, 71, 3, count)
-    assert _simulate_chunk(*args) == _reference_chunk(*args)
+    assert _chunk(*args) == _reference_chunk(*args)
 
 
 @pytest.mark.parametrize("count", [CHUNK_SIZE, 4465, 3])
@@ -594,7 +606,7 @@ def test_chunks_of_more_than_four_components_match_the_allocating_reference(whol
     scenario = Scenario.from_db(specs, 28.0)
     twisted = frozenset(select_dominant(scenario).dominant_indices)
     args = (scenario.components, twisted, 0.6, scenario.threshold_linear, 71, 3, count)
-    assert _simulate_chunk(*args) == _reference_chunk(*args)
+    assert _chunk(*args) == _reference_chunk(*args)
 
 
 @pytest.mark.parametrize("count", [CHUNK_SIZE, 4465])
@@ -609,7 +621,7 @@ def test_a_mixed_family_chunk_matches_the_allocating_reference_exactly(whole_row
         DistributionSpec.lognormal(0.0, 4.0),
     )
     args = (components, frozenset({0, 1}), theta, db_to_linear(24.0), 71, 3, count)
-    sums = _simulate_chunk(*args)
+    sums = _chunk(*args)
     assert sums == _reference_chunk(*args)
     assert sums.hits > 0
 
@@ -630,7 +642,7 @@ def test_a_chunk_matches_the_allocating_reference_on_the_rows_it_read(recorded_r
     if not twisted:
         theta = 0.0
     args = (scenario.components, twisted, theta, scenario.threshold_linear, 71, 3, count)
-    assert _simulate_chunk(*args) == recorded_rows(*args)
+    assert _chunk(*args) == recorded_rows(*args)
     # a thinned row leaves most of a longer chunk unread
     if count > 1:
         assert np.isnan(RecordedRows.last.rows).any() == (not all(_screen(*args[:4]).whole))
@@ -645,9 +657,68 @@ def test_a_mixed_family_chunk_matches_the_allocating_reference_on_the_rows_it_re
         DistributionSpec.lognormal(0.0, 4.0),
     )
     args = (components, frozenset({0, 1}), theta, db_to_linear(24.0), 71, 3, CHUNK_SIZE)
-    sums = _simulate_chunk(*args)
+    sums = _chunk(*args)
     assert sums == recorded_rows(*args)
     assert sums.hits > 0
+
+
+# the fuzz cases' generator is numpy's default_rng((FUZZ_SEED, batch))
+FUZZ_SEED = 20261020
+FUZZ_SIZES = (1, 2, 3, 4, 5, 8, 13)
+FUZZ_EDGE_GAMMAS = (0.0, 5e-324, 1e-310, 1e300)
+
+
+def _fuzz_spec(rng, family):
+    """Weibull shape in 10**[-2.5, 0.7] and scale in 10**[-3, 3], or
+    log-normal mu_db in [-40, 40] and sigma_db in 10**[-0.5, 1.5]."""
+    if family == "weibull":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LightTailWarning)
+            return DistributionSpec.weibull(10.0 ** rng.uniform(-2.5, 0.7), 10.0 ** rng.uniform(-3.0, 3.0))
+    return DistributionSpec.lognormal(rng.uniform(-40.0, 40.0), 10.0 ** rng.uniform(-0.5, 1.5))
+
+
+def _fuzz_case(rng):
+    """One random chunk's arguments.  Its N components are drawn from a pool
+    of up to N laws, so some are alike, of one family or both; a random
+    subset is twisted, by theta up to 1 - 1e-6; gamma is the sum of the
+    components' quantiles at one level from the bulk out to 1e-250, or one
+    of FUZZ_EDGE_GAMMAS; and it has 1 to 2**14 replications."""
+    n = int(rng.choice(FUZZ_SIZES))
+    families = [("weibull",), ("lognormal",), ("weibull", "lognormal")][rng.integers(3)]
+    pool = [_fuzz_spec(rng, str(rng.choice(families))) for _ in range(int(rng.integers(1, n + 1)))]
+    components = tuple(pool[k] for k in rng.integers(len(pool), size=n))
+    twisted = frozenset(np.flatnonzero(rng.random(n) < rng.random()).tolist())
+    theta = 0.0
+    if twisted:
+        theta = rng.uniform(0.0, 1.0) if rng.random() < 0.5 else 1.0 - 10.0 ** rng.uniform(-6.0, 0.0)
+    if rng.random() < 0.2:
+        gamma = float(rng.choice(FUZZ_EDGE_GAMMAS))
+    else:
+        with np.errstate(over="ignore"):
+            y = 10.0 ** rng.uniform(-0.5, 2.76)
+            gamma = min(math.fsum(spec.inverse_cumulative_hazard(y) for spec in components), 1e300)
+    count = int(np.exp(rng.uniform(0.0, math.log(2**14))))
+    return components, twisted, theta, gamma, int(rng.integers(2**32)), int(rng.integers(8)), count
+
+
+@pytest.mark.parametrize("batch", range(8))
+def test_random_chunks_match_the_allocating_reference_on_the_rows_they_read(recorded_rows, batch):
+    # 8 batches of 40 seeded random chunks: each must read as the allocating
+    # reference reads the rows it drew, bit for bit.  In a quarter of them
+    # gamma then moves to one replication's sum of draws and an ulp either
+    # side, where only the screen's margins keep its certificates right
+    rng = np.random.default_rng((FUZZ_SEED, batch))
+    with np.errstate(over="ignore", under="ignore"):
+        for _ in range(40):
+            args = _fuzz_case(rng)
+            assert _chunk(*args) == recorded_rows(*args), args
+            if rng.random() < 0.25:
+                rows = np.nan_to_num(RecordedRows.last.rows, nan=BELOW_ONE)
+                total = _reference_draw_sums(*args[:3], rows)[rng.integers(args[-1])]
+                for gamma in (np.nextafter(total, np.inf), total, np.nextafter(total, 0.0)):
+                    at_total = (*args[:3], float(min(gamma, 1e300)), *args[4:])
+                    assert _chunk(*at_total) == recorded_rows(*at_total), at_total
 
 
 def test_rows_are_thinned_where_their_share_uniforms_are_small():
@@ -699,13 +770,8 @@ def test_chunks_are_twice_as_wide_where_at_most_one_row_is_whole_at_any_worker_c
 
 def _reference_totals(components, twisted, theta, seed, chunk_index, count):
     """Each replication's sum of draws, computed as _reference_chunk does."""
-    total = np.zeros(count)
-    for i, (spec, u) in enumerate(zip(components, _reference_uniform_rows(len(components), seed, chunk_index, count))):
-        if i in twisted:
-            total += _reference_inverse_cumulative_hazard(spec, -np.log(u) / (1.0 - theta))
-        else:
-            total += _reference_inverse_cumulative_hazard(spec, -np.log(u))
-    return total
+    rows = _reference_uniform_rows(len(components), seed, chunk_index, count)
+    return _reference_draw_sums(components, twisted, theta, rows)
 
 
 class CountingStream(UnitSampleStream):
@@ -742,7 +808,7 @@ def test_screen_at_a_replications_exact_total(whole_rows, twist, theta, count, r
     results = []
     for gamma in (np.nextafter(total, np.inf), total, np.nextafter(total, 0.0)):
         args = (LOGNORMAL4.components, twisted, theta, float(gamma), 71, 3, count)
-        results.append(_simulate_chunk(*args))
+        results.append(_chunk(*args))
         assert results[-1] == _reference_chunk(*args)
     assert results[0] == results[1] != results[2]
 
@@ -762,7 +828,7 @@ def test_weibull_screen_at_a_replications_exact_total(whole_rows, twist, theta, 
     results = []
     for gamma in (np.nextafter(total, np.inf), total, np.nextafter(total, 0.0)):
         args = (scenario.components, twisted, theta, float(gamma), 71, 3, count)
-        results.append(_simulate_chunk(*args))
+        results.append(_chunk(*args))
         assert results[-1] == _reference_chunk(*args)
     assert results[0] == results[1] != results[2]
 
@@ -777,7 +843,7 @@ def test_naive_screen_at_a_replications_exact_total(whole_rows, count, rank):
     results = []
     for gamma in (np.nextafter(total, np.inf), total, np.nextafter(total, 0.0)):
         args = (LOGNORMAL4.components, twisted, 0.0, float(gamma), 71, 3, count)
-        results.append(_simulate_chunk(*args))
+        results.append(_chunk(*args))
         assert results[-1] == _reference_chunk(*args)
     assert results[0] == results[1]
     assert results[2] == tuple(r + 1.0 for r in results[1])
@@ -810,7 +876,7 @@ def _screened(components, twisted, theta, gamma, inverted):
 def test_screen_at_zero_threshold_certifies_every_hit(counting_stream, recorded_rows, inverted):
     # the hit level's hazard is 0, so the tables take no inversion at all
     args = (LOGNORMAL4.components, frozenset(range(4)), 0.3, 0.0, 71, 3, 4465)
-    assert _simulate_chunk(*args) == recorded_rows(*args)
+    assert _chunk(*args) == recorded_rows(*args)
     assert counting_stream.built == 1
     assert sum(inverted) == 0
 
@@ -931,7 +997,7 @@ def test_the_bound_sees_only_the_replications_the_comparisons_leave_undecided(wh
     over_share = np.any([u < share for u, share in zip(us, shares)], axis=0)
     undecided = int(np.count_nonzero(over_share & ~_certified_hits(components, ys, gamma)))
     args = (components, twisted, 0.3, gamma, 71, 3, CHUNK_SIZE)
-    assert _simulate_chunk(*args) == _reference_chunk(*args)
+    assert _chunk(*args) == _reference_chunk(*args)
     assert bounded == [undecided] * 4
     assert 0 < undecided < 0.15 * CHUNK_SIZE
 
@@ -942,7 +1008,7 @@ def test_a_share_below_the_smallest_normal_double_certifies_no_miss(whole_rows, 
     components, gamma = (DistributionSpec.weibull(0.5, 1e-310),) * 4, 1e-310
     ys = _reference_hazards(components, frozenset(), 0.0, 71, 3, 4465)
     args = (components, frozenset(), 0.0, gamma, 71, 3, 4465)
-    assert _simulate_chunk(*args) == _reference_chunk(*args)
+    assert _chunk(*args) == _reference_chunk(*args)
     assert bounded == [4465 - np.count_nonzero(_certified_hits(components, ys, gamma))] * 4
 
 
@@ -989,7 +1055,7 @@ def test_a_conventional_lognormal4_chunk_inverts_few_replications_exactly(whole_
 def test_weibull_chunk_builds_its_stream_once(counting_stream, recorded_rows):
     scenario = KERNEL_SCENARIOS["weibull4"]
     args = (scenario.components, frozenset({0}), 0.8, scenario.threshold_linear, 71, 3, 4465)
-    assert _simulate_chunk(*args) == recorded_rows(*args)
+    assert _chunk(*args) == recorded_rows(*args)
     assert counting_stream.built == 1
 
 
@@ -1058,7 +1124,7 @@ def test_screen_at_a_replications_exact_total_far_above_the_median(whole_rows, c
     results = []
     for gamma in (np.nextafter(total, np.inf), total, np.nextafter(total, 0.0)):
         args = (components, twisted, theta, float(gamma), 71, 3, count)
-        results.append(_simulate_chunk(*args))
+        results.append(_chunk(*args))
         assert results[-1] == _reference_chunk(*args)
     assert results[0].hits == results[1].hits == results[2].hits - 1
 
@@ -1154,7 +1220,7 @@ def test_a_node_rounded_above_a_later_draw_certifies_no_hit(whole_rows, monkeypa
     monkeypatch.setattr(WholeRows, "pinned", {0: float(u)})
     for gamma, hits in ((float(x), 0), (float(np.nextafter(x, 0.0)), 1)):
         args = ((spec,), frozenset(), 0.0, gamma, 71, 3, 1)
-        assert _simulate_chunk(*args) == _reference_chunk(*args, pinned={0: float(u)}) == (hits,) * 4
+        assert _chunk(*args) == _reference_chunk(*args, pinned={0: float(u)}) == (hits,) * 4
 
 
 # -- the share levels -------------------------------------------------------------
@@ -1258,7 +1324,7 @@ def test_a_weibull_chunk_inverts_each_undecided_draw_once(whole_rows, bounded, m
         bounded.clear()
         inverted.clear()
         args = (scenario.components, twisted, 0.5, float(gamma), 71, 3, 4465)
-        assert _simulate_chunk(*args) == _reference_chunk(*args)
+        assert _chunk(*args) == _reference_chunk(*args)
         assert inverted == bounded
         assert len(bounded) == 4 and bounded[0] > 0
 
@@ -1269,7 +1335,7 @@ def _strict_chunk(*args):
     or be invalid."""
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        return _simulate_chunk(*args)
+        return _chunk(*args)
 
 
 def _assert_weighs_as_the_hazard_form(sums, args):
@@ -1341,7 +1407,7 @@ def test_hit_only_weights_match_the_full_width_reference(whole_rows, case):
     twisted = frozenset(range(4))
     gamma = float(gamma_of(_reference_totals(LOGNORMAL4.components, twisted, theta, 71, 3, CHUNK_SIZE)))
     args = (LOGNORMAL4.components, twisted, theta, gamma, 71, 3, CHUNK_SIZE)
-    sums = _simulate_chunk(*args)
+    sums = _chunk(*args)
     assert sums == _reference_chunk(*args)
     assert sums.hits == pytest.approx(fraction * CHUNK_SIZE, abs=0.005 * CHUNK_SIZE)
 
@@ -1378,7 +1444,7 @@ def test_a_remapped_zero_uniform_at_one_hit_leaves_every_other_hits_weight_as_th
     args = (components, frozenset(range(6)), 0.7, db_to_linear(10.0), 71, 3, 4465)
     pinned = {2 * 4465 + 3000: float(np.nextafter(0.0, 1.0))}
     monkeypatch.setattr(WholeRows, "pinned", pinned)
-    sums = _simulate_chunk(*args)
+    sums = _chunk(*args)
     assert sums == _reference_chunk(*args, pinned=pinned)
     # replications before 3000 hit
     assert np.count_nonzero(_reference_totals(*args[:3], *args[4:])[:3000] > args[3]) > 0

@@ -168,6 +168,15 @@ def test_override_rejects_what_is_not_a_list_of_methods(methods, message):
         parse_config(WEIBULL2_THRESHOLDS).override(methods=methods)
 
 
+def test_override_counts_a_repeated_method_once():
+    # as parse_methods does: a repeated method would write a second row,
+    # at the next seed
+    config = parse_config(WEIBULL2_THRESHOLDS).override(runs=1000, methods=[Method.IMPROVED_IS, Method.IMPROVED_IS])
+    assert config.methods == (Method.IMPROVED_IS,)
+    rows = run_single_estimate(config)
+    assert [(row.method, row.report.seed) for row in rows] == [(Method.IMPROVED_IS, config.seed)]
+
+
 def test_missing_gamma_rejected():
     with pytest.raises(ConfigError, match="gamma_db"):
         parse_config("[component]\nfamily = weibull\nk = 0.4\nbeta = 1\n")
@@ -892,7 +901,7 @@ def test_rows_whose_sums_underflow_are_not_exact_or_empty():
         # one chunk per row; component 0 is the dominant one
         scenario = config.scenario.with_threshold_db(row.gamma_db)
         args = (scenario.components, frozenset({0}), row.theta, scenario.threshold_linear, row.report.seed, 0, CHUNK_SIZE)
-        assert estimators._simulate_chunk(*args).hits > 0
+        assert estimators._simulate_chunk(*args, estimators._screen(*args[:4])).hits > 0
     spreads = ("second_moment", "second_moment_se", "variance", "relative_error", "ci95_low", "ci95_high")
     deep = rows[0].report
     assert 0.0 < deep.alpha_hat < 1e-250

@@ -100,7 +100,7 @@ def test_linear_hazard_is_indifferent_on_the_face():
 
 
 def test_solve_p_requires_positive_threshold():
-    scenario = Scenario.from_linear([DistributionSpec.weibull(0.4, 1.0)], 0.0)
+    scenario = Scenario([DistributionSpec.weibull(0.4, 1.0)], 0.0)
     with pytest.raises(ValueError):
         solve_p(scenario, select_dominant(scenario))
 
@@ -172,9 +172,9 @@ def test_weighted_problem_vanishes_with_the_threshold():
 
 def test_weighted_value_approaches_twice_the_dominant_hazard():
     specs = [DistributionSpec.weibull(0.4, 1.0), DistributionSpec.weibull(0.8, 1.0)]
-    plan = select_dominant(Scenario.from_linear(specs, 1.0))
+    plan = select_dominant(Scenario(specs, 1.0))
     for gamma in np.geomspace(1e2, 1e8, 7):
-        scenario = Scenario.from_linear(specs, gamma)
+        scenario = Scenario(specs, float(gamma))
         value = solve_p_prime(scenario, plan).objective_value
         ratio = value / (2.0 * specs[0].cumulative_hazard(gamma))
         assert ratio == pytest.approx(1.0, rel=1e-6)
