@@ -284,12 +284,6 @@ class DistributionSpec:
         """1 - F(x), underflowing gracefully to 0 in the far tail."""
         return np.exp(-self.cumulative_hazard(x))
 
-    def mean(self) -> float:
-        """Exact first moment of the law."""
-        if self.family is Family.WEIBULL:
-            return self.weibull_scale * math.gamma(1.0 + 1.0 / self.weibull_shape)
-        return math.exp(self.mu_ln + 0.5 * self.sigma_ln**2)
-
     # -- sampling ---------------------------------------------------------
 
     def sample(self, stream, size: int | None = None):

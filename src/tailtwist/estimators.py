@@ -42,11 +42,12 @@ where the chunk reads it: a twisted row at every replication with some
 uniform below its share uniform, an untwisted one at the undecided.  A
 thinned row is held packed, one double per replication read; whole rows
 share one block of n * count doubles (0.5 MB a row at 2**16 replications,
-1 MB at 2**17).  Besides its rows a chunk holds a hit flag and an
-over-share flag per replication, the positions of the undecided (and of
-every replication over its share, where a twisted row is thinned),
-scratch sized to the undecided, and one weight per hit.  No uniform is
-drawn twice.
+1 MB at 2**17).  Besides its rows a chunk holds an over-share and a hit
+flag per replication.  As each hit uniform lies below its share uniform,
+every hit is over its share, so the chunk then decides and weighs only
+the over-share positions, with a hit flag and a rank for each; it also
+holds scratch sized to the undecided, and one weight per hit.  No
+uniform is drawn twice.
 
 The screen.  A chunk decides its replications in three stages, each on
 fewer of them.  Each certifies only past a margin of 1e-9 of gamma that
@@ -479,14 +480,15 @@ def _simulate_chunk(
             hits[at[row <= h]] = True
         u.append(row)
         kind.append(0 if at is None else 2 if i in twisted else 1)
-    undecided = np.flatnonzero(over_share & ~hits)
-    entries = [undecided, np.arange(undecided.size), None]
-    if 2 in kind:
-        over_at = np.flatnonzero(over_share)
-        entries[2] = np.flatnonzero(~hits[over_at])
+    # every hit is over its share (the module docstring), so the rest of the
+    # chunk decides and weighs the over-share replications, by rank among them
+    over_at = np.flatnonzero(over_share)
+    hit = hits[over_at]
+    rank = np.flatnonzero(~hit)
+    entries = [over_at[rank], np.arange(rank.size), rank]
     for i, k in enumerate(kind):
         if k:
-            u[i] = rows.fill(i, over_at if k == 2 else undecided)
+            u[i] = rows.fill(i, over_at if k == 2 else entries[0])
     # stages 2 and 3 of the module docstring, summing in component order; the
     # exact sums decide all that is left, and all-Weibull takes stage 2 alone
     exact = ((None,) * len(components), gamma, gamma)
@@ -501,15 +503,16 @@ def _simulate_chunk(
             y = np.log(np.take(u[i], entries[kind[i]], out=draw, mode="clip"), out=draw)
             y /= -keep if i in twisted else -1.0
             _bracket(spec, tables[i], y, sums)
-        hits[entries[0][sums[0] > high]] = True
+        hit[entries[2][sums[0] > high]] = True
         # exact sums are equal, so none stays undecided after them
         left = (sums[0] <= high) & (sums[1] > low)
-        entries = [None if e is None else e[left] for e in entries]
+        entries = [e[left] for e in entries]
     # the hits' weights, in replication order, from the sum of their twisted
-    # rows' hazards; with no twisted row each weight is exp(0) = 1
-    hit_at = np.flatnonzero(hits)
-    entries = [hit_at, None, np.flatnonzero(hits[over_at]) if 2 in kind else None]
-    hazard_sum, y = np.zeros(hit_at.size), np.empty(hit_at.size)
+    # rows' hazards; with no twisted row each weight is exp(0) = 1.  A twisted
+    # row is whole or packed at every replication over its share
+    hit_rank = np.flatnonzero(hit)
+    entries = [over_at[hit_rank], hit_rank, hit_rank]
+    hazard_sum, y = np.zeros(hit_rank.size), np.empty(hit_rank.size)
     for i in sorted(twisted):
         np.log(np.take(u[i], entries[kind[i]], out=y, mode="clip"), out=y)
         y /= -keep
@@ -518,7 +521,7 @@ def _simulate_chunk(
     sum_t = float(t.sum())
     sum_t2 = float(np.multiply(t, t, out=t).sum())
     sum_t4 = float(np.multiply(t, t, out=t).sum())
-    return ChunkSums(sum_t, sum_t2, sum_t4, hit_at.size)
+    return ChunkSums(sum_t, sum_t2, sum_t4, hit_rank.size)
 
 
 @dataclass(frozen=True)

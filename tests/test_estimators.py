@@ -1266,6 +1266,9 @@ def test_share_levels_split_the_total_and_certify_at_least_the_equal_split(twist
             assert all(c == 0.0 or sys.float_info.min <= c < math.inf for c in screen.level)
             assert math.fsum(screen.level) <= total
             assert screen.share == tuple(_critical_uniform(*key, c, up=True) for key, c in zip(keys, screen.level))
+            # a hit uniform lies below its share uniform, so every stage-1 hit
+            # is over its share, where a chunk decides and weighs it
+            assert all(h < p for h, p in zip(screen.hit, screen.share))
             for i, j in itertools.combinations(range(n), 2):
                 if keys[i] == keys[j]:
                     assert (screen.hit[i], screen.share[i]) == (screen.hit[j], screen.share[j])
