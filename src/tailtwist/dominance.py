@@ -40,8 +40,10 @@ def _close(a: float, b: float) -> bool:
 class Scenario:
     """An ordered list of same-family components plus a threshold.
 
-    ``threshold_linear`` is the comparison value for the sum; when built
-    from dB it equals 10**(threshold_db/10).
+    Checked at construction: at least one component, all of one family;
+    ``threshold_linear``, the sum's comparison value, finite and >= 0;
+    ``threshold_db``, when given, finite and its 10**(dB/10) exactly
+    ``threshold_linear``.
     """
 
     components: tuple[DistributionSpec, ...]
@@ -60,23 +62,16 @@ class Scenario:
             )
         if not (0.0 <= self.threshold_linear < math.inf and math.isfinite(self.threshold_db or 0.0)):
             raise ValueError("threshold must be finite, and >= 0 in linear units")
+        if self.threshold_db is not None and db_to_linear(self.threshold_db) != self.threshold_linear:
+            raise ValueError(f"threshold_linear is not {self.threshold_db!r} dB in linear units")
 
     @classmethod
-    def from_db(
-        cls, components, threshold_db: float
-    ) -> "Scenario":
-        return cls(
-            components=tuple(components),
-            threshold_linear=db_to_linear(threshold_db),
-            threshold_db=float(threshold_db),
-        )
+    def from_db(cls, components, threshold_db: float) -> "Scenario":
+        threshold_db = float(threshold_db)
+        return cls(tuple(components), db_to_linear(threshold_db), threshold_db)
 
     def with_threshold_db(self, threshold_db: float) -> "Scenario":
-        return replace(
-            self,
-            threshold_db=float(threshold_db),
-            threshold_linear=db_to_linear(threshold_db),
-        )
+        return Scenario.from_db(self.components, threshold_db)
 
     @property
     def n(self) -> int:
@@ -96,12 +91,12 @@ class ThetaSource(enum.Enum):
 class TwistPlan:
     """Which components to twist and by how much.
 
-    ``theta`` is None until a twisting parameter has been chosen; use
-    :meth:`with_theta` to attach one.
+    Checked at construction: ``dominant_indices`` names at least one
+    component and none twice; ``theta`` is None until :meth:`with_theta`
+    attaches one, and then lies in [0, 1).
     """
 
     dominant_indices: tuple[int, ...]
-    s: int
     theta: float | None = None
     theta_source: ThetaSource = ThetaSource.MANUAL
 
@@ -109,10 +104,15 @@ class TwistPlan:
         object.__setattr__(self, "dominant_indices", tuple(self.dominant_indices))
         if len(self.dominant_indices) == 0:
             raise ValueError("a twist plan needs at least one dominant component")
-        if self.s != len(self.dominant_indices):
-            raise ValueError("s must equal the number of dominant indices")
+        if len(set(self.dominant_indices)) != self.s:
+            raise ValueError("a twist plan names each dominant component once")
         if self.theta is not None and not 0.0 <= self.theta < 1.0:
             raise ValueError("twisting parameter must lie in [0, 1)")
+
+    @property
+    def s(self) -> int:
+        """The number of twisted components, s in theta* = 1 - s/A."""
+        return len(self.dominant_indices)
 
     def with_theta(self, theta: float, source: ThetaSource) -> "TwistPlan":
         return replace(self, theta=float(theta), theta_source=source)
@@ -132,27 +132,19 @@ class TwistPlan:
 
 
 def select_dominant(scenario: Scenario) -> TwistPlan:
-    """Indices of the heaviest-tailed i.i.d. sub-group of the scenario.
-
-    Weibull: the components attaining the minimum shape, and among those
-    the maximum scale.  Log-normal: the maximum sigma, then the maximum
-    mu.  Parameter ties are grouped with relative tolerance 1e-12.
-    Returns a plan with theta unset.
-    """
-    specs = scenario.components
+    """The heaviest-tailed i.i.d. sub-group, as a plan with theta unset:
+    the components attaining the largest first key, then the largest
+    second key, of (-shape, scale) for Weibull and (sigma, mu) for
+    log-normal; ties are grouped with relative tolerance 1e-12."""
     if scenario.family is Family.WEIBULL:
-        primary = [sp.weibull_shape for sp in specs]
-        secondary = [sp.weibull_scale for sp in specs]
-        best_primary = min(primary)
-        tied = [i for i, v in enumerate(primary) if _close(v, best_primary)]
+        keys = [(-sp.weibull_shape, sp.weibull_scale) for sp in scenario.components]
     else:
-        primary = [sp.lognormal_sigma_db for sp in specs]
-        secondary = [sp.lognormal_mu_db for sp in specs]
-        best_primary = max(primary)
-        tied = [i for i, v in enumerate(primary) if _close(v, best_primary)]
-    best_secondary = max(secondary[i] for i in tied)
-    indices = tuple(i for i in tied if _close(secondary[i], best_secondary))
-    return TwistPlan(dominant_indices=indices, s=len(indices))
+        keys = [(sp.lognormal_sigma_db, sp.lognormal_mu_db) for sp in scenario.components]
+    indices = range(len(keys))
+    for rank in range(2):
+        best = max(keys[i][rank] for i in indices)
+        indices = [i for i in indices if _close(keys[i][rank], best)]
+    return TwistPlan(dominant_indices=tuple(indices))
 
 
 class DominanceVerdict(enum.Enum):

@@ -100,6 +100,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A scenario, its grids, and the estimates to run at each point.
+
+    Checked at construction, as ConfigError: ``runs`` >= 1, ``seed`` >= 0,
+    and ``methods`` names at least one ``Method``, kept once each in
+    first-seen order."""
+
     scenario: Scenario
     theta_grid: tuple[float, ...]
     gamma_grid_db: tuple[float, ...]
@@ -107,15 +113,14 @@ class ExperimentConfig:
     runs: int
     seed: int
 
+    def __post_init__(self):
+        for key in ("runs", "seed"):
+            object.__setattr__(self, key, _check_floor(None, key, getattr(self, key)))
+        object.__setattr__(self, "methods", _distinct_methods(self.methods))
+
     def override(self, runs=None, seed=None, methods=None) -> "ExperimentConfig":
-        changes = {
-            key: _check_floor(None, key, value)
-            for key, value in (("runs", runs), ("seed", seed))
-            if value is not None
-        }
-        if methods is not None:
-            changes["methods"] = _distinct_methods(methods)
-        return replace(self, **changes)
+        changes = {"runs": runs, "seed": seed, "methods": methods}
+        return replace(self, **{key: value for key, value in changes.items() if value is not None})
 
 
 # lowest accepted value of each integer key, and how its error names it

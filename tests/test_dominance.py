@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -81,22 +82,41 @@ def test_with_threshold_db():
     moved = scenario.with_threshold_db(30.0)
     assert moved.threshold_linear == pytest.approx(1000.0, rel=1e-14)
     assert scenario.threshold_linear == pytest.approx(100.0, rel=1e-14)
+    assert moved == weibull_scenario([0.4, 0.8], gamma_db=30.0)
+
+
+@pytest.mark.parametrize("linear, db", [(100.0, 30.0), (100.0 * (1 + 2**-52), 20.0), (0.0, -400.0)])
+def test_scenario_rejects_a_db_threshold_that_is_not_its_linear_one(linear, db):
+    # one threshold, stated twice: the estimators read the linear value and
+    # the sweeps the dB one, so the two must agree to the bit
+    with pytest.raises(ValueError, match=f"^threshold_linear is not {db!r} dB in linear units$"):
+        Scenario([DistributionSpec.weibull(0.4, 1.0)], linear, db)
 
 
 # -- TwistPlan ---------------------------------------------------------------
 
 
-def test_plan_validation():
-    with pytest.raises(ValueError):
-        TwistPlan(dominant_indices=(), s=0)
-    with pytest.raises(ValueError):
-        TwistPlan(dominant_indices=(0, 1), s=1)
-    with pytest.raises(ValueError):
-        TwistPlan(dominant_indices=(0,), s=1, theta=1.0)
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda: TwistPlan(dominant_indices=()), "at least one dominant component", id="empty"),
+    pytest.param(lambda: TwistPlan(dominant_indices=(0, 0)), "each dominant component once", id="repeated"),
+    pytest.param(lambda: TwistPlan(dominant_indices=(1, 0, 1)), "each dominant component once", id="repeated-apart"),
+    pytest.param(lambda: TwistPlan(dominant_indices=(0,), theta=1.0), "must lie in", id="theta-1"),
+])
+def test_plan_validation(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
+def test_plan_size_is_its_number_of_indices():
+    # s in theta* = 1 - s/A counts the twisted components, so it follows
+    # the indices through every copy
+    plan = TwistPlan((0, 2))
+    assert plan.s == 2
+    assert dataclasses.replace(select_dominant(weibull_scenario([0.4, 0.8])), dominant_indices=(0, 1)).s == 2
 
 
 def test_with_theta():
-    plan = TwistPlan(dominant_indices=(0,), s=1)
+    plan = TwistPlan(dominant_indices=(0,))
     assert plan.theta is None
     updated = plan.with_theta(0.7, ThetaSource.MINMAX_IMPROVED)
     assert updated.theta == 0.7
@@ -219,7 +239,7 @@ def test_tail_dominance_grid_validation(grid):
 def test_tail_dominance_rejects_plan_outside_scenario(indices):
     scenario = weibull_scenario([0.4, 0.8])
     with pytest.raises(ValueError, match="outside the scenario"):
-        check_tail_dominance(scenario, TwistPlan(indices, 1), [1e2])
+        check_tail_dominance(scenario, TwistPlan(indices), [1e2])
 
 
 def test_dominance_verdict_has_no_third_outcome():
@@ -248,7 +268,7 @@ W, L = DistributionSpec.weibull, DistributionSpec.lognormal
 ])
 def test_tail_dominance_exact_verdict(dominant, light, verdict):
     scenario = Scenario.from_db([dominant, light], 20.0)
-    (report,) = check_tail_dominance(scenario, TwistPlan((0,), 1), [1e2, 1e4])
+    (report,) = check_tail_dominance(scenario, TwistPlan((0,)), [1e2, 1e4])
     assert report.component == 1
     assert report.verdict is verdict
 
@@ -300,7 +320,7 @@ def test_tail_dominance_verdict_agrees_with_deep_tail_trend(draw, x_near, x_far)
             continue
         dominant, light = pair
         scenario = Scenario.from_db([dominant, light], 20.0)
-        (report,) = check_tail_dominance(scenario, TwistPlan((0,), 1), [1e2])
+        (report,) = check_tail_dominance(scenario, TwistPlan((0,)), [1e2])
         falls = _deep_tail_falls(dominant, light, x_near, x_far)
         assert (report.verdict is DominanceVerdict.SATISFIED) == falls, (dominant, light)
         checked += 1

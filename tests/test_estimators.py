@@ -244,9 +244,7 @@ def test_improved_validates_plan():
     plan = select_dominant(scenario)
     with pytest.raises(ValueError):
         estimate_improved(scenario, plan, runs=100, seed=0)  # theta unset
-    mixed = dataclasses.replace(
-        plan.with_theta(0.5, ThetaSource.MANUAL), dominant_indices=(0, 1), s=2
-    )
+    mixed = dataclasses.replace(plan.with_theta(0.5, ThetaSource.MANUAL), dominant_indices=(0, 1))
     with pytest.raises(ValueError):
         estimate_improved(scenario, mixed, runs=100, seed=0)  # not identical
     lognormal = Scenario.from_db(

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -13,7 +14,8 @@ import scipy
 
 from tailtwist import estimators, experiments
 from tailtwist.cli import main
-from tailtwist.dominance import DominanceVerdict, TailDominanceReport, select_dominant
+from tailtwist.distributions import DistributionSpec
+from tailtwist.dominance import DominanceVerdict, Scenario, TailDominanceReport, select_dominant
 from tailtwist.estimators import _WIDE_CHUNK_SIZE, CHUNK_SIZE, EstimateReport, Method, efficiency, optimality_ratio
 from tailtwist.experiments import (
     DIAGNOSTICS_HEADER,
@@ -24,6 +26,7 @@ from tailtwist.experiments import (
     DiagnosticRow,
     DiagnosticsReport,
     EfficiencyRow,
+    ExperimentConfig,
     SweepRow,
     efficiency_rows_to_csv,
     parse_config,
@@ -157,21 +160,36 @@ def test_empty_methods_rejected():
         parse_config(text)
 
 
+def construct(config, **changes):
+    """The config with ``changes``, through the constructor alone."""
+    return ExperimentConfig(**{**vars(config), **changes})
+
+
+@pytest.mark.parametrize("make", [ExperimentConfig.override, construct])
 @pytest.mark.parametrize(
-    "methods, message",
-    [([], "methods list is empty"), ([Method.IMPROVED_IS, "naive"], "unknown method"), ([None], "unknown method")],
+    "changes, message",
+    [
+        ({"methods": []}, "^methods list is empty$"),
+        ({"methods": ()}, "^methods list is empty$"),
+        ({"methods": [Method.IMPROVED_IS, "naive"]}, "^unknown method 'naive'$"),
+        ({"methods": ("improved",)}, "^unknown method 'improved'$"),
+        ({"methods": [None]}, "^unknown method None$"),
+        ({"runs": 0}, "^runs must be a positive integer$"),
+        ({"seed": -1}, "^seed must be a non-negative integer$"),
+    ],
 )
-def test_override_rejects_what_is_not_a_list_of_methods(methods, message):
+def test_configs_reject_what_is_not_a_list_of_methods_or_a_count(make, changes, message):
     # no method would write a CSV of its header alone, and a method name is
     # parse_methods' to read: an estimate needs a Method
     with pytest.raises(ConfigError, match=message):
-        parse_config(WEIBULL2_THRESHOLDS).override(methods=methods)
+        make(parse_config(WEIBULL2_THRESHOLDS), **changes)
 
 
-def test_override_counts_a_repeated_method_once():
+@pytest.mark.parametrize("make", [ExperimentConfig.override, construct])
+def test_configs_count_a_repeated_method_once(make):
     # as parse_methods does: a repeated method would write a second row,
     # at the next seed
-    config = parse_config(WEIBULL2_THRESHOLDS).override(runs=1000, methods=[Method.IMPROVED_IS, Method.IMPROVED_IS])
+    config = make(parse_config(WEIBULL2_THRESHOLDS), runs=1000, methods=[Method.IMPROVED_IS, Method.IMPROVED_IS])
     assert config.methods == (Method.IMPROVED_IS,)
     rows = run_single_estimate(config)
     assert [(row.method, row.report.seed) for row in rows] == [(Method.IMPROVED_IS, config.seed)]
@@ -315,6 +333,40 @@ def test_an_empty_method_option_is_a_config_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "tailtwist: config error: methods list is empty\n"
     assert captured.out == ""
+
+
+WEIBULL_BLOCK = "[component]\nfamily = weibull\nk = 0.4\nbeta = 1\n"
+
+
+@pytest.mark.parametrize(
+    "line, block, message",
+    [
+        ("runs = many", WEIBULL_BLOCK, "line 2: key 'runs' expects an integer, got 'many'"),
+        ("gamma_db = twenty", WEIBULL_BLOCK, "line 2: key 'gamma_db' expects a number, got 'twenty'"),
+        ("gamma_grid_db = 20:32", WEIBULL_BLOCK, "line 2: key 'gamma_grid_db' expects start:step:stop, got '20:32'"),
+        # the points round to 12 decimals, so they collide
+        ("gamma_grid_db = 0:1e-13:1e-10", WEIBULL_BLOCK, "line 2: key 'gamma_grid_db' grid is not strictly increasing"),
+        ("theta_grid = 0.5:0.25:1.0", WEIBULL_BLOCK, "line 2: theta_grid values must lie in [0, 1)"),
+        ("[components]", WEIBULL_BLOCK, "line 2: unknown section '[components]'"),
+        ("runs 5", WEIBULL_BLOCK, "line 2: expected 'key = value'"),
+        ("[component]", "k = 0.4\nbeta = 1\n", "line 2: component block is missing 'family'"),
+        ("[component]", "family = gamma\n", "line 3: unknown family 'gamma'"),
+        ("[component]", "family = weibull\nk = 0.4\n", "line 2: weibull component is missing 'beta'"),
+        ("runs = 5", "", "config defines no [component] blocks"),
+    ],
+)
+def test_config_errors_name_their_line(line, block, message):
+    # every value and block error is raised before the threshold is looked for
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(f"seed = 1\n{line}\n{block}")
+
+
+def test_a_threshold_without_decibels_is_rejected_by_the_runners():
+    # every runner reports its rows by their dB thresholds
+    scenario = Scenario([DistributionSpec.weibull(0.4, 1.0)], 100.0)
+    config = ExperimentConfig(scenario, (), (), (Method.IMPROVED_IS,), 1000, 0)
+    with pytest.raises(ValueError, match="^this experiment needs a dB threshold$"):
+        run_single_estimate(config)
 
 
 def test_runs_must_be_positive():

@@ -130,7 +130,7 @@ def test_plan_readers_reject_dominant_components_that_differ(reader):
     # components instead of the far smaller one of the shape-0.4 corner
     scenario = weibull_scenario([0.8, 0.4], gamma_db=26.0)
     with pytest.raises(ValueError, match="^dominant components must be identically distributed$"):
-        PLAN_READERS[reader](scenario, TwistPlan((0, 1), 2))
+        PLAN_READERS[reader](scenario, TwistPlan((0, 1)))
 
 
 @pytest.mark.parametrize("reader", sorted(PLAN_READERS))
