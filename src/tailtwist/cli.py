@@ -63,6 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # before any solve runs, as the runs and seed overrides are checked
+        if args.workers < 1:
+            raise ConfigError(None, "workers must be >= 1")
         try:
             text = Path(args.config).read_text()
         except OSError as exc:

@@ -238,13 +238,19 @@ def log_likelihood_ratio(theta: float, s: int, hazard_sum):
 
 
 class _Screen(NamedTuple):
-    """An estimate's critical uniforms and tables, one per component: a
+    """The one record every chunk of an estimate reads: the ``components``,
+    the indices ``twisted`` by ``theta`` and the threshold ``gamma`` it was
+    built from, and its critical uniforms and tables, one per component: a
     uniform at most ``hit[i]`` certifies a hit, uniforms each at least their
     ``share[i]``, the critical uniform of component i's share level
     ``level[i]``, certify a miss, and ``table[i]`` bounds a log-normal draw.
     A chunk draws row i whole where ``whole[i]``, else only below its
     share uniform."""
 
+    components: tuple[DistributionSpec, ...]
+    twisted: frozenset[int]
+    theta: float
+    gamma: float
     hit: tuple[float, ...]
     share: tuple[float, ...]
     level: tuple[float, ...]
@@ -386,7 +392,8 @@ def _screen(
     whole = tuple(
         _GAP_COST * s + (_FILL_COST * over if i in twisted else 0.0) >= 1.0 for i, s in enumerate(shares)
     )
-    return _Screen(hits, shares, levels, tuple(map(tables.get, components)), whole)
+    table = tuple(map(tables.get, components))
+    return _Screen(components, twisted, theta, gamma, hits, shares, levels, table, whole)
 
 
 def _bracket(spec: DistributionSpec, table: tuple | None, y: np.ndarray, sums: np.ndarray) -> None:
@@ -446,18 +453,9 @@ class _Rows:
         return row
 
 
-def _simulate_chunk(
-    components: tuple[DistributionSpec, ...],
-    twisted: frozenset[int],
-    theta: float,
-    gamma: float,
-    seed: int,
-    chunk_index: int,
-    count: int,
-    screen: _Screen,
-) -> ChunkSums:
-    """The sums of one chunk's replications.  ``screen`` is the estimate's
-    ``_screen(components, twisted, theta, gamma)``."""
+def _simulate_chunk(screen: _Screen, seed: int, chunk_index: int, count: int) -> ChunkSums:
+    """The sums of one chunk's replications of the estimate ``screen`` records."""
+    components, twisted, theta, gamma = screen.components, screen.twisted, screen.theta, screen.gamma
     rows = _Rows(seed, chunk_index, len(components), count)
     keep = 1.0 - theta
     # a replication is decided on its uniforms below their share uniforms: a
@@ -566,14 +564,10 @@ def _estimate(
         # every weight is exp(0) = 1 and every twisted draw an untwisted one,
         # so no row is read for the weights
         twisted = frozenset()
-    gamma = scenario.threshold_linear
     # the critical uniforms, once per estimate and on the calling thread
-    screen = _screen(scenario.components, twisted, theta, gamma)
+    screen = _screen(scenario.components, twisted, theta, scenario.threshold_linear)
     width = _WIDE_CHUNK_SIZE if sum(screen.whole) <= 1 else CHUNK_SIZE
-    chunks = tuple(
-        (scenario.components, twisted, theta, gamma, seed, j, min(width, runs - a), screen)
-        for j, a in enumerate(range(0, runs, width))
-    )
+    chunks = tuple((screen, seed, j, min(width, runs - a)) for j, a in enumerate(range(0, runs, width)))
     return _Estimate(method, theta, runs, seed, chunks)
 
 

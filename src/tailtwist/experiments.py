@@ -129,7 +129,7 @@ _FLOORS = {"runs": (1, "a positive"), "seed": (0, "a non-negative")}
 
 def _check_floor(lineno: int | None, key: str, value: int) -> int:
     floor, kind = _FLOORS[key]
-    if value < floor:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < floor:
         raise ConfigError(lineno, f"{key} must be {kind} integer")
     return int(value)
 

@@ -49,9 +49,10 @@ def minmax_plan(scenario):
 
 
 def _chunk(*args):
-    """_simulate_chunk on the estimate's screen, which _estimate builds once
-    per estimate and passes to each of its chunks."""
-    return _simulate_chunk(*args, _screen(*args[:4]))
+    """_simulate_chunk on the screen of (components, twisted, theta, gamma),
+    which _estimate builds once per estimate and passes to each of its
+    chunks, with (seed, chunk_index, count)."""
+    return _simulate_chunk(_screen(*args[:4]), *args[4:])
 
 
 # -- naive MC -------------------------------------------------------------------
@@ -726,7 +727,7 @@ def test_rows_are_thinned_where_their_share_uniforms_are_small():
     # whole; conventional IS at theta 0.95 puts most replications over their
     # shares, so its twisted rows are whole too
     scenario = KERNEL_SCENARIOS["weibull4"]
-    screen = _estimate(scenario, Method.IMPROVED_IS, CHUNK_SIZE, 7, plan=minmax_plan(scenario)).chunks[0][-1]
+    screen = _estimate(scenario, Method.IMPROVED_IS, CHUNK_SIZE, 7, plan=minmax_plan(scenario)).chunks[0][0]
     assert screen.share[0] > 0.3 and max(screen.share[1:]) < 0.01
     assert screen.whole == (True, False, False, False)
     assert _screen(scenario.components, frozenset({0}), 0.9, 0.0).whole == (True,) * 4
@@ -744,14 +745,22 @@ def test_chunks_are_twice_as_wide_where_at_most_one_row_is_whole_at_any_worker_c
         _estimate(LOGNORMAL4, Method.CONVENTIONAL_IS, runs, 8, theta=0.3),
         _estimate(LOGNORMAL4, Method.CONVENTIONAL_IS, runs, 9, theta=0.95),
     ]
-    assert [sum(e.chunks[0][-1].whole) for e in estimates] == [1, 0, 4]
+    assert [sum(e.chunks[0][0].whole) for e in estimates] == [1, 0, 4]
+    # every chunk reads its estimate's one screen, built from its twist
+    twists = (frozenset({0}), frozenset(range(4)), frozenset(range(4)))
+    for estimate, scenario, twisted in zip(estimates, (weibull4, LOGNORMAL4, LOGNORMAL4), twists):
+        screen = estimate.chunks[0][0]
+        assert all(len(args) == 4 and args[0] is screen for args in estimate.chunks)
+        assert (screen.components, screen.twisted, screen.theta, screen.gamma) == (
+            scenario.components, twisted, estimate.theta, scenario.threshold_linear
+        )
     chunk = estimators._simulate_chunk
     ran, reports = {}, {}
     for workers in (1, 2):
         ran[workers] = []
 
         def recorded(*args, chunks=ran[workers]):
-            chunks.append(args[4:7])
+            chunks.append(args[1:4])
             return chunk(*args)
 
         monkeypatch.setattr(estimators, "_simulate_chunk", recorded)
@@ -882,7 +891,7 @@ def test_screen_at_zero_threshold_certifies_every_hit(counting_stream, recorded_
 def test_screen_far_above_every_sum_inverts_nothing(counting_stream, recorded_rows, inverted):
     args = (LOGNORMAL4.components, frozenset(range(4)), 0.3, 1e12, 71, 3, 4465)
     screen = _screened(*args[:4], inverted)
-    assert _simulate_chunk(*args, screen) == recorded_rows(*args) == (0.0, 0.0, 0.0, 0)
+    assert _simulate_chunk(screen, *args[4:]) == recorded_rows(*args) == (0.0, 0.0, 0.0, 0)
     assert counting_stream.built == 1
     assert sum(inverted) == 0
 
@@ -1013,7 +1022,7 @@ def test_a_share_below_the_smallest_normal_double_certifies_no_miss(whole_rows, 
 def test_screen_inverts_few_twisted_draws(inverted):
     twisted = frozenset(range(4))
     args = (LOGNORMAL4.components, twisted, 0.3, LOGNORMAL4.threshold_linear, 71, 3, CHUNK_SIZE)
-    assert _simulate_chunk(*args, _screened(*args[:4], inverted))[0] > 0.0
+    assert _simulate_chunk(_screened(*args[:4], inverted), *args[4:]).t > 0.0
     assert 0 < sum(inverted) < 0.05 * len(twisted) * CHUNK_SIZE
 
 
@@ -1025,7 +1034,7 @@ def test_naive_lognormal_chunk_inverts_every_draw_from_its_hazard(whole_rows, in
     total = np.sort(_reference_totals(LOGNORMAL4.components, frozenset(), 0.0, 71, 3, CHUNK_SIZE))[-5]
     args = (LOGNORMAL4.components, frozenset(), 0.0, float(total), 71, 3, CHUNK_SIZE)
     screen = _screened(*args[:4], inverted)
-    assert _simulate_chunk(*args, screen) == _reference_chunk(*args) == (4.0, 4.0, 4.0, 4)
+    assert _simulate_chunk(screen, *args[4:]) == _reference_chunk(*args) == (4.0, 4.0, 4.0, 4)
     assert sum(inverted) > 0 and sum(inverted) % n == 0
     sizes = np.reshape(inverted, (-1, n))
     assert np.all(sizes == sizes[:, :1])
@@ -1045,7 +1054,7 @@ def test_a_conventional_lognormal4_chunk_inverts_few_replications_exactly(whole_
         return exact(spec, y, out=out)
 
     monkeypatch.setattr(DistributionSpec, "inverse_cumulative_hazard", counting)
-    assert _simulate_chunk(*args, screen) == _reference_chunk(*args)
+    assert _simulate_chunk(screen, *args[4:]) == _reference_chunk(*args)
     assert len(inverted) == 4 and len(set(inverted)) == 1
     assert 0 < inverted[0] < 0.005 * CHUNK_SIZE
 
@@ -1102,9 +1111,10 @@ def test_critical_uniforms_beyond_the_screens_range_certify_nothing():
     far = math.exp(spec.mu_ln + _SCREEN_LOG_RANGE)
     near = math.exp(spec.mu_ln + 0.5 * _SCREEN_LOG_RANGE)
     twisted = frozenset(range(4))
-    assert _screen(FAR_LOGNORMAL4.components, twisted, 0.9999, 8.0 * far)[:2] == ((0.0,) * 4, (1.0,) * 4)
-    hit, share = _screen(FAR_LOGNORMAL4.components, twisted, 0.9999, 4.0 * near)[:2]
-    assert all(0.0 < h < s < 1.0 for h, s in zip(hit, share))
+    screen = _screen(FAR_LOGNORMAL4.components, twisted, 0.9999, 8.0 * far)
+    assert (screen.hit, screen.share) == ((0.0,) * 4, (1.0,) * 4)
+    screen = _screen(FAR_LOGNORMAL4.components, twisted, 0.9999, 4.0 * near)
+    assert all(0.0 < h < s < 1.0 for h, s in zip(screen.hit, screen.share))
     # Weibull draws are as far off as the y they invert, over the shape
     assert _critical_uniform(DistributionSpec.weibull(1e-6, 1.0), 1.0, 2.0, up=False) == 0.0
     assert _critical_uniform(DistributionSpec.weibull(1e-6, 1.0), 1.0, 2.0, up=True) == 1.0
@@ -1300,7 +1310,7 @@ def test_share_levels_leave_few_weibull_replications_undecided(bounded):
     scenario = KERNEL_SCENARIOS["weibull4"]
     estimate = _estimate(scenario, Method.IMPROVED_IS, CHUNK_SIZE, 7, plan=minmax_plan(scenario))
     assert estimate.theta == pytest.approx(0.909, abs=1e-3)
-    screen = estimate.chunks[0][-1]
+    screen = estimate.chunks[0][0]
     assert screen.level[0] > 0.9 * scenario.threshold_linear
     _simulate_chunk(*estimate.chunks[0])
     assert len(bounded) == scenario.n

@@ -176,6 +176,13 @@ def construct(config, **changes):
         ({"methods": [None]}, "^unknown method None$"),
         ({"runs": 0}, "^runs must be a positive integer$"),
         ({"seed": -1}, "^seed must be a non-negative integer$"),
+        # neither truncated nor read as 1 and 0, nor compared as text
+        ({"runs": 2.7}, "^runs must be a positive integer$"),
+        ({"runs": True}, "^runs must be a positive integer$"),
+        ({"runs": "5"}, "^runs must be a positive integer$"),
+        ({"seed": 3.0}, "^seed must be a non-negative integer$"),
+        ({"seed": False}, "^seed must be a non-negative integer$"),
+        ({"seed": "7"}, "^seed must be a non-negative integer$"),
     ],
 )
 def test_configs_reject_what_is_not_a_list_of_methods_or_a_count(make, changes, message):
@@ -183,6 +190,13 @@ def test_configs_reject_what_is_not_a_list_of_methods_or_a_count(make, changes, 
     # parse_methods' to read: an estimate needs a Method
     with pytest.raises(ConfigError, match=message):
         make(parse_config(WEIBULL2_THRESHOLDS), **changes)
+
+
+@pytest.mark.parametrize("make", [ExperimentConfig.override, construct])
+def test_configs_take_numpy_integer_counts_as_ints(make):
+    config = make(parse_config(WEIBULL2_THRESHOLDS), runs=np.int64(1000), seed=np.uint32(0))
+    assert (config.runs, config.seed) == (1000, 0)
+    assert type(config.runs) is type(config.seed) is int
 
 
 @pytest.mark.parametrize("make", [ExperimentConfig.override, construct])
@@ -770,7 +784,7 @@ def test_rows_of_one_chunk_keep_their_bytes_in_wide_chunks(ran):
     text = text.replace("gamma_grid_db = 20:1:32", "gamma_grid_db = 26:1:26")
     rows = run_threshold_sweep(parse_config(text).override(runs=CHUNK_SIZE))
     # conventional IS draws no row whole and improved IS one, so both are wide
-    assert [sum(e.chunks[0][-1].whole) for e in ran] == [0, 1]
+    assert [sum(e.chunks[0][0].whole) for e in ran] == [0, 1]
     assert chunk_counts(ran) == {1}
     assert sweep_rows_to_csv(rows) == ONE_CHUNK_ROWS_CSV
 
@@ -873,7 +887,7 @@ def test_a_failing_chunk_raises_the_first_error_in_row_order(monkeypatch, worker
     chunk = estimators._simulate_chunk
 
     def failing(*args):
-        row = args[4] - config.seed
+        row = args[1] - config.seed
         started.append(row)
         if row == 5:
             later_raised.wait(timeout=5.0 if workers > 1 else 0.0)
@@ -899,7 +913,7 @@ def test_a_failing_chunk_cancels_the_queued_ones(pools, monkeypatch):
     chunk = estimators._simulate_chunk
 
     def failing(*args):
-        row = args[4] - config.seed
+        row = args[1] - config.seed
         started.append(row)
         if row == 0:
             raise FirstError("row 0")
@@ -928,7 +942,7 @@ def test_every_solve_runs_before_any_chunk(monkeypatch, workers):
         return solve(scenario)
 
     def recorded(*args):
-        started.append(args[4])
+        started.append(args[1])
         return chunk(*args)
 
     monkeypatch.setattr(experiments, "theta_conventional", failing_solve)
@@ -952,8 +966,8 @@ def test_rows_whose_sums_underflow_are_not_exact_or_empty():
     for row in rows:
         # one chunk per row; component 0 is the dominant one
         scenario = config.scenario.with_threshold_db(row.gamma_db)
-        args = (scenario.components, frozenset({0}), row.theta, scenario.threshold_linear, row.report.seed, 0, CHUNK_SIZE)
-        assert estimators._simulate_chunk(*args, estimators._screen(*args[:4])).hits > 0
+        screen = estimators._screen(scenario.components, frozenset({0}), row.theta, scenario.threshold_linear)
+        assert estimators._simulate_chunk(screen, row.report.seed, 0, CHUNK_SIZE).hits > 0
     spreads = ("second_moment", "second_moment_se", "variance", "relative_error", "ci95_low", "ci95_high")
     deep = rows[0].report
     assert 0.0 < deep.alpha_hat < 1e-250
@@ -1020,6 +1034,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, WEIBULL2_THRESHOLDS.replace("k = 0.4", "k = 0"))
     assert main(["estimate", "--config", cfg]) == 2
     assert "weibull_shape must be > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_rejects_fewer_than_one_worker_before_any_solve(tmp_path, capsys, monkeypatch, workers):
+    # a config error, as --runs 0 is, raised before the sweep's solves
+    def no_solve(scenario):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(experiments, "theta_conventional", no_solve)
+    cfg = write_config(tmp_path, WEIBULL2_THRESHOLDS)
+    assert main(["threshold-sweep", "--config", cfg, "--workers", workers]) == 2
+    assert "config error: workers must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_missing_config_file(tmp_path, capsys):
@@ -1110,12 +1136,11 @@ def test_a_single_run_reports_no_spread(capsys):
 
 
 @pytest.mark.parametrize("workers", [0, -1])
-def test_workers_below_one_rejected(tmp_path, capsys, workers):
+def test_workers_below_one_rejected(workers):
+    # a library caller's ValueError; the CLI's config error is
+    # test_cli_rejects_fewer_than_one_worker_before_any_solve
     with pytest.raises(ValueError, match="workers must be >= 1"):
         run_theta_sweep(small_theta_config(), workers=workers)
-    cfg = write_config(tmp_path, LOGNORMAL4_THETA)
-    assert main(["theta-sweep", "--config", cfg, "--runs", "100", "--workers", str(workers)]) == 3
-    assert "workers must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -222,7 +222,7 @@ def test_chunks_fault_in_few_pages_once_warm():
             for args in estimate.chunks[2:]:
                 estimators._simulate_chunk(*args)
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-        layout = [[e.chunks[0][6], sum(e.chunks[0][7].whole), len(e.chunks)] for e in estimates]
+        layout = [[e.chunks[0][3], sum(e.chunks[0][0].whole), len(e.chunks)] for e in estimates]
         print(json.dumps([layout, faults]))
     """
     layout, faults = json.loads(_fresh_python(code))
