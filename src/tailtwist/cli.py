@@ -75,6 +75,11 @@ def main(argv=None) -> int:
         config = config.override(runs=args.runs, seed=args.seed, methods=methods)
         runner, render = _COMMANDS[args.command]
         output = render(runner(config, args.workers))
+        if args.out:
+            try:
+                Path(args.out).write_text(output)
+            except OSError as exc:
+                raise ConfigError(None, f"cannot write output: {exc}")
     except ConfigError as exc:
         print(f"tailtwist: config error: {exc}", file=sys.stderr)
         return 2
@@ -82,9 +87,7 @@ def main(argv=None) -> int:
         print(f"tailtwist: error: {exc}", file=sys.stderr)
         return 3
 
-    if args.out:
-        Path(args.out).write_text(output)
-    else:
+    if not args.out:
         sys.stdout.write(output)
     return 0
 

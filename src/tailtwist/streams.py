@@ -29,18 +29,15 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)
 class UnitSampleStream:
     """Seedable uniform(0,1) source for substream ``substream_index`` of
     ``seed``, both non-negative integers of any size.  SeedSequence takes
-    them whole, so distinct seeds never share a stream.
+    them whole, so distinct seeds never share a stream, and rejects a float
+    or a string (``TypeError``) and a negative (``ValueError``).
 
     Streams are single-owner: do not share one instance across concurrent
     contexts; construct one per worker, e.g. ``UnitSampleStream(seed, j)``.
     """
 
     def __init__(self, seed: int, substream_index: int = 0):
-        self.seed = int(seed)
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        self.substream_index = int(substream_index)
-        seq = np.random.SeedSequence(self.seed, spawn_key=(self.substream_index,))
+        seq = np.random.SeedSequence(seed, spawn_key=(substream_index,))
         self._gen = np.random.Generator(np.random.PCG64DXSM(seq))
 
     def uniforms(self, n: int, out: np.ndarray | None = None) -> np.ndarray:

@@ -274,6 +274,10 @@ def test_runs_must_be_positive():
     scenario = weibull_scenario()
     with pytest.raises(ValueError):
         estimate_naive(scenario, runs=0, seed=0)
+    # a float seed is not truncated to another: the report would name a seed
+    # whose stream it never read
+    with pytest.raises(TypeError):
+        estimate_naive(scenario, runs=1000, seed=1.9)
 
 
 SPREADS = {"second_moment", "second_moment_se", "variance", "relative_error", "ci95_low", "ci95_high"}
@@ -517,10 +521,11 @@ class WholeRows:
 
 @pytest.fixture
 def whole_rows(monkeypatch):
-    """Chunks draw every row whole, as _reference_chunk reads the stream."""
+    """Chunks draw every row whole, as _reference_chunk reads the stream; the
+    fixture returns _reference_chunk."""
     monkeypatch.setattr(WholeRows, "pinned", {})
     monkeypatch.setattr(estimators, "_Rows", WholeRows)
-    return WholeRows
+    return _reference_chunk
 
 
 class RecordedRows(estimators._Rows):
@@ -576,89 +581,75 @@ KERNEL_SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("count", [CHUNK_SIZE, 4465, 1])
-@pytest.mark.parametrize("theta", [0.3, 0.9, 0.95])
-@pytest.mark.parametrize("twist", ["naive", "all", "dominant"])
-@pytest.mark.parametrize("name", sorted(KERNEL_SCENARIOS))
-def test_in_place_chunk_matches_the_allocating_reference_exactly(whole_rows, name, twist, theta, count):
-    scenario = KERNEL_SCENARIOS[name]
-    twisted = {
-        "naive": frozenset(),
-        "all": frozenset(range(scenario.n)),
-        "dominant": frozenset(select_dominant(scenario).dominant_indices),
-    }[twist]
-    assert 0 < len(twisted) < scenario.n or twist != "dominant"
-    if not twisted:
-        theta = 0.0
-    args = (scenario.components, twisted, theta, scenario.threshold_linear, 71, 3, count)
-    assert _chunk(*args) == _reference_chunk(*args)
+# a chunk takes any components: Weibull and log-normal classes get their own
+# share levels, and log-normal draws keep the table and exact stages
+MIXED_COMPONENTS = (
+    DistributionSpec.weibull(0.4, 1.0),
+    DistributionSpec.lognormal(0.0, 6.0),
+    DistributionSpec.weibull(0.8, 1.0),
+    DistributionSpec.lognormal(0.0, 4.0),
+)
 
 
-@pytest.mark.parametrize("count", [CHUNK_SIZE, 4465, 3])
-@pytest.mark.parametrize("n", [4, 6, 9])
-@pytest.mark.parametrize("family", ["weibull", "lognormal"])
-def test_chunks_of_more_than_four_components_match_the_allocating_reference(whole_rows, family, n, count):
-    specs = {
-        "weibull": [DistributionSpec.weibull(0.4, 1.0)] + [DistributionSpec.weibull(0.8, 1.0)] * (n - 1),
-        "lognormal": [DistributionSpec.lognormal(0.0, 4.0)] * (n - 2) + [DistributionSpec.lognormal(0.0, 6.0)] * 2,
-    }[family]
-    scenario = Scenario.from_db(specs, 28.0)
-    twisted = frozenset(select_dominant(scenario).dominant_indices)
-    args = (scenario.components, twisted, 0.6, scenario.threshold_linear, 71, 3, count)
-    assert _chunk(*args) == _reference_chunk(*args)
+def _chunk_cases():
+    """Each chunk the kernel is checked on, once, as (id, (components,
+    twisted, theta, gamma, count)): each of KERNEL_SCENARIOS untwisted, and
+    with all or its dominant components twisted by 0.3, 0.9 or 0.95, at 2**16,
+    4465 and 1 replications; Weibull and log-normal sums of 4, 6 and 9
+    components at 28 dB, the dominant ones twisted by 0.6, at 2**16, 4465 and
+    3; and the mixed-family chunk at 24 dB, two components twisted by 0.5 or
+    0.9, at 2**16 and 4465."""
+    for name, scenario in sorted(KERNEL_SCENARIOS.items()):
+        twists = [("naive", frozenset(), 0.0)] + [
+            (label, twisted, theta)
+            for label, twisted in (
+                ("all", frozenset(range(scenario.n))),
+                ("dominant", frozenset(select_dominant(scenario).dominant_indices)),
+            )
+            for theta in (0.3, 0.9, 0.95)
+        ]
+        for (label, twisted, theta), count in itertools.product(twists, (CHUNK_SIZE, 4465, 1)):
+            case = (scenario.components, twisted, theta, scenario.threshold_linear, count)
+            yield f"{name}-{label}-{theta}-{count}", case
+    for family, n, count in itertools.product(("weibull", "lognormal"), (4, 6, 9), (CHUNK_SIZE, 4465, 3)):
+        specs = {
+            "weibull": [DistributionSpec.weibull(0.4, 1.0)] + [DistributionSpec.weibull(0.8, 1.0)] * (n - 1),
+            "lognormal": [DistributionSpec.lognormal(0.0, 4.0)] * (n - 2) + [DistributionSpec.lognormal(0.0, 6.0)] * 2,
+        }[family]
+        scenario = Scenario.from_db(specs, 28.0)
+        twisted = frozenset(select_dominant(scenario).dominant_indices)
+        yield f"{family}{n}-dominant-0.6-{count}", (scenario.components, twisted, 0.6, scenario.threshold_linear, count)
+    for theta, count in itertools.product((0.5, 0.9), (CHUNK_SIZE, 4465)):
+        yield f"mixed-{theta}-{count}", (MIXED_COMPONENTS, frozenset({0, 1}), theta, db_to_linear(24.0), count)
 
 
-@pytest.mark.parametrize("count", [CHUNK_SIZE, 4465])
-@pytest.mark.parametrize("theta", [0.5, 0.9])
-def test_a_mixed_family_chunk_matches_the_allocating_reference_exactly(whole_rows, theta, count):
-    # a chunk takes any components: Weibull and log-normal classes get their
-    # own share levels, and log-normal draws keep the table and exact stages
-    components = (
-        DistributionSpec.weibull(0.4, 1.0),
-        DistributionSpec.lognormal(0.0, 6.0),
-        DistributionSpec.weibull(0.8, 1.0),
-        DistributionSpec.lognormal(0.0, 4.0),
-    )
-    args = (components, frozenset({0, 1}), theta, db_to_linear(24.0), 71, 3, count)
+CHUNK_CASES = list(_chunk_cases())
+
+
+def test_each_chunk_case_is_listed_once():
+    # the dominant twists are proper subsets, so no dominant case repeats an
+    # untwisted or an all-twisted one
+    assert len({case_id for case_id, _ in CHUNK_CASES}) == len({case for _, case in CHUNK_CASES}) == len(CHUNK_CASES)
+    for scenario in KERNEL_SCENARIOS.values():
+        assert 0 < len(select_dominant(scenario).dominant_indices) < scenario.n
+
+
+@pytest.mark.parametrize("case", [pytest.param(case, id=case_id) for case_id, case in CHUNK_CASES])
+@pytest.mark.parametrize("rows", ["whole_rows", "recorded_rows"])
+def test_a_chunk_matches_the_allocating_reference(request, rows, case):
+    # under whole rows the chunk reads its stream as _reference_chunk does;
+    # under its own, thinned below their share uniforms and filled where the
+    # chunk reads them, it reads as the reference reads the rows it drew
+    components, twisted, theta, gamma, count = case
+    args = (components, twisted, theta, gamma, 71, 3, count)
+    reference = request.getfixturevalue(rows)
     sums = _chunk(*args)
-    assert sums == _reference_chunk(*args)
-    assert sums.hits > 0
-
-
-@pytest.mark.parametrize("count", [CHUNK_SIZE, 4465, 1])
-@pytest.mark.parametrize("theta", [0.3, 0.9])
-@pytest.mark.parametrize("twist", ["naive", "all", "dominant"])
-@pytest.mark.parametrize("name", sorted(KERNEL_SCENARIOS))
-def test_a_chunk_matches_the_allocating_reference_on_the_rows_it_read(recorded_rows, name, twist, theta, count):
-    # the chunk's own source: rows thinned below their share uniforms and
-    # filled where the chunk reads them, the rest left unread
-    scenario = KERNEL_SCENARIOS[name]
-    twisted = {
-        "naive": frozenset(),
-        "all": frozenset(range(scenario.n)),
-        "dominant": frozenset(select_dominant(scenario).dominant_indices),
-    }[twist]
-    if not twisted:
-        theta = 0.0
-    args = (scenario.components, twisted, theta, scenario.threshold_linear, 71, 3, count)
-    assert _chunk(*args) == recorded_rows(*args)
+    assert sums == reference(*args)
     # a thinned row leaves most of a longer chunk unread
-    if count > 1:
+    if rows == "recorded_rows" and count > 1:
         assert np.isnan(RecordedRows.last.rows).any() == (not all(_screen(*args[:4]).whole))
-
-
-@pytest.mark.parametrize("theta", [0.5, 0.9])
-def test_a_mixed_family_chunk_matches_the_allocating_reference_on_the_rows_it_read(recorded_rows, theta):
-    components = (
-        DistributionSpec.weibull(0.4, 1.0),
-        DistributionSpec.lognormal(0.0, 6.0),
-        DistributionSpec.weibull(0.8, 1.0),
-        DistributionSpec.lognormal(0.0, 4.0),
-    )
-    args = (components, frozenset({0, 1}), theta, db_to_linear(24.0), 71, 3, CHUNK_SIZE)
-    sums = _chunk(*args)
-    assert sums == recorded_rows(*args)
-    assert sums.hits > 0
+    if len({spec.family for spec in components}) > 1:
+        assert sums.hits > 0
 
 
 # the fuzz cases' generator is numpy's default_rng((FUZZ_SEED, batch))
@@ -805,31 +796,14 @@ LOGNORMAL4 = KERNEL_SCENARIOS["lognormal4"]
     [pytest.param(0.5, 4465, rank, id=str(rank)) for rank in (-1, -40)]
     + [(0.95, count, -1) for count in (1, 4465, CHUNK_SIZE)],
 )
-def test_screen_at_a_replications_exact_total(whole_rows, twist, theta, count, rank):
+@pytest.mark.parametrize("name", ["lognormal4", "weibull4"])
+def test_screen_at_a_replications_exact_total(whole_rows, name, twist, theta, count, rank):
     # gamma at one replication's exact sum and 1 ulp either side: that
     # replication misses at the first two and hits at the third.  At theta
     # 0.95 only the largest sum shows: the weight of a lower-ranked one is
-    # lost in the rounding of the other hits' weights.
-    twisted = frozenset(range(4) if twist == "all" else select_dominant(LOGNORMAL4).dominant_indices)
-    total = np.sort(_reference_totals(LOGNORMAL4.components, twisted, theta, 71, 3, count))[rank]
-    results = []
-    for gamma in (np.nextafter(total, np.inf), total, np.nextafter(total, 0.0)):
-        args = (LOGNORMAL4.components, twisted, theta, float(gamma), 71, 3, count)
-        results.append(_chunk(*args))
-        assert results[-1] == _reference_chunk(*args)
-    assert results[0] == results[1] != results[2]
-
-
-@pytest.mark.parametrize("twist", ["all", "dominant"])
-@pytest.mark.parametrize(
-    "theta, count, rank",
-    [pytest.param(0.5, 4465, rank, id=str(rank)) for rank in (-1, -40)]
-    + [(0.95, count, -1) for count in (1, 4465, CHUNK_SIZE)],
-)
-def test_weibull_screen_at_a_replications_exact_total(whole_rows, twist, theta, count, rank):
-    # as for lognormal4: Weibull chunks take the same comparisons, bound
-    # sums and exact inversions
-    scenario = KERNEL_SCENARIOS["weibull4"]
+    # lost in the rounding of the other hits' weights.  Weibull and log-normal
+    # chunks take the same comparisons, bound sums and exact inversions
+    scenario = KERNEL_SCENARIOS[name]
     twisted = frozenset(range(4) if twist == "all" else select_dominant(scenario).dominant_indices)
     total = np.sort(_reference_totals(scenario.components, twisted, theta, 71, 3, count))[rank]
     results = []
@@ -842,9 +816,9 @@ def test_weibull_screen_at_a_replications_exact_total(whole_rows, twist, theta, 
 
 @pytest.mark.parametrize("count, rank", [(1, -1), (4465, -1), (4465, -40), (CHUNK_SIZE, -1), (CHUNK_SIZE, -1000)])
 def test_naive_screen_at_a_replications_exact_total(whole_rows, count, rank):
-    # the untwisted hit test reads -log u against the level hazards: gamma
-    # at one replication's exact sum and 1 ulp either side, each hit of
-    # weight 1, so a replication of any rank shows
+    # the untwisted stage-1 test compares each uniform with its component's
+    # critical uniforms: gamma at one replication's exact sum and 1 ulp
+    # either side, each hit of weight 1, so a replication of any rank shows
     twisted = frozenset()
     total = np.sort(_reference_totals(LOGNORMAL4.components, twisted, 0.0, 71, 3, count))[rank]
     results = []

@@ -1052,6 +1052,13 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["estimate", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, WEIBULL2_THRESHOLDS)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["estimate", "--config", cfg, "--runs", "16", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("tailtwist: config error: cannot write output: ")
+
+
 def test_cli_wrong_experiment_for_config(tmp_path, capsys):
     cfg = write_config(tmp_path, WEIBULL2_THRESHOLDS)
     # a threshold-sweep config has no theta grid: that is a config error

@@ -38,6 +38,10 @@ def test_open_interval():
 def test_negative_seed_rejected(tmp_path, capsys):
     with pytest.raises(ValueError, match="non-negative"):
         UnitSampleStream(-3, 2)
+    # nor is a float seed or index truncated to an integer naming another stream
+    for seed, index in ((2.7, 0), (2, 0.5)):
+        with pytest.raises(TypeError):
+            UnitSampleStream(seed, index)
     text = "gamma_db = 10\nseed = {}\n[component]\nfamily = weibull\nk = 0.5\nbeta = 1\n"
     with pytest.raises(ConfigError, match="line 2: seed must be a non-negative integer"):
         parse_config(text.format(-1))
