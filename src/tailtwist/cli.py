@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 config error, 3 numeric/domain error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 
@@ -60,6 +61,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Standard output, or the file at ``path`` opened for writing at once,
+    so an unwritable path is a config error before any estimate runs."""
+    try:
+        with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as sink:
+            yield sink
+    except OSError as exc:
+        raise ConfigError(None, f"cannot write output: {exc}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -74,21 +86,14 @@ def main(argv=None) -> int:
         methods = parse_methods(args.method) if args.method is not None else None
         config = config.override(runs=args.runs, seed=args.seed, methods=methods)
         runner, render = _COMMANDS[args.command]
-        output = render(runner(config, args.workers))
-        if args.out:
-            try:
-                Path(args.out).write_text(output)
-            except OSError as exc:
-                raise ConfigError(None, f"cannot write output: {exc}")
+        with _output(args.out) as sink:
+            sink.write(render(runner(config, args.workers)))
     except ConfigError as exc:
         print(f"tailtwist: config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:
         print(f"tailtwist: error: {exc}", file=sys.stderr)
         return 3
-
-    if not args.out:
-        sys.stdout.write(output)
     return 0
 
 

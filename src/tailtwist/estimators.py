@@ -7,22 +7,22 @@ Three estimators of alpha = P(sum of components > threshold):
   * improved importance sampling, hazard-twisting only the dominant
     components and leaving the light-tailed ones untouched.
 
-Chunks.  Replications run in chunks of 2**17 where an estimate draws at
-most one row of uniforms whole, else 2**16 (``_estimate``): a chunk makes
-about as many numpy calls at either width, and each may hand the GIL to
-another pool thread (``_run_estimates``).  Chunk j draws from substream j
-of the seed (its SeedSequence with spawn key (j,), driving PCG64DXSM) and
-reads it straight through (``_Rows``): each component's row in component
-order, whole or only below its share uniform, then the rest of each row
-not drawn whole, in component order, where the chunk reads it.  It
-returns a ``ChunkSums`` record: the sums ``t``, ``t2`` and ``t4`` of its
-weighted indicators t, t**2 and t**4, and its count of ``hits``.  Records
-merge exactly (math.fsum per sum, an integer sum of hits), so on one
-platform and one numpy/scipy build a report is a bit-reproducible
-function of (scenario, method, theta, runs, seed) at any worker count:
-the inputs fix the screen, and so the width.  Other builds may differ in
-the last bits of a special function or of a vectorised log, and so in
-the bytes.
+Chunks.  Replications run in chunks of 2**17 where a chunk is expected
+to touch at most one double a replication, else 2**16 (``_width``): a
+chunk makes about as many numpy calls at either width, and each may hand
+the GIL to another pool thread (``_run_estimates``).  Chunk j draws from
+substream j of the seed (its SeedSequence with spawn key (j,), driving
+PCG64DXSM) and reads it straight through (``_Blocks``): its block sizes,
+then each component's row in component order, then each untwisted row
+at the undecided replications, again in component order.  It returns a
+``ChunkSums`` record: the sums ``t``, ``t2`` and ``t4`` of its weighted
+indicators t, t**2 and t**4, and its count of ``hits``.  Records merge
+exactly (math.fsum per sum, an integer sum of hits), so on one platform
+and one numpy/scipy build a report is a bit-reproducible function of
+(scenario, method, theta, runs, seed) at any worker count: the inputs
+fix the screen, and so the width and every read.  Other builds may
+differ in the last bits of a special function or of a vectorised log,
+and so in the bytes.
 
 Draws and weights.  Every draw takes one kernel: its cumulative hazard
 y = -log(U) / (1 - theta) (theta = 0 untwisted) inverted by
@@ -34,20 +34,24 @@ functions run on them only.  Only hits are weighed, through one kernel,
 (1 - theta)**-s * exp(-theta * S), one log per twisted draw and one exp
 per hit.
 
-Rows.  A row is drawn whole, or thinned where that costs less
-(``_GAP_COST``; Devroye 1986, ch. X): the positions of its uniforms below
-its share uniform p come from geometric gaps ceil(log V / log1p(-p)),
-their values are p * V, and the rest is drawn, as p + (1 - p) * V, only
-where the chunk reads it: a twisted row at every replication with some
-uniform below its share uniform, an untwisted one at the undecided.  A
-thinned row is held packed, one double per replication read; whole rows
-share one block of n * count doubles (0.5 MB a row at 2**16 replications,
-1 MB at 2**17).  Besides its rows a chunk holds an over-share and a hit
-flag per replication.  As each hit uniform lies below its share uniform,
-every hit is over its share, so the chunk then decides and weighs only
-the over-share positions, with a hit flag and a rank for each; it also
-holds scratch sized to the undecided, and one weight per hit.  No
-uniform is drawn twice.
+Rows.  Replications are i.i.d. and a chunk returns only sums over them,
+so their order carries no information: a chunk draws how many fall in
+each block, and lays the blocks out one after another.  A replication is
+in block k where component k's uniform is the first below its share
+uniform p_k (clipped to 1): c_0 ~ Bin(count, p_0), c_1 ~ Bin(count - c_0,
+p_1), and so on.  The count - m replications left, m the sum of the c_k,
+have every uniform at least its share uniform, certain misses (stage 1
+below), so nothing is drawn for them.  In block k component i's uniform
+is p_i + (1 - p_i) * V for i < k, p_k * V for i = k and a plain V for
+i > k, so row i is three slices: free (the blocks before i), below (block
+i) and above (the blocks after i).  A twisted row is drawn over all m
+replications, as the weights read it at every hit; an untwisted row in
+its own block, and elsewhere only at the replications stage 1 leaves
+undecided, which the later stages decide as if every uniform were
+drawn.  A chunk holds what it touches in one allocation of (n + 3) *
+count doubles, packed at its start: the rows, a hit flag per replication
+drawn and two doubles per hit for the weights; besides that only arrays
+sized by the undecided.  No uniform is drawn twice.
 
 The screen.  A chunk decides its replications in three stages, each on
 fewer of them.  Each certifies only past a margin of 1e-9 of gamma that
@@ -60,8 +64,10 @@ of all its draws decides it.
      gamma * (1 + 1e-9) and up at the component's share level.  A uniform
      at most its hit uniform certifies a hit, as a sum is at least its
      largest draw, and uniforms each at least their share uniform a miss,
-     as the share levels sum to at most gamma * (1 - 1e-9).  Both read
-     only the uniforms below their share uniforms.  The levels, one per
+     as the share levels sum to at most gamma * (1 - 1e-9).  The misses
+     are the replications past the blocks, never drawn; a hit is read in
+     a row's blocks up to its own, as a uniform at least its share
+     uniform is above its hit uniform.  The levels, one per
      class of components alike in law and twist, split that total where
      the draws lie (``_share_levels``), or equally where that certifies
      more; deep in the tail the twisted heavy component takes most of it,
@@ -100,9 +106,11 @@ from .dominance import Scenario, TwistPlan
 from .streams import UnitSampleStream
 
 CHUNK_SIZE = 1 << 16
-# an estimate that draws at most one row whole: half the numpy calls and GIL
-# hand-offs per replication.  One that draws more keeps the memory it touches
+# an estimate whose chunks touch at most _WIDE_TOUCH doubles a replication:
+# half the numpy calls and GIL hand-offs per replication.  One that touches
+# more keeps the memory it touches
 _WIDE_CHUNK_SIZE = 2 * CHUNK_SIZE
+_WIDE_TOUCH = 1.0
 
 # The critical uniforms (stage 1 of the module docstring) are rounded past
 # the rounding of keep * Lambda and of exp, and the share levels c_i are
@@ -135,14 +143,6 @@ _TABLE_BITS = 10  # a log-normal table has 2**_TABLE_BITS + 1 nodes
 # The share levels' search grid, as fractions of gamma * (1 - _SCREEN_MARGIN)
 _SHARE_GRID = np.geomspace(1e-8, 1.0, 129)
 _SHARE_STEPS = np.diff(_SHARE_GRID)
-
-# A whole row costs about 5 ns a uniform, a thinned one about 30 ns a gap
-# and 10 ns a uniform read above p: at a share q of the replications if
-# twisted, at the few undecided if not.  A row is drawn whole where, in
-# whole-row uniforms, _GAP_COST * p + _FILL_COST * q (twisted) or
-# _GAP_COST * p (untwisted) >= 1, as a share uniform p >= 1 always is
-_GAP_COST = 6.0
-_FILL_COST = 2.0
 
 __all__ = [
     "CHUNK_SIZE",
@@ -244,8 +244,8 @@ class _Screen(NamedTuple):
     uniform at most ``hit[i]`` certifies a hit, uniforms each at least their
     ``share[i]``, the critical uniform of component i's share level
     ``level[i]``, certify a miss, and ``table[i]`` bounds a log-normal draw.
-    A chunk draws row i whole where ``whole[i]``, else only below its
-    share uniform."""
+    A chunk draws only its replications with some uniform below its share
+    uniform, in blocks by the first such component."""
 
     components: tuple[DistributionSpec, ...]
     twisted: frozenset[int]
@@ -255,7 +255,6 @@ class _Screen(NamedTuple):
     share: tuple[float, ...]
     level: tuple[float, ...]
     table: tuple[tuple[float, np.ndarray, np.ndarray] | None, ...]
-    whole: tuple[bool, ...]
 
 
 def _rounded_uniform(spec: DistributionSpec, x: float, exponent: float, up: bool) -> float:
@@ -387,13 +386,8 @@ def _screen(
             levels, shares = split, split_shares
     at = [order.index(key) for key in keys]
     hits, shares, levels = (tuple(v[j] for j in at) for v in (hits, shares, levels))
-    # the chance under the sampling law that some uniform is below its share
-    over = -math.expm1(_log_certain(shares, [1] * len(shares)))
-    whole = tuple(
-        _GAP_COST * s + (_FILL_COST * over if i in twisted else 0.0) >= 1.0 for i, s in enumerate(shares)
-    )
     table = tuple(map(tables.get, components))
-    return _Screen(components, twisted, theta, gamma, hits, shares, levels, table, whole)
+    return _Screen(components, twisted, theta, gamma, hits, shares, levels, table)
 
 
 def _bracket(spec: DistributionSpec, table: tuple | None, y: np.ndarray, sums: np.ndarray) -> None:
@@ -409,87 +403,79 @@ def _bracket(spec: DistributionSpec, table: tuple | None, y: np.ndarray, sums: n
     sums[1] += np.take(upper, j, out=y, mode="clip")
 
 
-class _Rows:
-    """A chunk's uniforms: one row of ``count`` per component, read from
-    substream ``chunk_index`` of ``seed``.  ``next`` draws the rows one
-    after another in component order, each whole or only below its cut;
-    ``fill`` then draws the rest of a row where the kernel reads it, again
-    in component order.  So the stream's reads are a fixed function of the
-    seed, the chunk and the cuts.  Tests replace this class with pinned
-    whole rows."""
+class _Blocks:
+    """A chunk's uniforms: substream ``chunk_index`` of ``seed``, read
+    straight through in the chunk's order of calls.  ``sizes`` draws the
+    blocks' sizes (the module docstring), and ``row`` row i at the layout
+    ``positions``, a slice or increasing indices: ``free`` uniforms, then
+    ``below`` below its share uniform p, then the rest at least p.  Tests
+    replace this class with dense rows sorted into the same blocks."""
 
-    def __init__(self, seed: int, chunk_index: int, n: int, count: int):
-        self._stream = UnitSampleStream(seed, chunk_index)
-        # whole row i is row i of one block, one allocation per chunk: malloc
-        # keeps such a block on its heap from chunk to chunk, where it gave
-        # separate rows, or a block of only the whole rows, back to the
-        # system and faulted them in again.  A thinned row leaves its row of
-        # the block untouched, so a wide chunk at n = 16 allocates 16 MB and
-        # touches 1 MB
-        self._whole = np.empty((n, count))
-        self._below = []
+    def __init__(self, seed: int, chunk_index: int, count: int):
+        self._stream, self._count = UnitSampleStream(seed, chunk_index), count
 
-    def next(self, p: float, whole: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        """The next row and None if ``whole``, else its uniforms below ``p``
-        and their positions, in increasing order."""
-        row = self._whole[len(self._below)]
-        if whole:
-            self._below.append(None)
-            return self._stream.uniforms(row.size, out=row), None
-        at, u = self._stream.below(p, row.size)
-        self._below.append((p, at, u))
-        return u, at
+    def sizes(self, shares: list[float]) -> list[int]:
+        return self._stream.first_below(self._count, shares)
 
-    def fill(self, i: int, positions: np.ndarray) -> np.ndarray:
-        """Row i, not drawn whole, at the increasing ``positions``: its
-        uniforms below its cut where it has them, else uniforms drawn here
-        on the condition that they are not."""
-        p, at, u = self._below[i]
-        row = self._stream.above(p, positions.size)
-        if positions.size:
-            j = np.searchsorted(positions, at)
-            mine = np.take(positions, j, mode="clip") == at
-            row[j[mine]] = u[mine]
-        return row
+    def row(self, i: int, p: float, positions, free: int, below: int, out: np.ndarray) -> np.ndarray:
+        return self._stream.row(p, free, below, out)
 
 
 def _simulate_chunk(screen: _Screen, seed: int, chunk_index: int, count: int) -> ChunkSums:
     """The sums of one chunk's replications of the estimate ``screen`` records."""
     components, twisted, theta, gamma = screen.components, screen.twisted, screen.theta, screen.gamma
-    rows = _Rows(seed, chunk_index, len(components), count)
-    keep = 1.0 - theta
-    # a replication is decided on its uniforms below their share uniforms: a
-    # miss if it has none, a hit if one is at most its hit uniform
-    over_share, hits = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
-    # a row not drawn whole is drawn where it is read and held packed, in
-    # replication order: an untwisted one at the undecided, a twisted one at
-    # every replication over its share, where the weights may read it.  So
-    # the entries of a replication differ by kind of row: its position in a
-    # whole row (kind 0), its turn among the undecided in an untwisted packed
-    # row (1), and its rank among those over their share in a twisted one (2)
-    u, kind = [], []
-    for i, (p, h, whole) in enumerate(zip(screen.share, screen.hit, screen.whole)):
-        row, at = rows.next(p, whole)
-        if at is None:
-            over_share |= row < p
-            hits |= row <= h
-        else:
-            over_share[at] = True
-            hits[at[row <= h]] = True
-        u.append(row)
-        kind.append(0 if at is None else 2 if i in twisted else 1)
-    # every hit is over its share (the module docstring), so the rest of the
-    # chunk decides and weighs the over-share replications, by rank among them
-    over_at = np.flatnonzero(over_share)
-    hit = hits[over_at]
-    rank = np.flatnonzero(~hit)
-    entries = [over_at[rank], np.arange(rank.size), rank]
-    for i, k in enumerate(kind):
-        if k:
-            u[i] = rows.fill(i, over_at if k == 2 else entries[0])
+    n, keep = len(components), 1.0 - theta
+    uniforms = _Blocks(seed, chunk_index, count)
+    # a share uniform of 1 or more certifies no miss: its block takes every
+    # replication left
+    shares = [min(p, 1.0) for p in screen.share]
+    sizes = uniforms.sizes(shares)
+    starts = list(itertools.accumulate(sizes, initial=0))
+    m = starts[-1]
+    # one allocation per chunk, of one size per width, so malloc keeps it on
+    # its heap from chunk to chunk, where arrays sized by m went back to the
+    # system and faulted in again.  Everything is packed at its start: the
+    # twisted rows over all m replications and each untwisted row's own
+    # block, at most m together, then a hit flag and two weights per hit:
+    # at most (n + 2.125) * m + 1 doubles
+    block = np.empty((n + 3) * count)
+    # a twisted row is drawn over all m replications, an untwisted one in its
+    # own block: row i starts at layout position first[i]
+    first = [0 if i in twisted else starts[i] for i in range(n)]
+    rows, used = [], 0
+    for i, p in enumerate(shares):
+        end = m if i in twisted else starts[i + 1]
+        out = block[used : used + end - first[i]]
+        rows.append(uniforms.row(i, p, slice(first[i], end), starts[i] - first[i], sizes[i], out))
+        used += out.size
+    hit = block[used : used + m // 8 + 1].view(np.bool_)[:m]
+    used += m // 8 + 1
+    hit[:] = False
+    # stage 1 on the uniforms drawn: a uniform at least its share uniform is
+    # above its hit uniform, so only a row's blocks up to its own certify
+    for i, (row, h) in enumerate(zip(rows, screen.hit)):
+        hit[first[i] : starts[i + 1]] |= row[: starts[i + 1] - first[i]] <= h
+    # the rest are undecided.  An untwisted row is read there only: its own
+    # block's uniforms, and those before and after it drawn here, in
+    # component order.  A uniform never drawn that would have been at most
+    # its hit uniform leaves its replication to the exact stages
+    at = np.flatnonzero(~hit)
+    u = list(rows)
+    if at.size:
+        for i, p in enumerate(shares):
+            if i not in twisted:
+                a, b = np.searchsorted(at, starts[i : i + 2]).tolist()
+                u[i] = np.empty(at.size)
+                uniforms.row(i, p, at[:a], a, 0, u[i][:a])
+                uniforms.row(i, p, at[b:], 0, 0, u[i][b:])
+                np.take(rows[i], at[a:b] - starts[i], out=u[i][a:b])
     # stages 2 and 3 of the module docstring, summing in component order; the
-    # exact sums decide all that is left, and all-Weibull takes stage 2 alone
-    exact = ((None,) * len(components), gamma, gamma)
+    # exact sums decide all that is left, and all-Weibull takes stage 2 alone.
+    # A twisted row is read at a replication's position, an untwisted one at
+    # its turn among the undecided
+    entries = [at, np.arange(at.size)]
+    kind = [0 if i in twisted else 1 for i in range(n)]
+    exact = ((None,) * n, gamma, gamma)
     bounds = (screen.table, gamma * (1.0 + _SCREEN_MARGIN), gamma * (1.0 - _SCREEN_MARGIN))
     for tables, high, low in (bounds, exact) if any(screen.table) else (exact,):
         if not entries[0].size:
@@ -501,33 +487,42 @@ def _simulate_chunk(screen: _Screen, seed: int, chunk_index: int, count: int) ->
             y = np.log(np.take(u[i], entries[kind[i]], out=draw, mode="clip"), out=draw)
             y /= -keep if i in twisted else -1.0
             _bracket(spec, tables[i], y, sums)
-        hit[entries[2][sums[0] > high]] = True
+        hit[entries[0][sums[0] > high]] = True
         # exact sums are equal, so none stays undecided after them
         left = (sums[0] <= high) & (sums[1] > low)
         entries = [e[left] for e in entries]
-    # the hits' weights, in replication order, from the sum of their twisted
-    # rows' hazards; with no twisted row each weight is exp(0) = 1.  A twisted
-    # row is whole or packed at every replication over its share
-    hit_rank = np.flatnonzero(hit)
-    entries = [over_at[hit_rank], hit_rank, hit_rank]
-    hazard_sum, y = np.zeros(hit_rank.size), np.empty(hit_rank.size)
+    # the hits' weights, in layout order, from the sum of their twisted rows'
+    # hazards; with no twisted row each weight is exp(0) = 1
+    hits = int(np.count_nonzero(hit))
+    hazard_sum, y = block[used : used + hits], block[used + hits : used + 2 * hits]
+    hazard_sum[:] = 0.0
     for i in sorted(twisted):
-        np.log(np.take(u[i], entries[kind[i]], out=y, mode="clip"), out=y)
+        np.log(np.compress(hit, rows[i], out=y), out=y)
         y /= -keep
         hazard_sum += y
     t = np.exp(log_likelihood_ratio(theta, len(twisted), hazard_sum), out=hazard_sum)
     sum_t = float(t.sum())
     sum_t2 = float(np.multiply(t, t, out=t).sum())
     sum_t4 = float(np.multiply(t, t, out=t).sum())
-    return ChunkSums(sum_t, sum_t2, sum_t4, hit_rank.size)
+    return ChunkSums(sum_t, sum_t2, sum_t4, hits)
+
+
+def _width(screen: _Screen) -> int:
+    """The replications of a full chunk of the estimate ``screen`` records.
+    A chunk touches about (s + 1) * q doubles a replication, q the chance
+    that some uniform is below its share uniform: a row of the q * count
+    replications drawn per twisted component, s of them, and the untwisted
+    rows' own blocks, which hold at most as many together."""
+    over = -math.expm1(_log_certain(list(screen.share), [1] * len(screen.share)))
+    return _WIDE_CHUNK_SIZE if (len(screen.twisted) + 1) * over <= _WIDE_TOUCH else CHUNK_SIZE
 
 
 @dataclass(frozen=True)
 class _Estimate:
     """One estimate's work: the arguments of its chunks, in chunk order,
     and what its report records besides their partial sums.  Every chunk
-    but the last has _WIDE_CHUNK_SIZE replications where the screen draws
-    at most one row whole, and CHUNK_SIZE otherwise."""
+    but the last has _WIDE_CHUNK_SIZE replications where a chunk touches at
+    most _WIDE_TOUCH doubles a replication, and CHUNK_SIZE otherwise."""
 
     method: Method
     theta: float
@@ -546,7 +541,7 @@ def _estimate(
 ) -> _Estimate:
     """One estimate's chunks.  Naive MC twists nothing, conventional IS every
     component by ``theta``, improved IS the plan's dominant ones by its theta.
-    The chunks are wide where the screen draws at most one row whole."""
+    The chunks are wide where they touch few doubles a replication."""
     if method is Method.NAIVE_MC:
         twisted, theta = frozenset(), 0.0
     elif method is Method.CONVENTIONAL_IS:
@@ -566,7 +561,7 @@ def _estimate(
         twisted = frozenset()
     # the critical uniforms, once per estimate and on the calling thread
     screen = _screen(scenario.components, twisted, theta, scenario.threshold_linear)
-    width = _WIDE_CHUNK_SIZE if sum(screen.whole) <= 1 else CHUNK_SIZE
+    width = _width(screen)
     chunks = tuple((screen, seed, j, min(width, runs - a)) for j, a in enumerate(range(0, runs, width)))
     return _Estimate(method, theta, runs, seed, chunks)
 

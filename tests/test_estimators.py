@@ -278,6 +278,10 @@ def test_runs_must_be_positive():
     # whose stream it never read
     with pytest.raises(TypeError):
         estimate_naive(scenario, runs=1000, seed=1.9)
+    # nor is a bool read as seed 0 or 1, as the config path rejects it too
+    for seed in (True, False):
+        with pytest.raises(TypeError, match="bool"):
+            estimate_naive(scenario, runs=1000, seed=seed)
 
 
 SPREADS = {"second_moment", "second_moment_se", "variance", "relative_error", "ci95_low", "ci95_high"}
@@ -370,40 +374,55 @@ def test_optimality_ratio_validation():
 
 
 def _rows_from_the_stream(components, twisted, theta, gamma, seed, chunk_index, count):
-    """A chunk's rows rebuilt from its stream in the documented order, and
-    its screen.  Each row in component order, whole or only below its
-    share uniform; then each row not drawn whole, in component order, above
-    its share uniform where the chunk reads it: if twisted at every
-    replication with some uniform below its share uniform, else at those
-    of them that no uniform at most its hit uniform certifies.  Entries the
-    chunk never reads are NaN."""
+    """A chunk's rows rebuilt from its stream in the documented order, at
+    their positions in its block layout, the bounds of its blocks, and its
+    screen.  First the block sizes: one binomial per component, in order,
+    of the replications left, at its share uniform clipped to 1.  Then each
+    row in component order: a twisted one at all m replications drawn, an
+    untwisted one in its own block.  Then each untwisted row in component
+    order at the replications that no drawn uniform at most its hit uniform
+    certifies, before its block and then after it.  In block k a row i < k
+    is at least its share uniform p, row k below it, and a row i > k a
+    plain uniform.  Entries the chunk never reads are NaN."""
     screen = _screen(components, twisted, theta, gamma)
-    stream = UnitSampleStream(seed, chunk_index)
+    shares = np.minimum(screen.share, 1.0)
+    gen = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(chunk_index,))))
+    sizes, left = [], count
+    for p in shares:
+        sizes.append(int(gen.binomial(left, p)))
+        left -= sizes[-1]
+    starts = np.cumsum([0] + sizes)
+    m = starts[-1]
+
+    def draw(n, kind, p):
+        u = _reference_uniforms(gen, n)
+        return {"free": u, "below": np.maximum(u * p, TINY), "above": np.minimum(u * (1.0 - p) + p, BELOW_ONE)}[kind]
+
     rows = np.full((len(components), count), np.nan)
-    for row, p, whole in zip(rows, screen.share, screen.whole):
-        if whole:
-            row[:] = stream.uniforms(count)
-        else:
-            at, u = stream.below(p, count)
-            row[at] = u
-    over = np.any(rows < np.array(screen.share)[:, None], axis=0)
-    undecided = over & ~np.any(rows <= np.array(screen.hit)[:, None], axis=0)
-    for i, (row, p, whole) in enumerate(zip(rows, screen.share, screen.whole)):
-        if not whole:
-            at = np.flatnonzero(over if i in twisted else undecided)
-            row[at] = np.where(np.isnan(row[at]), stream.above(p, at.size), row[at])
-    return rows, screen
+    for i, p in enumerate(shares):
+        if i in twisted:
+            rows[i, : starts[i]] = draw(starts[i], "free", p)
+        rows[i, starts[i] : starts[i + 1]] = draw(sizes[i], "below", p)
+        if i in twisted:
+            rows[i, starts[i + 1] : m] = draw(m - starts[i + 1], "above", p)
+    undecided = np.flatnonzero(~np.any(rows[:, :m] <= np.array(screen.hit)[:, None], axis=0))
+    for i, p in enumerate(shares):
+        if i not in twisted:
+            before, after = undecided[undecided < starts[i]], undecided[undecided >= starts[i + 1]]
+            rows[i, before] = draw(before.size, "free", p)
+            rows[i, after] = draw(after.size, "above", p)
+    return rows, starts, screen
 
 
 def test_estimator_consumes_stream_components_in_order():
-    # both rows are drawn below their share uniforms, in component order,
-    # then filled where the chunk reads them; a replication no uniform puts
-    # over its share misses, whatever its unread uniforms are
+    # both rows are drawn in their own blocks, in component order, then at
+    # the undecided; a replication with no uniform below its share uniform
+    # misses, whatever its unread uniforms are
     scenario = weibull_scenario(gamma_db=10.0)
     report = estimate_naive(scenario, runs=1000, seed=55)
     args = (scenario.components, frozenset(), 0.0, scenario.threshold_linear, 55, 0, 1000)
-    rows, screen = _rows_from_the_stream(*args)
-    assert not any(screen.whole)
+    rows, starts, _ = _rows_from_the_stream(*args)
+    assert 0 < starts[-1] < 1000
     rows = np.nan_to_num(rows, nan=BELOW_ONE)
     x0 = scenario.components[0].inverse_cumulative_hazard(-np.log(rows[0]))
     x1 = scenario.components[1].inverse_cumulative_hazard(-np.log(rows[1]))
@@ -412,20 +431,26 @@ def test_estimator_consumes_stream_components_in_order():
 
 
 def test_twisted_chunk_weights_come_from_the_log_weight_kernel():
-    # improved IS rebuilt from the stream: twisted component 0, drawn whole,
-    # draws y = -log(u)/(1-theta); untwisted component 1 is drawn below its
-    # share uniform and filled at the undecided.  The chunk weighs a hit
-    # through log_likelihood_ratio at its twisted hazard y
+    # improved IS rebuilt from the stream: twisted component 0, drawn at
+    # every replication drawn, draws y = -log(u)/(1-theta); untwisted
+    # component 1 is drawn in its own block and at the undecided.  The chunk
+    # weighs a hit through log_likelihood_ratio at its twisted hazard y, in
+    # layout order
     scenario = weibull_scenario(gamma_db=20.0)
     plan = minmax_plan(scenario)
     assert plan.dominant_indices == (0,)
     report = estimate_improved(scenario, plan, runs=1000, seed=56)
     args = (scenario.components, frozenset({0}), plan.theta, scenario.threshold_linear, 56, 0, 1000)
-    rows, screen = _rows_from_the_stream(*args)
-    assert screen.whole == (True, False)
-    u = rows[0]
+    rows, starts, screen = _rows_from_the_stream(*args)
+    # each row lies below its share uniform in its own block and at least it
+    # in the blocks after it, where the heavy row is read in full
+    for i, p in enumerate(screen.share):
+        assert starts[i + 1] > starts[i] and np.all(rows[i, starts[i] : starts[i + 1]] < p)
+        after = rows[i, starts[i + 1] : starts[-1]]
+        assert np.all(after[~np.isnan(after)] >= p)
+    assert starts[1] < starts[2] == starts[-1] and not np.isnan(rows[0, : starts[-1]]).any()
     rows = np.nan_to_num(rows, nan=BELOW_ONE)
-    y = -np.log(u) / (1.0 - plan.theta)
+    y = -np.log(rows[0]) / (1.0 - plan.theta)
     x0 = scenario.components[0].inverse_cumulative_hazard(y)
     x1 = scenario.components[1].inverse_cumulative_hazard(-np.log(rows[1]))
     hit = x0 + x1 > scenario.threshold_linear
@@ -487,78 +512,91 @@ def _reference_sums(components, twisted, theta, gamma, rows):
     return float(t.sum()), float(t2.sum()), float((t2 * t2).sum()), int(hit.sum())
 
 
+def _blocked(rows, shares):
+    """The columns of whole ``rows`` in a chunk's block layout, and the
+    blocks' sizes: replication r goes to block k, the first component whose
+    uniform is below its share uniform (clipped to 1), or after the blocks
+    if none is; in replication order within a block."""
+    below = rows < np.minimum(shares, 1.0)[:, None]
+    first = np.where(below.any(axis=0), below.argmax(axis=0), len(rows))
+    return rows[:, np.argsort(first, kind="stable")], np.bincount(first, minlength=len(rows) + 1)[:-1]
+
+
 def _reference_chunk(components, twisted, theta, gamma, seed, chunk_index, count, pinned=None):
     """_reference_sums on the chunk's stream read as whole rows, component i
-    taking stream positions i * count to (i + 1) * count - 1, as
-    ``WholeRows`` feeds them to the chunk.  The uniform at stream position
-    p is ``pinned[p]`` where given."""
+    taking stream positions i * count to (i + 1) * count - 1, and sorted
+    into the chunk's blocks, as ``DenseRows`` feeds them to the chunk; the
+    replications after the blocks are decided too.  The uniform at stream
+    position p is ``pinned[p]`` where given."""
     rows = np.array(_reference_uniform_rows(len(components), seed, chunk_index, count))
     for position, value in (pinned or {}).items():
         rows.flat[position] = value
+    rows, _ = _blocked(rows, _screen(components, twisted, theta, gamma).share)
     return _reference_sums(components, twisted, theta, gamma, rows)
 
 
-class WholeRows:
+class DenseRows:
     """The chunk's source of uniforms with every row drawn whole from the
-    chunk's stream, one after another, and the uniforms at the stream
-    positions of ``pinned`` replaced by the values given there."""
+    chunk's stream, one after another, the uniforms at the stream positions
+    of ``pinned`` replaced by the values given there, and the replications
+    sorted into the chunk's blocks."""
 
     pinned: dict[int, float] = {}
 
-    def __init__(self, seed, chunk_index, n, count):
-        seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
-        self._gen = np.random.Generator(np.random.PCG64DXSM(seq))
-        self._start, self._count = 0, count
+    def __init__(self, seed, chunk_index, count):
+        self._args = (seed, chunk_index, count)
 
-    def next(self, p, whole):
-        row = _reference_uniforms(self._gen, self._count)
+    def sizes(self, shares):
+        rows = np.array(_reference_uniform_rows(len(shares), *self._args))
         for position, value in self.pinned.items():
-            if self._start <= position < self._start + self._count:
-                row[position - self._start] = value
-        self._start += self._count
-        return row, None
+            rows.flat[position] = value
+        self._rows, sizes = _blocked(rows, shares)
+        return sizes.tolist()
+
+    def row(self, i, p, positions, free, below, out):
+        out[:] = self._rows[i, positions]
+        return out
 
 
 @pytest.fixture
 def whole_rows(monkeypatch):
-    """Chunks draw every row whole, as _reference_chunk reads the stream; the
+    """Chunks read every row whole, as _reference_chunk reads the stream; the
     fixture returns _reference_chunk."""
-    monkeypatch.setattr(WholeRows, "pinned", {})
-    monkeypatch.setattr(estimators, "_Rows", WholeRows)
+    monkeypatch.setattr(DenseRows, "pinned", {})
+    monkeypatch.setattr(estimators, "_Blocks", DenseRows)
     return _reference_chunk
 
 
-class RecordedRows(estimators._Rows):
+class RecordedRows(estimators._Blocks):
     """The chunk's own source of uniforms, recording each row as the chunk
-    reads it; ``last.rows`` is NaN wherever the chunk read nothing."""
+    reads it at its positions in the block layout: ``last.rows`` is NaN
+    wherever the chunk read nothing, and ``last.starts`` holds the bounds of
+    its blocks."""
 
     last = None
 
-    def __init__(self, seed, chunk_index, n, count):
-        super().__init__(seed, chunk_index, n, count)
-        self.rows = np.full((n, count), np.nan)
-        self._read = 0
+    def __init__(self, seed, chunk_index, count):
+        super().__init__(seed, chunk_index, count)
         type(self).last = self
 
-    def next(self, p, whole):
-        row, at = super().next(p, whole)
-        self.rows[self._read, slice(None) if at is None else at] = row
-        self._read += 1
-        return row, at
+    def sizes(self, shares):
+        sizes = super().sizes(shares)
+        self.rows = np.full((len(shares), self._count), np.nan)
+        self.starts = list(itertools.accumulate(sizes, initial=0))
+        return sizes
 
-    def fill(self, i, positions):
-        row = super().fill(i, positions)
-        self.rows[i, positions] = row
-        return row
+    def row(self, i, p, positions, free, below, out):
+        self.rows[i, positions] = super().row(i, p, positions, free, below, out)
+        return out
 
 
 @pytest.fixture
 def recorded_rows(monkeypatch):
-    """_reference_sums on the rows the last chunk read, each unread uniform
-    taken as the largest below 1, which is above every share uniform that
-    leaves a row drawn below it: a replication the chunk read nothing of
-    misses, and one it read in twisted rows only is a certain hit."""
-    monkeypatch.setattr(estimators, "_Rows", RecordedRows)
+    """_reference_sums on the rows the last chunk read, in its layout, each
+    unread uniform taken as the largest below 1: a replication it drew
+    nothing for has every uniform at least its share uniform and misses,
+    and one it read in few rows had a drawn uniform certify its hit."""
+    monkeypatch.setattr(estimators, "_Blocks", RecordedRows)
 
     def reference(components, twisted, theta, gamma, *_):
         rows = np.nan_to_num(RecordedRows.last.rows, nan=BELOW_ONE)
@@ -638,16 +676,19 @@ def test_each_chunk_case_is_listed_once():
 @pytest.mark.parametrize("rows", ["whole_rows", "recorded_rows"])
 def test_a_chunk_matches_the_allocating_reference(request, rows, case):
     # under whole rows the chunk reads its stream as _reference_chunk does;
-    # under its own, thinned below their share uniforms and filled where the
-    # chunk reads them, it reads as the reference reads the rows it drew
+    # under its own, drawn by blocks and at the undecided, it reads as the
+    # reference reads the rows it drew
     components, twisted, theta, gamma, count = case
     args = (components, twisted, theta, gamma, 71, 3, count)
     reference = request.getfixturevalue(rows)
     sums = _chunk(*args)
     assert sums == reference(*args)
-    # a thinned row leaves most of a longer chunk unread
-    if rows == "recorded_rows" and count > 1:
-        assert np.isnan(RecordedRows.last.rows).any() == (not all(_screen(*args[:4]).whole))
+    # a chunk draws nothing past its blocks, and its twisted rows in full
+    # over them
+    if rows == "recorded_rows":
+        last = RecordedRows.last
+        assert np.isnan(last.rows[:, last.starts[-1] :]).all()
+        assert not np.isnan(last.rows[sorted(twisted), : last.starts[-1]]).any()
     if len({spec.family for spec in components}) > 1:
         assert sums.hits > 0
 
@@ -711,24 +752,28 @@ def test_random_chunks_match_the_allocating_reference_on_the_rows_they_read(reco
                     assert _chunk(*at_total) == recorded_rows(*at_total), at_total
 
 
-def test_rows_are_thinned_where_their_share_uniforms_are_small():
+def test_a_chunk_draws_only_for_its_over_share_replications(counting_stream):
     # improved IS on weibull4 at 26 dB: the twisted heavy row has a share
-    # uniform near 0.4 and is drawn whole, the light ones are thinned.  Where
-    # the screen certifies no miss, share uniforms of 1 and more, every row is
-    # whole; conventional IS at theta 0.95 puts most replications over their
-    # shares, so its twisted rows are whole too
+    # uniform near 0.4 and the light ones below 0.01, so a chunk draws the
+    # heavy row at the 40% or so of its replications with some uniform below
+    # its share uniform, and the light rows in their own blocks and at the
+    # few left undecided; a whole heavy row alone would take count uniforms
     scenario = KERNEL_SCENARIOS["weibull4"]
-    screen = _estimate(scenario, Method.IMPROVED_IS, CHUNK_SIZE, 7, plan=minmax_plan(scenario)).chunks[0][0]
+    estimate = _estimate(scenario, Method.IMPROVED_IS, 3 * _WIDE_CHUNK_SIZE, 7, plan=minmax_plan(scenario))
+    screen = estimate.chunks[0][0]
     assert screen.share[0] > 0.3 and max(screen.share[1:]) < 0.01
-    assert screen.whole == (True, False, False, False)
-    assert _screen(scenario.components, frozenset({0}), 0.9, 0.0).whole == (True,) * 4
-    assert all(_screen(LOGNORMAL4.components, frozenset(range(4)), 0.95, LOGNORMAL4.threshold_linear).whole)
-    assert not any(_screen(LOGNORMAL4.components, frozenset(range(4)), 0.3, LOGNORMAL4.threshold_linear).whole)
+    for args in estimate.chunks:
+        counting_stream.drawn = 0
+        _simulate_chunk(*args)
+        assert 0.3 * args[3] < counting_stream.drawn < 0.6 * args[3]
 
 
-def test_chunks_are_twice_as_wide_where_at_most_one_row_is_whole_at_any_worker_count(monkeypatch):
-    # improved IS on weibull4 draws one row whole and conventional IS on
-    # lognormal4 none at theta 0.3 and four at 0.95; chunk j is substream j
+def test_chunks_are_twice_as_wide_where_they_touch_few_doubles_at_any_worker_count(monkeypatch):
+    # a chunk touches about (s + 1) * q doubles a replication, s twisted rows
+    # of the share q of replications over their share: 0.77 for improved IS
+    # on weibull4 (s = 1, q = 0.38), and for conventional IS on lognormal4
+    # 0.04 at theta 0.3 (q = 0.008) and 4.9 at 0.95 (q = 0.98); chunk j is
+    # substream j
     weibull4 = KERNEL_SCENARIOS["weibull4"]
     runs = _WIDE_CHUNK_SIZE + 5
     estimates = [
@@ -736,7 +781,9 @@ def test_chunks_are_twice_as_wide_where_at_most_one_row_is_whole_at_any_worker_c
         _estimate(LOGNORMAL4, Method.CONVENTIONAL_IS, runs, 8, theta=0.3),
         _estimate(LOGNORMAL4, Method.CONVENTIONAL_IS, runs, 9, theta=0.95),
     ]
-    assert [sum(e.chunks[0][0].whole) for e in estimates] == [1, 0, 4]
+    screens = [e.chunks[0][0] for e in estimates]
+    touched = [(len(s.twisted) + 1) * (1.0 - np.prod(1.0 - np.array(s.share))) for s in screens]
+    assert [round(x, 2) for x in touched] == [0.77, 0.04, 4.89]
     # every chunk reads its estimate's one screen, built from its twist
     twists = (frozenset({0}), frozenset(range(4)), frozenset(range(4)))
     for estimate, scenario, twisted in zip(estimates, (weibull4, LOGNORMAL4, LOGNORMAL4), twists):
@@ -773,16 +820,23 @@ def _reference_totals(components, twisted, theta, seed, chunk_index, count):
 
 
 class CountingStream(UnitSampleStream):
-    built = 0
+    """The chunk's stream, counting its constructions and the uniforms drawn."""
+
+    built = drawn = 0
 
     def __init__(self, *args, **kwargs):
         type(self).built += 1
         super().__init__(*args, **kwargs)
 
+    def uniforms(self, n, out=None):
+        type(self).drawn += int(n)
+        return super().uniforms(n, out)
+
 
 @pytest.fixture
 def counting_stream(monkeypatch):
     monkeypatch.setattr(CountingStream, "built", 0)
+    monkeypatch.setattr(CountingStream, "drawn", 0)
     monkeypatch.setattr("tailtwist.estimators.UnitSampleStream", CountingStream)
     return CountingStream
 
@@ -1199,7 +1253,7 @@ def test_a_node_rounded_above_a_later_draw_certifies_no_hit(whole_rows, monkeypa
     u, x = u[below][0], x[below][0]
     # gamma at the draw keeps the table's step
     assert _screen((spec,), frozenset(), 0.0, float(x)).table[0][0] == step
-    monkeypatch.setattr(WholeRows, "pinned", {0: float(u)})
+    monkeypatch.setattr(DenseRows, "pinned", {0: float(u)})
     for gamma, hits in ((float(x), 0), (float(np.nextafter(x, 0.0)), 1)):
         args = ((spec,), frozenset(), 0.0, gamma, 71, 3, 1)
         assert _chunk(*args) == _reference_chunk(*args, pinned={0: float(u)}) == (hits,) * 4
@@ -1273,8 +1327,8 @@ def test_share_levels_at_zero_and_subnormal_thresholds_certify_no_miss():
         screen = _screen(components, frozenset({0}), 0.9, gamma)
         assert screen.level == (0.0,) * 4
         assert all(share >= 1.0 for share in screen.share)
-        # a row whose every uniform is below its share uniform is drawn whole
-        assert all(screen.whole)
+        # the first block takes every replication
+        assert estimators._Blocks(71, 3, 4465).sizes([min(p, 1.0) for p in screen.share]) == [4465, 0, 0, 0]
 
 
 def test_share_levels_leave_few_weibull_replications_undecided(bounded):
@@ -1325,9 +1379,9 @@ def _strict_chunk(*args):
 
 def _assert_weighs_as_the_hazard_form(sums, args):
     """The chunk's sums are the allocating reference's, whose weights take
-    the hazard form, on the rows WholeRows reads; they hold hits and are
+    the hazard form, on the rows DenseRows reads; they hold hits and are
     finite and positive."""
-    assert sums == _reference_chunk(*args, pinned=WholeRows.pinned)
+    assert sums == _reference_chunk(*args, pinned=DenseRows.pinned)
     assert sums.hits > 0
     assert all(math.isfinite(x) and x > 0.0 for x in sums[:3])
 
@@ -1338,7 +1392,7 @@ def test_remapped_zero_uniforms_weigh_as_the_hazard_form_without_an_exception(wh
     # -log(2**-1074) / (1 - theta) is finite
     scenario = KERNEL_SCENARIOS["weibull4"]
     zero = float(np.nextafter(0.0, 1.0))
-    monkeypatch.setattr(WholeRows, "pinned", {3: zero, 2 * count + 5: zero})
+    monkeypatch.setattr(DenseRows, "pinned", {3: zero, 2 * count + 5: zero})
     args = (scenario.components, frozenset(range(4)), 0.05, scenario.threshold_linear, 71, 3, count)
     sums = _strict_chunk(*args)
     _assert_weighs_as_the_hazard_form(sums, args)
@@ -1368,10 +1422,10 @@ def test_twenty_one_twisted_smallest_uniforms_weigh_as_the_hazard_form_without_a
     # double, but the sum of their hazards is 21 * 53 * log(2) / (1 - theta)
     components = (DistributionSpec.weibull(0.8, 1.0),) * 21
     smallest = 2.0**-53
-    monkeypatch.setattr(WholeRows, "pinned", {i * count + 7: smallest for i in range(21)})
+    monkeypatch.setattr(DenseRows, "pinned", {i * count + 7: smallest for i in range(21)})
     args = (components, frozenset(range(21)), 0.05, 60.0, 71, 3, count)
     _assert_weighs_as_the_hazard_form(_strict_chunk(*args), args)
-    monkeypatch.setattr(WholeRows, "pinned", {})
+    monkeypatch.setattr(DenseRows, "pinned", {})
     assert _strict_chunk(*args) == _reference_chunk(*args)
 
 
@@ -1413,7 +1467,7 @@ def test_a_remapped_zero_uniform_weighs_as_the_reference_at_a_miss_and_at_a_hit(
     # never read it
     args = (REMAPPED_ZERO_COMPONENTS, frozenset(range(3)), 0.05, db_to_linear(16.0), 71, 3, 4465)
     pinned = {row * 4465 + 7: float(np.nextafter(0.0, 1.0))}
-    monkeypatch.setattr(WholeRows, "pinned", pinned)
+    monkeypatch.setattr(DenseRows, "pinned", pinned)
     sums = _strict_chunk(*args)
     assert sums == _reference_chunk(*args, pinned=pinned)
     # replication 7 misses unpinned, and hits pinned only in the heavy row
@@ -1428,7 +1482,7 @@ def test_a_remapped_zero_uniform_at_one_hit_leaves_every_other_hits_weight_as_th
     components = (DistributionSpec.weibull(0.4, 1.0),) + (DistributionSpec.weibull(0.8, 1.0),) * 5
     args = (components, frozenset(range(6)), 0.7, db_to_linear(10.0), 71, 3, 4465)
     pinned = {2 * 4465 + 3000: float(np.nextafter(0.0, 1.0))}
-    monkeypatch.setattr(WholeRows, "pinned", pinned)
+    monkeypatch.setattr(DenseRows, "pinned", pinned)
     sums = _chunk(*args)
     assert sums == _reference_chunk(*args, pinned=pinned)
     # replications before 3000 hit

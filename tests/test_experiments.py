@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy
 
-from tailtwist import estimators, experiments
+from tailtwist import cli, estimators, experiments
 from tailtwist.cli import main
 from tailtwist.distributions import DistributionSpec
 from tailtwist.dominance import DominanceVerdict, Scenario, TailDominanceReport, select_dominant
@@ -667,11 +667,12 @@ def chunk_counts(estimates) -> set[int]:
     return {len(estimate.chunks) for estimate in estimates}
 
 
-# sha256 of the theta sweep below as printed by the chunk kernel that thins
-# each row whose share uniform is small, drawing its uniforms below it by
-# geometric gaps and the rest only where the chunk reads them, and weighs
-# each hit through log_likelihood_ratio from the sum of its twisted draws'
-# hazards, in chunks of 2**17 where at most one row is drawn whole and of
+# sha256 of the theta sweep below as printed by the chunk kernel that draws
+# only the replications with some uniform below its share uniform, in
+# blocks by the first such component, and an untwisted row outside its own
+# block only at the undecided, and weighs each hit through
+# log_likelihood_ratio from the sum of its twisted draws' hazards, in chunks
+# of 2**17 where a chunk touches at most one double a replication and of
 # 2**16 otherwise.  The bytes
 # rest on numpy's exp and log, whose AVX-512 and AVX2 code paths round
 # differently, and on scipy's special functions, so they are pinned per code
@@ -679,8 +680,8 @@ def chunk_counts(estimates) -> set[int]:
 # digest is what an AVX-512 machine prints under
 # NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".
 THETA_SWEEP_SHA256 = {
-    "13bc4f16bd88d668a00b497e10337a1f700180ec6f6ed56f34d2aed2ce8076ae",  # AVX-512
-    "c19b227a4105b99e69751831bafa5cb8e773cb5bb4230ab0abf0dd67561797cc",  # AVX2
+    "6067f2104db85f5b067d7f80f08cf1926693a41a60d6b87a330cb485930d4835",  # AVX-512
+    "756d61c0cfa1ad3d14a0bd3ebd412fe448c2ff5a0adc54554b88fc32ea116bb3",  # AVX2
 }
 PINNED_RELEASES = ("2.4", "1.17")
 
@@ -705,13 +706,13 @@ def test_lognormal4_theta_sweep_bytes_are_pinned(ran):
     assert digests <= THETA_SWEEP_SHA256
 
 
-# sha256 of the Weibull threshold sweep below, recorded with thinned rows:
-# the screen decides only which replications are certain, never a hit or a
-# weight, but which rows are thinned sets the stream's reads.  Pinned per
-# code path as above.
+# sha256 of the Weibull threshold sweep below, recorded with the block
+# layout: the screen decides only which replications are certain, never a
+# hit or a weight, but its share uniforms set the blocks and so the
+# stream's reads.  Pinned per code path as above.
 WEIBULL_SWEEP_SHA256 = {
-    "b126445f68e021e6520e3fa63bc29c1f134206a5d9801e9672de1f64b8d11aa8",  # AVX-512
-    "e1466609438a1ccd7b4ae71adcea8f19d2552e13b1b2decf540640db5b83b7ff",  # AVX2
+    "0883da29401cba972bd284d12b991403e3e1e29f85889dcce8ea96502574f466",  # AVX-512
+    "32fef0bba3f3f9bb6988da39df7ddb9f366a4279b36df781ea99abac1da3f37a",  # AVX2
 }
 
 
@@ -735,10 +736,10 @@ def test_weibull4_threshold_sweep_bytes_are_pinned(ran):
 
 
 # sha256 of the sixteen-component Weibull threshold sweep below, recorded
-# with thinned rows.  Pinned per code path as above.
+# with the block layout.  Pinned per code path as above.
 WEIBULL16_SWEEP_SHA256 = {
-    "316267a998898abfb8c915f404982b77f395b5a4abc8ba2292c7b20df22ce1d8",  # AVX-512
-    "f58228bd74f467c11f6796339fcefa60ab1e420cc2c77754d0ed130d4bf1e1a3",  # AVX2
+    "54e14483f28021345cc09d069baf18908ede28c414f998fea7213f35aac4d4a9",  # AVX-512
+    "d3a4eccc311b07ce60a7fd0af92ab0324a8b29d66c5e23d24cc567f312ebb26b",  # AVX2
 }
 
 
@@ -766,12 +767,12 @@ def test_weibull16_threshold_sweep_bytes_are_pinned(ran):
 # weibull4 at 26 dB, both wide.  Both code paths print these bytes.
 ONE_CHUNK_ROWS_CSV = (
     f"{SWEEP_HEADER}\n"
-    "26.0,conventional,0.6351956642576362,1.6057500346143145e-05,1.1191835189668835e-07,"
-    "2.3742936857450866e-08,1.1166221240946737e-07,0.08128964161548115,1.3499095787321401e-05,"
-    "1.8615904904964888e-05,65536,1\n"
-    "26.0,improved,0.908798916064409,1.834825186661475e-05,5.175800489316897e-09,"
-    "1.0619705685677616e-10,4.839215983332083e-09,0.01480992450210308,1.7815648865830083e-05,"
-    "1.888085486739942e-05,65536,2\n"
+    "26.0,conventional,0.6351956642576362,1.627232322826066e-05,1.0682374623929751e-07,"
+    "1.822165579365392e-08,1.065605837215219e-07,0.07836258749411239,1.3773046176954836e-05,"
+    "1.8771600279566485e-05,65536,1\n"
+    "26.0,improved,0.908798916064409,1.794515517858942e-05,5.022845013879459e-09,"
+    "1.0456155283788833e-10,4.700888149356481e-09,0.014924602583932549,1.7420219532268425e-05,"
+    "1.8470090824910412e-05,65536,2\n"
 )
 
 
@@ -783,8 +784,9 @@ def test_rows_of_one_chunk_keep_their_bytes_in_wide_chunks(ran):
     text = (Path(__file__).parents[1] / "configs" / "weibull4_thresholds.cfg").read_text()
     text = text.replace("gamma_grid_db = 20:1:32", "gamma_grid_db = 26:1:26")
     rows = run_threshold_sweep(parse_config(text).override(runs=CHUNK_SIZE))
-    # conventional IS draws no row whole and improved IS one, so both are wide
-    assert [sum(e.chunks[0][0].whole) for e in ran] == [0, 1]
+    # conventional and improved IS both touch under one double a replication,
+    # so both are wide
+    assert [estimators._width(e.chunks[0][0]) for e in ran] == [_WIDE_CHUNK_SIZE] * 2
     assert chunk_counts(ran) == {1}
     assert sweep_rows_to_csv(rows) == ONE_CHUNK_ROWS_CSV
 
@@ -1052,11 +1054,24 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["estimate", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
-def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys):
+def test_cli_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch):
+    def no_run(config, workers):
+        raise AssertionError("ran")
+
+    monkeypatch.setitem(cli._COMMANDS, "estimate", (no_run, sweep_rows_to_csv))
     cfg = write_config(tmp_path, WEIBULL2_THRESHOLDS)
     out = tmp_path / "missing" / "x.csv"
     assert main(["estimate", "--config", cfg, "--runs", "16", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("tailtwist: config error: cannot write output: ")
+
+
+def test_cli_output_file_of_a_failed_run_is_left_empty(tmp_path, capsys):
+    # the file is opened before the run, and written only once it has ended
+    cfg = write_config(tmp_path, LOGNORMAL4_THETA)
+    out = tmp_path / "sweep.csv"
+    out.write_text("stale\n")
+    assert main(["theta-sweep", "--config", cfg, "--method", "naive", "--out", str(out)]) == 3
+    assert out.read_text() == ""
 
 
 def test_cli_wrong_experiment_for_config(tmp_path, capsys):
@@ -1129,17 +1144,17 @@ def test_a_weibull_level_whose_ratio_to_the_scale_overflows_writes_nothing_to_st
 
 def test_a_single_run_reports_no_spread(capsys):
     cfg = str(Path(__file__).parents[1] / "configs" / "weibull2_thresholds.cfg")
-    assert main(["estimate", "--config", cfg, "--runs", "1", "--method", "improved", "--seed", "0"]) == 0
+    assert main(["estimate", "--config", cfg, "--runs", "1", "--method", "improved", "--seed", "2"]) == 0
     hit = capsys.readouterr().out.splitlines()[1].split(",")
     # one replication has no sample variance: no standard error, no interval
-    assert hit[3] == "0.0003052779765289821"
-    assert hit[5:] == ["nan", "nan", "nan", "nan", "nan", "1", "0"]
-    assert main(["estimate", "--config", cfg, "--runs", "1", "--method", "naive,improved", "--seed", "1"]) == 0
+    assert hit[3] == "1.7166450378459708e-06"
+    assert hit[5:] == ["nan", "nan", "nan", "nan", "nan", "1", "2"]
+    assert main(["estimate", "--config", cfg, "--runs", "1", "--method", "naive,improved", "--seed", "3"]) == 0
     misses = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
     # a row without a hit keeps its infinite relative error and one-sided bound
     assert [row[1] for row in misses] == ["naive", "improved"]
-    assert misses[0][3:] == ["0.0", "0.0", "nan", "nan", "inf", "0.0", "0.95", "1", "1"]
-    assert misses[1][3:] == ["0.0", "0.0", "nan", "nan", "inf", "0.0", "inf", "1", "2"]
+    assert misses[0][3:] == ["0.0", "0.0", "nan", "nan", "inf", "0.0", "0.95", "1", "3"]
+    assert misses[1][3:] == ["0.0", "0.0", "nan", "nan", "inf", "0.0", "inf", "1", "4"]
 
 
 @pytest.mark.parametrize("workers", [0, -1])

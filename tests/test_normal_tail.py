@@ -188,10 +188,11 @@ def test_chunks_fault_in_few_pages_once_warm():
     # 107 faults a chunk in this test, until some larger allocation raised
     # glibc's thresholds.  So a fresh interpreter, where no earlier test has
     # raised them, and each kind of chunk in turn: two warm-up chunks, then
-    # 40.  The one n-row block takes up to about 150 faults in 40 chunks, as
-    # the heap grows to its working size.  Wide improved chunks with one
-    # whole row (weibull4, and weibull16, whose block is 16 MB) and narrow
-    # conventional ones with four (lognormal4)
+    # 40.  The one block of (n + 3) * count doubles took 21 faults or fewer
+    # in 40 chunks.  Wide improved chunks that draw a twisted row at about
+    # 40% of their replications (weibull4, and weibull16, whose block is
+    # 19 MB) and narrow conventional ones that draw four at about 85%
+    # (lognormal4)
     code = f"""
         import json, resource
         from pathlib import Path
@@ -222,9 +223,9 @@ def test_chunks_fault_in_few_pages_once_warm():
             for args in estimate.chunks[2:]:
                 estimators._simulate_chunk(*args)
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-        layout = [[e.chunks[0][3], sum(e.chunks[0][0].whole), len(e.chunks)] for e in estimates]
+        layout = [[e.chunks[0][3], len(e.chunks)] for e in estimates]
         print(json.dumps([layout, faults]))
     """
     layout, faults = json.loads(_fresh_python(code))
-    assert layout == [[1 << 17, 1, 42], [1 << 16, 4, 42], [1 << 17, 1, 42]]
+    assert layout == [[1 << 17, 42], [1 << 16, 42], [1 << 17, 42]]
     assert all(f < 10 * 40 for f in faults), faults

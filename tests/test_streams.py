@@ -38,8 +38,9 @@ def test_open_interval():
 def test_negative_seed_rejected(tmp_path, capsys):
     with pytest.raises(ValueError, match="non-negative"):
         UnitSampleStream(-3, 2)
-    # nor is a float seed or index truncated to an integer naming another stream
-    for seed, index in ((2.7, 0), (2, 0.5)):
+    # nor is a float seed or index truncated to an integer naming another
+    # stream, nor a bool read as 0 or 1
+    for seed, index in ((2.7, 0), (2, 0.5), (True, 0), (1, True), (np.False_, 0), (1, np.True_)):
         with pytest.raises(TypeError):
             UnitSampleStream(seed, index)
     text = "gamma_db = 10\nseed = {}\n[component]\nfamily = weibull\nk = 0.5\nbeta = 1\n"
@@ -153,94 +154,92 @@ def test_neighbouring_keys_uniform_and_uncorrelated(neighbour):
     assert abs(np.corrcoef(a, b)[0, 1]) < 4.0 / np.sqrt(n)
 
 
-# -- a row drawn only below its cut, and the rest of it drawn above it -------------
+# -- block sizes, and a row's slices below and above a cut ------------------------
+
+BELOW_ONE = 1.0 - 2.0**-53
 
 
-def _thinned(seed, index, p, count):
-    stream = UnitSampleStream(seed, index)
-    return stream.below(p, count)
-
-
-@pytest.mark.parametrize("p", [1e-4, 0.01, 0.125, 0.5])
-def test_the_share_below_the_cut_stays_within_binomial_bounds(p):
+@pytest.mark.parametrize(
+    "cuts", [(0.4, 0.01, 0.01), (1e-4, 0.125, 0.5), (0.3, 1.0, 0.2), (0.9,) * 4, (1e-6,) * 4, (0.5, 0.5)]
+)
+def test_block_sizes_are_a_multinomial_split(cuts):
+    # a replication's first uniform below its cut is the k-th with chance
+    # p_k times the product of 1 - p_i before it; a cut of 1 takes every
+    # replication left
     count, rows = 1 << 16, 20
-    below = 0
-    for index in range(rows):
-        positions, values = _thinned(31, index, p, count)
-        assert positions.dtype == np.intp and positions.size == values.size
-        assert np.all(np.diff(positions) > 0)
-        assert positions.size == 0 or 0 <= positions[0] and positions[-1] < count
-        below += positions.size
-    mean = p * rows * count
-    assert abs(below - mean) <= 5.0 * np.sqrt(mean * (1.0 - p))
+    sizes = np.array([UnitSampleStream(31, index).first_below(count, cuts) for index in range(rows)])
+    assert np.all(sizes >= 0) and np.all(sizes.sum(axis=1) <= count)
+    chances = np.array(cuts) * np.cumprod((1.0,) + tuple(1.0 - np.array(cuts[:-1])))
+    mean = rows * count * chances
+    assert np.all(np.abs(sizes.sum(axis=0) - mean) <= 5.0 * np.sqrt(mean * (1.0 - chances)))
+    if 1.0 in cuts:
+        assert np.all(sizes.sum(axis=1) == count)
 
 
-def test_the_gaps_between_positions_are_geometric():
-    # P(gap = k) = (1 - p)**(k - 1) * p; the first gap is counted from -1
-    p, count = 0.05, 1 << 16
-    gaps = np.concatenate([np.diff(_thinned(32, index, p, count)[0], prepend=-1) for index in range(10)])
-    k = np.arange(1, 61)
-    observed = np.append(np.bincount(gaps, minlength=61)[1:61], np.count_nonzero(gaps > 60))
-    expected = gaps.size * np.append(p * (1.0 - p) ** (k - 1), (1.0 - p) ** 60)
-    assert scipy.stats.chisquare(observed, expected).pvalue > 0.01
-
-
-def test_values_below_the_cut_are_uniform_below_it_and_fills_above_it():
-    p = 0.1
-    stream = UnitSampleStream(33, 0)
-    _, values = stream.below(p, 1 << 17)
-    fills = stream.above(p, 20_000)
-    assert np.all((0.0 < values) & (values < p))
-    assert np.all((p <= fills) & (fills <= 1.0 - 2.0**-53))
-    assert scipy.stats.kstest(values, "uniform", args=(0.0, p)).pvalue > 0.01
-    assert scipy.stats.kstest(fills, "uniform", args=(p, 1.0 - p)).pvalue > 0.01
+def test_a_rows_slices_are_uniform_below_and_above_the_cut():
+    # one uniform V per entry, in order: V, then p * V, then p + (1 - p) * V
+    p, free, below, above = 0.1, 20_000, 20_000, 20_000
+    out = np.full(free + below + above, np.nan)
+    assert UnitSampleStream(33, 0).row(p, free, below, out) is out
+    plain = UnitSampleStream(33, 0).uniforms(out.size)
+    f, b, a = out[:free], out[free : free + below], out[free + below :]
+    assert np.array_equal(f, plain[:free])
+    assert np.array_equal(b, plain[free : free + below] * p)
+    assert np.array_equal(a, plain[free + below :] * (1.0 - p) + p)
+    assert np.all((0.0 < b) & (b < p)) and np.all((p <= a) & (a <= BELOW_ONE))
+    assert scipy.stats.kstest(f, "uniform").pvalue > 0.01
+    assert scipy.stats.kstest(b, "uniform", args=(0.0, p)).pvalue > 0.01
+    assert scipy.stats.kstest(a, "uniform", args=(p, 1.0 - p)).pvalue > 0.01
 
 
 @pytest.mark.parametrize("p", [0.125, 2.0**-10, 2.0**-40, 0.1, 0.3])
 def test_a_value_below_the_cut_never_equals_the_cut(p):
-    # the largest uniform, 1 - 2**-53, makes every gap 1 and every value
-    # p * (1 - 2**-53): exact below a power of two, rounded down below any other
+    # the largest uniform, 1 - 2**-53, gives p * (1 - 2**-53): exact below a
+    # power of two, rounded down below any other
     stream = UnitSampleStream(1, 0)
     stream._gen = FixedDraws([1.0 - 2.0**-53])
-    positions, values = stream.below(p, 1000)
-    assert positions.tolist() == list(range(1000))
-    assert np.all(values < p)
-    assert np.all(_thinned(34, 0, p, 1 << 16)[1] < p)
+    assert np.all(stream.row(p, 0, 1000, np.empty(1000)) < p)
+    assert np.all(UnitSampleStream(34, 0).row(p, 0, 1 << 16, np.empty(1 << 16)) < p)
 
 
 @pytest.mark.parametrize("p", [0.01, 0.5, 0.9, 1.0 - 2.0**-53])
-def test_a_fill_is_at_least_the_cut_and_below_one(p):
+def test_a_value_above_the_cut_is_at_least_the_cut_and_below_one(p):
     # V = 0 reads 2**-1074 and gives p itself; the largest V gives at most
     # the largest double below 1
     stream = UnitSampleStream(1, 0)
     stream._gen = FixedDraws([0.0, 1.0 - 2.0**-53, 0.5])
-    fills = stream.above(p, 3)
-    assert fills[0] == p
-    assert p <= fills[1] <= 1.0 - 2.0**-53
-    assert np.all(fills >= p)
+    above = stream.row(p, 0, 0, np.empty(3))
+    assert above[0] == p
+    assert p <= above[1] <= BELOW_ONE
+    assert np.all(above >= p)
 
 
-@pytest.mark.parametrize("p", [sys.float_info.min, 5e-324])
-def test_a_cut_at_the_smallest_doubles_yields_nothing_and_warns_nothing(p):
-    # log1p(-p) is -p: each gap's quotient overflows to inf, past any row
-    with warnings.catch_warnings(), np.errstate(all="raise"):
+@pytest.mark.parametrize("p", [sys.float_info.min, 1e-300])
+def test_a_cut_at_the_smallest_doubles_warns_nothing(p):
+    # down to the smallest share uniform: almost no replication falls below
+    # it, and a value below it is positive
+    with warnings.catch_warnings():
         warnings.simplefilter("error")
-        positions, values = _thinned(35, 0, p, 1 << 16)
-        fills = UnitSampleStream(35, 1).above(p, 1000)
-    assert positions.size == values.size == 0
-    assert np.all(fills >= p)
+        assert UnitSampleStream(35, 0).first_below(1 << 16, [p, p]) == [0, 0]
+        out = UnitSampleStream(35, 1).row(p, 0, 1000, np.empty(2000))
+    assert np.all((0.0 < out[:1000]) & (out[:1000] < p)) and np.all(out[1000:] >= p)
 
 
-@pytest.mark.parametrize("p", [0.0, 1.0, 1.5, -0.1, math.nan])
-def test_a_cut_outside_the_open_unit_interval_is_rejected(p):
-    with pytest.raises(ValueError, match="cut"):
-        UnitSampleStream(1, 0).below(p, 100)
+@pytest.mark.parametrize("p", [1.5, -0.1, math.nan])
+def test_a_cut_outside_the_unit_interval_is_rejected(p):
+    with pytest.raises(ValueError):
+        UnitSampleStream(1, 0).first_below(100, [0.5, p])
 
 
-def test_thinned_reads_are_a_fixed_function_of_the_stream():
+def test_block_reads_are_a_fixed_function_of_the_stream():
     def reads(seed):
         stream = UnitSampleStream(seed, 3)
-        return [*stream.below(0.02, 4465), stream.above(0.02, 50), *stream.below(0.3, 100), stream.uniforms(5)]
+        return [
+            stream.first_below(4465, (0.02, 0.3)),
+            stream.row(0.02, 10, 20, np.empty(50)),
+            stream.row(0.3, 0, 0, np.empty(100)),
+            stream.uniforms(5),
+        ]
 
     for a, b in zip(reads(36), reads(36)):
         assert np.array_equal(a, b)
