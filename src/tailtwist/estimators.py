@@ -13,8 +13,8 @@ chunk makes about as many numpy calls at either width, and each may hand
 the GIL to another pool thread (``_run_estimates``).  Chunk j draws from
 substream j of the seed (its SeedSequence with spawn key (j,), driving
 PCG64DXSM) and reads it straight through (``_Blocks``): its block sizes,
-then each component's row in component order, then each untwisted row
-at the undecided replications, again in component order.  It returns a
+then each component's row in component order, then each row outside its
+span at the undecided replications, again in component order.  It returns a
 ``ChunkSums`` record: the sums ``t``, ``t2`` and ``t4`` of its weighted
 indicators t, t**2 and t**4, and its count of ``hits``.  Records merge
 exactly (math.fsum per sum, an integer sum of hits), so on one platform
@@ -440,57 +440,49 @@ def _simulate_chunk(screen: _Screen, seed: int, chunk_index: int, count: int) ->
     # at most (n + 2.125) * m + 1 doubles
     block = np.empty((n + 3) * count)
     # a twisted row is drawn over all m replications, an untwisted one in its
-    # own block: row i starts at layout position first[i]
+    # own block: row i, a view indexed by layout position, is drawn from
+    # first[i] to ends[i]; the rows before it hold at least first[i] doubles
     first = [0 if i in twisted else starts[i] for i in range(n)]
+    ends = [m if i in twisted else starts[i + 1] for i in range(n)]
     rows, used = [], 0
     for i, p in enumerate(shares):
-        end = m if i in twisted else starts[i + 1]
-        out = block[used : used + end - first[i]]
-        rows.append(uniforms.row(i, p, slice(first[i], end), starts[i] - first[i], sizes[i], out))
-        used += out.size
+        rows.append(block[used - first[i] : used - first[i] + ends[i]])
+        uniforms.row(i, p, slice(first[i], ends[i]), starts[i] - first[i], sizes[i], rows[i][first[i] :])
+        used += ends[i] - first[i]
     hit = block[used : used + m // 8 + 1].view(np.bool_)[:m]
     used += m // 8 + 1
     hit[:] = False
     # stage 1 on the uniforms drawn: a uniform at least its share uniform is
     # above its hit uniform, so only a row's blocks up to its own certify
     for i, (row, h) in enumerate(zip(rows, screen.hit)):
-        hit[first[i] : starts[i + 1]] |= row[: starts[i + 1] - first[i]] <= h
-    # the rest are undecided.  An untwisted row is read there only: its own
-    # block's uniforms, and those before and after it drawn here, in
-    # component order.  A uniform never drawn that would have been at most
-    # its hit uniform leaves its replication to the exact stages
+        hit[first[i] : starts[i + 1]] |= row[first[i] : starts[i + 1]] <= h
+    # the rest, at positions at, are undecided.  Each row is read there in
+    # component order: in its span from the row, before and after it drawn
+    # here (a twisted row spans all m).  A uniform never drawn but at most its
+    # hit uniform leaves its replication to the exact stages
     at = np.flatnonzero(~hit)
-    u = list(rows)
-    if at.size:
-        for i, p in enumerate(shares):
-            if i not in twisted:
-                a, b = np.searchsorted(at, starts[i : i + 2]).tolist()
-                u[i] = np.empty(at.size)
-                uniforms.row(i, p, at[:a], a, 0, u[i][:a])
-                uniforms.row(i, p, at[b:], 0, 0, u[i][b:])
-                np.take(rows[i], at[a:b] - starts[i], out=u[i][a:b])
+    u = np.empty((n, at.size))
+    for i, p in enumerate(shares):
+        a, b = np.searchsorted(at, (first[i], ends[i])).tolist()
+        uniforms.row(i, p, at[:a], a, 0, u[i, :a])
+        uniforms.row(i, p, at[b:], 0, 0, u[i, b:])
+        np.take(rows[i], at[a:b], out=u[i, a:b], mode="clip")
     # stages 2 and 3 of the module docstring, summing in component order; the
-    # exact sums decide all that is left, and all-Weibull takes stage 2 alone.
-    # A twisted row is read at a replication's position, an untwisted one at
-    # its turn among the undecided
-    entries = [at, np.arange(at.size)]
-    kind = [0 if i in twisted else 1 for i in range(n)]
+    # exact sums decide all that is left, and all-Weibull takes stage 2 alone
     exact = ((None,) * n, gamma, gamma)
     bounds = (screen.table, gamma * (1.0 + _SCREEN_MARGIN), gamma * (1.0 - _SCREEN_MARGIN))
     for tables, high, low in (bounds, exact) if any(screen.table) else (exact,):
-        if not entries[0].size:
-            break
-        sums, draw = np.zeros((2, entries[0].size)), np.empty(entries[0].size)
+        sums = np.zeros((2, at.size))
         for i, spec in enumerate(components):
             # y = -log(u) / (1 - theta_i), theta_i = 0 if untwisted: log(u) / -keep
             # rounds as -log(u) / keep does, and log(u) / -1 is -log(u)
-            y = np.log(np.take(u[i], entries[kind[i]], out=draw, mode="clip"), out=draw)
+            y = np.log(u[i])
             y /= -keep if i in twisted else -1.0
             _bracket(spec, tables[i], y, sums)
-        hit[entries[0][sums[0] > high]] = True
+        hit[at[sums[0] > high]] = True
         # exact sums are equal, so none stays undecided after them
         left = (sums[0] <= high) & (sums[1] > low)
-        entries = [e[left] for e in entries]
+        at, u = at[left], u[:, left]
     # the hits' weights, in layout order, from the sum of their twisted rows'
     # hazards; with no twisted row each weight is exp(0) = 1
     hits = int(np.count_nonzero(hit))
@@ -531,6 +523,15 @@ class _Estimate:
     chunks: tuple[tuple, ...]
 
 
+def _check_count(name: str, value: int) -> None:
+    """A bool or a non-integer count (a numpy integer is one) is a
+    ``TypeError``, as in the config path; one below 1 a ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, not {type(value).__name__}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 def _estimate(
     scenario: Scenario,
     method: Method,
@@ -553,8 +554,7 @@ def _estimate(
             raise ValueError("the twist plan has no twisting parameter set")
         plan.check_fits(scenario)
         twisted, theta = frozenset(plan.dominant_indices), plan.theta
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    _check_count("runs", runs)
     if theta == 0.0:
         # every weight is exp(0) = 1 and every twisted draw an untwisted one,
         # so no row is read for the weights
@@ -576,8 +576,7 @@ def _run_estimates(estimates: list[_Estimate], workers: int) -> list[EstimateRep
     the error raised is the first one a serial run would raise; the chunks
     still queued are then cancelled.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _check_count("workers", workers)
     chunks = [args for estimate in estimates for args in estimate.chunks]
 
     def reports(partials) -> list[EstimateReport]:

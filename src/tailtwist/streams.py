@@ -67,7 +67,9 @@ class UnitSampleStream:
         p * V, and the rest conditioned to be at least p, p + (1 - p) * V,
         for uniforms V.  A value below p is positive, and below p for a
         normal double p; a value above it is at most the largest double
-        below 1."""
+        below 1.  An empty ``out`` reads nothing and costs no numpy call."""
+        if not out.size:
+            return out
         u = self.uniforms(out.size, out=out)
         cut = u[free : free + below]
         np.maximum(np.multiply(cut, p, out=cut), _TINY, out=cut)

@@ -34,7 +34,7 @@ from tailtwist.estimators import (
     _simulate_chunk,
 )
 from tailtwist.streams import UnitSampleStream
-from tailtwist.twist_optimizer import solve_p, theta_star
+from tailtwist.twist_optimizer import solve_p, theta_conventional, theta_star
 
 
 def weibull_scenario(gamma_db=20.0, shapes=(0.4, 0.8)):
@@ -282,6 +282,11 @@ def test_runs_must_be_positive():
     for seed in (True, False):
         with pytest.raises(TypeError, match="bool"):
             estimate_naive(scenario, runs=1000, seed=seed)
+    # nor is a bool or a fraction read as a run count; a numpy integer is one
+    for runs in (True, 1000.0, 2.5):
+        with pytest.raises(TypeError, match="runs must be an integer"):
+            estimate_naive(scenario, runs=runs, seed=0)
+    assert estimate_naive(scenario, runs=np.int64(1000), seed=0).runs == 1000
 
 
 SPREADS = {"second_moment", "second_moment_se", "variance", "relative_error", "ci95_low", "ci95_high"}
@@ -323,6 +328,31 @@ def test_the_report_does_not_depend_on_the_order_of_the_chunks():
     reports = [_report(estimate, list(order)) for order in itertools.permutations(chunks)]
     assert len({repr(report) for report in reports}) == 1
     assert reports[0].alpha_hat == (1.0 + 2**-52) / (3 * CHUNK_SIZE)
+
+
+@pytest.mark.parametrize("gamma_db", [20.0, 26.0, 32.0])
+def test_estimates_are_exactly_scale_equivariant(gamma_db):
+    # a Weibull draw is its scale times a function of its uniform, so scaling
+    # every scale and gamma by a power of two scales every draw, level and sum
+    # exactly: no estimate or minmax theta moves by a bit, unless a scale or
+    # gamma is read in the wrong place.  A factor of 3 rounds, so is not exact
+    shapes, gamma = (0.4, 0.8, 0.8, 0.8), db_to_linear(gamma_db)
+
+    def results(factor):
+        scenario = Scenario([DistributionSpec.weibull(k, factor) for k in shapes], gamma * factor)
+        plan, theta = minmax_plan(scenario), theta_conventional(scenario)
+        reports = (
+            estimate_naive(scenario, runs=1 << 18, seed=5),
+            estimate_conventional(scenario, theta, runs=1 << 18, seed=5),
+            estimate_improved(scenario, plan, runs=1 << 18, seed=5),
+        )
+        return plan.theta, theta, [(r.alpha_hat, r.second_moment) for r in reports]
+
+    base = results(1.0)
+    # both IS estimates hit, so their weights are compared too
+    assert all(alpha > 0.0 for alpha, _ in base[2][1:])
+    for factor in (2.0, 0.5, 1024.0, 2.0**-30):
+        assert results(factor) == base
 
 
 # -- efficiency and optimality -------------------------------------------------------

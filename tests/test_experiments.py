@@ -1157,11 +1157,14 @@ def test_a_single_run_reports_no_spread(capsys):
     assert misses[1][3:] == ["0.0", "0.0", "nan", "nan", "inf", "0.0", "inf", "1", "4"]
 
 
-@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("workers", [0, -1, True, 2.5])
 def test_workers_below_one_rejected(workers):
-    # a library caller's ValueError; the CLI's config error is
+    # a library caller's ValueError, or TypeError for a bool or a fraction,
+    # which is no worker count; the CLI's config error is
     # test_cli_rejects_fewer_than_one_worker_before_any_solve
-    with pytest.raises(ValueError, match="workers must be >= 1"):
+    count = isinstance(workers, int) and not isinstance(workers, bool)
+    error, match = (ValueError, "workers must be >= 1") if count else (TypeError, "workers must be an integer")
+    with pytest.raises(error, match=match):
         run_theta_sweep(small_theta_config(), workers=workers)
 
 
