@@ -12,17 +12,16 @@ to touch at most one double a replication, else 2**16 (``_width``): a
 chunk makes about as many numpy calls at either width, and each may hand
 the GIL to another pool thread (``_run_estimates``).  Chunk j draws from
 substream j of the seed (its SeedSequence with spawn key (j,), driving
-PCG64DXSM) and reads it straight through (``_Blocks``): its block sizes,
-then each component's row in component order, then each row outside its
-span at the undecided replications, again in component order.  It returns a
-``ChunkSums`` record: the sums ``t``, ``t2`` and ``t4`` of its weighted
-indicators t, t**2 and t**4, and its count of ``hits``.  Records merge
-exactly (math.fsum per sum, an integer sum of hits), so on one platform
-and one numpy/scipy build a report is a bit-reproducible function of
-(scenario, method, theta, runs, seed) at any worker count: the inputs
-fix the screen, and so the width and every read.  Other builds may
-differ in the last bits of a special function or of a vectorised log,
-and so in the bytes.
+PCG64DXSM) and reads it straight through (``_Blocks``): its hit blocks'
+sizes, its over-share blocks' sizes, then each component's row in
+component order, one draw a row.  It returns a ``ChunkSums`` record: the
+sums ``t``, ``t2`` and ``t4`` of its weighted indicators t, t**2 and t**4,
+and its count of ``hits``.  Records merge exactly (math.fsum per sum, an
+integer sum of hits), so on one platform and one numpy/scipy build a
+report is a bit-reproducible function of (scenario, method, theta, runs,
+seed) at any worker count: the inputs fix the screen, and so the width
+and every read.  Other builds may differ in the last bits of a special
+function or of a vectorised log, and so in the bytes.
 
 Draws and weights.  Every draw takes one kernel: its cumulative hazard
 y = -log(U) / (1 - theta) (theta = 0 untwisted) inverted by
@@ -36,21 +35,24 @@ per hit.
 
 Rows.  Replications are i.i.d. and a chunk returns only sums over them,
 so their order carries no information: a chunk draws how many fall in
-each block, and lays the blocks out one after another.  A replication is
-in block k where component k's uniform is the first below its share
-uniform p_k (clipped to 1): c_0 ~ Bin(count, p_0), c_1 ~ Bin(count - c_0,
-p_1), and so on.  The count - m replications left, m the sum of the c_k,
-have every uniform at least its share uniform, certain misses (stage 1
-below), so nothing is drawn for them.  In block k component i's uniform
-is p_i + (1 - p_i) * V for i < k, p_k * V for i = k and a plain V for
-i > k, so row i is three slices: free (the blocks before i), below (block
-i) and above (the blocks after i).  A twisted row is drawn over all m
-replications, as the weights read it at every hit; an untwisted row in
-its own block, and elsewhere only at the replications stage 1 leaves
-undecided, which the later stages decide as if every uniform were
-drawn.  A chunk holds what it touches in one allocation of (n + 3) *
-count doubles, packed at its start: the rows, a hit flag per replication
-drawn and two doubles per hit for the weights; besides that only arrays
+each block, and lays the blocks out one after another.  With h_i and p_i
+component i's hit and share uniforms (the screen below; p_i clipped to 1):
+  * Certain hits.  Hit block k holds the replications whose first uniform
+    at most its hit uniform is component k's: c_0 ~ Bin(count, h_0), c_1 ~
+    Bin(count - c_0, h_1), and so on.  Row i there is V for k < i, h_i * V
+    for k = i and h_i + (1 - h_i) * V for k > i, for uniforms V.
+  * Undecided.  Of the R replications left, over-share block k holds those
+    whose first uniform below its share uniform is component k's: d_0 ~
+    Bin(R, (p_0 - h_0) / (1 - h_0)), and so on.  Row i there is h_i +
+    (1 - h_i) * V for k < i, h_i + (p_i - h_i) * V for k = i and p_i +
+    (1 - p_i) * V for k > i.
+  * Certain misses: the rest, every uniform at least its share uniform.
+    Nothing is drawn for them.
+So a row is a row of affine segments (``UnitSampleStream.row``).  A
+twisted row is drawn over both kinds of blocks, as the weights read it
+at every hit; an untwisted row over the over-share blocks only.  A chunk
+holds what it touches in one allocation of (n + 3) * count doubles: the
+rows, then two doubles per hit for the weights; besides that only arrays
 sized by the undecided.  No uniform is drawn twice.
 
 The screen.  A chunk decides its replications in three stages, each on
@@ -58,16 +60,14 @@ fewer of them.  Each certifies only past a margin of 1e-9 of gamma that
 covers the rounding of every computed draw (``_SCREEN_MARGIN``), so no
 stage changes a result: a replication is decided as an exact inversion
 of all its draws decides it.
-  1. Comparisons with two critical uniforms per component, computed once
+  1. The layout, from two critical uniforms per component, computed once
      per estimate (``_screen``): exp(-keep * Lambda(level)), keep = 1 -
      theta if twisted and 1 otherwise, rounded down at the hit level
      gamma * (1 + 1e-9) and up at the component's share level.  A uniform
      at most its hit uniform certifies a hit, as a sum is at least its
      largest draw, and uniforms each at least their share uniform a miss,
-     as the share levels sum to at most gamma * (1 - 1e-9).  The misses
-     are the replications past the blocks, never drawn; a hit is read in
-     a row's blocks up to its own, as a uniform at least its share
-     uniform is above its hit uniform.  The levels, one per
+     as the share levels sum to at most gamma * (1 - 1e-9).  So only the
+     over-share blocks are left to stages 2 and 3.  The levels, one per
      class of components alike in law and twist, split that total where
      the draws lie (``_share_levels``), or equally where that certifies
      more; deep in the tail the twisted heavy component takes most of it,
@@ -93,6 +93,7 @@ import enum
 import functools
 import itertools
 import math
+import operator
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -244,8 +245,9 @@ class _Screen(NamedTuple):
     uniform at most ``hit[i]`` certifies a hit, uniforms each at least their
     ``share[i]``, the critical uniform of component i's share level
     ``level[i]``, certify a miss, and ``table[i]`` bounds a log-normal draw.
-    A chunk draws only its replications with some uniform below its share
-    uniform, in blocks by the first such component."""
+    A chunk lays its replications out by these uniforms: hit blocks by the
+    first uniform at most its hit uniform, over-share blocks by the first
+    below its share uniform, and the certain misses, never drawn."""
 
     components: tuple[DistributionSpec, ...]
     twisted: frozenset[int]
@@ -406,19 +408,23 @@ def _bracket(spec: DistributionSpec, table: tuple | None, y: np.ndarray, sums: n
 class _Blocks:
     """A chunk's uniforms: substream ``chunk_index`` of ``seed``, read
     straight through in the chunk's order of calls.  ``sizes`` draws the
-    blocks' sizes (the module docstring), and ``row`` row i at the layout
-    ``positions``, a slice or increasing indices: ``free`` uniforms, then
-    ``below`` below its share uniform p, then the rest at least p.  Tests
-    replace this class with dense rows sorted into the same blocks."""
+    sizes of the hit blocks and of the over-share blocks (the module
+    docstring), and ``row`` row i at the layout ``positions``, a slice, in
+    ``segments`` of (size, lo, hi): uniforms conditioned to lie in [lo, hi].
+    Tests replace this class with dense rows sorted into the same blocks."""
 
     def __init__(self, seed: int, chunk_index: int, count: int):
         self._stream, self._count = UnitSampleStream(seed, chunk_index), count
 
-    def sizes(self, shares: list[float]) -> list[int]:
-        return self._stream.first_below(self._count, shares)
+    def sizes(self, hit: tuple[float, ...], shares: list[float]) -> tuple[list[int], list[int]]:
+        certain = self._stream.first_below(self._count, hit)
+        # the replications left have every uniform above its hit uniform h,
+        # where a uniform is below its share uniform p with chance (p - h) / (1 - h)
+        cuts = [(p - h) / (1.0 - h) for h, p in zip(hit, shares)]
+        return certain, self._stream.first_below(self._count - sum(certain), cuts)
 
-    def row(self, i: int, p: float, positions, free: int, below: int, out: np.ndarray) -> np.ndarray:
-        return self._stream.row(p, free, below, out)
+    def row(self, i: int, segments: list[tuple[int, float, float]], positions: slice, out: np.ndarray):
+        return self._stream.row(segments, out)
 
 
 def _simulate_chunk(screen: _Screen, seed: int, chunk_index: int, count: int) -> ChunkSums:
@@ -429,46 +435,31 @@ def _simulate_chunk(screen: _Screen, seed: int, chunk_index: int, count: int) ->
     # a share uniform of 1 or more certifies no miss: its block takes every
     # replication left
     shares = [min(p, 1.0) for p in screen.share]
-    sizes = uniforms.sizes(shares)
-    starts = list(itertools.accumulate(sizes, initial=0))
-    m = starts[-1]
+    certain, over = uniforms.sizes(screen.hit, shares)
+    hit_starts = list(itertools.accumulate(certain, initial=0))
+    over_starts = list(itertools.accumulate(over, initial=0))
+    h, d = hit_starts[-1], over_starts[-1]
     # one allocation per chunk, of one size per width, so malloc keeps it on
-    # its heap from chunk to chunk, where arrays sized by m went back to the
-    # system and faulted in again.  Everything is packed at its start: the
-    # twisted rows over all m replications and each untwisted row's own
-    # block, at most m together, then a hit flag and two weights per hit:
-    # at most (n + 2.125) * m + 1 doubles
+    # its heap from chunk to chunk, where arrays sized by the blocks went
+    # back to the system and faulted in again: n rows over the h + d
+    # replications drawn, then two weights per hit, at most (n + 2) * count
+    # doubles.  A twisted row is drawn over them all, as the weights read it
+    # at every hit; an untwisted row only over the d undecided
     block = np.empty((n + 3) * count)
-    # a twisted row is drawn over all m replications, an untwisted one in its
-    # own block: row i, a view indexed by layout position, is drawn from
-    # first[i] to ends[i]; the rows before it hold at least first[i] doubles
-    first = [0 if i in twisted else starts[i] for i in range(n)]
-    ends = [m if i in twisted else starts[i + 1] for i in range(n)]
-    rows, used = [], 0
-    for i, p in enumerate(shares):
-        rows.append(block[used - first[i] : used - first[i] + ends[i]])
-        uniforms.row(i, p, slice(first[i], ends[i]), starts[i] - first[i], sizes[i], rows[i][first[i] :])
-        used += ends[i] - first[i]
-    hit = block[used : used + m // 8 + 1].view(np.bool_)[:m]
-    used += m // 8 + 1
-    hit[:] = False
-    # stage 1 on the uniforms drawn: a uniform at least its share uniform is
-    # above its hit uniform, so only a row's blocks up to its own certify
-    for i, (row, h) in enumerate(zip(rows, screen.hit)):
-        hit[first[i] : starts[i + 1]] |= row[first[i] : starts[i + 1]] <= h
-    # the rest, at positions at, are undecided.  Each row is read there in
-    # component order: in its span from the row, before and after it drawn
-    # here (a twisted row spans all m).  A uniform never drawn but at most its
-    # hit uniform leaves its replication to the exact stages
-    at = np.flatnonzero(~hit)
-    u = np.empty((n, at.size))
-    for i, p in enumerate(shares):
-        a, b = np.searchsorted(at, (first[i], ends[i])).tolist()
-        uniforms.row(i, p, at[:a], a, 0, u[i, :a])
-        uniforms.row(i, p, at[b:], 0, 0, u[i, b:])
-        np.take(rows[i], at[a:b], out=u[i, a:b], mode="clip")
-    # stages 2 and 3 of the module docstring, summing in component order; the
-    # exact sums decide all that is left, and all-Weibull takes stage 2 alone
+    rows = block[: n * (h + d)].reshape(n, h + d)
+    for i, (cut, p) in enumerate(zip(screen.hit, shares)):
+        after = h - hit_starts[i + 1] if i in twisted else 0
+        segments = [(over_starts[i] + after, cut, 1.0), (over[i], cut, p), (d - over_starts[i + 1], p, 1.0)]
+        if i in twisted:
+            segments[:0] = [(hit_starts[i], 0.0, 1.0), (certain[i], 0.0, cut)]
+        first = 0 if i in twisted else h
+        uniforms.row(i, segments, slice(first, h + d), rows[i, first:])
+    # stages 2 and 3 of the module docstring on the undecided, the over-share
+    # slices of every row, summing in component order; the exact sums decide
+    # all that is left, and all-Weibull takes stage 2 alone
+    undecided = rows[:, h:]
+    found = np.zeros(d, dtype=np.bool_)
+    at, u = np.arange(d), undecided
     exact = ((None,) * n, gamma, gamma)
     bounds = (screen.table, gamma * (1.0 + _SCREEN_MARGIN), gamma * (1.0 - _SCREEN_MARGIN))
     for tables, high, low in (bounds, exact) if any(screen.table) else (exact,):
@@ -479,19 +470,26 @@ def _simulate_chunk(screen: _Screen, seed: int, chunk_index: int, count: int) ->
             y = np.log(u[i])
             y /= -keep if i in twisted else -1.0
             _bracket(spec, tables[i], y, sums)
-        hit[at[sums[0] > high]] = True
+        found[at[sums[0] > high]] = True
         # exact sums are equal, so none stays undecided after them
         left = (sums[0] <= high) & (sums[1] > low)
         at, u = at[left], u[:, left]
     # the hits' weights, in layout order, from the sum of their twisted rows'
-    # hazards; with no twisted row each weight is exp(0) = 1
-    hits = int(np.count_nonzero(hit))
-    hazard_sum, y = block[used : used + hits], block[used + hits : used + 2 * hits]
-    hazard_sum[:] = 0.0
-    for i in sorted(twisted):
-        np.log(np.compress(hit, rows[i], out=y), out=y)
-        y /= -keep
-        hazard_sum += y
+    # hazards: the hit blocks read in place, the undecided hits by index.
+    # The first row's hazards land in the sum itself, as 0 + y is y; with no
+    # twisted row each weight is exp(0) = 1
+    at = np.flatnonzero(found)
+    hits = h + at.size
+    hazard_sum, y = block[n * (h + d) :][:hits], block[n * (h + d) + hits :][:hits]
+    if not twisted:
+        hazard_sum[:] = 0.0
+    for j, i in enumerate(sorted(twisted)):
+        z = y if j else hazard_sum
+        np.log(rows[i, :h], out=z[:h])
+        np.log(np.take(undecided[i], at, out=z[h:], mode="clip"), out=z[h:])
+        z /= -keep
+        if j:
+            hazard_sum += y
     t = np.exp(log_likelihood_ratio(theta, len(twisted), hazard_sum), out=hazard_sum)
     sum_t = float(t.sum())
     sum_t2 = float(np.multiply(t, t, out=t).sum())
@@ -500,11 +498,13 @@ def _simulate_chunk(screen: _Screen, seed: int, chunk_index: int, count: int) ->
 
 
 def _width(screen: _Screen) -> int:
-    """The replications of a full chunk of the estimate ``screen`` records.
-    A chunk touches about (s + 1) * q doubles a replication, q the chance
-    that some uniform is below its share uniform: a row of the q * count
-    replications drawn per twisted component, s of them, and the untwisted
-    rows' own blocks, which hold at most as many together."""
+    """The replications of a full chunk of the estimate ``screen`` records:
+    wide where (s + 1) * q is at most _WIDE_TOUCH, q the chance that some
+    uniform is below its share uniform.  A chunk's s twisted rows touch
+    about s * q doubles a replication, drawn over its q * count replications
+    in blocks; its untwisted rows, drawn over the undecided only, are
+    counted as one more such row, as when each was drawn in a block of its
+    own."""
     over = -math.expm1(_log_certain(list(screen.share), [1] * len(screen.share)))
     return _WIDE_CHUNK_SIZE if (len(screen.twisted) + 1) * over <= _WIDE_TOUCH else CHUNK_SIZE
 
@@ -563,7 +563,9 @@ def _estimate(
     screen = _screen(scenario.components, twisted, theta, scenario.threshold_linear)
     width = _width(screen)
     chunks = tuple((screen, seed, j, min(width, runs - a)) for j, a in enumerate(range(0, runs, width)))
-    return _Estimate(method, theta, runs, seed, chunks)
+    # the report names its count and seed as Python ints, as the CSV prints
+    # them; the chunks' streams still reject a bool seed
+    return _Estimate(method, theta, int(runs), operator.index(seed), chunks)
 
 
 def _run_estimates(estimates: list[_Estimate], workers: int) -> list[EstimateReport]:

@@ -8,7 +8,7 @@ indices give statistically independent streams.  That lets replication
 chunks be farmed out to any number of workers and merged reproducibly.
 A stream is read straight through from position 0, whatever its reads
 are: block sizes (``first_below``), plain uniforms (``uniforms``), or a
-row of uniforms conditioned, slice by slice, to lie below or above a cut
+row of uniforms conditioned, segment by segment, to lie in an interval
 (``row``).
 """
 
@@ -61,20 +61,25 @@ class UnitSampleStream:
             count -= sizes[-1]
         return sizes
 
-    def row(self, p: float, free: int, below: int, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with uniforms, returned: the first ``free`` on (0, 1),
-        the next ``below`` conditioned to lie below the cut ``p`` in (0, 1],
-        p * V, and the rest conditioned to be at least p, p + (1 - p) * V,
-        for uniforms V.  A value below p is positive, and below p for a
-        normal double p; a value above it is at most the largest double
-        below 1.  An empty ``out`` reads nothing and costs no numpy call."""
+    def row(self, segments, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with uniforms V, returned: each segment (size, lo, hi),
+        0 <= lo < hi <= 1, maps the next ``size`` entries to lo + (hi - lo) * V,
+        a uniform conditioned to lie in [lo, hi].  A value from lo = 0 is
+        positive, and below hi for a normal double hi; one from lo > 0 is at
+        most the largest double below 1.  An empty ``out`` reads nothing and
+        costs no numpy call."""
         if not out.size:
             return out
         u = self.uniforms(out.size, out=out)
-        cut = u[free : free + below]
-        np.maximum(np.multiply(cut, p, out=cut), _TINY, out=cut)
-        rest = u[free + below :]
-        rest *= 1.0 - p
-        rest += p
-        np.minimum(rest, _BELOW_ONE, out=rest)
+        start = 0
+        for size, lo, hi in segments:
+            part, start = u[start : start + size], start + size
+            if not size or (lo, hi) == (0.0, 1.0):
+                continue
+            part *= hi - lo
+            if lo:
+                part += lo
+                np.minimum(part, _BELOW_ONE, out=part)
+            else:
+                np.maximum(part, _TINY, out=part)
         return u

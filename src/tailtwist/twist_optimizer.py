@@ -123,7 +123,9 @@ def _minimize_allocation(specs, weights, gamma: float) -> OptimizationResult:
             others = [i for i in rising if i != c]
             candidates += _curve_minima(specs, weights, gamma, c, others, nus, solved)
 
-    values = [weighted_hazard_sum(specs, weights, x) for x in candidates]
+    # weighted_hazard_sum of every candidate, from one hazard call per component
+    terms = [(w * spec.cumulative_hazard(x)).tolist() for spec, w, x in zip(specs, weights, np.array(candidates).T)]
+    values = [math.fsum(candidate) for candidate in zip(*terms)]
     best = int(np.argmin(values))
     x_best = candidates[best]
     return OptimizationResult(

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from scipy.special import ndtri_exp
 
@@ -405,65 +406,77 @@ def test_optimality_ratio_validation():
 
 def _rows_from_the_stream(components, twisted, theta, gamma, seed, chunk_index, count):
     """A chunk's rows rebuilt from its stream in the documented order, at
-    their positions in its block layout, the bounds of its blocks, and its
-    screen.  First the block sizes: one binomial per component, in order,
-    of the replications left, at its share uniform clipped to 1.  Then each
-    row in component order: a twisted one at all m replications drawn, an
-    untwisted one in its own block.  Then each untwisted row in component
-    order at the replications that no drawn uniform at most its hit uniform
-    certifies, before its block and then after it.  In block k a row i < k
-    is at least its share uniform p, row k below it, and a row i > k a
-    plain uniform.  Entries the chunk never reads are NaN."""
+    their positions in its block layout, the bounds of its hit blocks and
+    of its over-share blocks, and its screen.  First the hit blocks' sizes:
+    one binomial per component, in order, of the replications left, at its
+    hit uniform h.  Then the over-share blocks': one binomial per component
+    of the replications left after those, at (p - h) / (1 - h), p its share
+    uniform clipped to 1.  Then each row in component order, one uniform V
+    per entry: a twisted one over both kinds of blocks, an untwisted one
+    over the over-share blocks only.  In hit block k a row i > k is V, row k
+    is h * V and a row i < k is h + (1 - h) * V; in over-share block k a row
+    i > k is h + (1 - h) * V, row k is h + (p - h) * V and a row i < k is
+    p + (1 - p) * V.  Entries the chunk never reads are NaN."""
     screen = _screen(components, twisted, theta, gamma)
-    shares = np.minimum(screen.share, 1.0)
+    hit, shares = np.array(screen.hit), np.minimum(screen.share, 1.0)
     gen = np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(chunk_index,))))
     sizes, left = [], count
-    for p in shares:
-        sizes.append(int(gen.binomial(left, p)))
+    for cut in np.concatenate([hit, (shares - hit) / (1.0 - hit)]):
+        sizes.append(int(gen.binomial(left, cut)))
         left -= sizes[-1]
+    n = len(components)
     starts = np.cumsum([0] + sizes)
-    m = starts[-1]
+    hit_starts, over_starts = starts[: n + 1], starts[n:]
+    rows = np.full((n, count), np.nan)
+    for i, (h, p) in enumerate(zip(hit, shares)):
+        laws = [(0.0, 1.0)] * i + [(0.0, h)] + [(h, 1.0)] * (n - i - 1)
+        laws += [(h, 1.0)] * i + [(h, p)] + [(p, 1.0)] * (n - i - 1)
+        blocks = list(zip(laws, starts[:-1], starts[1:]))[0 if i in twisted else n :]
+        first = blocks[0][1]
+        u = _reference_uniforms(gen, over_starts[-1] - first)
+        for (lo, hi), a, b in blocks:
+            v = u[a - first : b - first]
+            if lo > 0.0:
+                v = np.minimum(v * (hi - lo) + lo, BELOW_ONE)
+            elif hi < 1.0:
+                v = np.maximum(v * hi, TINY)
+            rows[i, a:b] = v
+    return rows, hit_starts, over_starts, screen
 
-    def draw(n, kind, p):
-        u = _reference_uniforms(gen, n)
-        return {"free": u, "below": np.maximum(u * p, TINY), "above": np.minimum(u * (1.0 - p) + p, BELOW_ONE)}[kind]
 
-    rows = np.full((len(components), count), np.nan)
-    for i, p in enumerate(shares):
-        if i in twisted:
-            rows[i, : starts[i]] = draw(starts[i], "free", p)
-        rows[i, starts[i] : starts[i + 1]] = draw(sizes[i], "below", p)
-        if i in twisted:
-            rows[i, starts[i + 1] : m] = draw(m - starts[i + 1], "above", p)
-    undecided = np.flatnonzero(~np.any(rows[:, :m] <= np.array(screen.hit)[:, None], axis=0))
-    for i, p in enumerate(shares):
-        if i not in twisted:
-            before, after = undecided[undecided < starts[i]], undecided[undecided >= starts[i + 1]]
-            rows[i, before] = draw(before.size, "free", p)
-            rows[i, after] = draw(after.size, "above", p)
-    return rows, starts, screen
+def _with_certain_hits(rows, hit_starts, hit):
+    """``rows``, each entry left unread taken as the largest uniform below 1,
+    but row k in hit block k as its hit uniform, which certifies the hit an
+    untwisted row k is never drawn for there."""
+    rows = rows.copy()
+    for k, (a, b) in enumerate(zip(hit_starts[:-1], hit_starts[1:])):
+        np.copyto(rows[k, a:b], hit[k], where=np.isnan(rows[k, a:b]))
+    return np.nan_to_num(rows, nan=BELOW_ONE)
 
 
 def test_estimator_consumes_stream_components_in_order():
-    # both rows are drawn in their own blocks, in component order, then at
-    # the undecided; a replication with no uniform below its share uniform
-    # misses, whatever its unread uniforms are
+    # both rows are drawn over the over-share blocks, in component order, and
+    # neither in the hit blocks; a replication in a hit block hits, and one
+    # with no uniform below its share uniform misses, whatever its unread
+    # uniforms are
     scenario = weibull_scenario(gamma_db=10.0)
     report = estimate_naive(scenario, runs=1000, seed=55)
     args = (scenario.components, frozenset(), 0.0, scenario.threshold_linear, 55, 0, 1000)
-    rows, starts, _ = _rows_from_the_stream(*args)
-    assert 0 < starts[-1] < 1000
-    rows = np.nan_to_num(rows, nan=BELOW_ONE)
+    rows, hit_starts, over_starts, screen = _rows_from_the_stream(*args)
+    assert 0 < hit_starts[-1] < over_starts[-1] < 1000
+    assert np.isnan(rows[:, : hit_starts[-1]]).all() and not np.isnan(rows[:, hit_starts[-1] : over_starts[-1]]).any()
+    rows = _with_certain_hits(rows, hit_starts, screen.hit)
     x0 = scenario.components[0].inverse_cumulative_hazard(-np.log(rows[0]))
     x1 = scenario.components[1].inverse_cumulative_hazard(-np.log(rows[1]))
-    expected = float(np.mean(x0 + x1 > scenario.threshold_linear))
-    assert report.alpha_hat == expected
+    hit = x0 + x1 > scenario.threshold_linear
+    assert hit[: hit_starts[-1]].all() and not hit[over_starts[-1] :].any()
+    assert report.alpha_hat == float(np.mean(hit))
 
 
 def test_twisted_chunk_weights_come_from_the_log_weight_kernel():
     # improved IS rebuilt from the stream: twisted component 0, drawn at
     # every replication drawn, draws y = -log(u)/(1-theta); untwisted
-    # component 1 is drawn in its own block and at the undecided.  The chunk
+    # component 1 is drawn at the over-share replications only.  The chunk
     # weighs a hit through log_likelihood_ratio at its twisted hazard y, in
     # layout order
     scenario = weibull_scenario(gamma_db=20.0)
@@ -471,15 +484,19 @@ def test_twisted_chunk_weights_come_from_the_log_weight_kernel():
     assert plan.dominant_indices == (0,)
     report = estimate_improved(scenario, plan, runs=1000, seed=56)
     args = (scenario.components, frozenset({0}), plan.theta, scenario.threshold_linear, 56, 0, 1000)
-    rows, starts, screen = _rows_from_the_stream(*args)
-    # each row lies below its share uniform in its own block and at least it
-    # in the blocks after it, where the heavy row is read in full
+    rows, hit_starts, over_starts, screen = _rows_from_the_stream(*args)
+    # each row lies below its hit uniform in its own hit block, between its
+    # hit and share uniforms in its own over-share block, and at least its
+    # share uniform in the over-share blocks after it
+    h, d = hit_starts[-1], over_starts[-1]
+    assert hit_starts[1] > 0 and over_starts[1] > h and over_starts[2] > over_starts[1]
+    assert np.all(rows[0, : hit_starts[1]] <= screen.hit[0])
     for i, p in enumerate(screen.share):
-        assert starts[i + 1] > starts[i] and np.all(rows[i, starts[i] : starts[i + 1]] < p)
-        after = rows[i, starts[i + 1] : starts[-1]]
-        assert np.all(after[~np.isnan(after)] >= p)
-    assert starts[1] < starts[2] == starts[-1] and not np.isnan(rows[0, : starts[-1]]).any()
-    rows = np.nan_to_num(rows, nan=BELOW_ONE)
+        own = rows[i, over_starts[i] : over_starts[i + 1]]
+        assert np.all((screen.hit[i] <= own) & (own <= p))
+        assert np.all(rows[i, over_starts[i + 1] : d] >= p)
+    assert not np.isnan(rows[0, :d]).any() and np.isnan(rows[1, :h]).all()
+    rows = _with_certain_hits(rows, hit_starts, screen.hit)
     y = -np.log(rows[0]) / (1.0 - plan.theta)
     x0 = scenario.components[0].inverse_cumulative_hazard(y)
     x1 = scenario.components[1].inverse_cumulative_hazard(-np.log(rows[1]))
@@ -542,14 +559,20 @@ def _reference_sums(components, twisted, theta, gamma, rows):
     return float(t.sum()), float(t2.sum()), float((t2 * t2).sum()), int(hit.sum())
 
 
-def _blocked(rows, shares):
+def _blocked(rows, hit, shares):
     """The columns of whole ``rows`` in a chunk's block layout, and the
-    blocks' sizes: replication r goes to block k, the first component whose
-    uniform is below its share uniform (clipped to 1), or after the blocks
-    if none is; in replication order within a block."""
+    sizes of its hit blocks and of its over-share blocks: replication r goes
+    to hit block k, the first component whose uniform is at most its hit
+    uniform; if there is none, to over-share block k, the first component
+    whose uniform is below its share uniform (clipped to 1); and after the
+    blocks if there is neither.  In replication order within a block."""
+    n = len(rows)
+    at_hit = rows <= np.array(hit)[:, None]
     below = rows < np.minimum(shares, 1.0)[:, None]
-    first = np.where(below.any(axis=0), below.argmax(axis=0), len(rows))
-    return rows[:, np.argsort(first, kind="stable")], np.bincount(first, minlength=len(rows) + 1)[:-1]
+    over = np.where(below.any(axis=0), n + below.argmax(axis=0), 2 * n)
+    block = np.where(at_hit.any(axis=0), at_hit.argmax(axis=0), over)
+    sizes = np.bincount(block, minlength=2 * n + 1)
+    return rows[:, np.argsort(block, kind="stable")], sizes[:n], sizes[n : 2 * n]
 
 
 def _reference_chunk(components, twisted, theta, gamma, seed, chunk_index, count, pinned=None):
@@ -561,7 +584,8 @@ def _reference_chunk(components, twisted, theta, gamma, seed, chunk_index, count
     rows = np.array(_reference_uniform_rows(len(components), seed, chunk_index, count))
     for position, value in (pinned or {}).items():
         rows.flat[position] = value
-    rows, _ = _blocked(rows, _screen(components, twisted, theta, gamma).share)
+    screen = _screen(components, twisted, theta, gamma)
+    rows, _, _ = _blocked(rows, screen.hit, screen.share)
     return _reference_sums(components, twisted, theta, gamma, rows)
 
 
@@ -576,14 +600,14 @@ class DenseRows:
     def __init__(self, seed, chunk_index, count):
         self._args = (seed, chunk_index, count)
 
-    def sizes(self, shares):
+    def sizes(self, hit, shares):
         rows = np.array(_reference_uniform_rows(len(shares), *self._args))
         for position, value in self.pinned.items():
             rows.flat[position] = value
-        self._rows, sizes = _blocked(rows, shares)
-        return sizes.tolist()
+        self._rows, certain, over = _blocked(rows, hit, shares)
+        return certain.tolist(), over.tolist()
 
-    def row(self, i, p, positions, free, below, out):
+    def row(self, i, segments, positions, out):
         out[:] = self._rows[i, positions]
         return out
 
@@ -600,8 +624,9 @@ def whole_rows(monkeypatch):
 class RecordedRows(estimators._Blocks):
     """The chunk's own source of uniforms, recording each row as the chunk
     reads it at its positions in the block layout: ``last.rows`` is NaN
-    wherever the chunk read nothing, and ``last.starts`` holds the bounds of
-    its blocks."""
+    wherever the chunk read nothing, ``last.hit_starts`` and
+    ``last.over_starts`` hold the bounds of its hit and over-share blocks,
+    and ``last.hit`` its hit uniforms."""
 
     last = None
 
@@ -609,28 +634,34 @@ class RecordedRows(estimators._Blocks):
         super().__init__(seed, chunk_index, count)
         type(self).last = self
 
-    def sizes(self, shares):
-        sizes = super().sizes(shares)
+    def sizes(self, hit, shares):
+        certain, over = super().sizes(hit, shares)
         self.rows = np.full((len(shares), self._count), np.nan)
-        self.starts = list(itertools.accumulate(sizes, initial=0))
-        return sizes
+        self.hit = hit
+        self.hit_starts = list(itertools.accumulate(certain, initial=0))
+        self.over_starts = list(itertools.accumulate(over, initial=self.hit_starts[-1]))
+        return certain, over
 
-    def row(self, i, p, positions, free, below, out):
-        self.rows[i, positions] = super().row(i, p, positions, free, below, out)
+    def row(self, i, segments, positions, out):
+        self.rows[i, positions] = super().row(i, segments, positions, out)
         return out
+
+    def filled(self):
+        """The rows read, each unread uniform taken as ``_with_certain_hits``
+        takes it: a replication drawn for nothing has every uniform at least
+        its share uniform and misses, and one in hit block k has row k's
+        uniform at most its hit uniform and hits."""
+        return _with_certain_hits(self.rows, self.hit_starts, self.hit)
 
 
 @pytest.fixture
 def recorded_rows(monkeypatch):
-    """_reference_sums on the rows the last chunk read, in its layout, each
-    unread uniform taken as the largest below 1: a replication it drew
-    nothing for has every uniform at least its share uniform and misses,
-    and one it read in few rows had a drawn uniform certify its hit."""
+    """_reference_sums on the rows the last chunk read, in its layout, as
+    ``RecordedRows.filled`` fills them."""
     monkeypatch.setattr(estimators, "_Blocks", RecordedRows)
 
     def reference(components, twisted, theta, gamma, *_):
-        rows = np.nan_to_num(RecordedRows.last.rows, nan=BELOW_ONE)
-        return _reference_sums(components, twisted, theta, gamma, rows)
+        return _reference_sums(components, twisted, theta, gamma, RecordedRows.last.filled())
 
     return reference
 
@@ -706,19 +737,22 @@ def test_each_chunk_case_is_listed_once():
 @pytest.mark.parametrize("rows", ["whole_rows", "recorded_rows"])
 def test_a_chunk_matches_the_allocating_reference(request, rows, case):
     # under whole rows the chunk reads its stream as _reference_chunk does;
-    # under its own, drawn by blocks and at the undecided, it reads as the
-    # reference reads the rows it drew
+    # under its own, drawn by blocks, it reads as the reference reads the
+    # rows it drew
     components, twisted, theta, gamma, count = case
     args = (components, twisted, theta, gamma, 71, 3, count)
     reference = request.getfixturevalue(rows)
     sums = _chunk(*args)
     assert sums == reference(*args)
-    # a chunk draws nothing past its blocks, and its twisted rows in full
-    # over them
+    # a chunk draws nothing past its blocks, its twisted rows in full over
+    # them, and its untwisted rows over the over-share blocks only
     if rows == "recorded_rows":
         last = RecordedRows.last
-        assert np.isnan(last.rows[:, last.starts[-1] :]).all()
-        assert not np.isnan(last.rows[sorted(twisted), : last.starts[-1]]).any()
+        h, d = last.hit_starts[-1], last.over_starts[-1]
+        untwisted = sorted(set(range(len(components))) - twisted)
+        assert np.isnan(last.rows[:, d:]).all()
+        assert not np.isnan(last.rows[sorted(twisted), :d]).any()
+        assert np.isnan(last.rows[untwisted, :h]).all() and not np.isnan(last.rows[untwisted, h:d]).any()
     if len({spec.family for spec in components}) > 1:
         assert sums.hits > 0
 
@@ -775,8 +809,7 @@ def test_random_chunks_match_the_allocating_reference_on_the_rows_they_read(reco
             args = _fuzz_case(rng)
             assert _chunk(*args) == recorded_rows(*args), args
             if rng.random() < 0.25:
-                rows = np.nan_to_num(RecordedRows.last.rows, nan=BELOW_ONE)
-                total = _reference_draw_sums(*args[:3], rows)[rng.integers(args[-1])]
+                total = _reference_draw_sums(*args[:3], RecordedRows.last.filled())[rng.integers(args[-1])]
                 for gamma in (np.nextafter(total, np.inf), total, np.nextafter(total, 0.0)):
                     at_total = (*args[:3], float(min(gamma, 1e300)), *args[4:])
                     assert _chunk(*at_total) == recorded_rows(*at_total), at_total
@@ -786,16 +819,22 @@ def test_a_chunk_draws_only_for_its_over_share_replications(counting_stream):
     # improved IS on weibull4 at 26 dB: the twisted heavy row has a share
     # uniform near 0.4 and the light ones below 0.01, so a chunk draws the
     # heavy row at the 40% or so of its replications with some uniform below
-    # its share uniform, and the light rows in their own blocks and at the
-    # few left undecided; a whole heavy row alone would take count uniforms
+    # its share uniform, and the light rows only at the few of those with no
+    # uniform at most its hit uniform; a whole heavy row alone would take
+    # count uniforms
     scenario = KERNEL_SCENARIOS["weibull4"]
     estimate = _estimate(scenario, Method.IMPROVED_IS, 3 * _WIDE_CHUNK_SIZE, 7, plan=minmax_plan(scenario))
     screen = estimate.chunks[0][0]
     assert screen.share[0] > 0.3 and max(screen.share[1:]) < 0.01
+    shares = [min(p, 1.0) for p in screen.share]
     for args in estimate.chunks:
-        counting_stream.drawn = 0
+        certain, over = (sum(sizes) for sizes in estimators._Blocks(*args[1:]).sizes(screen.hit, shares))
+        counting_stream.drawn, counting_stream.calls = 0, []
         _simulate_chunk(*args)
         assert 0.3 * args[3] < counting_stream.drawn < 0.6 * args[3]
+        # one draw a row: the twisted row over the hit and over-share blocks,
+        # each untwisted row over the over-share blocks only
+        assert counting_stream.calls == [certain + over] + [over] * 3 and certain > 10 * over
 
 
 def test_chunks_are_twice_as_wide_where_they_touch_few_doubles_at_any_worker_count(monkeypatch):
@@ -840,6 +879,119 @@ def test_chunks_are_twice_as_wide_where_they_touch_few_doubles_at_any_worker_cou
     assert reports[1] == reports[2]
 
 
+# -- the block layout's law ---------------------------------------------------------
+
+
+def _law_screens():
+    """The screens of the layout's law tests: improved IS on weibull4 at
+    its minmax theta, conventional IS on lognormal4 at theta 0.9, and the
+    mixed-family chunk with two components twisted by 0.5."""
+    weibull4 = KERNEL_SCENARIOS["weibull4"]
+    plan = minmax_plan(weibull4)
+    dominant = frozenset(plan.dominant_indices)
+    return {
+        "weibull4-improved": _screen(weibull4.components, dominant, plan.theta, weibull4.threshold_linear),
+        "lognormal4-conventional-0.9": _screen(
+            LOGNORMAL4.components, frozenset(range(4)), 0.9, LOGNORMAL4.threshold_linear
+        ),
+        "mixed-0.5": _screen(MIXED_COMPONENTS, frozenset({0, 1}), 0.5, db_to_linear(24.0)),
+    }
+
+
+@pytest.mark.parametrize("name", ["weibull4-improved", "lognormal4-conventional-0.9", "mixed-0.5"])
+def test_block_shares_are_binomial_in_the_screens_chances(name):
+    # pooled over 64 substreams of 2**16: a replication is in a hit block
+    # with chance 1 - prod(1 - h_i), some uniform at most its hit uniform,
+    # and in an over-share block with chance prod(1 - h_i) - prod(1 - p_i),
+    # every uniform above its hit uniform and some below its share uniform
+    screen = _law_screens()[name]
+    hit, shares = np.array(screen.hit), np.minimum(screen.share, 1.0)
+    total = 64 * CHUNK_SIZE
+    certain = over = 0
+    for j in range(64):
+        c, d = estimators._Blocks(77, j, CHUNK_SIZE).sizes(screen.hit, shares.tolist())
+        certain, over = certain + sum(c), over + sum(d)
+    for observed, chance in (
+        (certain, 1.0 - np.prod(1.0 - hit)),
+        (over, np.prod(1.0 - hit) - np.prod(1.0 - shares)),
+    ):
+        assert 0.0 < chance < 1.0
+        assert abs(observed - total * chance) <= 5.0 * math.sqrt(total * chance * (1.0 - chance))
+
+
+@pytest.mark.parametrize("name", ["weibull4-improved", "lognormal4-conventional-0.9", "mixed-0.5"])
+def test_dense_rows_in_the_layout_are_certain_hits_undecided_and_certain_misses(name):
+    # whole rows sorted into the chunk's blocks: every replication in a hit
+    # block sums above gamma, every one in an over-share block has each
+    # uniform above its hit uniform and some below its share uniform, and
+    # every one after the blocks has each uniform at least its share uniform
+    # and sums to at most gamma
+    screen = _law_screens()[name]
+    hit, shares = np.array(screen.hit)[:, None], np.minimum(screen.share, 1.0)[:, None]
+    source = DenseRows(71, 3, CHUNK_SIZE)
+    certain, over = source.sizes(screen.hit, shares.ravel().tolist())
+    h, d = sum(certain), sum(over)
+    rows = source._rows
+    totals = _reference_draw_sums(screen.components, screen.twisted, screen.theta, rows)
+    assert h > 0 and d > 0
+    assert np.all(totals[:h] > screen.gamma)
+    assert np.all(rows[:, h : h + d] > hit) and np.all(np.any(rows[:, h : h + d] < shares, axis=0))
+    assert np.all(rows[:, h + d :] >= shares) and np.all(totals[h + d :] <= screen.gamma)
+
+
+@pytest.mark.parametrize("name", ["weibull4-improved", "lognormal4-conventional-0.9", "mixed-0.5"])
+def test_each_rows_uniforms_follow_their_blocks_law(recorded_rows, name):
+    # pooled over 16 substreams, the uniforms a chunk draws for row i in
+    # hit block k are V for k < i, h_i * V for k = i and h_i + (1 - h_i) * V
+    # for k > i; in over-share block k, h_i + (1 - h_i) * V for k < i,
+    # h_i + (p_i - h_i) * V for k = i and p_i + (1 - p_i) * V for k > i:
+    # each lies in its interval, and V is uniform
+    screen = _law_screens()[name]
+    n, hit, shares = len(screen.components), screen.hit, [min(p, 1.0) for p in screen.share]
+    pooled = {}
+    for j in range(16):
+        _simulate_chunk(screen, 71, j, CHUNK_SIZE)
+        last = RecordedRows.last
+        starts = last.hit_starts + last.over_starts[1:]
+        for block, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
+            k = block % n
+            for i in range(n):
+                if block < n:
+                    lo, hi = (0.0, 1.0) if k < i else (0.0, hit[i]) if k == i else (hit[i], 1.0)
+                else:
+                    lo, hi = (hit[i], 1.0) if k < i else (hit[i], shares[i]) if k == i else (shares[i], 1.0)
+                u = last.rows[i, a:b]
+                # an untwisted row is drawn in no hit block
+                assert np.isnan(u).all() if block < n and i not in screen.twisted else not np.isnan(u).any()
+                pooled.setdefault((block, i, lo, hi), []).append(u)
+    tested = 0
+    for (block, i, lo, hi), parts in pooled.items():
+        u = np.concatenate(parts)
+        if np.isnan(u).all():
+            continue
+        assert np.all((lo <= u) & (u <= hi)), (block, i)
+        if u.size >= 500:
+            assert scipy.stats.kstest((u - lo) / (hi - lo), "uniform").pvalue > 1e-4, (block, i)
+            tested += 1
+    assert tested >= 3
+
+
+def test_a_chunk_hits_as_often_as_a_dense_brute_force():
+    # conventional IS on lognormal4 at 25 dB and theta 0.9: 8 chunks of
+    # 2**16 drawn in blocks hit as often as whole rows of the same
+    # substreams do, about 70.5% of the time.  A layout with the laws of the
+    # rows before and after a block's own component swapped read 69.2%
+    args = (LOGNORMAL4.components, frozenset(range(4)), 0.9, LOGNORMAL4.threshold_linear)
+    screen, total = _screen(*args), 8 * CHUNK_SIZE
+    hits = sum(_simulate_chunk(screen, 5, j, CHUNK_SIZE).hits for j in range(8))
+    dense = sum(
+        int(np.count_nonzero(_reference_totals(*args[:3], 5, j, CHUNK_SIZE) > args[3])) for j in range(8)
+    )
+    spread = 5.0 * math.sqrt(2.0 * 0.7051 * (1.0 - 0.7051) / total)
+    assert abs(dense / total - 0.7051) < spread
+    assert abs(hits / total - dense / total) < spread
+
+
 # -- the screen: exact inversion of undecided replications only --------------------
 
 
@@ -850,9 +1002,11 @@ def _reference_totals(components, twisted, theta, seed, chunk_index, count):
 
 
 class CountingStream(UnitSampleStream):
-    """The chunk's stream, counting its constructions and the uniforms drawn."""
+    """The chunk's stream, counting its constructions and the uniforms drawn,
+    in all and call by call."""
 
     built = drawn = 0
+    calls: list[int] = []
 
     def __init__(self, *args, **kwargs):
         type(self).built += 1
@@ -860,6 +1014,7 @@ class CountingStream(UnitSampleStream):
 
     def uniforms(self, n, out=None):
         type(self).drawn += int(n)
+        type(self).calls.append(int(n))
         return super().uniforms(n, out)
 
 
@@ -867,6 +1022,7 @@ class CountingStream(UnitSampleStream):
 def counting_stream(monkeypatch):
     monkeypatch.setattr(CountingStream, "built", 0)
     monkeypatch.setattr(CountingStream, "drawn", 0)
+    monkeypatch.setattr(CountingStream, "calls", [])
     monkeypatch.setattr("tailtwist.estimators.UnitSampleStream", CountingStream)
     return CountingStream
 
@@ -886,7 +1042,7 @@ def test_screen_at_a_replications_exact_total(whole_rows, name, twist, theta, co
     # replication misses at the first two and hits at the third.  At theta
     # 0.95 only the largest sum shows: the weight of a lower-ranked one is
     # lost in the rounding of the other hits' weights.  Weibull and log-normal
-    # chunks take the same comparisons, bound sums and exact inversions
+    # chunks take the same layout, bound sums and exact inversions
     scenario = KERNEL_SCENARIOS[name]
     twisted = frozenset(range(4) if twist == "all" else select_dominant(scenario).dominant_indices)
     total = np.sort(_reference_totals(scenario.components, twisted, theta, 71, 3, count))[rank]
@@ -900,7 +1056,7 @@ def test_screen_at_a_replications_exact_total(whole_rows, name, twist, theta, co
 
 @pytest.mark.parametrize("count, rank", [(1, -1), (4465, -1), (4465, -40), (CHUNK_SIZE, -1), (CHUNK_SIZE, -1000)])
 def test_naive_screen_at_a_replications_exact_total(whole_rows, count, rank):
-    # the untwisted stage-1 test compares each uniform with its component's
+    # the layout compares each untwisted uniform with its component's
     # critical uniforms: gamma at one replication's exact sum and 1 ulp
     # either side, each hit of weight 1, so a replication of any rank shows
     twisted = frozenset()
@@ -1332,8 +1488,9 @@ def test_share_levels_split_the_total_and_certify_at_least_the_equal_split(twist
             assert all(c == 0.0 or sys.float_info.min <= c < math.inf for c in screen.level)
             assert math.fsum(screen.level) <= total
             assert screen.share == tuple(_critical_uniform(*key, c, up=True) for key, c in zip(keys, screen.level))
-            # a hit uniform lies below its share uniform, so every stage-1 hit
-            # is over its share, where a chunk decides and weighs it
+            # a hit uniform lies below its share uniform, so a hit block's
+            # replications are over their share, and the over-share blocks'
+            # chances (p - h) / (1 - h) lie in [0, 1]
             assert all(h < p for h, p in zip(screen.hit, screen.share))
             for i, j in itertools.combinations(range(n), 2):
                 if keys[i] == keys[j]:
@@ -1357,8 +1514,10 @@ def test_share_levels_at_zero_and_subnormal_thresholds_certify_no_miss():
         screen = _screen(components, frozenset({0}), 0.9, gamma)
         assert screen.level == (0.0,) * 4
         assert all(share >= 1.0 for share in screen.share)
-        # the first block takes every replication
-        assert estimators._Blocks(71, 3, 4465).sizes([min(p, 1.0) for p in screen.share]) == [4465, 0, 0, 0]
+        # the hit blocks and the first over-share block take every replication
+        shares = [min(p, 1.0) for p in screen.share]
+        certain, over = estimators._Blocks(71, 3, 4465).sizes(screen.hit, shares)
+        assert sum(certain) + over[0] == 4465 and over[1:] == [0, 0, 0]
 
 
 def test_share_levels_leave_few_weibull_replications_undecided(bounded):

@@ -667,21 +667,22 @@ def chunk_counts(estimates) -> set[int]:
     return {len(estimate.chunks) for estimate in estimates}
 
 
-# sha256 of the theta sweep below as printed by the chunk kernel that draws
-# only the replications with some uniform below its share uniform, in
-# blocks by the first such component, and an untwisted row outside its own
-# block only at the undecided, and weighs each hit through
-# log_likelihood_ratio from the sum of its twisted draws' hazards, in chunks
-# of 2**17 where a chunk touches at most one double a replication and of
-# 2**16 otherwise.  The bytes
+# sha256 of the theta sweep below as printed by the chunk kernel that lays
+# its replications out as certain hits, undecided and certain misses: hit
+# blocks by the first uniform at most its hit uniform, where only the
+# twisted rows are drawn, then over-share blocks by the first uniform below
+# its share uniform, where every row is drawn, and nothing for the rest.  It
+# weighs each hit through log_likelihood_ratio from the sum of its twisted
+# draws' hazards, in chunks of 2**17 where a chunk touches at most one
+# double a replication and of 2**16 otherwise.  The bytes
 # rest on numpy's exp and log, whose AVX-512 and AVX2 code paths round
 # differently, and on scipy's special functions, so they are pinned per code
 # path for the numpy and scipy releases they were recorded with.  The AVX2
 # digest is what an AVX-512 machine prints under
 # NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR".
 THETA_SWEEP_SHA256 = {
-    "6067f2104db85f5b067d7f80f08cf1926693a41a60d6b87a330cb485930d4835",  # AVX-512
-    "756d61c0cfa1ad3d14a0bd3ebd412fe448c2ff5a0adc54554b88fc32ea116bb3",  # AVX2
+    "efee1c75f7f7200bba074dea5ae63b03d5a8c57af6d648a1da02b0d3b9dba704",  # AVX-512
+    "0e964d37b8d38067c9b40484254604429136e0ec9deb20345c7e1c86a55aa5ad",  # AVX2
 }
 PINNED_RELEASES = ("2.4", "1.17")
 
@@ -707,12 +708,11 @@ def test_lognormal4_theta_sweep_bytes_are_pinned(ran):
 
 
 # sha256 of the Weibull threshold sweep below, recorded with the block
-# layout: the screen decides only which replications are certain, never a
-# hit or a weight, but its share uniforms set the blocks and so the
+# layout: the screen's hit and share uniforms set the blocks and so the
 # stream's reads.  Pinned per code path as above.
 WEIBULL_SWEEP_SHA256 = {
-    "0883da29401cba972bd284d12b991403e3e1e29f85889dcce8ea96502574f466",  # AVX-512
-    "32fef0bba3f3f9bb6988da39df7ddb9f366a4279b36df781ea99abac1da3f37a",  # AVX2
+    "40c9576a306186b1dc5988e98548bd059a907f07ccd4cac8f10e7a214a1657f8",  # AVX-512
+    "612428633958cea55a7b63bda71652817af3c3235df2a1c53b3784fa0ccedc42",  # AVX2
 }
 
 
@@ -738,8 +738,8 @@ def test_weibull4_threshold_sweep_bytes_are_pinned(ran):
 # sha256 of the sixteen-component Weibull threshold sweep below, recorded
 # with the block layout.  Pinned per code path as above.
 WEIBULL16_SWEEP_SHA256 = {
-    "54e14483f28021345cc09d069baf18908ede28c414f998fea7213f35aac4d4a9",  # AVX-512
-    "d3a4eccc311b07ce60a7fd0af92ab0324a8b29d66c5e23d24cc567f312ebb26b",  # AVX2
+    "a437b4a1b46e934937fbe9848be438ad50428b47ab5609607d67bb6201c7d250",  # AVX-512
+    "d3f6e6796ba0f8c28ef015c3c9648335b3b65ef6bfba0fe8f110ee31262f9019",  # AVX2
 }
 
 
@@ -764,16 +764,26 @@ def test_weibull16_threshold_sweep_bytes_are_pinned(ran):
 
 # A row of at most 2**16 runs is one chunk at either width, so its bytes
 # are those it has in chunks of 2**16: conventional and improved IS on
-# weibull4 at 26 dB, both wide.  Both code paths print these bytes.
-ONE_CHUNK_ROWS_CSV = (
+# weibull4 at 26 dB, both wide.  Pinned per code path as above: the two
+# paths' exp and log differ in the last digits of both rows.
+ONE_CHUNK_ROWS_CSV = {
+    # AVX-512
     f"{SWEEP_HEADER}\n"
-    "26.0,conventional,0.6351956642576362,1.627232322826066e-05,1.0682374623929751e-07,"
-    "1.822165579365392e-08,1.065605837215219e-07,0.07836258749411239,1.3773046176954836e-05,"
-    "1.8771600279566485e-05,65536,1\n"
-    "26.0,improved,0.908798916064409,1.794515517858942e-05,5.022845013879459e-09,"
-    "1.0456155283788833e-10,4.700888149356481e-09,0.014924602583932549,1.7420219532268425e-05,"
-    "1.8470090824910412e-05,65536,2\n"
-)
+    "26.0,conventional,0.6351956642576362,1.86590264094806e-05,1.3498943558869958e-07,"
+    "2.054239695097673e-08,1.3464333081633348e-07,0.07681808539420078,1.584965906865219e-05,"
+    "2.146839375030901e-05,65536,1\n"
+    "26.0,improved,0.908798916064409,1.770104008790243e-05,4.909963133859709e-09,"
+    "1.0234711121169477e-10,4.596706453840341e-09,0.014961827190502437,1.7181953878243222e-05,"
+    "1.822012629756164e-05,65536,2\n",
+    # AVX2
+    f"{SWEEP_HEADER}\n"
+    "26.0,conventional,0.6351956642576362,1.86590264094806e-05,1.349894355886996e-07,"
+    "2.054239695097673e-08,1.346433308163335e-07,0.07681808539420078,1.584965906865219e-05,"
+    "2.146839375030901e-05,65536,1\n"
+    "26.0,improved,0.908798916064409,1.7701040087902435e-05,4.909963133859709e-09,"
+    "1.0234711121169478e-10,4.596706453840341e-09,0.014961827190502434,1.7181953878243225e-05,"
+    "1.8220126297561644e-05,65536,2\n",
+}
 
 
 @pytest.mark.skipif(
@@ -788,7 +798,18 @@ def test_rows_of_one_chunk_keep_their_bytes_in_wide_chunks(ran):
     # so both are wide
     assert [estimators._width(e.chunks[0][0]) for e in ran] == [_WIDE_CHUNK_SIZE] * 2
     assert chunk_counts(ran) == {1}
-    assert sweep_rows_to_csv(rows) == ONE_CHUNK_ROWS_CSV
+    assert sweep_rows_to_csv(rows) in ONE_CHUNK_ROWS_CSV
+
+
+def test_numpy_integer_runs_and_seed_are_reported_and_printed_as_ints():
+    # a report keeps no numpy integer: the CSV prints a non-int as a float
+    scenario = small_theta_config().scenario
+    report = estimators.estimate_naive(scenario, runs=np.int64(1000), seed=np.int64(3))
+    assert type(report.runs) is int and type(report.seed) is int
+    assert (report.runs, report.seed) == (1000, 3)
+    assert report == estimators.estimate_naive(scenario, runs=1000, seed=3)
+    csv = sweep_rows_to_csv([SweepRow(25.0, report.method, report.theta, report, None)])
+    assert csv.splitlines()[1].endswith(",1000,3")
 
 
 def test_csv_reproducible_across_workers():
@@ -1147,7 +1168,7 @@ def test_a_single_run_reports_no_spread(capsys):
     assert main(["estimate", "--config", cfg, "--runs", "1", "--method", "improved", "--seed", "2"]) == 0
     hit = capsys.readouterr().out.splitlines()[1].split(",")
     # one replication has no sample variance: no standard error, no interval
-    assert hit[3] == "1.7166450378459708e-06"
+    assert hit[3] in {"1.407421458702348e-06", "1.4074214587023483e-06"}  # AVX-512, AVX2
     assert hit[5:] == ["nan", "nan", "nan", "nan", "nan", "1", "2"]
     assert main(["estimate", "--config", cfg, "--runs", "1", "--method", "naive,improved", "--seed", "3"]) == 0
     misses = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]

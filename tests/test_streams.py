@@ -154,7 +154,7 @@ def test_neighbouring_keys_uniform_and_uncorrelated(neighbour):
     assert abs(np.corrcoef(a, b)[0, 1]) < 4.0 / np.sqrt(n)
 
 
-# -- block sizes, and a row's slices below and above a cut ------------------------
+# -- block sizes, and a row's segments on their intervals ------------------------
 
 BELOW_ONE = 1.0 - 2.0**-53
 
@@ -177,19 +177,35 @@ def test_block_sizes_are_a_multinomial_split(cuts):
 
 
 def test_a_rows_slices_are_uniform_below_and_above_the_cut():
-    # one uniform V per entry, in order: V, then p * V, then p + (1 - p) * V
-    p, free, below, above = 0.1, 20_000, 20_000, 20_000
-    out = np.full(free + below + above, np.nan)
-    assert UnitSampleStream(33, 0).row(p, free, below, out) is out
+    # one uniform V per entry, in order: V, then h * V, then h + (p - h) * V,
+    # then p + (1 - p) * V
+    h, p, size = 0.05, 0.1, 20_000
+    out = np.full(4 * size, np.nan)
+    segments = [(size, 0.0, 1.0), (size, 0.0, h), (size, h, p), (size, p, 1.0)]
+    assert UnitSampleStream(33, 0).row(segments, out) is out
     plain = UnitSampleStream(33, 0).uniforms(out.size)
-    f, b, a = out[:free], out[free : free + below], out[free + below :]
-    assert np.array_equal(f, plain[:free])
-    assert np.array_equal(b, plain[free : free + below] * p)
-    assert np.array_equal(a, plain[free + below :] * (1.0 - p) + p)
-    assert np.all((0.0 < b) & (b < p)) and np.all((p <= a) & (a <= BELOW_ONE))
+    f, b, m, a = out.reshape(4, size)
+    v = plain.reshape(4, size)
+    assert np.array_equal(f, v[0])
+    assert np.array_equal(b, v[1] * h)
+    assert np.array_equal(m, v[2] * (p - h) + h)
+    assert np.array_equal(a, v[3] * (1.0 - p) + p)
+    assert np.all((0.0 < b) & (b < h)) and np.all((h <= m) & (m <= p)) and np.all((p <= a) & (a <= BELOW_ONE))
     assert scipy.stats.kstest(f, "uniform").pvalue > 0.01
-    assert scipy.stats.kstest(b, "uniform", args=(0.0, p)).pvalue > 0.01
+    assert scipy.stats.kstest(b, "uniform", args=(0.0, h)).pvalue > 0.01
+    assert scipy.stats.kstest(m, "uniform", args=(h, p - h)).pvalue > 0.01
     assert scipy.stats.kstest(a, "uniform", args=(p, 1.0 - p)).pvalue > 0.01
+
+
+def test_empty_segments_read_nothing():
+    # a segment of size 0 reads no uniform, and an empty row no numpy call
+    segments = [(0, 0.0, 0.5), (3, 0.0, 1.0), (0, 0.5, 1.0), (2, 0.25, 0.5), (0, 0.5, 1.0)]
+    out = UnitSampleStream(33, 1).row(segments, np.empty(5))
+    plain = UnitSampleStream(33, 1).uniforms(5)
+    assert np.array_equal(out, np.concatenate([plain[:3], plain[3:] * 0.25 + 0.25]))
+    stream = UnitSampleStream(33, 1)
+    stream._gen = None
+    assert stream.row([(0, 0.0, 0.5)], np.empty(0)).size == 0
 
 
 @pytest.mark.parametrize("p", [0.125, 2.0**-10, 2.0**-40, 0.1, 0.3])
@@ -198,20 +214,23 @@ def test_a_value_below_the_cut_never_equals_the_cut(p):
     # power of two, rounded down below any other
     stream = UnitSampleStream(1, 0)
     stream._gen = FixedDraws([1.0 - 2.0**-53])
-    assert np.all(stream.row(p, 0, 1000, np.empty(1000)) < p)
-    assert np.all(UnitSampleStream(34, 0).row(p, 0, 1 << 16, np.empty(1 << 16)) < p)
+    assert np.all(stream.row([(1000, 0.0, p)], np.empty(1000)) < p)
+    assert np.all(UnitSampleStream(34, 0).row([(1 << 16, 0.0, p)], np.empty(1 << 16)) < p)
 
 
 @pytest.mark.parametrize("p", [0.01, 0.5, 0.9, 1.0 - 2.0**-53])
 def test_a_value_above_the_cut_is_at_least_the_cut_and_below_one(p):
     # V = 0 reads 2**-1074 and gives p itself; the largest V gives at most
-    # the largest double below 1
+    # the largest double below 1, and at most the upper cut q below 1
     stream = UnitSampleStream(1, 0)
     stream._gen = FixedDraws([0.0, 1.0 - 2.0**-53, 0.5])
-    above = stream.row(p, 0, 0, np.empty(3))
+    above = stream.row([(3, p, 1.0)], np.empty(3))
     assert above[0] == p
     assert p <= above[1] <= BELOW_ONE
     assert np.all(above >= p)
+    q = (1.0 + p) / 2.0
+    between = stream.row([(3, p, q)], np.empty(3))
+    assert between[0] == p and np.all((p <= between) & (between <= q))
 
 
 @pytest.mark.parametrize("p", [sys.float_info.min, 1e-300])
@@ -221,7 +240,7 @@ def test_a_cut_at_the_smallest_doubles_warns_nothing(p):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert UnitSampleStream(35, 0).first_below(1 << 16, [p, p]) == [0, 0]
-        out = UnitSampleStream(35, 1).row(p, 0, 1000, np.empty(2000))
+        out = UnitSampleStream(35, 1).row([(1000, 0.0, p), (1000, p, 1.0)], np.empty(2000))
     assert np.all((0.0 < out[:1000]) & (out[:1000] < p)) and np.all(out[1000:] >= p)
 
 
@@ -236,8 +255,8 @@ def test_block_reads_are_a_fixed_function_of_the_stream():
         stream = UnitSampleStream(seed, 3)
         return [
             stream.first_below(4465, (0.02, 0.3)),
-            stream.row(0.02, 10, 20, np.empty(50)),
-            stream.row(0.3, 0, 0, np.empty(100)),
+            stream.row([(10, 0.0, 1.0), (20, 0.0, 0.02), (20, 0.02, 1.0)], np.empty(50)),
+            stream.row([(40, 0.01, 0.3), (60, 0.3, 1.0)], np.empty(100)),
             stream.uniforms(5),
         ]
 
