@@ -12,16 +12,16 @@ to touch at most one double a replication, else 2**16 (``_width``): a
 chunk makes about as many numpy calls at either width, and each may hand
 the GIL to another pool thread (``_run_estimates``).  Chunk j draws from
 substream j of the seed (its SeedSequence with spawn key (j,), driving
-PCG64DXSM) and reads it straight through (``_Blocks``): its hit blocks'
-sizes, its over-share blocks' sizes, then each component's row in
-component order, one draw a row.  It returns a ``ChunkSums`` record: the
-sums ``t``, ``t2`` and ``t4`` of its weighted indicators t, t**2 and t**4,
-and its count of ``hits``.  Records merge exactly (math.fsum per sum, an
-integer sum of hits), so on one platform and one numpy/scipy build a
-report is a bit-reproducible function of (scenario, method, theta, runs,
-seed) at any worker count: the inputs fix the screen, and so the width
-and every read.  Other builds may differ in the last bits of a special
-function or of a vectorised log, and so in the bytes.
+PCG64DXSM) and reads it straight through (``_Blocks``): its 2n block
+sizes, then each component's row in component order, one draw a row.  It
+returns a ``ChunkSums`` record: the sums ``t``, ``t2`` and ``t4`` of its
+weighted indicators t, t**2 and t**4, and its count of ``hits``.
+Records merge exactly (math.fsum per sum, an integer sum of hits), so on
+one platform and one numpy/scipy build a report is a bit-reproducible
+function of (scenario, method, theta, runs, seed) at any worker count:
+the inputs fix the screen, and so the width and every read.  Other
+builds may differ in the last bits of a special function or of a
+vectorised log, and so in the bytes.
 
 Draws and weights.  Every draw takes one kernel: its cumulative hazard
 y = -log(U) / (1 - theta) (theta = 0 untwisted) inverted by
@@ -35,25 +35,27 @@ per hit.
 
 Rows.  Replications are i.i.d. and a chunk returns only sums over them,
 so their order carries no information: a chunk draws how many fall in
-each block, and lays the blocks out one after another.  With h_i and p_i
-component i's hit and share uniforms (the screen below; p_i clipped to 1):
+each of its 2n blocks, and lays the blocks out one after another.  With
+h_i and p_i component i's hit and share uniforms (the screen below; p_i
+clipped to 1):
   * Certain hits.  Hit block k holds the replications whose first uniform
     at most its hit uniform is component k's: c_0 ~ Bin(count, h_0), c_1 ~
-    Bin(count - c_0, h_1), and so on.  Row i there is V for k < i, h_i * V
-    for k = i and h_i + (1 - h_i) * V for k > i, for uniforms V.
-  * Undecided.  Of the R replications left, over-share block k holds those
-    whose first uniform below its share uniform is component k's: d_0 ~
-    Bin(R, (p_0 - h_0) / (1 - h_0)), and so on.  Row i there is h_i +
-    (1 - h_i) * V for k < i, h_i + (p_i - h_i) * V for k = i and p_i +
-    (1 - p_i) * V for k > i.
+    Bin(count - c_0, h_1), and so on.
+  * Undecided.  Of the replications left, over-share block n + k holds
+    those whose first uniform below its share uniform is component k's:
+    the binomials go on at (p_0 - h_0) / (1 - h_0), and so on.
   * Certain misses: the rest, every uniform at least its share uniform.
     Nothing is drawn for them.
-So a row is a row of affine segments (``UnitSampleStream.row``).  A
-twisted row is drawn over both kinds of blocks, as the weights read it
-at every hit; an untwisted row over the over-share blocks only.  A chunk
-holds what it touches in one allocation of (n + 3) * count doubles: the
-rows, then two doubles per hit for the weights; besides that only arrays
-sized by the undecided.  No uniform is drawn twice.
+Every row is five affine segments of uniforms V (``UnitSampleStream.row``),
+cut at its own two blocks: row i is V before hit block i, h_i * V in it,
+h_i + (1 - h_i) * V up to over-share block n + i, h_i + (p_i - h_i) * V in
+it and p_i + (1 - p_i) * V after it.  A twisted row starts at the first
+block, as the weights read it at every hit; an untwisted row at the first
+over-share block, so its first two segments are empty.  A chunk holds what
+it touches in one allocation of (n + 2) * count doubles: n rows over at
+most count replications, then two doubles per hit for the weights;
+besides that only arrays sized by the undecided.  No uniform is drawn
+twice.
 
 The screen.  A chunk decides its replications in three stages, each on
 fewer of them.  Each certifies only past a margin of 1e-9 of gamma that
@@ -69,9 +71,9 @@ of all its draws decides it.
      as the share levels sum to at most gamma * (1 - 1e-9).  So only the
      over-share blocks are left to stages 2 and 3.  The levels, one per
      class of components alike in law and twist, split that total where
-     the draws lie (``_share_levels``), or equally where that certifies
-     more; deep in the tail the twisted heavy component takes most of it,
-     while the light draws stay near their medians.
+     the draws lie (``_share_levels``); deep in the tail the twisted heavy
+     component takes most of it, while the light draws stay near their
+     medians.
   2. Bound sums on the undecided: a Weibull draw bounds itself with its
      exact inverse, a log-normal one with the computed inverses at the
      nodes of its law's table either side of its y (``_table``: 1,025
@@ -245,9 +247,10 @@ class _Screen(NamedTuple):
     uniform at most ``hit[i]`` certifies a hit, uniforms each at least their
     ``share[i]``, the critical uniform of component i's share level
     ``level[i]``, certify a miss, and ``table[i]`` bounds a log-normal draw.
-    A chunk lays its replications out by these uniforms: hit blocks by the
-    first uniform at most its hit uniform, over-share blocks by the first
-    below its share uniform, and the certain misses, never drawn."""
+    A chunk lays its replications out by these uniforms in 2n blocks: hit
+    block k by the first uniform at most its hit uniform, over-share block
+    n + k by the first below its share uniform, then the certain misses,
+    never drawn."""
 
     components: tuple[DistributionSpec, ...]
     twisted: frozenset[int]
@@ -343,12 +346,10 @@ def _share_levels(exponents: np.ndarray, counts: list[int], total: float) -> lis
     return _fit_levels((total * (fractions / (weights * fractions).sum())).tolist(), counts, total)
 
 
-def _log_certain(shares: list[float], counts: list[int]) -> float:
+def _log_certain(shares: tuple[float, ...]) -> float:
     """The log-probability under the sampling law that every uniform is at
-    least its component's share uniform, ``counts[j]`` components having
-    ``shares[j]``."""
-    logs = [math.log1p(-s) if s < 1.0 else -math.inf for s in shares]
-    return math.fsum(itertools.chain.from_iterable([x] * m for x, m in zip(logs, counts)))
+    least its component's share uniform, ``shares[i]``."""
+    return math.fsum(math.log1p(-s) if s < 1.0 else -math.inf for s in shares)
 
 
 def _screen(
@@ -359,9 +360,10 @@ def _screen(
     gamma * (1 - margin).
 
     Components alike in law and twist form a class with one level and one
-    pair of critical uniforms.  The levels are ``_share_levels``, or the
-    equal split gamma * (1 - margin) / n where that certifies a miss at
-    least as often, and always for a single class."""
+    pair of critical uniforms.  The levels are ``_share_levels``, but the
+    equal split gamma * (1 - margin) / n for a single class, the only
+    split, and where the equal level is 0, as no split then certifies a
+    miss."""
     # the hit level is a normal double, where rounding errors stay relative
     level = max(gamma, sys.float_info.min) * (1.0 + _SCREEN_MARGIN)
     total = gamma * (1.0 - _SCREEN_MARGIN)
@@ -372,20 +374,16 @@ def _screen(
     # every split leaves some level at most the equal split's, and a level
     # of 0 certifies nothing
     solve = len(order) > 1 and levels[0] > 0.0
-    points = np.concatenate(([level, levels[0]], total * _SHARE_GRID if solve else ()))
-    # one Lambda per class, at the hit level, the equal split and the grid
+    points = np.concatenate(([level], total * _SHARE_GRID if solve else ()))
+    # one Lambda per class, at the hit level and the grid
     hazards = [spec.cumulative_hazard(points) for spec, _ in order]
     exponents = np.array([keep * hazard for (_, keep), hazard in zip(order, hazards)])
-    at_hit, at_equal = exponents[:, 0].tolist(), exponents[:, 1].tolist()
     # one table per log-normal law, over y whatever its twist
     tables = {s: _table(s, h[0].item()) for (s, _), h in zip(order, hazards) if s.family is Family.LOGNORMAL}
-    hits = [_rounded_uniform(spec, level, e, up=False) for (spec, _), e in zip(order, at_hit)]
-    shares = [_rounded_uniform(spec, levels[0], e, up=True) for (spec, _), e in zip(order, at_equal)]
+    hits = [_rounded_uniform(spec, level, e, up=False) for (spec, _), e in zip(order, exponents[:, 0].tolist())]
     if solve:
-        split = _share_levels(exponents[:, 2:], counts, total)
-        split_shares = [_critical_uniform(spec, keep, c, up=True) for (spec, keep), c in zip(order, split)]
-        if _log_certain(split_shares, counts) > _log_certain(shares, counts):
-            levels, shares = split, split_shares
+        levels = _share_levels(exponents[:, 1:], counts, total)
+    shares = [_critical_uniform(spec, keep, c, up=True) for (spec, keep), c in zip(order, levels)]
     at = [order.index(key) for key in keys]
     hits, shares, levels = (tuple(v[j] for j in at) for v in (hits, shares, levels))
     table = tuple(map(tables.get, components))
@@ -408,22 +406,22 @@ def _bracket(spec: DistributionSpec, table: tuple | None, y: np.ndarray, sums: n
 class _Blocks:
     """A chunk's uniforms: substream ``chunk_index`` of ``seed``, read
     straight through in the chunk's order of calls.  ``sizes`` draws the
-    sizes of the hit blocks and of the over-share blocks (the module
-    docstring), and ``row`` row i at the layout ``positions``, a slice, in
-    ``segments`` of (size, lo, hi): uniforms conditioned to lie in [lo, hi].
-    Tests replace this class with dense rows sorted into the same blocks."""
+    sizes of the chunk's 2n blocks, n hit blocks then n over-share blocks
+    (the module docstring), and ``row`` row i in ``segments`` of (size, lo,
+    hi): uniforms conditioned to lie in [lo, hi], filling ``out``, the
+    row's last ``out.size`` positions in the layout.  Tests replace this
+    class with dense rows sorted into the same blocks."""
 
     def __init__(self, seed: int, chunk_index: int, count: int):
         self._stream, self._count = UnitSampleStream(seed, chunk_index), count
 
-    def sizes(self, hit: tuple[float, ...], shares: list[float]) -> tuple[list[int], list[int]]:
-        certain = self._stream.first_below(self._count, hit)
-        # the replications left have every uniform above its hit uniform h,
-        # where a uniform is below its share uniform p with chance (p - h) / (1 - h)
-        cuts = [(p - h) / (1.0 - h) for h, p in zip(hit, shares)]
-        return certain, self._stream.first_below(self._count - sum(certain), cuts)
+    def sizes(self, hit: tuple[float, ...], shares: list[float]) -> list[int]:
+        # the replications left after the hit blocks have every uniform above
+        # its hit uniform h, where it is below its share uniform p with
+        # chance (p - h) / (1 - h)
+        return self._stream.first_below(self._count, [*hit, *((p - h) / (1.0 - h) for h, p in zip(hit, shares))])
 
-    def row(self, i: int, segments: list[tuple[int, float, float]], positions: slice, out: np.ndarray):
+    def row(self, i: int, segments: list[tuple[int, float, float]], out: np.ndarray):
         return self._stream.row(segments, out)
 
 
@@ -435,31 +433,26 @@ def _simulate_chunk(screen: _Screen, seed: int, chunk_index: int, count: int) ->
     # a share uniform of 1 or more certifies no miss: its block takes every
     # replication left
     shares = [min(p, 1.0) for p in screen.share]
-    certain, over = uniforms.sizes(screen.hit, shares)
-    hit_starts = list(itertools.accumulate(certain, initial=0))
-    over_starts = list(itertools.accumulate(over, initial=0))
-    h, d = hit_starts[-1], over_starts[-1]
+    starts = list(itertools.accumulate(uniforms.sizes(screen.hit, shares), initial=0))
+    h, m = starts[n], starts[-1]
     # one allocation per chunk, of one size per width, so malloc keeps it on
     # its heap from chunk to chunk, where arrays sized by the blocks went
-    # back to the system and faulted in again: n rows over the h + d
-    # replications drawn, then two weights per hit, at most (n + 2) * count
-    # doubles.  A twisted row is drawn over them all, as the weights read it
-    # at every hit; an untwisted row only over the d undecided
-    block = np.empty((n + 3) * count)
-    rows = block[: n * (h + d)].reshape(n, h + d)
+    # back to the system and faulted in again
+    block = np.empty((n + 2) * count)
+    rows = block[: n * m].reshape(n, m)
     for i, (cut, p) in enumerate(zip(screen.hit, shares)):
-        after = h - hit_starts[i + 1] if i in twisted else 0
-        segments = [(over_starts[i] + after, cut, 1.0), (over[i], cut, p), (d - over_starts[i + 1], p, 1.0)]
-        if i in twisted:
-            segments[:0] = [(hit_starts[i], 0.0, 1.0), (certain[i], 0.0, cut)]
+        # the five segments of the module docstring, from the row's first block
         first = 0 if i in twisted else h
-        uniforms.row(i, segments, slice(first, h + d), rows[i, first:])
+        a, b = max(first, starts[i]), max(first, starts[i + 1])
+        c, e = starts[n + i], starts[n + i + 1]
+        segments = [(a - first, 0.0, 1.0), (b - a, 0.0, cut), (c - b, cut, 1.0), (e - c, cut, p), (m - e, p, 1.0)]
+        uniforms.row(i, segments, rows[i, first:])
     # stages 2 and 3 of the module docstring on the undecided, the over-share
     # slices of every row, summing in component order; the exact sums decide
     # all that is left, and all-Weibull takes stage 2 alone
     undecided = rows[:, h:]
-    found = np.zeros(d, dtype=np.bool_)
-    at, u = np.arange(d), undecided
+    found = np.zeros(m - h, dtype=np.bool_)
+    at, u = np.arange(m - h), undecided
     exact = ((None,) * n, gamma, gamma)
     bounds = (screen.table, gamma * (1.0 + _SCREEN_MARGIN), gamma * (1.0 - _SCREEN_MARGIN))
     for tables, high, low in (bounds, exact) if any(screen.table) else (exact,):
@@ -480,7 +473,7 @@ def _simulate_chunk(screen: _Screen, seed: int, chunk_index: int, count: int) ->
     # twisted row each weight is exp(0) = 1
     at = np.flatnonzero(found)
     hits = h + at.size
-    hazard_sum, y = block[n * (h + d) :][:hits], block[n * (h + d) + hits :][:hits]
+    hazard_sum, y = block[n * m :][:hits], block[n * m + hits :][:hits]
     if not twisted:
         hazard_sum[:] = 0.0
     for j, i in enumerate(sorted(twisted)):
@@ -505,7 +498,7 @@ def _width(screen: _Screen) -> int:
     in blocks; its untwisted rows, drawn over the undecided only, are
     counted as one more such row, as when each was drawn in a block of its
     own."""
-    over = -math.expm1(_log_certain(list(screen.share), [1] * len(screen.share)))
+    over = -math.expm1(_log_certain(screen.share))
     return _WIDE_CHUNK_SIZE if (len(screen.twisted) + 1) * over <= _WIDE_TOUCH else CHUNK_SIZE
 
 

@@ -63,9 +63,14 @@ class OptimizationResult:
 
 def weighted_hazard_sum(specs, weights, x) -> float:
     """sum_i weights[i] * Lambda_i(x[i]) for nonnegative x."""
-    return math.fsum(
-        w * spec.cumulative_hazard(float(v)) for spec, w, v in zip(specs, weights, x)
-    )
+    return _weighted_hazard_sums(specs, weights, [x])[0]
+
+
+def _weighted_hazard_sums(specs, weights, points) -> list[float]:
+    """weighted_hazard_sum at each of ``points``, one hazard call per component."""
+    columns = np.array(points, dtype=float).T
+    terms = [(w * spec.cumulative_hazard(x)).tolist() for spec, w, x in zip(specs, weights, columns)]
+    return [math.fsum(point) for point in zip(*terms)]
 
 
 def _curve_minima(specs, weights, gamma, c, others, nus, solved):
@@ -123,9 +128,7 @@ def _minimize_allocation(specs, weights, gamma: float) -> OptimizationResult:
             others = [i for i in rising if i != c]
             candidates += _curve_minima(specs, weights, gamma, c, others, nus, solved)
 
-    # weighted_hazard_sum of every candidate, from one hazard call per component
-    terms = [(w * spec.cumulative_hazard(x)).tolist() for spec, w, x in zip(specs, weights, np.array(candidates).T)]
-    values = [math.fsum(candidate) for candidate in zip(*terms)]
+    values = _weighted_hazard_sums(specs, weights, candidates)
     best = int(np.argmin(values))
     x_best = candidates[best]
     return OptimizationResult(

@@ -593,7 +593,8 @@ class DenseRows:
     """The chunk's source of uniforms with every row drawn whole from the
     chunk's stream, one after another, the uniforms at the stream positions
     of ``pinned`` replaced by the values given there, and the replications
-    sorted into the chunk's blocks."""
+    sorted into the chunk's blocks.  A row read fills the last ``out.size``
+    positions of the layout, as every row ends where the layout ends."""
 
     pinned: dict[int, float] = {}
 
@@ -605,10 +606,11 @@ class DenseRows:
         for position, value in self.pinned.items():
             rows.flat[position] = value
         self._rows, certain, over = _blocked(rows, hit, shares)
-        return certain.tolist(), over.tolist()
+        self._end = int(certain.sum() + over.sum())
+        return certain.tolist() + over.tolist()
 
-    def row(self, i, segments, positions, out):
-        out[:] = self._rows[i, positions]
+    def row(self, i, segments, out):
+        out[:] = self._rows[i, self._end - out.size : self._end]
         return out
 
 
@@ -623,10 +625,10 @@ def whole_rows(monkeypatch):
 
 class RecordedRows(estimators._Blocks):
     """The chunk's own source of uniforms, recording each row as the chunk
-    reads it at its positions in the block layout: ``last.rows`` is NaN
-    wherever the chunk read nothing, ``last.hit_starts`` and
-    ``last.over_starts`` hold the bounds of its hit and over-share blocks,
-    and ``last.hit`` its hit uniforms."""
+    reads it at its positions in the block layout, the last ``out.size``
+    ones: ``last.rows`` is NaN wherever the chunk read nothing,
+    ``last.starts`` holds the bounds of its 2n blocks, n hit blocks then n
+    over-share blocks, and ``last.hit`` its hit uniforms."""
 
     last = None
 
@@ -635,15 +637,15 @@ class RecordedRows(estimators._Blocks):
         type(self).last = self
 
     def sizes(self, hit, shares):
-        certain, over = super().sizes(hit, shares)
+        sizes = super().sizes(hit, shares)
         self.rows = np.full((len(shares), self._count), np.nan)
         self.hit = hit
-        self.hit_starts = list(itertools.accumulate(certain, initial=0))
-        self.over_starts = list(itertools.accumulate(over, initial=self.hit_starts[-1]))
-        return certain, over
+        self.starts = list(itertools.accumulate(sizes, initial=0))
+        return sizes
 
-    def row(self, i, segments, positions, out):
-        self.rows[i, positions] = super().row(i, segments, positions, out)
+    def row(self, i, segments, out):
+        end = self.starts[-1]
+        self.rows[i, end - out.size : end] = super().row(i, segments, out)
         return out
 
     def filled(self):
@@ -651,7 +653,7 @@ class RecordedRows(estimators._Blocks):
         takes it: a replication drawn for nothing has every uniform at least
         its share uniform and misses, and one in hit block k has row k's
         uniform at most its hit uniform and hits."""
-        return _with_certain_hits(self.rows, self.hit_starts, self.hit)
+        return _with_certain_hits(self.rows, self.starts[: len(self.hit) + 1], self.hit)
 
 
 @pytest.fixture
@@ -748,7 +750,7 @@ def test_a_chunk_matches_the_allocating_reference(request, rows, case):
     # them, and its untwisted rows over the over-share blocks only
     if rows == "recorded_rows":
         last = RecordedRows.last
-        h, d = last.hit_starts[-1], last.over_starts[-1]
+        h, d = last.starts[len(components)], last.starts[-1]
         untwisted = sorted(set(range(len(components))) - twisted)
         assert np.isnan(last.rows[:, d:]).all()
         assert not np.isnan(last.rows[sorted(twisted), :d]).any()
@@ -828,7 +830,8 @@ def test_a_chunk_draws_only_for_its_over_share_replications(counting_stream):
     assert screen.share[0] > 0.3 and max(screen.share[1:]) < 0.01
     shares = [min(p, 1.0) for p in screen.share]
     for args in estimate.chunks:
-        certain, over = (sum(sizes) for sizes in estimators._Blocks(*args[1:]).sizes(screen.hit, shares))
+        sizes = estimators._Blocks(*args[1:]).sizes(screen.hit, shares)
+        certain, over = sum(sizes[:4]), sum(sizes[4:])
         counting_stream.drawn, counting_stream.calls = 0, []
         _simulate_chunk(*args)
         assert 0.3 * args[3] < counting_stream.drawn < 0.6 * args[3]
@@ -909,8 +912,8 @@ def test_block_shares_are_binomial_in_the_screens_chances(name):
     total = 64 * CHUNK_SIZE
     certain = over = 0
     for j in range(64):
-        c, d = estimators._Blocks(77, j, CHUNK_SIZE).sizes(screen.hit, shares.tolist())
-        certain, over = certain + sum(c), over + sum(d)
+        sizes = estimators._Blocks(77, j, CHUNK_SIZE).sizes(screen.hit, shares.tolist())
+        certain, over = certain + sum(sizes[: hit.size]), over + sum(sizes[hit.size :])
     for observed, chance in (
         (certain, 1.0 - np.prod(1.0 - hit)),
         (over, np.prod(1.0 - hit) - np.prod(1.0 - shares)),
@@ -929,8 +932,8 @@ def test_dense_rows_in_the_layout_are_certain_hits_undecided_and_certain_misses(
     screen = _law_screens()[name]
     hit, shares = np.array(screen.hit)[:, None], np.minimum(screen.share, 1.0)[:, None]
     source = DenseRows(71, 3, CHUNK_SIZE)
-    certain, over = source.sizes(screen.hit, shares.ravel().tolist())
-    h, d = sum(certain), sum(over)
+    sizes = source.sizes(screen.hit, shares.ravel().tolist())
+    h, d = sum(sizes[: hit.size]), sum(sizes[hit.size :])
     rows = source._rows
     totals = _reference_draw_sums(screen.components, screen.twisted, screen.theta, rows)
     assert h > 0 and d > 0
@@ -952,8 +955,7 @@ def test_each_rows_uniforms_follow_their_blocks_law(recorded_rows, name):
     for j in range(16):
         _simulate_chunk(screen, 71, j, CHUNK_SIZE)
         last = RecordedRows.last
-        starts = last.hit_starts + last.over_starts[1:]
-        for block, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
+        for block, (a, b) in enumerate(zip(last.starts[:-1], last.starts[1:])):
             k = block % n
             for i in range(n):
                 if block < n:
@@ -1462,15 +1464,9 @@ SHARE_GAMMAS = [0.0, 1e-310] + [10.0**e for e in (-300, -200, -100, -30, -5, 0, 
 ]
 
 
-def _log_certain(shares):
-    """log of the product of 1 - share, the probability that a
-    replication's uniforms are each at least their share uniform."""
-    return math.fsum(math.log1p(-s) if s < 1.0 else -math.inf for s in shares)
-
-
 @pytest.mark.parametrize("theta", [0.0, 0.5, 0.95])
 @pytest.mark.parametrize("twist", ["naive", "dominant", "all"])
-def test_share_levels_split_the_total_and_certify_at_least_the_equal_split(twist, theta):
+def test_share_levels_split_the_total_and_take_the_equal_split_for_one_class(twist, theta):
     rng = np.random.default_rng(19)
     for _ in range(30):
         components = tuple(SHARE_POOL[k] for k in rng.integers(len(SHARE_POOL), size=rng.integers(1, 7)))
@@ -1503,7 +1499,6 @@ def test_share_levels_split_the_total_and_certify_at_least_the_equal_split(twist
             if equal < sys.float_info.min:
                 equal = 0.0
             equal_shares = [_critical_uniform(*key, equal, up=True) for key in keys]
-            assert _log_certain(screen.share) >= _log_certain(equal_shares)
             if len(set(keys)) == 1:
                 assert screen.share == tuple(equal_shares)
 
@@ -1516,8 +1511,8 @@ def test_share_levels_at_zero_and_subnormal_thresholds_certify_no_miss():
         assert all(share >= 1.0 for share in screen.share)
         # the hit blocks and the first over-share block take every replication
         shares = [min(p, 1.0) for p in screen.share]
-        certain, over = estimators._Blocks(71, 3, 4465).sizes(screen.hit, shares)
-        assert sum(certain) + over[0] == 4465 and over[1:] == [0, 0, 0]
+        sizes = estimators._Blocks(71, 3, 4465).sizes(screen.hit, shares)
+        assert sum(sizes[:4]) + sizes[4] == 4465 and sizes[5:] == [0, 0, 0]
 
 
 def test_share_levels_leave_few_weibull_replications_undecided(bounded):

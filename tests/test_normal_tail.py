@@ -188,7 +188,7 @@ def test_chunks_fault_in_few_pages_once_warm():
     # 107 faults a chunk in this test, until some larger allocation raised
     # glibc's thresholds.  So a fresh interpreter, where no earlier test has
     # raised them, and each kind of chunk in turn: two warm-up chunks, then
-    # 40.  The one block of (n + 3) * count doubles took 21 faults or fewer
+    # 40.  The one block of (n + 2) * count doubles took 15 faults or fewer
     # in 40 chunks.  Wide improved chunks that draw a twisted row at about
     # 40% of their replications (weibull4, and weibull16, whose block is
     # 19 MB) and narrow conventional ones that draw four at about 85%
