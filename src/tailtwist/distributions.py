@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -127,11 +128,16 @@ class DistributionSpec:
             if not self.weibull_scale > 0.0:
                 raise ValueError("weibull_scale must be > 0")
             if self.weibull_shape >= 1.0:
+                # name the first caller outside this module, where the
+                # constructors and the dataclass's __init__ run
+                frame, level = sys._getframe(1), 2
+                while frame.f_back and frame.f_globals is globals():
+                    frame, level = frame.f_back, level + 1
                 warnings.warn(
                     f"weibull_shape={self.weibull_shape} is not subexponential "
                     "(shape < 1 required); heavy-tail guarantees do not apply",
                     LightTailWarning,
-                    stacklevel=3,
+                    stacklevel=level,
                 )
         elif self.family is Family.LOGNORMAL:
             if self.lognormal_mu_db is None or self.lognormal_sigma_db is None:

@@ -12,10 +12,9 @@ to touch at most one double a replication, else 2**16 (``_width``): a
 chunk makes about as many numpy calls at either width, and each may hand
 the GIL to another pool thread (``_run_estimates``).  Chunk j draws from
 substream j of the seed (its SeedSequence with spawn key (j,), driving
-PCG64DXSM) and reads it straight through (``_Blocks``): its 2n block
-sizes, then each component's row in component order, one draw a row.  It
-returns a ``ChunkSums`` record: the sums ``t``, ``t2`` and ``t4`` of its
-weighted indicators t, t**2 and t**4, and its count of ``hits``.
+PCG64DXSM), read straight through (``_fill``).  It returns a ``ChunkSums``
+record: the sums ``t``, ``t2`` and ``t4`` of its weighted indicators t,
+t**2 and t**4, and its count of ``hits``.
 Records merge exactly (math.fsum per sum, an integer sum of hits), so on
 one platform and one numpy/scipy build a report is a bit-reproducible
 function of (scenario, method, theta, runs, seed) at any worker count:
@@ -33,29 +32,12 @@ functions run on them only.  Only hits are weighed, through one kernel,
 (1 - theta)**-s * exp(-theta * S), one log per twisted draw and one exp
 per hit.
 
-Rows.  Replications are i.i.d. and a chunk returns only sums over them,
-so their order carries no information: a chunk draws how many fall in
-each of its 2n blocks, and lays the blocks out one after another.  With
-h_i and p_i component i's hit and share uniforms (the screen below; p_i
-clipped to 1):
-  * Certain hits.  Hit block k holds the replications whose first uniform
-    at most its hit uniform is component k's: c_0 ~ Bin(count, h_0), c_1 ~
-    Bin(count - c_0, h_1), and so on.
-  * Undecided.  Of the replications left, over-share block n + k holds
-    those whose first uniform below its share uniform is component k's:
-    the binomials go on at (p_0 - h_0) / (1 - h_0), and so on.
-  * Certain misses: the rest, every uniform at least its share uniform.
-    Nothing is drawn for them.
-Every row is five affine segments of uniforms V (``UnitSampleStream.row``),
-cut at its own two blocks: row i is V before hit block i, h_i * V in it,
-h_i + (1 - h_i) * V up to over-share block n + i, h_i + (p_i - h_i) * V in
-it and p_i + (1 - p_i) * V after it.  A twisted row starts at the first
-block, as the weights read it at every hit; an untwisted row at the first
-over-share block, so its first two segments are empty.  A chunk holds what
-it touches in one allocation of (n + 2) * count doubles: n rows over at
-most count replications, then two doubles per hit for the weights;
-besides that only arrays sized by the undecided.  No uniform is drawn
-twice.
+Rows.  A chunk lays its replications out by the screen's critical
+uniforms as certain hits, undecided replications and certain misses, and
+draws each row only where it reads it (``_fill``).  It holds what it
+touches in one allocation of (n + 2) * count doubles: n rows over at most
+count replications, then two doubles per hit for the weights; besides that
+only arrays sized by the undecided.  No uniform is drawn twice.
 
 The screen.  A chunk decides its replications in three stages, each on
 fewer of them.  Each certifies only past a margin of 1e-9 of gamma that
@@ -247,10 +229,7 @@ class _Screen(NamedTuple):
     uniform at most ``hit[i]`` certifies a hit, uniforms each at least their
     ``share[i]``, the critical uniform of component i's share level
     ``level[i]``, certify a miss, and ``table[i]`` bounds a log-normal draw.
-    A chunk lays its replications out by these uniforms in 2n blocks: hit
-    block k by the first uniform at most its hit uniform, over-share block
-    n + k by the first below its share uniform, then the certain misses,
-    never drawn."""
+    A chunk lays its replications out by these uniforms (``_fill``)."""
 
     components: tuple[DistributionSpec, ...]
     twisted: frozenset[int]
@@ -346,12 +325,6 @@ def _share_levels(exponents: np.ndarray, counts: list[int], total: float) -> lis
     return _fit_levels((total * (fractions / (weights * fractions).sum())).tolist(), counts, total)
 
 
-def _log_certain(shares: tuple[float, ...]) -> float:
-    """The log-probability under the sampling law that every uniform is at
-    least its component's share uniform, ``shares[i]``."""
-    return math.fsum(math.log1p(-s) if s < 1.0 else -math.inf for s in shares)
-
-
 def _screen(
     components: tuple[DistributionSpec, ...], twisted: frozenset[int], theta: float, gamma: float
 ) -> _Screen:
@@ -403,50 +376,64 @@ def _bracket(spec: DistributionSpec, table: tuple | None, y: np.ndarray, sums: n
     sums[1] += np.take(upper, j, out=y, mode="clip")
 
 
-class _Blocks:
-    """A chunk's uniforms: substream ``chunk_index`` of ``seed``, read
-    straight through in the chunk's order of calls.  ``sizes`` draws the
-    sizes of the chunk's 2n blocks, n hit blocks then n over-share blocks
-    (the module docstring), and ``row`` row i in ``segments`` of (size, lo,
-    hi): uniforms conditioned to lie in [lo, hi], filling ``out``, the
-    row's last ``out.size`` positions in the layout.  Tests replace this
-    class with dense rows sorted into the same blocks."""
+def _fill(screen: _Screen, seed: int, chunk_index: int, count: int, block: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """A chunk's rows of uniforms, an (n, m) view of the first n * m doubles
+    of ``block``, and the 2n + 1 bounds of the blocks they are laid out in,
+    m replications in all.  Substream ``chunk_index`` of ``seed`` is read
+    straight through: the 2n block sizes, one binomial each, then each row
+    in component order, one draw a row.
 
-    def __init__(self, seed: int, chunk_index: int, count: int):
-        self._stream, self._count = UnitSampleStream(seed, chunk_index), count
-
-    def sizes(self, hit: tuple[float, ...], shares: list[float]) -> list[int]:
-        # the replications left after the hit blocks have every uniform above
-        # its hit uniform h, where it is below its share uniform p with
-        # chance (p - h) / (1 - h)
-        return self._stream.first_below(self._count, [*hit, *((p - h) / (1.0 - h) for h, p in zip(hit, shares))])
-
-    def row(self, i: int, segments: list[tuple[int, float, float]], out: np.ndarray):
-        return self._stream.row(segments, out)
+    Replications are i.i.d. and a chunk returns only sums over them, so
+    their order carries no information: the chunk draws how many fall in
+    each block and lays the blocks out one after another.  With h_i and p_i
+    component i's hit and share uniforms (p_i clipped to 1):
+      * Certain hits.  Hit block k holds the replications whose first uniform
+        at most its hit uniform is component k's: c_0 ~ Bin(count, h_0), c_1 ~
+        Bin(count - c_0, h_1), and so on.
+      * Undecided.  Of the replications left, over-share block n + k holds
+        those whose first uniform below its share uniform is component k's:
+        the binomials go on at (p_0 - h_0) / (1 - h_0), and so on.
+      * Certain misses: the rest, every uniform at least its share uniform.
+        Nothing is drawn for them.
+    Every row is five affine segments of uniforms V (``UnitSampleStream.row``),
+    cut at its own two blocks: row i is V before hit block i, h_i * V in it,
+    h_i + (1 - h_i) * V up to over-share block n + i, h_i + (p_i - h_i) * V in
+    it and p_i + (1 - p_i) * V after it.  A twisted row starts at the first
+    block, as the weights read it at every hit; an untwisted row at the first
+    over-share block, so its first two segments are empty and nothing is
+    written for it in the hit blocks.  Tests replace this function with
+    dense rows sorted into the same blocks."""
+    n = len(screen.components)
+    stream = UnitSampleStream(seed, chunk_index)
+    # a share uniform of 1 or more certifies no miss: its block takes every
+    # replication left
+    shares = [min(p, 1.0) for p in screen.share]
+    # the replications left after the hit blocks have every uniform above
+    # its hit uniform h, where it is below its share uniform p with chance
+    # (p - h) / (1 - h)
+    cuts = [*screen.hit, *((p - h) / (1.0 - h) for h, p in zip(screen.hit, shares))]
+    starts = list(itertools.accumulate(stream.first_below(count, cuts), initial=0))
+    h, m = starts[n], starts[-1]
+    rows = block[: n * m].reshape(n, m)
+    for i, (cut, p) in enumerate(zip(screen.hit, shares)):
+        first = 0 if i in screen.twisted else h
+        a, b = max(first, starts[i]), max(first, starts[i + 1])
+        c, e = starts[n + i], starts[n + i + 1]
+        segments = [(a - first, 0.0, 1.0), (b - a, 0.0, cut), (c - b, cut, 1.0), (e - c, cut, p), (m - e, p, 1.0)]
+        stream.row(segments, rows[i, first:])
+    return rows, starts
 
 
 def _simulate_chunk(screen: _Screen, seed: int, chunk_index: int, count: int) -> ChunkSums:
     """The sums of one chunk's replications of the estimate ``screen`` records."""
     components, twisted, theta, gamma = screen.components, screen.twisted, screen.theta, screen.gamma
     n, keep = len(components), 1.0 - theta
-    uniforms = _Blocks(seed, chunk_index, count)
-    # a share uniform of 1 or more certifies no miss: its block takes every
-    # replication left
-    shares = [min(p, 1.0) for p in screen.share]
-    starts = list(itertools.accumulate(uniforms.sizes(screen.hit, shares), initial=0))
-    h, m = starts[n], starts[-1]
     # one allocation per chunk, of one size per width, so malloc keeps it on
     # its heap from chunk to chunk, where arrays sized by the blocks went
     # back to the system and faulted in again
     block = np.empty((n + 2) * count)
-    rows = block[: n * m].reshape(n, m)
-    for i, (cut, p) in enumerate(zip(screen.hit, shares)):
-        # the five segments of the module docstring, from the row's first block
-        first = 0 if i in twisted else h
-        a, b = max(first, starts[i]), max(first, starts[i + 1])
-        c, e = starts[n + i], starts[n + i + 1]
-        segments = [(a - first, 0.0, 1.0), (b - a, 0.0, cut), (c - b, cut, 1.0), (e - c, cut, p), (m - e, p, 1.0)]
-        uniforms.row(i, segments, rows[i, first:])
+    rows, starts = _fill(screen, seed, chunk_index, count, block)
+    h, m = starts[n], rows.shape[1]
     # stages 2 and 3 of the module docstring on the undecided, the over-share
     # slices of every row, summing in component order; the exact sums decide
     # all that is left, and all-Weibull takes stage 2 alone
@@ -498,7 +485,9 @@ def _width(screen: _Screen) -> int:
     in blocks; its untwisted rows, drawn over the undecided only, are
     counted as one more such row, as when each was drawn in a block of its
     own."""
-    over = -math.expm1(_log_certain(screen.share))
+    # 1 - q, the chance that every uniform is at least its share uniform
+    certain = math.fsum(math.log1p(-p) if p < 1.0 else -math.inf for p in screen.share)
+    over = -math.expm1(certain)
     return _WIDE_CHUNK_SIZE if (len(screen.twisted) + 1) * over <= _WIDE_TOUCH else CHUNK_SIZE
 
 

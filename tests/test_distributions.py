@@ -83,8 +83,14 @@ def test_heavy_weibull_is_subexponential_without_warning():
 
 
 def test_light_weibull_warns():
-    with pytest.warns(LightTailWarning):
-        DistributionSpec.weibull(1.5, 2.0)
+    # through the class or its constructor, the warning names this file
+    for make in (
+        lambda: DistributionSpec.weibull(1.5, 2.0),
+        lambda: DistributionSpec(Family.WEIBULL, weibull_shape=1.5, weibull_scale=2.0),
+    ):
+        with pytest.warns(LightTailWarning) as record:
+            make()
+        assert record[0].filename == __file__
 
 
 def test_db_conversions():

@@ -30,6 +30,7 @@ from tailtwist.estimators import (
     _critical_uniform,
     _Estimate,
     _estimate,
+    _fill,
     _report,
     _screen,
     _simulate_chunk,
@@ -561,57 +562,53 @@ def _reference_sums(components, twisted, theta, gamma, rows):
 
 def _blocked(rows, hit, shares):
     """The columns of whole ``rows`` in a chunk's block layout, and the
-    sizes of its hit blocks and of its over-share blocks: replication r goes
-    to hit block k, the first component whose uniform is at most its hit
-    uniform; if there is none, to over-share block k, the first component
-    whose uniform is below its share uniform (clipped to 1); and after the
-    blocks if there is neither.  In replication order within a block."""
+    2n + 1 bounds of its blocks, as ``_fill`` returns them: replication r
+    goes to hit block k, the first component whose uniform is at most its
+    hit uniform; if there is none, to over-share block n + k, the first
+    component whose uniform is below its share uniform (clipped to 1); and
+    after the blocks if there is neither.  In replication order within a
+    block."""
     n = len(rows)
     at_hit = rows <= np.array(hit)[:, None]
     below = rows < np.minimum(shares, 1.0)[:, None]
     over = np.where(below.any(axis=0), n + below.argmax(axis=0), 2 * n)
     block = np.where(at_hit.any(axis=0), at_hit.argmax(axis=0), over)
-    sizes = np.bincount(block, minlength=2 * n + 1)
-    return rows[:, np.argsort(block, kind="stable")], sizes[:n], sizes[n : 2 * n]
+    sizes = np.bincount(block, minlength=2 * n + 1)[: 2 * n]
+    return rows[:, np.argsort(block, kind="stable")], list(itertools.accumulate(sizes.tolist(), initial=0))
+
+
+def _dense_layout(screen, seed, chunk_index, count, pinned=None):
+    """The chunk's stream read as whole rows, component i taking stream
+    positions i * count to (i + 1) * count - 1, the uniform at stream
+    position p replaced by ``pinned[p]`` where given, and sorted into the
+    screen's blocks (``_blocked``)."""
+    rows = np.array(_reference_uniform_rows(len(screen.components), seed, chunk_index, count))
+    for position, value in (pinned or {}).items():
+        rows.flat[position] = value
+    return _blocked(rows, screen.hit, screen.share)
 
 
 def _reference_chunk(components, twisted, theta, gamma, seed, chunk_index, count, pinned=None):
-    """_reference_sums on the chunk's stream read as whole rows, component i
-    taking stream positions i * count to (i + 1) * count - 1, and sorted
-    into the chunk's blocks, as ``DenseRows`` feeds them to the chunk; the
-    replications after the blocks are decided too.  The uniform at stream
-    position p is ``pinned[p]`` where given."""
-    rows = np.array(_reference_uniform_rows(len(components), seed, chunk_index, count))
-    for position, value in (pinned or {}).items():
-        rows.flat[position] = value
-    screen = _screen(components, twisted, theta, gamma)
-    rows, _, _ = _blocked(rows, screen.hit, screen.share)
+    """_reference_sums on the chunk's dense layout, as ``DenseRows`` feeds
+    it to the chunk; the replications after the blocks are decided too."""
+    rows, _ = _dense_layout(_screen(components, twisted, theta, gamma), seed, chunk_index, count, pinned)
     return _reference_sums(components, twisted, theta, gamma, rows)
 
 
 class DenseRows:
-    """The chunk's source of uniforms with every row drawn whole from the
-    chunk's stream, one after another, the uniforms at the stream positions
-    of ``pinned`` replaced by the values given there, and the replications
-    sorted into the chunk's blocks.  A row read fills the last ``out.size``
-    positions of the layout, as every row ends where the layout ends."""
+    """``fill`` stands in for ``_fill``: the chunk's dense layout, with the
+    uniforms at the stream positions of ``pinned`` replaced by the values
+    given there, copied into the block layout."""
 
     pinned: dict[int, float] = {}
 
-    def __init__(self, seed, chunk_index, count):
-        self._args = (seed, chunk_index, count)
-
-    def sizes(self, hit, shares):
-        rows = np.array(_reference_uniform_rows(len(shares), *self._args))
-        for position, value in self.pinned.items():
-            rows.flat[position] = value
-        self._rows, certain, over = _blocked(rows, hit, shares)
-        self._end = int(certain.sum() + over.sum())
-        return certain.tolist() + over.tolist()
-
-    def row(self, i, segments, out):
-        out[:] = self._rows[i, self._end - out.size : self._end]
-        return out
+    @classmethod
+    def fill(cls, screen, seed, chunk_index, count, block):
+        rows, starts = _dense_layout(screen, seed, chunk_index, count, cls.pinned)
+        n, m = len(rows), starts[-1]
+        out = block[: n * m].reshape(n, m)
+        out[:] = rows[:, :m]
+        return out, starts
 
 
 @pytest.fixture
@@ -619,34 +616,31 @@ def whole_rows(monkeypatch):
     """Chunks read every row whole, as _reference_chunk reads the stream; the
     fixture returns _reference_chunk."""
     monkeypatch.setattr(DenseRows, "pinned", {})
-    monkeypatch.setattr(estimators, "_Blocks", DenseRows)
+    monkeypatch.setattr(estimators, "_fill", DenseRows.fill)
     return _reference_chunk
 
 
-class RecordedRows(estimators._Blocks):
-    """The chunk's own source of uniforms, recording each row as the chunk
-    reads it at its positions in the block layout, the last ``out.size``
-    ones: ``last.rows`` is NaN wherever the chunk read nothing,
-    ``last.starts`` holds the bounds of its 2n blocks, n hit blocks then n
-    over-share blocks, and ``last.hit`` its hit uniforms."""
+class RecordedRows:
+    """What the chunk's own ``_fill`` drew, at its positions in the block
+    layout: ``rows`` is NaN wherever it drew nothing, ``starts`` holds the
+    bounds of its 2n blocks, n hit blocks then n over-share blocks, and
+    ``hit`` its hit uniforms.  ``fill`` wraps ``_fill`` and records the
+    chunk's in ``last``."""
 
     last = None
 
-    def __init__(self, seed, chunk_index, count):
-        super().__init__(seed, chunk_index, count)
-        type(self).last = self
+    def __init__(self, rows, starts, hit):
+        self.rows, self.starts, self.hit = rows, starts, hit
 
-    def sizes(self, hit, shares):
-        sizes = super().sizes(hit, shares)
-        self.rows = np.full((len(shares), self._count), np.nan)
-        self.hit = hit
-        self.starts = list(itertools.accumulate(sizes, initial=0))
-        return sizes
-
-    def row(self, i, segments, out):
-        end = self.starts[-1]
-        self.rows[i, end - out.size : end] = super().row(i, segments, out)
-        return out
+    @classmethod
+    def fill(cls, screen, seed, chunk_index, count, block):
+        # what _fill leaves unwritten stays NaN
+        block.fill(np.nan)
+        rows, starts = _fill(screen, seed, chunk_index, count, block)
+        recorded = np.full((len(rows), count), np.nan)
+        recorded[:, : starts[-1]] = rows
+        cls.last = cls(recorded, starts, screen.hit)
+        return rows, starts
 
     def filled(self):
         """The rows read, each unread uniform taken as ``_with_certain_hits``
@@ -660,12 +654,18 @@ class RecordedRows(estimators._Blocks):
 def recorded_rows(monkeypatch):
     """_reference_sums on the rows the last chunk read, in its layout, as
     ``RecordedRows.filled`` fills them."""
-    monkeypatch.setattr(estimators, "_Blocks", RecordedRows)
+    monkeypatch.setattr(estimators, "_fill", RecordedRows.fill)
 
     def reference(components, twisted, theta, gamma, *_):
         return _reference_sums(components, twisted, theta, gamma, RecordedRows.last.filled())
 
     return reference
+
+
+def _block_sizes(screen, seed, chunk_index, count):
+    """The sizes of the 2n blocks ``_fill`` lays the chunk out in."""
+    _, starts = _fill(screen, seed, chunk_index, count, np.empty((len(screen.components) + 2) * count))
+    return np.diff(starts).tolist()
 
 
 KERNEL_SCENARIOS = {
@@ -828,9 +828,8 @@ def test_a_chunk_draws_only_for_its_over_share_replications(counting_stream):
     estimate = _estimate(scenario, Method.IMPROVED_IS, 3 * _WIDE_CHUNK_SIZE, 7, plan=minmax_plan(scenario))
     screen = estimate.chunks[0][0]
     assert screen.share[0] > 0.3 and max(screen.share[1:]) < 0.01
-    shares = [min(p, 1.0) for p in screen.share]
     for args in estimate.chunks:
-        sizes = estimators._Blocks(*args[1:]).sizes(screen.hit, shares)
+        sizes = _block_sizes(*args)
         certain, over = sum(sizes[:4]), sum(sizes[4:])
         counting_stream.drawn, counting_stream.calls = 0, []
         _simulate_chunk(*args)
@@ -912,7 +911,7 @@ def test_block_shares_are_binomial_in_the_screens_chances(name):
     total = 64 * CHUNK_SIZE
     certain = over = 0
     for j in range(64):
-        sizes = estimators._Blocks(77, j, CHUNK_SIZE).sizes(screen.hit, shares.tolist())
+        sizes = _block_sizes(screen, 77, j, CHUNK_SIZE)
         certain, over = certain + sum(sizes[: hit.size]), over + sum(sizes[hit.size :])
     for observed, chance in (
         (certain, 1.0 - np.prod(1.0 - hit)),
@@ -931,10 +930,8 @@ def test_dense_rows_in_the_layout_are_certain_hits_undecided_and_certain_misses(
     # and sums to at most gamma
     screen = _law_screens()[name]
     hit, shares = np.array(screen.hit)[:, None], np.minimum(screen.share, 1.0)[:, None]
-    source = DenseRows(71, 3, CHUNK_SIZE)
-    sizes = source.sizes(screen.hit, shares.ravel().tolist())
-    h, d = sum(sizes[: hit.size]), sum(sizes[hit.size :])
-    rows = source._rows
+    rows, starts = _dense_layout(screen, 71, 3, CHUNK_SIZE)
+    h, d = starts[hit.size], starts[-1] - starts[hit.size]
     totals = _reference_draw_sums(screen.components, screen.twisted, screen.theta, rows)
     assert h > 0 and d > 0
     assert np.all(totals[:h] > screen.gamma)
@@ -1510,8 +1507,7 @@ def test_share_levels_at_zero_and_subnormal_thresholds_certify_no_miss():
         assert screen.level == (0.0,) * 4
         assert all(share >= 1.0 for share in screen.share)
         # the hit blocks and the first over-share block take every replication
-        shares = [min(p, 1.0) for p in screen.share]
-        sizes = estimators._Blocks(71, 3, 4465).sizes(screen.hit, shares)
+        sizes = _block_sizes(screen, 71, 3, 4465)
         assert sum(sizes[:4]) + sizes[4] == 4465 and sizes[5:] == [0, 0, 0]
 
 

@@ -112,54 +112,6 @@ def test_parse_threshold_sweep_config():
     assert config.gamma_grid_db == (20.0, 22.0, 24.0)
 
 
-def test_zero_shape_rejected_with_anchored_message():
-    text = WEIBULL2_THRESHOLDS.replace("k = 0.4", "k = 0")
-    with pytest.raises(ConfigError, match="weibull_shape must be > 0") as exc_info:
-        parse_config(text)
-    assert "line" in str(exc_info.value)
-
-
-def test_mixed_families_rejected():
-    text = LOGNORMAL4_THETA.replace(
-        "family = lognormal\nmu_db = 0\nsigma_db = 4",
-        "family = weibull\nk = 0.4\nbeta = 1",
-        1,
-    )
-    assert "weibull" in text
-    with pytest.raises(ConfigError, match="mixed families"):
-        parse_config(text)
-
-
-def test_unknown_key_named_in_error():
-    with pytest.raises(ConfigError, match="unknown key 'shape'"):
-        parse_config("gamma_db = 20\n[component]\nfamily = weibull\nshape = 1\n")
-
-
-def test_wrong_family_parameter_rejected():
-    text = "gamma_db = 20\n[component]\nfamily = weibull\nk = 0.4\nbeta = 1\nsigma_db = 4\n"
-    with pytest.raises(ConfigError, match="does not apply"):
-        parse_config(text)
-
-
-def test_bad_grid_rejected():
-    with pytest.raises(ConfigError, match="positive step"):
-        parse_config("theta_grid = 0.2:0:0.9\ngamma_db = 20\n[component]\nfamily = weibull\nk = 0.4\nbeta = 1\n")
-    with pytest.raises(ConfigError, match="stop >= start"):
-        parse_config("theta_grid = 0.9:0.1:0.2\ngamma_db = 20\n[component]\nfamily = weibull\nk = 0.4\nbeta = 1\n")
-
-
-def test_exclusive_grids_rejected():
-    text = "theta_grid = 0.2:0.1:0.4\ngamma_grid_db = 20:1:22\n[component]\nfamily = weibull\nk = 0.4\nbeta = 1\n"
-    with pytest.raises(ConfigError, match="mutually exclusive"):
-        parse_config(text)
-
-
-def test_empty_methods_rejected():
-    text = WEIBULL2_THRESHOLDS.replace("methods = conventional,improved", "methods = ")
-    with pytest.raises(ConfigError, match="methods"):
-        parse_config(text)
-
-
 def construct(config, **changes):
     """The config with ``changes``, through the constructor alone."""
     return ExperimentConfig(**{**vars(config), **changes})
@@ -207,16 +159,6 @@ def test_configs_count_a_repeated_method_once(make):
     assert config.methods == (Method.IMPROVED_IS,)
     rows = run_single_estimate(config)
     assert [(row.method, row.report.seed) for row in rows] == [(Method.IMPROVED_IS, config.seed)]
-
-
-def test_missing_gamma_rejected():
-    with pytest.raises(ConfigError, match="gamma_db"):
-        parse_config("[component]\nfamily = weibull\nk = 0.4\nbeta = 1\n")
-
-
-def test_duplicate_key_rejected():
-    with pytest.raises(ConfigError, match="duplicate key 'gamma_db'"):
-        parse_config("gamma_db = 20\ngamma_db = 21\n[component]\nfamily = weibull\nk = 0.4\nbeta = 1\n")
 
 
 @pytest.mark.parametrize(
@@ -366,11 +308,37 @@ WEIBULL_BLOCK = "[component]\nfamily = weibull\nk = 0.4\nbeta = 1\n"
         ("[component]", "k = 0.4\nbeta = 1\n", "line 2: component block is missing 'family'"),
         ("[component]", "family = gamma\n", "line 3: unknown family 'gamma'"),
         ("[component]", "family = weibull\nk = 0.4\n", "line 2: weibull component is missing 'beta'"),
+        ("[component]", "family = weibull\nk = 0\nbeta = 1\n", "line 4: weibull_shape must be > 0"),
+        ("[component]", "family = weibull\nshape = 1\n", "line 4: unknown key 'shape'"),
+        (
+            "[component]",
+            "family = weibull\nk = 0.4\nbeta = 1\nsigma_db = 4\n",
+            "line 6: key 'sigma_db' does not apply to family 'weibull'",
+        ),
+        ("theta_grid = 0.2:0:0.9", WEIBULL_BLOCK, "line 2: key 'theta_grid' needs a positive step"),
+        ("theta_grid = 0.9:0.1:0.2", WEIBULL_BLOCK, "line 2: key 'theta_grid' needs stop >= start"),
+        (
+            "theta_grid = 0.2:0.1:0.4\ngamma_grid_db = 20:1:22",
+            WEIBULL_BLOCK,
+            "line 2: theta_grid and gamma_grid_db are mutually exclusive",
+        ),
+        ("methods = ", WEIBULL_BLOCK, "line 2: methods list is empty"),
+        ("gamma_db = 20\ngamma_db = 21", WEIBULL_BLOCK, "line 3: duplicate key 'gamma_db'"),
+        ("runs = 0", WEIBULL_BLOCK, "line 2: runs must be a positive integer"),
         ("runs = 5", "", "config defines no [component] blocks"),
+        ("runs = 5", WEIBULL_BLOCK, "config needs gamma_db (or gamma_grid_db for a threshold sweep)"),
+        # anchored at the first component block
+        (
+            "gamma_db = 25",
+            "[component]\nfamily = lognormal\nmu_db = 0\nsigma_db = 4\n" + WEIBULL_BLOCK,
+            "line 3: mixed families in one scenario are not supported; "
+            "all components must be Weibull or all log-normal",
+        ),
     ],
 )
 def test_config_errors_name_their_line(line, block, message):
-    # every value and block error is raised before the threshold is looked for
+    # every value and block error is raised before the threshold is looked
+    # for, and the scenario is built last
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         parse_config(f"seed = 1\n{line}\n{block}")
 
@@ -381,12 +349,6 @@ def test_a_threshold_without_decibels_is_rejected_by_the_runners():
     config = ExperimentConfig(scenario, (), (), (Method.IMPROVED_IS,), 1000, 0)
     with pytest.raises(ValueError, match="^this experiment needs a dB threshold$"):
         run_single_estimate(config)
-
-
-def test_runs_must_be_positive():
-    text = WEIBULL2_THRESHOLDS.replace("runs = 5000", "runs = 0")
-    with pytest.raises(ConfigError, match="runs"):
-        parse_config(text)
 
 
 # -- runners --------------------------------------------------------------------
